@@ -16,7 +16,14 @@ from typing import Any
 __all__ = ["canonical_dumps", "canonical_bytes", "sha256_hex", "canonical_hash"]
 
 
+# Exact types that need no further look; subclasses (str-mixin enums, for
+# instance) still take the isinstance branches below.
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def _check_tree(obj: Any) -> None:
+    if type(obj) in _PLAIN:
+        return
     # Binary floats round-trip unpredictably across platforms; upstream code
     # must render numerics as int or as fixed-point strings.
     if isinstance(obj, float):
@@ -25,10 +32,12 @@ def _check_tree(obj: Any) -> None:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string map key: {key!r}")
-            _check_tree(value)
+            if type(value) not in _PLAIN:
+                _check_tree(value)
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            _check_tree(item)
+            if type(item) not in _PLAIN:
+                _check_tree(item)
     elif obj is not None and not isinstance(obj, (str, int, bool)):
         raise TypeError(f"not canonically serializable: {type(obj).__name__}")
 

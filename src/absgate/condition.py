@@ -7,14 +7,18 @@ two-valued. Conjunction is the minimum and disjunction the maximum over the
 order FALSE < INDETERMINATE < TRUE, so ``false and x`` is false and
 ``true or x`` is true no matter how unknown ``x`` is; negation swaps the
 poles and leaves INDETERMINATE fixed.
+
+Each node is compiled once, on its first evaluation, into a small function
+that is cached on the node and reused for every later case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
 from .model import FieldKind, FieldValue
@@ -65,11 +69,18 @@ class Truth(Enum):
 
 
 # Source location is carried for diagnostics only; it never participates in
-# equality, so structurally identical conditions compare equal.
+# equality, so structurally identical conditions compare equal. The compiled
+# function lives in the instance dict as ``_fn``, outside the dataclass fields,
+# and is left out of pickles and copies.
 @dataclass(frozen=True)
 class _Node:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_fn", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -124,54 +135,89 @@ class Not(_Node):
 Condition = Union[Literal, Comparison, Present, Absent, Has, And, Or, Not]
 
 
-def _compare(value: FieldValue, op: str, literal: FieldValue) -> bool:
-    left = value.value
-    right = literal.value
-    # An integer literal against a decimal field widens exactly.
-    if value.kind is FieldKind.DECIMAL and literal.kind is FieldKind.INTEGER:
-        right = Decimal(right)
-    elif value.kind is not literal.kind:
-        raise ValueError(f"comparison across kinds: {value.kind.value} vs {literal.kind.value}")
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+_OPERATORS = dict(zip(COMPARISON_OPS, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)))
+_TRUE, _FALSE, _INDETERMINATE = Truth.TRUE, Truth.FALSE, Truth.INDETERMINATE
+
+
+# The compiled functions bind what they read as parameter defaults: locals
+# are cheaper to read than closure cells, and a default needs no cell object
+# per node. Children compile through the same call, one frame per level, so
+# a tree compiles as deep as it evaluates.
+def _compiled(cond: Condition) -> Callable[[Mapping[str, FieldValue]], Truth]:
+    """The node's compiled function, built and cached on first use.
+
+    Building is idempotent, so racing first uses merely build twice.
+    """
+    try:
+        return cond._fn  # type: ignore[union-attr]
+    except AttributeError:
+        pass
+    if isinstance(cond, Literal):
+        def fn(fields, constant=_TRUE if cond.value else _FALSE):
+            return constant
+
+    elif isinstance(cond, (Present, Absent)):
+        hit, miss = (_TRUE, _FALSE) if isinstance(cond, Present) else (_FALSE, _TRUE)
+
+        def fn(fields, name=cond.field_name, hit=hit, miss=miss):
+            return hit if name in fields else miss
+
+    elif isinstance(cond, Comparison):
+        kind, right = cond.literal.kind, cond.literal.value
+        # An integer literal against a decimal field widens exactly.
+        widened = Decimal(right) if kind is FieldKind.INTEGER else None
+
+        def fn(fields, name=cond.field_name, test=_OPERATORS[cond.op], kind=kind, right=right, widened=widened):
+            value = fields.get(name)
+            if value is None:
+                return _INDETERMINATE
+            if value.kind is kind:
+                return _TRUE if test(value.value, right) else _FALSE
+            if value.kind is FieldKind.DECIMAL and widened is not None:
+                return _TRUE if test(value.value, widened) else _FALSE
+            raise ValueError(f"comparison across kinds: {value.kind.value} vs {kind.value}")
+
+    elif isinstance(cond, Has):
+        def fn(fields, name=cond.field_name, token=cond.token):
+            value = fields.get(name)
+            if value is None:
+                return _INDETERMINATE
+            if value.kind is not FieldKind.TOKEN_SET:
+                raise ValueError(f"has applied to non-set field {name!r}")
+            return _TRUE if token in value.value else _FALSE
+
+    # Both operands are always evaluated, so a kind mismatch on either side
+    # raises no matter what the other side yields.
+    elif isinstance(cond, And):
+        def fn(fields, left=_compiled(cond.left), right=_compiled(cond.right)):
+            a = left(fields)
+            b = right(fields)
+            if a is _FALSE or b is _FALSE:
+                return _FALSE
+            return b if a is _TRUE else a
+
+    elif isinstance(cond, Or):
+        def fn(fields, left=_compiled(cond.left), right=_compiled(cond.right)):
+            a = left(fields)
+            b = right(fields)
+            if a is _TRUE or b is _TRUE:
+                return _TRUE
+            return b if a is _FALSE else a
+
+    elif isinstance(cond, Not):
+        def fn(fields, inner=_compiled(cond.inner)):
+            a = inner(fields)
+            return _FALSE if a is _TRUE else _TRUE if a is _FALSE else a
+
+    else:
+        raise TypeError(f"not a condition node: {cond!r}")
+    object.__setattr__(cond, "_fn", fn)
+    return fn
 
 
 def evaluate(cond: Condition, fields: Mapping[str, FieldValue]) -> Truth:
     """Evaluate a condition against case fields under Kleene semantics."""
-    if isinstance(cond, Literal):
-        return Truth.TRUE if cond.value else Truth.FALSE
-    if isinstance(cond, Present):
-        return Truth.TRUE if cond.field_name in fields else Truth.FALSE
-    if isinstance(cond, Absent):
-        return Truth.FALSE if cond.field_name in fields else Truth.TRUE
-    if isinstance(cond, Comparison):
-        value = fields.get(cond.field_name)
-        if value is None:
-            return Truth.INDETERMINATE
-        return Truth.TRUE if _compare(value, cond.op, cond.literal) else Truth.FALSE
-    if isinstance(cond, Has):
-        value = fields.get(cond.field_name)
-        if value is None:
-            return Truth.INDETERMINATE
-        if value.kind is not FieldKind.TOKEN_SET:
-            raise ValueError(f"has applied to non-set field {cond.field_name!r}")
-        return Truth.TRUE if cond.token in value.value else Truth.FALSE
-    if isinstance(cond, And):
-        return evaluate(cond.left, fields).and_(evaluate(cond.right, fields))
-    if isinstance(cond, Or):
-        return evaluate(cond.left, fields).or_(evaluate(cond.right, fields))
-    if isinstance(cond, Not):
-        return evaluate(cond.inner, fields).not_()
-    raise TypeError(f"not a condition node: {cond!r}")
+    return _compiled(cond)(fields)
 
 
 def referenced_fields(cond: Condition) -> frozenset[str]:

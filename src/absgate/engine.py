@@ -36,16 +36,9 @@ from .model import (
     SystemOutput,
     Verdict,
 )
-from .policy import ClinicalRule, Policy
+from .policy import ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, NO_CANDIDATE, ClassDecl, ClinicalRule, Policy
 
 __all__ = ["CompletenessReport", "assess_inputs", "decide"]
-
-# Reserved note identifier marking a definitively true escalation
-# justification in the stewardship stage record.
-_JUSTIFIED_NOTE = "escalation_justification"
-
-_NO_CANDIDATE = "no_candidate"
-_ALL_VETOED = "all_candidates_vetoed"
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,9 @@ class _StewardshipOutcome:
     justified: bool
 
 
-def _stewardship_stage(policy: Policy, fields, fired: list[ClinicalRule]) -> _StewardshipOutcome:
+def _stewardship_stage(
+    policy: Policy, class_map: dict[str, ClassDecl], fields, fired: list[ClinicalRule]
+) -> _StewardshipOutcome:
     """Stage 4: veto pruning and the escalation gate."""
     candidates = {rule.candidate for rule in fired}
     evaluated: list[tuple[str, Verdict]] = []
@@ -110,7 +105,6 @@ def _stewardship_stage(policy: Policy, fields, fired: list[ClinicalRule]) -> _St
         if truth is not Truth.FALSE:  # indeterminate vetoes, conservatively
             vetoed_classes.add(veto.class_id)
     justified = evaluate(policy.stewardship.escalation_justification, fields) is Truth.TRUE
-    class_map = policy.class_map()
     survivors: set[str] = set()
     removed: set[str] = set()
     for class_id in candidates:
@@ -121,13 +115,12 @@ def _stewardship_stage(policy: Policy, fields, fired: list[ClinicalRule]) -> _St
     for rule in fired:
         if rule.candidate in removed:
             evaluated.append((rule.rule_id, Verdict.VETOED))
-    notes = ((_JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
+    notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
     return _StewardshipOutcome(tuple(evaluated), notes, frozenset(survivors), justified)
 
 
-def _select_recommendation(policy: Policy, survivors: frozenset[str]) -> "str | tuple[str, ...]":
+def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset[str]) -> "str | tuple[str, ...]":
     """Stage 5 selection: the unique minimal-rank survivor, or the tied ids."""
-    class_map = policy.class_map()
     minimal = min(class_map[class_id].spectrum_rank for class_id in survivors)
     tied = sorted(class_id for class_id in survivors if class_map[class_id].spectrum_rank == minimal)
     return tied[0] if len(tied) == 1 else tuple(tied)
@@ -206,16 +199,17 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         final = SystemOutput.abstain(AbstentionCategory.CONFLICTING_SIGNALS, sorted(conflicted))
         return final, AuditTrace(tuple(stages), final)
     if not fired:
-        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (_NO_CANDIDATE,))
+        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
         return final, AuditTrace(tuple(stages), final)
 
     # Stage 4: stewardship.
-    outcome = _stewardship_stage(policy, fields, fired)
+    class_map = policy.class_map()
+    outcome = _stewardship_stage(policy, class_map, fields, fired)
     stages.append(StageRecord(Stage.STEWARDSHIP, outcome.evaluated, outcome.notes))
     if not outcome.survivors:
-        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (_ALL_VETOED,))
+        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
         return final, AuditTrace(tuple(stages), final)
-    selection = _select_recommendation(policy, outcome.survivors)
+    selection = _select_recommendation(class_map, outcome.survivors)
     if isinstance(selection, tuple):
         final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, selection)
         return final, AuditTrace(tuple(stages), final)

@@ -33,7 +33,7 @@ from .model import (
     canonical_serialize,
     compare_outputs,
 )
-from .policy import Policy, policy_hash
+from .policy import JUSTIFIED_NOTE, Policy, policy_hash
 from .suite import Suite, suite_hash
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "stewardship_audit",
     "run_suite",
 ]
-
-_JUSTIFIED_NOTE = "escalation_justification"
 
 CHECK_NARROW = "narrow_preference"
 CHECK_NO_UNJUSTIFIED = "no_unjustified_escalation"
@@ -205,8 +203,8 @@ def stewardship_audit(
         record = _stewardship_record(trace)
         if record is None:
             raise TraceRequiredError(f"trace_required: case '{result.case_id}' has no stewardship stage")
-        justified = _JUSTIFIED_NOTE in record.notes
-        survivors = tuple(note for note in record.notes if note != _JUSTIFIED_NOTE)
+        justified = JUSTIFIED_NOTE in record.notes
+        survivors = tuple(note for note in record.notes if note != JUSTIFIED_NOTE)
         recommended = result.actual.class_id
         assert recommended is not None
         recommended_rank = class_map[recommended].spectrum_rank
@@ -228,7 +226,7 @@ def stewardship_audit(
                     result.case_id,
                     CHECK_DOCUMENTED,
                     justified,
-                    (recommended, _JUSTIFIED_NOTE),
+                    (recommended, JUSTIFIED_NOTE),
                 )
             )
     return findings

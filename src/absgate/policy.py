@@ -30,6 +30,9 @@ from .diagnostics import Diagnostic, Severity
 from .model import IDENT_RE, TOKEN_RE, FieldKind
 
 __all__ = [
+    "NO_CANDIDATE",
+    "ALL_CANDIDATES_VETOED",
+    "JUSTIFIED_NOTE",
     "RESERVED_IDENTIFIERS",
     "FieldDecl",
     "ClassDecl",
@@ -45,9 +48,15 @@ __all__ = [
     "policy_hash",
 ]
 
+# Abstention labels for an empty candidate set before and after stewardship.
+NO_CANDIDATE = "no_candidate"
+ALL_CANDIDATES_VETOED = "all_candidates_vetoed"
+# Stewardship note marking a definitively true escalation justification.
+JUSTIFIED_NOTE = "escalation_justification"
+
 # These identifiers carry fixed meanings in traces, abstention labels, and
 # expectation wildcards; policies may not declare them as their own ids.
-RESERVED_IDENTIFIERS = frozenset({"no_candidate", "all_candidates_vetoed", "escalation_justification", "any"})
+RESERVED_IDENTIFIERS = frozenset({NO_CANDIDATE, ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, "any"})
 
 
 def _require_ident(value: str, what: str) -> None:

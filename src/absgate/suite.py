@@ -28,7 +28,7 @@ from .model import (
     FieldKind,
     FieldValue,
 )
-from .policy import Policy, policy_hash
+from .policy import FieldDecl, Policy, policy_hash
 
 __all__ = ["Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_bytes", "suite_hash"]
 
@@ -203,8 +203,10 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
     return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin), diags
 
 
-def _bind_value(case_id: str, name: str, value: FieldValue, policy: Policy, diags: list[Diagnostic]) -> None:
-    decl = policy.field_map().get(name)
+def _bind_value(
+    case_id: str, name: str, value: FieldValue, decls: dict[str, FieldDecl], diags: list[Diagnostic]
+) -> None:
+    decl = decls.get(name)
     if decl is None:
         _err(diags, "unknown_field", f"case '{case_id}': field '{name}' is not declared by the policy")
         return
@@ -247,9 +249,10 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
                 f"suite pins policy hash {suite.policy_hash_pin[:12]}..., supplied policy hashes {actual[:12]}...",
             )
     declared_classes = {c.class_id for c in policy.classes}
+    decls = policy.field_map()
     for case in suite.cases:
         for name, value in case.fields.items():
-            _bind_value(case.case_id, name, value, policy, diags)
+            _bind_value(case.case_id, name, value, decls, diags)
         expected = case.expected
         if expected.action is Action.RECOMMEND and expected.class_id is not None:
             if expected.class_id not in declared_classes:

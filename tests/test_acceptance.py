@@ -123,8 +123,8 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
     if not pristine.all_stewardship_pass():
         problems.append("audit flags the correct engine")
 
-    def gate_bypass(policy, fields, fired):
-        outcome = _honest_stage(policy, fields, fired)
+    def gate_bypass(policy, class_map, fields, fired):
+        outcome = _honest_stage(policy, class_map, fields, fired)
         vetoed = {v.class_id for v in policy.stewardship.class_vetoes
                   if engine_module.evaluate(v.when, fields) is not engine_module.Truth.FALSE}
         survivors = frozenset({rule.candidate for rule in fired} - vetoed)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from absgate.canon import canonical_bytes, canonical_dumps, canonical_hash, sha256_hex
+from absgate.model import Verdict
 
 
 def test_keys_are_sorted_and_separators_compact():
@@ -59,3 +60,21 @@ def test_canonical_form_is_stable_and_parseable(value):
 def test_key_order_cannot_influence_the_digest(mapping):
     reordered = dict(reversed(list(mapping.items())))
     assert canonical_hash(mapping) == canonical_hash(reordered)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"x": (1, 2.5)},  # a float inside a tuple inside a dict value
+        [{"a": 1}, {2: "b"}],  # a non-string key nested under a list
+        (1, object()),  # an unsupported object inside a tuple
+    ],
+)
+def test_nested_unsupported_values_are_rejected(value):
+    with pytest.raises(TypeError):
+        canonical_dumps(value)
+
+
+def test_str_mixin_enum_members_are_accepted():
+    assert canonical_dumps(Verdict.FIRED) == '"fired"'
+    assert canonical_dumps({"v": [Verdict.FIRED], "w": Verdict.VETOED}) == '{"v":["fired"],"w":"vetoed"}'

@@ -23,6 +23,8 @@ from absgate.condition import (
 from absgate.model import FieldKind, FieldValue
 from absgate.policy import FieldDecl
 
+from oracle import truth_of
+
 F = Truth.FALSE
 I = Truth.INDETERMINATE
 T = Truth.TRUE
@@ -200,3 +202,90 @@ def test_refining_missing_data_never_flips_a_definite_verdict(cond, assignment, 
 def test_evaluate_rejects_foreign_nodes():
     with pytest.raises(TypeError):
         evaluate(object(), {})
+
+
+# Differential check against the oracle's truth tables on every field kind.
+_ORACLE_TRUTH = {True: T, False: F, None: I}
+_INTS = (-(2**63), -1, 0, 1, 39, 40, 41, 2**63 - 1)
+_DECIMALS = tuple(Decimal(text) for text in ("-0.0001", "0", "39.9999", "40", "40.0001", "41"))
+_SEXES = ("female", "male")
+_FLAGS = ("a", "b", "c")
+_KIND_FIELDS = ("age", "weight", "sex", "flags", "fever")
+_ops = st.sampled_from(("==", "!=", "<", "<=", ">", ">="))
+_equality = st.sampled_from(("==", "!="))
+
+
+def _kind_atoms():
+    return st.one_of(
+        st.builds(Literal, st.booleans()),
+        st.builds(Present, st.sampled_from(_KIND_FIELDS)),
+        st.builds(Absent, st.sampled_from(_KIND_FIELDS)),
+        st.builds(Comparison, st.just("age"), _ops, st.sampled_from(_INTS).map(FieldValue.integer)),
+        st.builds(Comparison, st.just("weight"), _ops, st.sampled_from(_DECIMALS).map(FieldValue.decimal)),
+        # An integer literal against the decimal field is widened.
+        st.builds(Comparison, st.just("weight"), _ops, st.sampled_from(_INTS).map(FieldValue.integer)),
+        st.builds(Comparison, st.just("sex"), _equality, st.sampled_from(_SEXES).map(FieldValue.token)),
+        st.builds(Comparison, st.just("fever"), _equality, st.booleans().map(FieldValue.boolean)),
+        st.builds(Has, st.just("flags"), st.sampled_from(_FLAGS)),
+    )
+
+
+def _kind_conditions():
+    return st.recursive(
+        _kind_atoms(),
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)),
+        max_leaves=10,
+    )
+
+
+@st.composite
+def _kind_cases(draw):
+    """A case with each field either absent or drawn near the literal boundaries."""
+    values = {
+        "age": st.sampled_from(_INTS).map(FieldValue.integer),
+        "weight": st.sampled_from(_DECIMALS).map(FieldValue.decimal),
+        "sex": st.sampled_from(_SEXES).map(FieldValue.token),
+        "flags": st.sets(st.sampled_from(_FLAGS)).map(FieldValue.token_set),
+        "fever": st.booleans().map(FieldValue.boolean),
+    }
+    return {name: draw(strategy) for name, strategy in values.items() if draw(st.booleans())}
+
+
+@given(_kind_conditions(), st.lists(_kind_cases(), min_size=1, max_size=6))
+def test_evaluate_matches_the_oracle_on_every_field_kind(cond, cases):
+    # The same node is evaluated over several cases, so later cases run its
+    # cached compiled form.
+    for fields in cases:
+        assert evaluate(cond, fields) is _ORACLE_TRUTH[truth_of(cond, fields)], (print_condition(cond), fields)
+
+
+@pytest.mark.parametrize(
+    "mismatched, kinds",
+    [
+        (Comparison("age", "==", FieldValue.token("old")), "integer vs token"),
+        # Only a decimal field widens an integer literal.
+        (Comparison("sex", "==", FieldValue.integer(1)), "token vs integer"),
+    ],
+)
+def test_kind_mismatch_raises_even_when_the_other_operand_decides(mismatched, kinds):
+    fields = _fields(age=70, sex="male")
+    for cond in (
+        And(Literal(False), mismatched),
+        And(mismatched, Literal(False)),
+        Or(Literal(True), mismatched),
+        Or(mismatched, Literal(True)),
+    ):
+        for _ in range(2):  # the first call compiles, the second runs the cached form
+            with pytest.raises(ValueError, match=f"comparison across kinds: {kinds}"):
+                evaluate(cond, fields)
+
+
+def test_has_on_a_non_set_value_raises():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has applied to non-set field 'age'"):
+            evaluate(Has("age", "tok"), _fields(age=70))
+
+
+def test_evaluate_rejects_foreign_nodes_nested_in_a_tree():
+    with pytest.raises(TypeError):
+        evaluate(And(Literal(True), object()), {})

@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absgate import decide, load_reference_policy
+from absgate import decide, load_reference_policy, load_reference_suite
 from absgate.engine import assess_inputs
 from absgate.model import (
     AbstentionCategory,
@@ -290,3 +293,33 @@ def test_every_case_yields_exactly_one_wellformed_outcome(values):
     assert trace.final == output
     for record in trace.stages:
         assert list(record.evaluated) == sorted(record.evaluated, key=lambda pair: pair[0])
+
+
+def _conditions(policy):
+    return (
+        [policy.stewardship.escalation_justification]
+        + [c.forbid for c in policy.consistency]
+        + [e.when for e in policy.exclusions]
+        + [r.when for r in policy.clinical_rules]
+        + [v.when for v in policy.stewardship.class_vetoes]
+    )
+
+
+def test_policy_survives_pickle_and_deepcopy_after_deciding():
+    policy = load_reference_policy()
+    suite = load_reference_suite()
+
+    def decisions(p):
+        return [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(p, c) for c in suite.cases)]
+
+    # Deciding compiles and caches every condition the suite reaches.
+    before = decisions(policy)
+    for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+        assert clone is not policy
+        assert clone == policy
+        assert hash(clone) == hash(policy)
+        # A rebuilt frozenset (known_risks) may list its members in another
+        # order, so repr is compared on the conditions, which hold the cache.
+        assert [repr(c) for c in _conditions(clone)] == [repr(c) for c in _conditions(policy)]
+        assert decisions(clone) == before
+    assert decisions(policy) == before

@@ -154,7 +154,7 @@ def test_audit_requires_traces():
         stewardship_audit(POLICY, recommended, {})
 
 
-def _gate_skipping_stewardship(policy, fields, fired):
+def _gate_skipping_stewardship(policy, class_map, fields, fired):
     """Seeded bug: the escalation justification gate is never applied."""
     candidates = {rule.candidate for rule in fired}
     evaluated = []
@@ -185,9 +185,8 @@ def test_audit_catches_a_skipped_escalation_gate(monkeypatch):
     assert by_case["c21"].match is MatchLevel.MISMATCH
 
 
-def _broadest_selector(policy, survivors):
+def _broadest_selector(class_map, survivors):
     """Seeded bug: picks the broadest survivor instead of the narrowest."""
-    class_map = policy.class_map()
     worst = max(class_map[class_id].spectrum_rank for class_id in survivors)
     tied = sorted(class_id for class_id in survivors if class_map[class_id].spectrum_rank == worst)
     return tied[0] if len(tied) == 1 else tuple(tied)
