@@ -157,7 +157,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     suite = _load_suite(args.suite, policy)
     if suite is None:
         return 2
-    report = run_suite(policy, suite, runs=args.runs, jobs=args.jobs)
+    report = run_suite(policy, suite, runs=args.runs)
     if args.report is not None:
         Path(args.report).write_bytes(canonical_bytes(report.to_canonical()) + b"\n")
     _summarize(report, args.runs, sys.stdout)
@@ -170,14 +170,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = _read_text(args.policy)
-    if text is None:
-        return 2
-    policy, diags = parse_policy(text)
-    if policy is not None:
-        diags = list(diags) + validate_policy(policy)
-    _emit(diags)
-    if policy is None or has_errors(diags):
+    policy = _load_policy(args.policy)
+    if policy is None:
         return 2
     print(f"ok {policy.policy_id} {policy.version} sha256:{policy_hash(policy)}")
     return 0
@@ -227,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--policy", required=True, help="policy file")
     p_eval.add_argument("--suite", required=True, help="suite file")
     p_eval.add_argument("--runs", type=_positive_int, default=3, help="repeat count for the determinism check (default 3)")
-    p_eval.add_argument("--jobs", type=_positive_int, default=1, help="worker threads (default 1)")
     p_eval.add_argument("--report", help="write the canonical JSON report to this path")
     p_eval.add_argument("--strict", action="store_true", help="exit 1 unless every case fully matches, every stewardship check passes, and runs agree")
     p_eval.set_defaults(handler=_cmd_evaluate)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["Severity", "Diagnostic", "has_errors", "format_diagnostic"]
+__all__ = ["Severity", "Diagnostic", "has_errors"]
 
 
 class Severity(str, Enum):
@@ -30,10 +30,6 @@ class Diagnostic:
 
     def render(self) -> str:
         return f"{self.severity.value.upper()} {self.code} {self.line}:{self.col} {self.message}"
-
-
-def format_diagnostic(diag: Diagnostic) -> str:
-    return diag.render()
 
 
 def has_errors(diags: list[Diagnostic]) -> bool:

@@ -173,7 +173,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     fired: list[ClinicalRule] = []
     problems: set[str] = set()
     for rule in policy.clinical_rules:
-        missing_req = [name for name in rule.requires if name not in fields]
+        missing_req = [name for name in rule.requires if name not in fields] if rule.requires else ()
         truth = evaluate(rule.when, fields)
         if missing_req or truth is Truth.INDETERMINATE:
             evaluated.append((rule.rule_id, Verdict.INDETERMINATE))

@@ -15,7 +15,6 @@ report's ``determinism_ok`` is true exactly when all run digests agree.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
@@ -25,7 +24,6 @@ from .model import (
     AbstentionCategory,
     Action,
     AuditTrace,
-    CaseInput,
     ExpectedBehavior,
     MatchLevel,
     Stage,
@@ -232,38 +230,26 @@ def stewardship_audit(
     return findings
 
 
-def _decide_all(policy: Policy, cases: tuple[CaseInput, ...], jobs: int) -> list[tuple[SystemOutput, AuditTrace]]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda case: decide(policy, case), cases))
-    return [decide(policy, case) for case in cases]
-
-
-def run_suite(policy: Policy, suite: Suite, runs: int = 3, jobs: int = 1) -> EvaluationReport:
+def run_suite(policy: Policy, suite: Suite, runs: int = 3) -> EvaluationReport:
     """Execute the suite ``runs`` times and assemble the canonical report.
 
     Precondition: ``bind_suite(suite, policy)`` reported no errors. Cases
-    execute in case-id order; ``jobs`` only parallelizes within a run and
-    never changes any output byte.
+    execute in case-id order, one after another.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1: {runs}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1: {jobs}")
 
     run_digests: list[str] = []
-    results: tuple[CaseResult, ...] = ()
+    built: list[CaseResult] = []
     traces: dict[str, AuditTrace] = {}
     for run_index in range(runs):
-        decisions = _decide_all(policy, suite.cases, jobs)
         stream = hashlib.sha256()
-        for (output, trace) in decisions:
+        for case in suite.cases:
+            output, trace = decide(policy, case)
+            trace_bytes = canonical_serialize(trace)
             stream.update(canonical_serialize(output))
-            stream.update(canonical_serialize(trace))
-        run_digests.append(stream.hexdigest())
-        if run_index == 0:
-            built: list[CaseResult] = []
-            for case, (output, trace) in zip(suite.cases, decisions):
+            stream.update(trace_bytes)
+            if run_index == 0:
                 built.append(
                     CaseResult(
                         case_id=case.case_id,
@@ -271,11 +257,12 @@ def run_suite(policy: Policy, suite: Suite, runs: int = 3, jobs: int = 1) -> Eva
                         actual=output,
                         expected=case.expected,
                         match=compare_outputs(output, case.expected),
-                        trace_digest=hashlib.sha256(canonical_serialize(trace)).hexdigest(),
+                        trace_digest=hashlib.sha256(trace_bytes).hexdigest(),
                     )
                 )
                 traces[case.case_id] = trace
-            results = tuple(built)
+        run_digests.append(stream.hexdigest())
+    results = tuple(built)
 
     action_level, full_level = concordance(results)
     return EvaluationReport(

@@ -5,7 +5,9 @@ exactly one of two shapes, a recommendation of a single class or a typed
 abstention, and nothing in this module can represent both at once. All value
 types here are immutable, hashable where practical, and serialize through
 ``to_canonical`` into the shared canonical JSON form used for hashing and
-reports (see ``canon``).
+reports (see ``canon``). Outputs and audit traces, which every decision
+serializes, are encoded by ``canonical_serialize`` straight to the same
+bytes; their ``to_canonical`` stays the reference form.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from typing import Any, Mapping
 
 from .canon import canonical_bytes
@@ -171,6 +174,8 @@ class AbstentionReason:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.category) is not AbstentionCategory:
+            raise TypeError(f"category is not an AbstentionCategory: {self.category!r}")
         normalized = tuple(sorted(set(self.labels)))
         for label in normalized:
             if not IDENT_RE.match(label):
@@ -320,7 +325,14 @@ class StageRecord:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "evaluated", tuple(sorted(self.evaluated, key=lambda e: e[0])))
+        # Exact types, so that canonical_serialize can trust its tables.
+        if type(self.stage) is not Stage:
+            raise TypeError(f"stage is not a Stage: {self.stage!r}")
+        evaluated = tuple(sorted(self.evaluated, key=lambda e: e[0]))
+        for _, verdict in evaluated:
+            if type(verdict) is not Verdict:
+                raise TypeError(f"verdict is not a Verdict: {verdict!r}")
+        object.__setattr__(self, "evaluated", evaluated)
         object.__setattr__(self, "notes", tuple(self.notes))
 
     def to_canonical(self) -> dict[str, Any]:
@@ -344,6 +356,8 @@ class AuditTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
+        if type(self.final) is not SystemOutput or any(type(record) is not StageRecord for record in self.stages):
+            raise TypeError("trace requires StageRecord stages and a SystemOutput final")
         observed = tuple(record.stage for record in self.stages)
         if observed != PIPELINE_STAGES[: len(observed)]:
             raise ValueError(f"stages out of pipeline order: {[s.value for s in observed]}")
@@ -376,6 +390,44 @@ def compare_outputs(actual: SystemOutput, expected: ExpectedBehavior) -> MatchLe
     return MatchLevel.ACTION
 
 
+# JSON text of each enum member, built once so that encoding a trace runs no
+# ``Enum.value`` descriptor per verdict.
+_STAGE_JSON = {stage: _quote(stage.value) for stage in Stage}
+_VERDICT_JSON = {verdict: _quote(verdict.value) for verdict in Verdict}
+_CATEGORY_JSON = {category: _quote(category.value) for category in AbstentionCategory}
+
+
+def _encode_output(output: SystemOutput) -> str:
+    if output.action is Action.RECOMMEND:
+        return f'{{"action":"recommend","class":{_quote(output.class_id)}}}'
+    reason = output.reason
+    assert reason is not None
+    labels = ",".join(map(_quote, reason.labels))
+    return f'{{"action":"abstain","category":{_CATEGORY_JSON[reason.category]},"labels":[{labels}]}}'
+
+
+def _encode_record(record: StageRecord) -> str:
+    evaluated = ",".join([f"[{_quote(rule_id)},{_VERDICT_JSON[verdict]}]" for rule_id, verdict in record.evaluated])
+    notes = ",".join(map(_quote, record.notes))
+    return f'{{"evaluated":[{evaluated}],"notes":[{notes}],"stage":{_STAGE_JSON[record.stage]}}}'
+
+
 def canonical_serialize(value: Any) -> bytes:
-    """Canonical byte form of any domain value exposing ``to_canonical``."""
+    """Canonical byte form of any domain value exposing ``to_canonical``.
+
+    An exact ``SystemOutput`` or ``AuditTrace`` is encoded straight to
+    canonical JSON text: keys written in sorted order, every string through
+    the escaper ``json.dumps(ensure_ascii=False)`` uses, enum members from
+    tables. The bytes equal ``canonical_bytes(value.to_canonical())``, which
+    stays the reference form. No float or non-member enum can reach them: a
+    non-``str`` id, note or label raises ``TypeError`` here, and stages,
+    verdicts and categories are type-checked when their records are built.
+    Any other value, subclasses included, takes the generic path.
+    """
+    kind = type(value)
+    if kind is AuditTrace:
+        stages = ",".join([_encode_record(record) for record in value.stages])
+        return f'{{"final":{_encode_output(value.final)},"stages":[{stages}]}}'.encode("utf-8")
+    if kind is SystemOutput:
+        return _encode_output(value).encode("utf-8")
     return canonical_bytes(value.to_canonical())

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .canon import canonical_bytes, canonical_hash
+from .canon import canonical_hash
 from .condition import (
     And,
     Comparison,
@@ -44,7 +44,6 @@ __all__ = [
     "Policy",
     "validate_policy",
     "policy_canonical",
-    "policy_bytes",
     "policy_hash",
 ]
 
@@ -412,10 +411,6 @@ def policy_canonical(policy: Policy) -> dict[str, Any]:
             ),
         },
     }
-
-
-def policy_bytes(policy: Policy) -> bytes:
-    return canonical_bytes(policy_canonical(policy))
 
 
 def policy_hash(policy: Policy) -> str:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .canon import canonical_bytes, canonical_hash
+from .canon import canonical_hash
 from .diagnostics import Diagnostic, Severity
 from .model import (
     IDENT_RE,
@@ -30,7 +30,7 @@ from .model import (
 )
 from .policy import FieldDecl, Policy, policy_hash
 
-__all__ = ["Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_bytes", "suite_hash"]
+__all__ = ["Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
 
 _HEX64 = frozenset("0123456789abcdef")
 
@@ -275,10 +275,6 @@ def suite_canonical(suite: Suite) -> dict[str, Any]:
     if suite.policy_hash_pin is not None:
         body["policy_hash_pin"] = suite.policy_hash_pin
     return body
-
-
-def suite_bytes(suite: Suite) -> bytes:
-    return canonical_bytes(suite_canonical(suite))
 
 
 def suite_hash(suite: Suite) -> str:

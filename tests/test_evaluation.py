@@ -111,12 +111,6 @@ def test_reference_run_is_fully_concordant():
     assert len(report.stewardship_findings) == 15
 
 
-def test_parallel_execution_changes_no_output_byte():
-    serial = run_suite(POLICY, SUITE, runs=1, jobs=1)
-    threaded = run_suite(POLICY, SUITE, runs=1, jobs=4)
-    assert canonical_bytes(serial.to_canonical()) == canonical_bytes(threaded.to_canonical())
-
-
 def test_report_serializes_canonically():
     report = run_suite(POLICY, SUITE, runs=2)
     doc = json.loads(canonical_bytes(report.to_canonical()))
@@ -143,8 +137,6 @@ def test_report_serializes_canonically():
 def test_run_suite_validates_arguments():
     with pytest.raises(ValueError):
         run_suite(POLICY, SUITE, runs=0)
-    with pytest.raises(ValueError):
-        run_suite(POLICY, SUITE, jobs=0)
 
 
 def test_audit_requires_traces():

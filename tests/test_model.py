@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from absgate.canon import canonical_bytes
 from absgate.model import (
+    PIPELINE_STAGES,
     AbstentionCategory,
     AbstentionReason,
     Action,
@@ -169,3 +171,86 @@ def test_decimal_canonical_round_trips(value):
 @given(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), unique=True, max_size=6))
 def test_token_set_canonical_is_sorted(tokens):
     assert FieldValue.token_set(tokens).to_canonical() == sorted(tokens)
+
+
+# Free text for rule ids and notes, which the model does not restrict: JSON
+# escapes (quotes, backslashes, control characters) and non-ASCII text.
+_FREE_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\tµ\u2028'), st.characters()), max_size=6)
+# Labels and class ids are identifiers; IDENT_RE lets a trailing newline through.
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True) | st.just("x\n")
+
+
+@st.composite
+def _outputs(draw):
+    if draw(st.booleans()):
+        return SystemOutput.recommend(draw(_IDENT))
+    category = draw(st.sampled_from(AbstentionCategory))
+    minimum = 1 if category is AbstentionCategory.EXPLICIT_EXCLUSION else 0
+    return SystemOutput.abstain(category, draw(st.lists(_IDENT, min_size=minimum, max_size=4)))
+
+
+@st.composite
+def _traces(draw):
+    depth = draw(st.integers(1, len(PIPELINE_STAGES)))
+    pairs = st.lists(st.tuples(_FREE_TEXT, st.sampled_from(Verdict)), max_size=4)
+    records = tuple(
+        StageRecord(stage, draw(pairs), draw(st.lists(_FREE_TEXT, max_size=3))) for stage in PIPELINE_STAGES[:depth]
+    )
+    return AuditTrace(records, draw(_outputs()))
+
+
+@given(st.one_of(_outputs(), _traces()))
+def test_direct_encoding_equals_the_reference_form(value):
+    assert canonical_serialize(value) == canonical_bytes(value.to_canonical())
+
+
+def test_direct_encoding_covers_every_stage_prefix_category_and_verdict():
+    finals = [SystemOutput.recommend("class_a")] + [
+        SystemOutput.abstain(category, ["x"]) for category in AbstentionCategory
+    ]
+    evaluated = tuple((f"r{index}", verdict) for index, verdict in enumerate(Verdict))
+    for depth in range(1, len(PIPELINE_STAGES) + 1):
+        records = tuple(StageRecord(stage, evaluated, ("n",)) for stage in PIPELINE_STAGES[:depth])
+        for final in finals:
+            trace = AuditTrace(records, final)
+            assert canonical_serialize(trace) == canonical_bytes(trace.to_canonical())
+            assert canonical_serialize(final) == canonical_bytes(final.to_canonical())
+
+
+def test_lone_surrogate_fails_on_both_paths():
+    final = SystemOutput.recommend("class_a")
+    for record in (
+        StageRecord(Stage.INPUT_ASSESSMENT, (("r\ud800", Verdict.FIRED),)),
+        StageRecord(Stage.INPUT_ASSESSMENT, notes=("\udfff",)),
+    ):
+        trace = AuditTrace((record,), final)
+        with pytest.raises(UnicodeEncodeError):
+            canonical_serialize(trace)
+        with pytest.raises(UnicodeEncodeError):
+            canonical_bytes(trace.to_canonical())
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda: StageRecord(Stage.EXCLUSIONS, ((1.5, Verdict.FIRED),)),
+        lambda: StageRecord(Stage.EXCLUSIONS, ((7, Verdict.FIRED),)),
+        lambda: StageRecord(Stage.EXCLUSIONS, notes=(1.5,)),
+        lambda: StageRecord(Stage.EXCLUSIONS, (("r", "fired"),)),
+        lambda: StageRecord("exclusions"),
+    ],
+    ids=["float_rule_id", "int_rule_id", "float_note", "str_verdict", "str_stage"],
+)
+def test_untyped_trace_content_never_reaches_bytes(record):
+    final = SystemOutput.recommend("class_a")
+    with pytest.raises(TypeError):
+        canonical_serialize(AuditTrace((StageRecord(Stage.INPUT_ASSESSMENT), record()), final))
+
+
+def test_untyped_output_content_never_reaches_bytes():
+    with pytest.raises(TypeError):
+        canonical_serialize(SystemOutput.abstain("missing_inputs", ["age"]))
+    with pytest.raises(TypeError):
+        canonical_serialize(SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, [1.5]))
+    with pytest.raises(TypeError):
+        AuditTrace(({"stage": Stage.INPUT_ASSESSMENT},), SystemOutput.recommend("class_a"))
