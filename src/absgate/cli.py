@@ -184,12 +184,8 @@ def _cmd_hash(args: argparse.Namespace) -> int:
             return 2
         print(f"sha256:{policy_hash(policy)}")
         return 0
-    text = _read_text(args.suite)
-    if text is None:
-        return 2
-    suite, diags = parse_suite(text)
-    _emit(diags)
-    if suite is None or has_errors(diags):
+    suite = _load_suite(args.suite, None)
+    if suite is None:
         return 2
     print(f"sha256:{suite_hash(suite)}")
     return 0

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .condition import (
     Absent,
@@ -68,10 +69,6 @@ from .policy import (
 )
 
 __all__ = ["parse_policy", "format_policy"]
-
-_STATEMENT_KEYWORDS = frozenset(
-    {"policy", "field", "class", "require", "known_risks", "consistency", "exclude", "rule", "stewardship"}
-)
 
 _TOKEN_RE = re.compile(
     r"""
@@ -130,10 +127,8 @@ def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
     return tokens
 
 
-@dataclass
-class _Header:
-    policy_id: str
-    version: str
+_SCALAR_TYPES = {"bool": FieldKind.BOOLEAN, "int": FieldKind.INTEGER, "decimal": FieldKind.DECIMAL}
+_SCALAR_NAMES = {kind: name for name, kind in _SCALAR_TYPES.items()}
 
 
 class _Parser:
@@ -141,16 +136,18 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags = diags
-        self.header: _Header | None = None
-        self.fields: list[FieldDecl] = []
-        self.classes: list[ClassDecl] = []
-        self.required: list[str] = []
-        self.known_risks: list[str] = []
+        self.header: tuple[str, str] | None = None
+        self.fields: dict[str, FieldDecl] = {}
+        self.classes: dict[str, ClassDecl] = {}
+        # First token of each required name, for the unknown_field position.
+        self.required: dict[str, _Tok] = {}
+        self.known_risks: set[str] = set()
         self.consistency: list[ConsistencyConstraint] = []
         self.exclusions: list[ExclusionRule] = []
-        self.rules: list[ClinicalRule] = []
-        self.stewardship: StewardshipSpec | None = None
-        self.locations: dict[str, tuple[int, int]] = {}
+        self.rule_ids: set[str] = set()
+        self.rules: list[tuple[_Tok, list[_Tok], Condition, _Tok, list[_Tok]]] = []
+        self.justification: Condition | None = None
+        self.vetoes: list[tuple[_Tok, _Tok, Condition]] = []
 
     # --- token plumbing -------------------------------------------------
     def peek(self) -> _Tok:
@@ -184,6 +181,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.text == word
 
+    def at_punct(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "PUNCT" and tok.text == text
+
     def ident(self, what: str) -> _Tok:
         tok = self.expect_kind("IDENT", what)
         if not IDENT_RE.match(tok.text):
@@ -199,16 +200,13 @@ class _Parser:
     def error(self, code: str, message: str, tok: _Tok) -> None:
         self.diags.append(Diagnostic(Severity.ERROR, code, message, tok.line, tok.col))
 
-    def note_decl(self, ident: str, tok: _Tok) -> None:
-        self.locations.setdefault(ident, (tok.line, tok.col))
-
     # --- statement loop -------------------------------------------------
     def run(self) -> None:
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.text in _STATEMENT_KEYWORDS:
+            if tok.kind == "IDENT" and tok.text in _STATEMENTS:
                 try:
-                    getattr(self, f"_stmt_{tok.text}")()
+                    _STATEMENTS[tok.text](self)
                 except _ParseError as exc:
                     self.error("syntax_error", exc.message, exc.tok)
                     self._recover()
@@ -220,7 +218,7 @@ class _Parser:
     def _recover(self) -> None:
         while True:
             tok = self.peek()
-            if tok.kind == "EOF" or (tok.kind == "IDENT" and tok.text in _STATEMENT_KEYWORDS):
+            if tok.kind == "EOF" or (tok.kind == "IDENT" and tok.text in _STATEMENTS):
                 return
             self.advance()
 
@@ -230,17 +228,26 @@ class _Parser:
         items: list[_Tok] = []
         while True:
             tok = self.peek()
-            if tok.kind != "IDENT" or tok.text in _STATEMENT_KEYWORDS:
+            if tok.kind != "IDENT" or tok.text in _STATEMENTS:
                 break
             if items and tok.text in ("when", "candidate", "incompatible", "requires"):
                 break
             items.append(self.advance())
-            if self.peek().kind == "PUNCT" and self.peek().text == ",":
+            if self.at_punct(","):
                 self.advance()
-                continue
         if not items:
             raise _ParseError(f"expected at least one {what}", self.peek())
         return items
+
+    def _braced_tokens(self, what: str) -> Iterator[_Tok]:
+        # Yields each token of "{" TOKEN ("," | TOKEN)* "}" as it is read,
+        # so a caller's diagnostics precede a later syntax error.
+        self.expect_punct("{")
+        while not self.at_punct("}"):
+            yield self.token_value(what)
+            if self.at_punct(","):
+                self.advance()
+        self.expect_punct("}")
 
     # --- statements -----------------------------------------------------
     def _stmt_policy(self) -> None:
@@ -251,7 +258,7 @@ class _Parser:
         if self.header is not None:
             self.error("duplicate_header", "policy header declared twice", tok)
             return
-        self.header = _Header(name.text, version.text)
+        self.header = (name.text, version.text)
 
     def _stmt_field(self) -> None:
         self.expect_word("field")
@@ -260,12 +267,8 @@ class _Parser:
         kind_tok = self.expect_kind("IDENT", "field type")
         enum: tuple[str, ...] | None = None
         is_risk = False
-        if kind_tok.text == "bool":
-            kind = FieldKind.BOOLEAN
-        elif kind_tok.text == "int":
-            kind = FieldKind.INTEGER
-        elif kind_tok.text == "decimal":
-            kind = FieldKind.DECIMAL
+        if kind_tok.text in _SCALAR_TYPES:
+            kind = _SCALAR_TYPES[kind_tok.text]
         elif kind_tok.text == "token":
             kind = FieldKind.TOKEN
             enum = self._enum_block()
@@ -278,27 +281,21 @@ class _Parser:
                 enum = self._enum_block()
         else:
             raise _ParseError(f"unknown field type {kind_tok.text!r}", kind_tok)
-        if any(f.name == name.text for f in self.fields):
+        if name.text in self.fields:
             self.error("duplicate_field", f"field '{name.text}' declared twice", name)
             return
-        self.note_decl(name.text, name)
         try:
-            self.fields.append(FieldDecl(name.text, kind, enum, is_risk))
+            self.fields[name.text] = FieldDecl(name.text, kind, enum, is_risk)
         except ValueError as exc:
             self.error("invalid_field", str(exc), name)
 
     def _enum_block(self) -> tuple[str, ...]:
-        self.expect_punct("{")
         tokens: list[str] = []
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-            tok = self.token_value("enumeration token")
+        for tok in self._braced_tokens("enumeration token"):
             if tok.text in tokens:
                 self.error("duplicate_enum_token", f"enumeration token '{tok.text}' repeated", tok)
             else:
                 tokens.append(tok.text)
-            if self.peek().kind == "PUNCT" and self.peek().text == ",":
-                self.advance()
-        self.expect_punct("}")
         if not tokens:
             raise _ParseError("enumeration must list at least one token", self.peek())
         return tuple(tokens)
@@ -312,33 +309,23 @@ class _Parser:
         if self.at_word("escalation"):
             self.advance()
             escalation = True
-        if any(c.class_id == name.text for c in self.classes):
+        if name.text in self.classes:
             self.error("duplicate_class", f"class '{name.text}' declared twice", name)
             return
         rank = int(rank_tok.text)
         if rank < 1:
             self.error("invalid_rank", f"rank must be positive: {rank}", rank_tok)
             return
-        self.note_decl(name.text, name)
-        self.classes.append(ClassDecl(name.text, rank, escalation))
+        self.classes[name.text] = ClassDecl(name.text, rank, escalation)
 
     def _stmt_require(self) -> None:
         self.expect_word("require")
         for tok in self._ident_list("required field name"):
-            if tok.text not in self.required:
-                self.required.append(tok.text)
-                self.note_decl(f"require:{tok.text}", tok)
+            self.required.setdefault(tok.text, tok)
 
     def _stmt_known_risks(self) -> None:
         self.expect_word("known_risks")
-        self.expect_punct("{")
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-            tok = self.token_value("risk token")
-            if tok.text not in self.known_risks:
-                self.known_risks.append(tok.text)
-            if self.peek().kind == "PUNCT" and self.peek().text == ",":
-                self.advance()
-        self.expect_punct("}")
+        self.known_risks.update(tok.text for tok in self._braced_tokens("risk token"))
 
     def _stmt_consistency(self) -> None:
         self.expect_word("consistency")
@@ -377,9 +364,8 @@ class _Parser:
         if self.at_word("incompatible"):
             self.advance()
             incompatible = self._ident_list("rule id")
-        if not self._claim_rule_id(name):
-            return
-        self._pending_rules.append((name, requires, when, candidate, incompatible))
+        if self._claim_rule_id(name):
+            self.rules.append((name, requires, when, candidate, incompatible))
 
     def _stmt_stewardship(self) -> None:
         tok = self.expect_word("stewardship")
@@ -397,23 +383,17 @@ class _Parser:
             if self._claim_rule_id(veto_id):
                 vetoes.append((veto_id, class_id, when))
         self.expect_punct("}")
-        if self.stewardship is not None:
+        if self.justification is not None:
             self.error("duplicate_stewardship", "stewardship block declared twice", tok)
             return
-        self._pending_vetoes = vetoes
-        self.stewardship = StewardshipSpec(justification, ())
-
-    # --- rule id bookkeeping ---------------------------------------------
-    _rule_ids: set[str]
+        self.justification = justification
+        self.vetoes = vetoes
 
     def _claim_rule_id(self, tok: _Tok) -> bool:
-        if not hasattr(self, "_rule_ids"):
-            self._rule_ids = set()
-        if tok.text in self._rule_ids:
+        if tok.text in self.rule_ids:
             self.error("duplicate_rule_id", f"rule id '{tok.text}' declared twice", tok)
             return False
-        self._rule_ids.add(tok.text)
-        self.note_decl(tok.text, tok)
+        self.rule_ids.add(tok.text)
         return True
 
     # --- expressions ------------------------------------------------------
@@ -495,9 +475,6 @@ class _Parser:
         raise _ParseError(f"expected a literal, found {tok.text!r}", tok)
 
     # --- resolution -------------------------------------------------------
-    _pending_rules: list[tuple[_Tok, list[_Tok], Condition, _Tok, list[_Tok]]]
-    _pending_vetoes: list[tuple[_Tok, _Tok, Condition]]
-
     def resolve(self) -> Policy | None:
         if self.header is None:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no policy header declared"))
@@ -505,112 +482,91 @@ class _Parser:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no fields declared"))
         if not self.classes:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no classes declared"))
-        if self.stewardship is None:
+        if self.justification is None:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no stewardship block declared"))
 
-        schema = {f.name: f for f in self.fields}
-        class_ids = {c.class_id for c in self.classes}
-        rule_ids = {tok.text for tok, *_ in getattr(self, "_pending_rules", [])}
+        for name, tok in self.required.items():
+            if name not in self.fields:
+                self.error("unknown_field", f"required field '{name}' is not declared", tok)
 
-        for name in self.required:
-            if name not in schema:
-                line, col = self.locations.get(f"require:{name}", (0, 0))
-                self.diags.append(
-                    Diagnostic(Severity.ERROR, "unknown_field", f"required field '{name}' is not declared", line, col)
-                )
-
-        def check_condition(cond: Condition) -> None:
-            self.diags.extend(typecheck(cond, schema))
-
-        clinical: list[ClinicalRule] = []
-        for name, requires, when, candidate, incompatible in getattr(self, "_pending_rules", []):
-            check_condition(when)
-            ok = True
+        # Only clinical rules may be named in an incompatible clause; rule_ids
+        # also holds consistency, exclusion and veto ids.
+        clinical_ids = {name.text for name, *_ in self.rules}
+        for name, requires, when, candidate, incompatible in self.rules:
+            self.diags.extend(typecheck(when, self.fields))
             for tok in requires:
-                if tok.text not in schema:
+                if tok.text not in self.fields:
                     self.error("unknown_field", f"rule '{name.text}' requires undeclared field '{tok.text}'", tok)
-                    ok = False
-            if candidate.text not in class_ids:
+            if candidate.text not in self.classes:
                 self.error("unknown_class", f"rule '{name.text}' nominates undeclared class '{candidate.text}'", candidate)
-                ok = False
-            seen_incompatible: list[str] = []
             for tok in incompatible:
                 if tok.text == name.text:
                     self.error("self_incompatibility", f"rule '{name.text}' declared incompatible with itself", tok)
-                    ok = False
-                elif tok.text not in rule_ids:
+                elif tok.text not in clinical_ids:
                     self.error("unknown_rule", f"rule '{name.text}' incompatible with unknown rule '{tok.text}'", tok)
-                    ok = False
-                elif tok.text not in seen_incompatible:
-                    seen_incompatible.append(tok.text)
-            if ok:
-                clinical.append(
-                    ClinicalRule(
-                        name.text,
-                        when,
-                        candidate.text,
-                        tuple(dict.fromkeys(t.text for t in requires)),
-                        tuple(seen_incompatible),
-                    )
-                )
 
         for constraint in self.consistency:
-            check_condition(constraint.forbid)
+            self.diags.extend(typecheck(constraint.forbid, self.fields))
         for exclusion in self.exclusions:
-            check_condition(exclusion.when)
-
-        vetoes: list[StewardshipVeto] = []
-        if self.stewardship is not None:
-            check_condition(self.stewardship.escalation_justification)
-            for veto_id, class_tok, when in getattr(self, "_pending_vetoes", []):
-                check_condition(when)
-                if class_tok.text not in class_ids:
-                    self.error(
-                        "unknown_class", f"veto '{veto_id.text}' targets undeclared class '{class_tok.text}'", class_tok
-                    )
-                    continue
-                vetoes.append(StewardshipVeto(veto_id.text, class_tok.text, when))
+            self.diags.extend(typecheck(exclusion.when, self.fields))
+        if self.justification is not None:
+            self.diags.extend(typecheck(self.justification, self.fields))
+        for veto_id, class_tok, when in self.vetoes:
+            self.diags.extend(typecheck(when, self.fields))
+            if class_tok.text not in self.classes:
+                self.error(
+                    "unknown_class", f"veto '{veto_id.text}' targets undeclared class '{class_tok.text}'", class_tok
+                )
 
         if has_errors(self.diags):
             return None
-        assert self.header is not None and self.stewardship is not None
+        assert self.header is not None and self.justification is not None
+        clinical = tuple(
+            ClinicalRule(
+                name.text,
+                when,
+                candidate.text,
+                tuple(dict.fromkeys(t.text for t in requires)),
+                tuple(dict.fromkeys(t.text for t in incompatible)),
+            )
+            for name, requires, when, candidate, incompatible in self.rules
+        )
+        vetoes = tuple(StewardshipVeto(veto_id.text, class_tok.text, when) for veto_id, class_tok, when in self.vetoes)
         try:
             return Policy(
-                policy_id=self.header.policy_id,
-                version=self.header.version,
-                schema=tuple(self.fields),
-                classes=tuple(self.classes),
-                stewardship=StewardshipSpec(self.stewardship.escalation_justification, tuple(vetoes)),
+                policy_id=self.header[0],
+                version=self.header[1],
+                schema=tuple(self.fields.values()),
+                classes=tuple(self.classes.values()),
+                stewardship=StewardshipSpec(self.justification, vetoes),
                 required=tuple(self.required),
                 known_risks=frozenset(self.known_risks),
                 consistency=tuple(self.consistency),
                 exclusions=tuple(self.exclusions),
-                clinical_rules=tuple(clinical),
+                clinical_rules=clinical,
             )
         except ValueError as exc:  # structural invariant not covered above
             self.diags.append(Diagnostic(Severity.ERROR, "invalid_policy", str(exc)))
             return None
 
 
+# Statement keyword -> the _Parser method that reads that statement.
+_STATEMENTS = {
+    name.removeprefix("_stmt_"): method for name, method in vars(_Parser).items() if name.startswith("_stmt_")
+}
+
+
 def parse_policy(text: str) -> tuple[Policy | None, list[Diagnostic]]:
     """Parse policy text; returns (policy or None, diagnostics)."""
     diags: list[Diagnostic] = []
-    tokens = _lex(text, diags)
-    parser = _Parser(tokens, diags)
-    parser._pending_rules = []
-    parser._pending_vetoes = []
+    parser = _Parser(_lex(text, diags), diags)
     parser.run()
-    policy = parser.resolve()
-    return policy, diags
+    return parser.resolve(), diags
 
 
 def _format_field(decl: FieldDecl) -> str:
-    if decl.kind is FieldKind.BOOLEAN:
-        ftype = "bool"
-    elif decl.kind is FieldKind.INTEGER:
-        ftype = "int"
-    elif decl.kind is FieldKind.DECIMAL:
-        ftype = "decimal"
+    if decl.kind in _SCALAR_NAMES:
+        ftype = _SCALAR_NAMES[decl.kind]
     elif decl.kind is FieldKind.TOKEN:
         ftype = "token { " + ", ".join(decl.enum or ()) + " }"
     elif decl.is_risk:

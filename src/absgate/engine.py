@@ -126,6 +126,13 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
     return tied[0] if len(tied) == 1 else tuple(tied)
 
 
+def _abstain(
+    stages: list[StageRecord], category: AbstentionCategory, labels: tuple[str, ...] | list[str]
+) -> tuple[SystemOutput, AuditTrace]:
+    final = SystemOutput.abstain(category, labels)
+    return final, AuditTrace(tuple(stages), final)
+
+
 def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     """Run the pipeline; returns the output and its full audit trace.
 
@@ -140,14 +147,11 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     report = assess_inputs(policy, case)
     stages.append(StageRecord(Stage.INPUT_ASSESSMENT, report.consistency_verdicts))
     if report.missing_required:
-        final = SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, report.missing_required)
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, report.missing_required)
     if report.consistency_violations:
-        final = SystemOutput.abstain(AbstentionCategory.CONFLICTING_SIGNALS, report.consistency_violations)
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, report.consistency_violations)
     if report.unknown_risk_tokens:
-        final = SystemOutput.abstain(AbstentionCategory.UNKNOWN_RISK, report.unknown_risk_tokens)
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.UNKNOWN_RISK, report.unknown_risk_tokens)
 
     # Stage 2: exclusions.
     evaluated: list[tuple[str, Verdict]] = []
@@ -162,11 +166,9 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             unresolved.update(unresolved_fields(exclusion.when, fields))
     stages.append(StageRecord(Stage.EXCLUSIONS, tuple(evaluated)))
     if triggered_labels:
-        final = SystemOutput.abstain(AbstentionCategory.EXPLICIT_EXCLUSION, sorted(triggered_labels))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.EXPLICIT_EXCLUSION, sorted(triggered_labels))
     if unresolved:
-        final = SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, sorted(unresolved))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(unresolved))
 
     # Stage 3: clinical rules.
     evaluated = []
@@ -187,8 +189,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             evaluated.append((rule.rule_id, Verdict.NOT_FIRED))
     stages.append(StageRecord(Stage.CLINICAL_RULES, tuple(evaluated)))
     if problems:
-        final = SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, sorted(problems))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(problems))
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
     for rule in fired:
@@ -196,23 +197,19 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             if other in fired_ids:
                 conflicted.update((rule.rule_id, other))
     if conflicted:
-        final = SystemOutput.abstain(AbstentionCategory.CONFLICTING_SIGNALS, sorted(conflicted))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, sorted(conflicted))
     if not fired:
-        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
 
     # Stage 4: stewardship.
     class_map = policy.class_map()
     outcome = _stewardship_stage(policy, class_map, fields, fired)
     stages.append(StageRecord(Stage.STEWARDSHIP, outcome.evaluated, outcome.notes))
     if not outcome.survivors:
-        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
     selection = _select_recommendation(class_map, outcome.survivors)
     if isinstance(selection, tuple):
-        final = SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, selection)
-        return final, AuditTrace(tuple(stages), final)
+        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, selection)
 
     # Stage 5: output.
     final = SystemOutput.recommend(selection)

@@ -17,7 +17,7 @@ rendered as strings so no binary float ever reaches serialization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from json.encoder import encode_basestring as _quote
@@ -50,9 +50,9 @@ __all__ = [
 
 # Identifiers name declared things (fields, classes, rules, labels); token
 # values are the stricter lowercase vocabulary carried inside cases.
-IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-_DECIMAL_TEXT_RE = re.compile(r"^-?[0-9]+\.[0-9]{1,4}$")
+IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\Z")
+TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*\Z")
+_DECIMAL_TEXT_RE = re.compile(r"^-?[0-9]+\.[0-9]{1,4}\Z")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1

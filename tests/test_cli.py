@@ -42,6 +42,17 @@ def test_hash_prints_prefixed_digests(capsys):
     assert all(line.startswith("sha256:") and len(line) == len("sha256:") + 64 for line in lines)
 
 
+def test_hash_suite_rejects_malformed_and_missing_files(capsys, tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"suite_id": ', encoding="utf-8")
+    assert main(["hash", "--suite", str(malformed)]) == 2
+    assert capsys.readouterr().err == "ERROR malformed_document 1:14 Expecting value\n"
+    missing = str(tmp_path / "missing.json")
+    assert main(["hash", "--suite", missing]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR unreadable_file 0:0 {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_decide_prints_the_one_line_outcome(capsys):
     assert main(["decide", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--case-id", "c17"]) == 0
     assert capsys.readouterr().out == "recommend narrow_penicillin\n"

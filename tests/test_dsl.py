@@ -87,14 +87,93 @@ def test_diagnostics_carry_positions():
     assert ours and ours[0].line == 2
 
 
+# Declares every field type keyword; the reference policy has no closed tokenset.
+EVERY_FIELD_TYPE = """\
+policy every_kind version v2
+field b : bool
+field i : int
+field d : decimal
+field t : token { lo, hi }
+field s : tokenset { x, y, z }
+field r : tokenset risk
+class c1 rank 1
+class c2 rank 2 escalation
+require b, i
+known_risks { fever, rash }
+consistency k1 forbid i < 0 and d > 1.5
+exclude e1 label L1 when t == hi and s has x
+rule r1 requires d when b == true or r has fever candidate c1 incompatible r2
+rule r2 when not (i >= 3) and present(s) candidate c2
+stewardship {
+  escalation_justified_when absent(r)
+  veto v1 class c2 when d <= 0.25
+}
+"""
+
+
 def test_format_round_trips_to_the_same_hash():
-    original, diags = parse_policy(reference_policy_text())
-    assert original is not None and diags == []
-    text = format_policy(original)
-    reparsed, rediags = parse_policy(text)
-    assert rediags == []
-    assert reparsed is not None
-    assert policy_hash(reparsed) == policy_hash(original)
+    for source in (reference_policy_text(), EVERY_FIELD_TYPE):
+        original, diags = parse_policy(source)
+        assert original is not None and diags == []
+        text = format_policy(original)
+        reparsed, rediags = parse_policy(text)
+        assert rediags == []
+        assert reparsed is not None
+        assert policy_hash(reparsed) == policy_hash(original)
+
+
+# One policy with every statement-time duplicate and every resolve-phase
+# check; rule r1 also names an exclusion id, which is not a clinical rule.
+MULTI_DEFECT = """\
+policy p version v1
+policy q version v2
+field a : bool
+field a : int
+field t : token { x, y, x }
+field risks : tokenset risk
+class c1 rank 1
+class c1 rank 2
+require a, ghost
+known_risks { fever fever }
+consistency k1 forbid a < 3
+exclude e1 label L when a > 1
+exclude e2 label L when a == false
+rule r1 requires ghost2 when a == 1 candidate nowhere incompatible r1, r9, e1
+rule r1 when a == true candidate c1
+stewardship {
+  escalation_justified_when a >= 2
+  veto v1 class c9 when a != 0
+}
+stewardship {
+  escalation_justified_when false
+}
+"""
+
+
+def test_diagnostics_keep_their_order_codes_and_positions():
+    policy, diags = parse_policy(MULTI_DEFECT)
+    assert policy is None
+    assert [d.render() for d in diags] == [
+        "ERROR duplicate_header 2:1 policy header declared twice",
+        "ERROR duplicate_field 4:7 field 'a' declared twice",
+        "ERROR duplicate_enum_token 5:25 enumeration token 'x' repeated",
+        "ERROR duplicate_class 8:7 class 'c1' declared twice",
+        "ERROR duplicate_label 13:18 exclusion label 'L' declared twice",
+        "ERROR duplicate_rule_id 15:6 rule id 'r1' declared twice",
+        "ERROR duplicate_stewardship 20:1 stewardship block declared twice",
+        "ERROR unknown_field 9:12 required field 'ghost' is not declared",
+        "ERROR type_mismatch 14:30 integer literal compared against boolean field 'a'",
+        "ERROR unknown_field 14:18 rule 'r1' requires undeclared field 'ghost2'",
+        "ERROR unknown_class 14:47 rule 'r1' nominates undeclared class 'nowhere'",
+        "ERROR self_incompatibility 14:68 rule 'r1' declared incompatible with itself",
+        "ERROR unknown_rule 14:72 rule 'r1' incompatible with unknown rule 'r9'",
+        "ERROR unknown_rule 14:76 rule 'r1' incompatible with unknown rule 'e1'",
+        "ERROR type_mismatch 11:23 ordering comparison on boolean field 'a'",
+        "ERROR type_mismatch 12:25 ordering comparison on boolean field 'a'",
+        "ERROR type_mismatch 17:29 ordering comparison on boolean field 'a'",
+        "ERROR type_mismatch 18:25 integer literal compared against boolean field 'a'",
+        "ERROR unknown_class 18:17 veto 'v1' targets undeclared class 'c9'",
+    ]
 
 
 def test_comments_and_whitespace_do_not_change_the_hash():

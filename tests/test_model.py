@@ -69,6 +69,10 @@ def test_from_json_dispatch():
         FieldValue.from_json("12.3456789")
     with pytest.raises(ValueError):
         FieldValue.from_json({"nested": 1})
+    with pytest.raises(ValueError):
+        FieldValue.from_json("68.5\n")
+    with pytest.raises(ValueError):
+        FieldValue.from_json("uti\n")
 
 
 def test_abstention_reason_normalizes_labels():
@@ -78,6 +82,8 @@ def test_abstention_reason_normalizes_labels():
         AbstentionReason(AbstentionCategory.EXPLICIT_EXCLUSION, ())
     with pytest.raises(ValueError):
         AbstentionReason(AbstentionCategory.MISSING_INPUTS, ("9bad",))
+    with pytest.raises(ValueError):
+        AbstentionReason(AbstentionCategory.MISSING_INPUTS, ("x\n",))
 
 
 def test_system_output_exclusivity():
@@ -91,6 +97,8 @@ def test_system_output_exclusivity():
         SystemOutput(Action.RECOMMEND, class_id=None, reason=None)
     with pytest.raises(ValueError):
         SystemOutput(Action.ABSTAIN, class_id="x", reason=abstention.reason)
+    with pytest.raises(ValueError):
+        SystemOutput.recommend("x\n")
 
 
 def test_render_line_forms():
@@ -176,8 +184,8 @@ def test_token_set_canonical_is_sorted(tokens):
 # Free text for rule ids and notes, which the model does not restrict: JSON
 # escapes (quotes, backslashes, control characters) and non-ASCII text.
 _FREE_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\tµ\u2028'), st.characters()), max_size=6)
-# Labels and class ids are identifiers; IDENT_RE lets a trailing newline through.
-_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True) | st.just("x\n")
+# Labels and class ids are identifiers.
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
 
 
 @st.composite

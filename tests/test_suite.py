@@ -69,6 +69,7 @@ def test_parse_errors_by_code():
         (_doc(policy_hash_pin="zz"), "invalid_pin"),
         (_doc(cases=[3]), "malformed_case"),
         (_doc(cases=[{"id": "k1"}]), "malformed_case"),
+        (_doc(cases=[{**BASE["cases"][0], "id": "c01\n"}]), "malformed_case"),
         (_doc(cases=[BASE["cases"][0], BASE["cases"][0]]), "duplicate_case_id"),
         (_doc(cases=[{**BASE["cases"][0], "mechanism": "ghost"}]), "unknown_mechanism"),
         (_doc(cases=[{**BASE["cases"][0], "fields": {"age": 1.5}}]), "invalid_field_value"),
