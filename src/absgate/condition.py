@@ -8,8 +8,11 @@ order FALSE < INDETERMINATE < TRUE, so ``false and x`` is false and
 ``true or x`` is true no matter how unknown ``x`` is; negation swaps the
 poles and leaves INDETERMINATE fixed.
 
-Each node is compiled once, on its first evaluation, into a small function
-that is cached on the node and reused for every later case.
+``compile_conditions`` lowers a list of conditions once into a flat
+program: one function per structurally distinct leaf, run once per call,
+then one table step per connective. The engine builds one program per
+policy stage; ``evaluate`` builds a one-condition program and caches it on
+the node.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
 from .model import FieldKind, FieldValue
@@ -38,6 +41,7 @@ __all__ = [
     "Or",
     "Not",
     "COMPARISON_OPS",
+    "compile_conditions",
     "evaluate",
     "referenced_fields",
     "unresolved_fields",
@@ -69,9 +73,9 @@ class Truth(Enum):
 
 
 # Source location is carried for diagnostics only; it never participates in
-# equality, so structurally identical conditions compare equal. The compiled
-# function lives in the instance dict as ``_fn``, outside the dataclass fields,
-# and is left out of pickles and copies.
+# equality, so structurally identical conditions compare equal. The program
+# ``evaluate`` compiles lives in the instance dict as ``_program``, outside the
+# dataclass fields, and is left out of pickles and copies.
 @dataclass(frozen=True)
 class _Node:
     line: int = field(default=0, compare=False, kw_only=True)
@@ -79,7 +83,7 @@ class _Node:
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
-        state.pop("_fn", None)
+        state.pop("_program", None)
         return state
 
 
@@ -136,38 +140,39 @@ Condition = Union[Literal, Comparison, Present, Absent, Has, And, Or, Not]
 
 
 _OPERATORS = dict(zip(COMPARISON_OPS, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)))
-_TRUE, _FALSE, _INDETERMINATE = Truth.TRUE, Truth.FALSE, Truth.INDETERMINATE
+
+# A compiled program computes on ints: FALSE 0, INDETERMINATE 1, TRUE 2, the
+# ``Truth`` values. Each connective is a 3x3 table indexed by its operands'
+# values; ``not`` ignores its second operand.
+_FALSE, _INDETERMINATE, _TRUE = Truth.FALSE.value, Truth.INDETERMINATE.value, Truth.TRUE.value
+_AND = tuple(tuple(min(a, b) for b in range(3)) for a in range(3))
+_OR = tuple(tuple(max(a, b) for b in range(3)) for a in range(3))
+_NOT = tuple((2 - a,) * 3 for a in range(3))
+_TRUTHS = (Truth.FALSE, Truth.INDETERMINATE, Truth.TRUE)
+
+_Program = Callable[[Mapping[str, FieldValue]], list[int]]
 
 
-# The compiled functions bind what they read as parameter defaults: locals
-# are cheaper to read than closure cells, and a default needs no cell object
-# per node. Children compile through the same call, one frame per level, so
-# a tree compiles as deep as it evaluates.
-def _compiled(cond: Condition) -> Callable[[Mapping[str, FieldValue]], Truth]:
-    """The node's compiled function, built and cached on first use.
-
-    Building is idempotent, so racing first uses merely build twice.
-    """
-    try:
-        return cond._fn  # type: ignore[union-attr]
-    except AttributeError:
-        pass
-    if isinstance(cond, Literal):
-        def fn(fields, constant=_TRUE if cond.value else _FALSE):
+# Atom functions bind what they read as parameter defaults: locals are
+# cheaper to read than closure cells.
+def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
+    """The function computing one leaf's truth value."""
+    if isinstance(leaf, Literal):
+        def atom(fields, constant=_TRUE if leaf.value else _FALSE):
             return constant
 
-    elif isinstance(cond, (Present, Absent)):
-        hit, miss = (_TRUE, _FALSE) if isinstance(cond, Present) else (_FALSE, _TRUE)
+    elif isinstance(leaf, (Present, Absent)):
+        hit, miss = (_TRUE, _FALSE) if isinstance(leaf, Present) else (_FALSE, _TRUE)
 
-        def fn(fields, name=cond.field_name, hit=hit, miss=miss):
+        def atom(fields, name=leaf.field_name, hit=hit, miss=miss):
             return hit if name in fields else miss
 
-    elif isinstance(cond, Comparison):
-        kind, right = cond.literal.kind, cond.literal.value
+    elif isinstance(leaf, Comparison):
+        kind, right = leaf.literal.kind, leaf.literal.value
         # An integer literal against a decimal field widens exactly.
         widened = Decimal(right) if kind is FieldKind.INTEGER else None
 
-        def fn(fields, name=cond.field_name, test=_OPERATORS[cond.op], kind=kind, right=right, widened=widened):
+        def atom(fields, name=leaf.field_name, test=_OPERATORS[leaf.op], kind=kind, right=right, widened=widened):
             value = fields.get(name)
             if value is None:
                 return _INDETERMINATE
@@ -177,8 +182,8 @@ def _compiled(cond: Condition) -> Callable[[Mapping[str, FieldValue]], Truth]:
                 return _TRUE if test(value.value, widened) else _FALSE
             raise ValueError(f"comparison across kinds: {value.kind.value} vs {kind.value}")
 
-    elif isinstance(cond, Has):
-        def fn(fields, name=cond.field_name, token=cond.token):
+    elif isinstance(leaf, Has):
+        def atom(fields, name=leaf.field_name, token=leaf.token):
             value = fields.get(name)
             if value is None:
                 return _INDETERMINATE
@@ -186,38 +191,88 @@ def _compiled(cond: Condition) -> Callable[[Mapping[str, FieldValue]], Truth]:
                 raise ValueError(f"has applied to non-set field {name!r}")
             return _TRUE if token in value.value else _FALSE
 
-    # Both operands are always evaluated, so a kind mismatch on either side
-    # raises no matter what the other side yields.
-    elif isinstance(cond, And):
-        def fn(fields, left=_compiled(cond.left), right=_compiled(cond.right)):
-            a = left(fields)
-            b = right(fields)
-            if a is _FALSE or b is _FALSE:
-                return _FALSE
-            return b if a is _TRUE else a
-
-    elif isinstance(cond, Or):
-        def fn(fields, left=_compiled(cond.left), right=_compiled(cond.right)):
-            a = left(fields)
-            b = right(fields)
-            if a is _TRUE or b is _TRUE:
-                return _TRUE
-            return b if a is _FALSE else a
-
-    elif isinstance(cond, Not):
-        def fn(fields, inner=_compiled(cond.inner)):
-            a = inner(fields)
-            return _FALSE if a is _TRUE else _TRUE if a is _FALSE else a
-
     else:
-        raise TypeError(f"not a condition node: {cond!r}")
-    object.__setattr__(cond, "_fn", fn)
-    return fn
+        raise TypeError(f"not a condition node: {leaf!r}")
+    return atom
+
+
+def compile_conditions(conds: Iterable[Condition]) -> _Program:
+    """Lower conditions into one flat program over shared atoms.
+
+    The program maps case fields to a list holding each condition's truth
+    value as an int (``Truth(v)``), in the order given. Structurally equal
+    leaves share one atom, and every atom runs exactly once per call, in
+    first-occurrence order, so a kind mismatch raises at the first
+    mismatching leaf in condition order no matter what the other operands
+    yield. Each ``and``, ``or`` and ``not`` is one table step over the
+    slots computed before it. The trees are walked with an explicit stack,
+    so depth is bounded by memory, not by the interpreter's recursion limit.
+    """
+    atoms: list[Callable[[Mapping[str, FieldValue]], int]] = []
+    atom_slot: dict[Condition, int] = {}
+    # Operand references: n >= 0 is atom n, ~n is step n (steps follow the
+    # atoms once their number is known).
+    steps: list[tuple[Any, int, int]] = []
+    roots: list[int] = []
+
+    def leaf_ref(leaf: Condition) -> int:
+        try:
+            return atom_slot[leaf]
+        except KeyError:
+            atom_slot[leaf] = len(atoms)
+        except TypeError:  # an unhashable literal gets a slot of its own
+            pass
+        atoms.append(_atom(leaf))
+        return len(atoms) - 1
+
+    for cond in conds:
+        work: list[Any] = [cond]
+        refs: list[int] = []
+        while work:
+            item = work.pop()
+            if isinstance(item, (And, Or)):
+                work += (_AND if isinstance(item, And) else _OR, item.right, item.left)
+            elif isinstance(item, Not):
+                work += (_NOT, item.inner)
+            elif item is _AND or item is _OR or item is _NOT:  # its operands are done
+                b = refs.pop()
+                a = b if item is _NOT else refs.pop()
+                steps.append((item, a, b))
+                refs.append(~(len(steps) - 1))
+            else:
+                refs.append(leaf_ref(item))
+        roots.append(refs.pop())
+
+    def slot(ref: int, base: int = len(atoms)) -> int:
+        return ref if ref >= 0 else base + ~ref
+
+    def program(
+        fields,
+        atoms=tuple(atoms),
+        steps=tuple((table, slot(a), slot(b)) for table, a, b in steps),
+        roots=tuple(map(slot, roots)),
+    ):
+        slots = [atom(fields) for atom in atoms]
+        append = slots.append
+        for table, a, b in steps:
+            append(table[slots[a]][slots[b]])
+        return [slots[root] for root in roots]
+
+    return program
 
 
 def evaluate(cond: Condition, fields: Mapping[str, FieldValue]) -> Truth:
-    """Evaluate a condition against case fields under Kleene semantics."""
-    return _compiled(cond)(fields)
+    """Evaluate a condition against case fields under Kleene semantics.
+
+    The condition's one-condition program is compiled on first use and
+    cached on the node.
+    """
+    try:
+        program = cond._program  # type: ignore[union-attr]
+    except AttributeError:
+        program = compile_conditions((cond,))
+        object.__setattr__(cond, "_program", program)
+    return _TRUTHS[program(fields)[0]]
 
 
 def referenced_fields(cond: Condition) -> frozenset[str]:

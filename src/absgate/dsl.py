@@ -31,6 +31,11 @@ and keeps reporting. Grammar::
                  | IDENT ("==" | "!=" | "<" | "<=" | ">" | ">=") literal
     literal     := "true" | "false" | INT | DECIMAL | TOKEN
 
+A condition tree is at most ``MAX_NESTING`` levels of "not", "and" and "or"
+high, and its text has at most ``2 * MAX_NESTING`` of "(" and "not" open at
+once; either excess is the error ``nesting_too_deep``. The second limit
+admits the text ``format_policy`` prints for any tree the first admits.
+
 ``parse_policy`` returns the policy together with all diagnostics; the
 policy is None exactly when an error-level diagnostic was raised.
 ``format_policy`` emits text that re-parses to an equal canonical form.
@@ -93,10 +98,35 @@ class _Tok:
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, tok: _Tok):
+    def __init__(self, message: str, tok: _Tok, code: str = "syntax_error"):
         super().__init__(message)
         self.message = message
         self.tok = tok
+        self.code = code
+
+
+# The greatest height a condition tree may have: the most of "not", "and"
+# and "or" on a path from the whole condition down to one of its terms. A
+# tree is at most this deep, which keeps checking, printing and hashing a
+# policy well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
+# The most "(" and "not" open at one point of a condition's text. Printing
+# wraps each "and", "or" and "not" in parentheses, so the printed text of a
+# tree MAX_NESTING high opens at most twice that. Parsing recurses at most
+# three frames per open "(", so this also bounds the parser's recursion.
+_MAX_OPEN = 2 * MAX_NESTING
+
+
+def _nested(height: int, tok: _Tok) -> int:
+    if height > MAX_NESTING:
+        raise _ParseError(f"condition nests deeper than {MAX_NESTING} levels", tok, "nesting_too_deep")
+    return height
+
+
+def _open(opened: int, tok: _Tok) -> int:
+    if opened > _MAX_OPEN:
+        raise _ParseError(f"condition has more than {_MAX_OPEN} '(' and 'not' open at once", tok, "nesting_too_deep")
+    return opened
 
 
 def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
@@ -208,7 +238,7 @@ class _Parser:
                 try:
                     _STATEMENTS[tok.text](self)
                 except _ParseError as exc:
-                    self.error("syntax_error", exc.message, exc.tok)
+                    self.error(exc.code, exc.message, exc.tok)
                     self._recover()
             else:
                 self.error("syntax_error", f"expected a statement keyword, found {tok.text!r}", tok)
@@ -331,7 +361,7 @@ class _Parser:
         self.expect_word("consistency")
         name = self.ident("consistency id")
         self.expect_word("forbid")
-        forbid = self._expr()
+        forbid = self._condition()
         if self._claim_rule_id(name):
             self.consistency.append(ConsistencyConstraint(name.text, forbid))
 
@@ -341,7 +371,7 @@ class _Parser:
         self.expect_word("label")
         label = self.ident("exclusion label")
         self.expect_word("when")
-        when = self._expr()
+        when = self._condition()
         if not self._claim_rule_id(name):
             return
         if any(e.label == label.text for e in self.exclusions):
@@ -357,7 +387,7 @@ class _Parser:
             self.advance()
             requires = self._ident_list("required field name")
         self.expect_word("when")
-        when = self._expr()
+        when = self._condition()
         self.expect_word("candidate")
         candidate = self.ident("candidate class id")
         incompatible: list[_Tok] = []
@@ -371,7 +401,7 @@ class _Parser:
         tok = self.expect_word("stewardship")
         self.expect_punct("{")
         self.expect_word("escalation_justified_when")
-        justification = self._expr()
+        justification = self._condition()
         vetoes: list[tuple[_Tok, _Tok, Condition]] = []
         while self.at_word("veto"):
             self.advance()
@@ -379,7 +409,7 @@ class _Parser:
             self.expect_word("class")
             class_id = self.ident("vetoed class id")
             self.expect_word("when")
-            when = self._expr()
+            when = self._condition()
             if self._claim_rule_id(veto_id):
                 vetoes.append((veto_id, class_id, when))
         self.expect_punct("}")
@@ -397,36 +427,45 @@ class _Parser:
         return True
 
     # --- expressions ------------------------------------------------------
-    def _expr(self) -> Condition:
-        left = self._and_expr()
+    # Each method below takes the number of "(" and "not" open around it, so
+    # that too deep a nesting stops before the recursion does, and returns
+    # its condition with the tree's height (see MAX_NESTING and _MAX_OPEN).
+    def _condition(self) -> Condition:
+        return self._expr(0)[0]
+
+    def _expr(self, opened: int) -> tuple[Condition, int]:
+        left, height = self._and_expr(opened)
         while self.at_word("or"):
-            self.advance()
-            right = self._and_expr()
-            left = Or(left, right, line=left.line, col=left.col)
-        return left
-
-    def _and_expr(self) -> Condition:
-        left = self._not_expr()
-        while self.at_word("and"):
-            self.advance()
-            right = self._not_expr()
-            left = And(left, right, line=left.line, col=left.col)
-        return left
-
-    def _not_expr(self) -> Condition:
-        if self.at_word("not"):
             tok = self.advance()
-            inner = self._not_expr()
-            return Not(inner, line=tok.line, col=tok.col)
-        return self._atom()
+            right, right_height = self._and_expr(opened)
+            left = Or(left, right, line=left.line, col=left.col)
+            height = _nested(max(height, right_height) + 1, tok)
+        return left, height
+
+    def _and_expr(self, opened: int) -> tuple[Condition, int]:
+        left, height = self._not_expr(opened)
+        while self.at_word("and"):
+            tok = self.advance()
+            right, right_height = self._not_expr(opened)
+            left = And(left, right, line=left.line, col=left.col)
+            height = _nested(max(height, right_height) + 1, tok)
+        return left, height
+
+    def _not_expr(self, opened: int) -> tuple[Condition, int]:
+        tok = self.peek()
+        if not (self.at_word("not") or self.at_punct("(")):
+            return self._atom(), 0
+        self.advance()
+        opened = _open(opened + 1, tok)
+        if tok.text == "not":
+            inner, height = self._not_expr(opened)
+            return Not(inner, line=tok.line, col=tok.col), _nested(height + 1, tok)
+        inner, height = self._expr(opened)
+        self.expect_punct(")")
+        return inner, height
 
     def _atom(self) -> Condition:
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == "(":
-            self.advance()
-            inner = self._expr()
-            self.expect_punct(")")
-            return inner
         if tok.kind == "IDENT" and tok.text in ("true", "false"):
             self.advance()
             return Literal(tok.text == "true", line=tok.line, col=tok.col)

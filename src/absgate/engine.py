@@ -17,6 +17,14 @@ Stages run in a fixed order and the first terminating condition wins:
    rank-tied survivor set abstains as conservative ambiguity.
 5. output — the unique minimal-rank survivor is recommended.
 
+Each stage's conditions (consistency constraints, exclusions, clinical
+rules, and the vetoes with the escalation justification last) are compiled
+once per ``Policy`` into one program over shared atoms
+(``condition.compile_conditions``), cached on the policy with its class map
+and risk-field names. A stage's program runs only when the stage is reached,
+and evaluates every condition of the stage, so a kind mismatch raises
+whatever the other conditions yield.
+
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace.
 """
@@ -24,8 +32,9 @@ produce bitwise-identical canonical output and trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .condition import Truth, evaluate, unresolved_fields
+from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, compile_conditions, unresolved_fields
 from .model import (
     AbstentionCategory,
     AuditTrace,
@@ -40,6 +49,41 @@ from .policy import ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, NO_CANDIDATE, ClassDe
 
 __all__ = ["CompletenessReport", "assess_inputs", "decide"]
 
+# A rule's verdict, indexed by its condition's truth value.
+_VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, Verdict.FIRED)
+
+
+class _Compiled(NamedTuple):
+    """What ``decide`` needs of a policy beyond its declarations."""
+
+    consistency: _Program
+    exclusions: _Program
+    clinical_rules: _Program
+    # The class vetoes in order, then the escalation justification.
+    stewardship: _Program
+    class_map: dict[str, ClassDecl]
+    risk_fields: tuple[str, ...]
+
+
+def _compiled(policy: Policy) -> _Compiled:
+    """The policy's stage programs and tables, built on first use and cached
+    on the instance (``Policy.__getstate__`` leaves them out)."""
+    try:
+        return policy._compiled  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    stewardship = policy.stewardship
+    compiled = _Compiled(
+        compile_conditions(c.forbid for c in policy.consistency),
+        compile_conditions(e.when for e in policy.exclusions),
+        compile_conditions(r.when for r in policy.clinical_rules),
+        compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
+        policy.class_map(),
+        tuple(decl.name for decl in policy.risk_fields()),
+    )
+    object.__setattr__(policy, "_compiled", compiled)
+    return compiled
+
 
 @dataclass(frozen=True)
 class CompletenessReport:
@@ -52,35 +96,25 @@ class CompletenessReport:
     consistency_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-def _verdict(truth: Truth) -> Verdict:
-    if truth is Truth.TRUE:
-        return Verdict.FIRED
-    if truth is Truth.FALSE:
-        return Verdict.NOT_FIRED
-    return Verdict.INDETERMINATE
-
-
 def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     """Assess case completeness and input coherence against the policy."""
+    compiled = _compiled(policy)
     fields = case.fields
     missing = tuple(sorted(name for name in policy.required if name not in fields))
-    verdicts: list[tuple[str, Verdict]] = []
-    violations: list[str] = []
-    for constraint in policy.consistency:
-        truth = evaluate(constraint.forbid, fields)
-        verdicts.append((constraint.rule_id, _verdict(truth)))
-        if truth is Truth.TRUE:
-            violations.append(constraint.rule_id)
+    truths = compiled.consistency(fields)
+    # Built from a list, which sizes the tuple exactly; a generator would
+    # over-allocate and shrink it (measured: a higher peak heap in run_suite).
+    verdicts = tuple([(rule.rule_id, _VERDICTS[truth]) for rule, truth in zip(policy.consistency, truths)])
     unknown: set[str] = set()
-    for decl in policy.risk_fields():
-        value = fields.get(decl.name)
+    for name in compiled.risk_fields:
+        value = fields.get(name)
         if value is not None and value.kind is FieldKind.TOKEN_SET:
             unknown.update(token for token in value.value if token not in policy.known_risks)
     return CompletenessReport(
         missing_required=missing,
-        consistency_violations=tuple(sorted(violations)),
+        consistency_violations=tuple(sorted(rule_id for rule_id, verdict in verdicts if verdict is Verdict.FIRED)),
         unknown_risk_tokens=tuple(sorted(unknown)),
-        consistency_verdicts=tuple(verdicts),
+        consistency_verdicts=verdicts,
     )
 
 
@@ -99,12 +133,12 @@ def _stewardship_stage(
     candidates = {rule.candidate for rule in fired}
     evaluated: list[tuple[str, Verdict]] = []
     vetoed_classes: set[str] = set()
-    for veto in policy.stewardship.class_vetoes:
-        truth = evaluate(veto.when, fields)
-        evaluated.append((veto.rule_id, _verdict(truth)))
-        if truth is not Truth.FALSE:  # indeterminate vetoes, conservatively
+    truths = _compiled(policy).stewardship(fields)
+    for veto, truth in zip(policy.stewardship.class_vetoes, truths):
+        evaluated.append((veto.rule_id, _VERDICTS[truth]))
+        if truth != _FALSE:  # indeterminate vetoes, conservatively
             vetoed_classes.add(veto.class_id)
-    justified = evaluate(policy.stewardship.escalation_justification, fields) is Truth.TRUE
+    justified = truths[-1] == _TRUE
     survivors: set[str] = set()
     removed: set[str] = set()
     for class_id in candidates:
@@ -140,6 +174,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     bind step enforces this; a kind mismatch here is a programming error,
     not an abstention).
     """
+    compiled = _compiled(policy)
     fields = case.fields
     stages: list[StageRecord] = []
 
@@ -157,12 +192,11 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     evaluated: list[tuple[str, Verdict]] = []
     triggered_labels: list[str] = []
     unresolved: set[str] = set()
-    for exclusion in policy.exclusions:
-        truth = evaluate(exclusion.when, fields)
-        evaluated.append((exclusion.rule_id, _verdict(truth)))
-        if truth is Truth.TRUE:
+    for exclusion, truth in zip(policy.exclusions, compiled.exclusions(fields)):
+        evaluated.append((exclusion.rule_id, _VERDICTS[truth]))
+        if truth == _TRUE:
             triggered_labels.append(exclusion.label)
-        elif truth is Truth.INDETERMINATE:
+        elif truth == _INDETERMINATE:
             unresolved.update(unresolved_fields(exclusion.when, fields))
     stages.append(StageRecord(Stage.EXCLUSIONS, tuple(evaluated)))
     if triggered_labels:
@@ -174,15 +208,14 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     evaluated = []
     fired: list[ClinicalRule] = []
     problems: set[str] = set()
-    for rule in policy.clinical_rules:
+    for rule, truth in zip(policy.clinical_rules, compiled.clinical_rules(fields)):
         missing_req = [name for name in rule.requires if name not in fields] if rule.requires else ()
-        truth = evaluate(rule.when, fields)
-        if missing_req or truth is Truth.INDETERMINATE:
+        if missing_req or truth == _INDETERMINATE:
             evaluated.append((rule.rule_id, Verdict.INDETERMINATE))
             problems.update(missing_req)
-            if truth is Truth.INDETERMINATE:
+            if truth == _INDETERMINATE:
                 problems.update(unresolved_fields(rule.when, fields))
-        elif truth is Truth.TRUE:
+        elif truth == _TRUE:
             evaluated.append((rule.rule_id, Verdict.FIRED))
             fired.append(rule)
         else:
@@ -202,7 +235,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
 
     # Stage 4: stewardship.
-    class_map = policy.class_map()
+    class_map = compiled.class_map
     outcome = _stewardship_stage(policy, class_map, fields, fired)
     stages.append(StageRecord(Stage.STEWARDSHIP, outcome.evaluated, outcome.notes))
     if not outcome.survivors:

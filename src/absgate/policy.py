@@ -250,6 +250,14 @@ class Policy:
             if veto.class_id not in classes:
                 raise ValueError(f"veto {veto.rule_id} targets undeclared class {veto.class_id}")
 
+    def __getstate__(self) -> dict[str, Any]:
+        # The engine caches its compiled stage programs on the instance as
+        # ``_compiled``; they hold functions, so pickles and copies leave
+        # them out and rebuild them on first use.
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
     def field_map(self) -> dict[str, FieldDecl]:
         return {f.name: f for f in self.schema}
 

@@ -26,6 +26,7 @@ from absgate import (
     suite_hash,
     validate_policy,
 )
+from absgate.condition import Truth, evaluate
 from absgate.evaluation import CHECK_NO_UNJUSTIFIED
 from absgate.model import Action, ExpectedBehavior, MatchLevel, canonical_serialize
 from absgate.reference import reference_policy_text, reference_suite_text
@@ -126,7 +127,7 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
     def gate_bypass(policy, class_map, fields, fired):
         outcome = _honest_stage(policy, class_map, fields, fired)
         vetoed = {v.class_id for v in policy.stewardship.class_vetoes
-                  if engine_module.evaluate(v.when, fields) is not engine_module.Truth.FALSE}
+                  if evaluate(v.when, fields) is not Truth.FALSE}
         survivors = frozenset({rule.candidate for rule in fired} - vetoed)
         notes = (("escalation_justification",) if outcome.justified else ()) + tuple(sorted(survivors))
         evaluated = tuple(pair for pair in outcome.evaluated if pair[1] is not engine_module.Verdict.VETOED)

@@ -53,6 +53,18 @@ def test_hash_suite_rejects_malformed_and_missing_files(capsys, tmp_path):
     assert err == f"ERROR unreadable_file 0:0 {missing}: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+def test_too_deep_a_condition_is_a_diagnostic_not_a_traceback(capsys, tmp_path):
+    deep = tmp_path / "deep.policy"
+    text = open(POLICY_PATH, encoding="utf-8").read()
+    deep.write_text(text.replace("when age < 18", "when " + "not " * 1200 + "age < 18"), encoding="utf-8")
+    # Line 36, at the 201st "not": the parser stops on the way down.
+    expected = "ERROR nesting_too_deep 36:846 condition has more than 200 '(' and 'not' open at once\n"
+    assert main(["validate", "--policy", str(deep)]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["evaluate", "--policy", str(deep), "--suite", SUITE_PATH]) == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_decide_prints_the_one_line_outcome(capsys):
     assert main(["decide", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--case-id", "c17"]) == 0
     assert capsys.readouterr().out == "recommend narrow_penicillin\n"

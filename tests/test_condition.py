@@ -1,4 +1,6 @@
+import copy
 import itertools
+import sys
 from decimal import Decimal
 
 import pytest
@@ -15,6 +17,7 @@ from absgate.condition import (
     Or,
     Present,
     Truth,
+    compile_conditions,
     evaluate,
     print_condition,
     typecheck,
@@ -289,3 +292,85 @@ def test_has_on_a_non_set_value_raises():
 def test_evaluate_rejects_foreign_nodes_nested_in_a_tree():
     with pytest.raises(TypeError):
         evaluate(And(Literal(True), object()), {})
+
+
+# Leaves a stage program must share or keep apart correctly: equal leaves
+# (the copies below are equal, distinct objects), Literal(True) == Literal(1),
+# a decimal and an int literal against the same decimal field, present and
+# absent of one field, and the same has token twice.
+_SHARED_LEAVES = (
+    Literal(True),
+    Literal(1),
+    Literal(False),
+    Comparison("weight", ">=", FieldValue.decimal(Decimal("40.0"))),
+    Comparison("weight", ">=", FieldValue.integer(40)),
+    Comparison("weight", "<", FieldValue.decimal(Decimal("40"))),
+    Present("flags"),
+    Absent("flags"),
+    Has("flags", "a"),
+    Has("flags", "a"),
+)
+
+
+@st.composite
+def _stages(draw):
+    """Conditions drawing their leaves from one small pool, so they share."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SHARED_LEAVES), _kind_atoms()), min_size=1, max_size=6))
+    leaves = st.sampled_from(pool).flatmap(lambda leaf: st.sampled_from((leaf, copy.copy(leaf))))
+    conditions = st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)),
+        max_leaves=8,
+    )
+    return draw(st.lists(conditions, min_size=1, max_size=6))
+
+
+@given(_stages(), st.lists(_kind_cases(), min_size=1, max_size=4))
+def test_stage_programs_match_the_oracle_on_shared_leaves(conds, cases):
+    program = compile_conditions(conds)
+    for fields in cases:
+        expected = [_ORACLE_TRUTH[truth_of(cond, fields)] for cond in conds]
+        assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)
+
+
+def test_unhashable_literals_get_slots_of_their_own():
+    # Built in code, past the named constructors: a list literal cannot be
+    # hashed, so it cannot key the table of shared leaves.
+    listed = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
+    twin = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
+    assert evaluate(listed, _fields(sex="male")) is F
+    assert evaluate(Not(listed), _fields(sex="male")) is T
+    assert evaluate(listed, {}) is I
+    program = compile_conditions([listed, Or(Not(twin), listed), Present("sex")])
+    assert program(_fields(sex="male")) == [0, 2, 2]
+    assert program({}) == [1, 1, 0]
+
+
+def test_programs_run_every_atom_in_first_occurrence_order():
+    first = Comparison("age", "==", FieldValue.token("old"))
+    second = Has("age", "tok")
+    fields = _fields(age=70)
+    # Both mismatch; whichever occurs first raises, whatever decides the rest.
+    for conds, message in (
+        ([Or(Literal(True), first), second], "comparison across kinds"),
+        ([Or(Literal(True), second), And(Literal(False), first)], "has applied to non-set field"),
+        ([Literal(False), And(second, first), first], "has applied to non-set field"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compile_conditions(conds)(fields)
+
+
+@pytest.mark.parametrize("inner", [Not, lambda c: And(c, Present("fever")), lambda c: Or(Absent("age"), c)])
+def test_evaluate_handles_trees_deeper_than_the_recursion_limit(inner):
+    depth = 5000
+    cond = Comparison("fever", "==", FieldValue.boolean(True))
+    for level in range(depth):
+        cond = Not(cond) if level % 3 == 0 else inner(cond)
+    limit = sys.getrecursionlimit()
+    cases = ({}, _fields(fever=True), _fields(fever=False, age=1))
+    sys.setrecursionlimit(depth * 3)  # for the oracle, which recurses
+    try:
+        expected = [_ORACLE_TRUTH[truth_of(cond, fields)] for fields in cases]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [evaluate(cond, fields) for fields in cases] == expected

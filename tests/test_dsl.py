@@ -1,6 +1,7 @@
 import pytest
 
 from absgate import format_policy, parse_policy, policy_hash
+from absgate.dsl import MAX_NESTING
 from absgate.reference import reference_policy_text
 
 MINIMAL = """\
@@ -85,6 +86,62 @@ def test_diagnostics_carry_positions():
     assert policy is None
     ours = [d for d in diags if d.code == "unexpected_character"]
     assert ours and ours[0].line == 2
+
+
+def _alternating(levels):
+    # Right-nested, as format_policy prints it: (not ...), (... and a), (a or ...).
+    text = "a == true"
+    for level in range(levels):
+        text = ("(not {})", "({} and a == true)", "(a == false or {})")[level % 3].format(text)
+    return text
+
+
+# Each builds a condition tree `levels` high: every "not", "and" and "or" on
+# the path down is one level, and a parenthesis is none.
+_NESTINGS = {
+    "not": lambda levels: "not " * levels + "a == true",
+    "parenthesized_not": lambda levels: "(not " * levels + "a == true" + ")" * levels,
+    "and_chain": lambda levels: " and ".join(["a == true"] * (levels + 1)),
+    "parenthesized_and": lambda levels: "(" * levels + "a == true" + " and a == true)" * levels,
+    "alternating": _alternating,
+}
+
+
+def _parse_condition(text):
+    return parse_policy(MINIMAL.replace("when a == true", "when " + text))
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_is_limited_with_a_diagnostic(shape):
+    policy, diags = _parse_condition(_NESTINGS[shape](MAX_NESTING))
+    assert diags == []
+    # Printing wraps every level in parentheses; the text still re-parses.
+    text = format_policy(policy)
+    reparsed, diags = parse_policy(text)
+    assert diags == []
+    assert policy_hash(reparsed) == policy_hash(policy)
+    assert format_policy(reparsed) == text
+    for levels in (MAX_NESTING + 1, 1200):
+        policy, diags = _parse_condition(_NESTINGS[shape](levels))
+        assert policy is None
+        assert [d.code for d in diags] == ["nesting_too_deep"]
+
+
+def test_the_nesting_diagnostics_name_their_limit():
+    _, diags = _parse_condition(_NESTINGS["and_chain"](MAX_NESTING + 1))
+    assert [(d.code, d.message, d.line, d.col) for d in diags] == [
+        # At the "and" that makes the tree one level too high.
+        ("nesting_too_deep", f"condition nests deeper than {MAX_NESTING} levels", 4, 24 + 14 * MAX_NESTING)
+    ]
+    # Redundant parentheses add no level, only open ones.
+    opens = 2 * MAX_NESTING
+    policy, diags = _parse_condition("(" * opens + "a == true" + ")" * opens)
+    assert diags == []
+    assert policy.clinical_rules == parse_policy(MINIMAL)[0].clinical_rules
+    _, diags = _parse_condition("(" * (opens + 1) + "a == true" + ")" * (opens + 1))
+    assert [(d.code, d.message, d.col) for d in diags] == [
+        ("nesting_too_deep", f"condition has more than {opens} '(' and 'not' open at once", 14 + opens)
+    ]
 
 
 # Declares every field type keyword; the reference policy has no closed tokenset.

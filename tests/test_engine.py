@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absgate import decide, load_reference_policy, load_reference_suite
+from absgate.condition import And, Comparison, Has, Literal, Or
 from absgate.engine import assess_inputs
 from absgate.model import (
     AbstentionCategory,
@@ -312,14 +315,60 @@ def test_policy_survives_pickle_and_deepcopy_after_deciding():
     def decisions(p):
         return [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(p, c) for c in suite.cases)]
 
-    # Deciding compiles and caches every condition the suite reaches.
+    # Deciding compiles the stage programs and caches them on the policy.
     before = decisions(policy)
     for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
         assert clone is not policy
         assert clone == policy
         assert hash(clone) == hash(policy)
         # A rebuilt frozenset (known_risks) may list its members in another
-        # order, so repr is compared on the conditions, which hold the cache.
+        # order, so repr is compared on the conditions.
         assert [repr(c) for c in _conditions(clone)] == [repr(c) for c in _conditions(policy)]
         assert decisions(clone) == before
     assert decisions(policy) == before
+
+
+# Kind mismatches a type-checked policy never holds; built in code to probe
+# when and in what order the engine evaluates conditions.
+_AGE_AS_TOKEN = Comparison("age", "==", FieldValue.token("old"))
+_HAS_ON_A_TOKEN = Has("syndrome", "uti")
+_AGE_MESSAGE = "comparison across kinds: integer vs token"
+_HAS_MESSAGE = "has applied to non-set field 'syndrome'"
+
+
+def _with_rules(*conditions):
+    rules = tuple(
+        dataclasses.replace(POLICY.clinical_rules[0], rule_id=f"r{n}", when=cond, incompatible_with=())
+        for n, cond in enumerate(conditions)
+    )
+    return dataclasses.replace(POLICY, clinical_rules=rules)
+
+
+@pytest.mark.parametrize(
+    "conditions, message",
+    [
+        ((Or(Literal(True), _AGE_AS_TOKEN), And(_HAS_ON_A_TOKEN, _AGE_AS_TOKEN)), _AGE_MESSAGE),
+        ((Literal(False), And(_HAS_ON_A_TOKEN, Literal(False)), _AGE_AS_TOKEN), _HAS_MESSAGE),
+    ],
+)
+def test_the_first_mismatch_in_rule_order_raises(conditions, message):
+    with pytest.raises(ValueError, match=message):
+        decide(_with_rules(*conditions), case())
+
+
+def test_a_stage_not_reached_evaluates_nothing():
+    policy = _with_rules(_HAS_ON_A_TOKEN)
+    # Stops at input assessment, before the mistyped rule.
+    output, trace = decide(policy, case(drop=("age",)))
+    assert labels(output) == ["age"]
+    assert [record.stage for record in trace.stages] == [Stage.INPUT_ASSESSMENT]
+    with pytest.raises(ValueError, match=_HAS_MESSAGE):
+        decide(policy, case())
+    # Stops at clinical rules (none fires), before the mistyped veto.
+    veto = dataclasses.replace(POLICY.stewardship.class_vetoes[0], when=_AGE_AS_TOKEN)
+    policy = dataclasses.replace(POLICY, stewardship=dataclasses.replace(POLICY.stewardship, class_vetoes=(veto,)))
+    output, trace = decide(policy, case(syndrome="uti", severity="moderate"))
+    assert labels(output) == ["no_candidate"]
+    assert trace.stages[-1].stage is Stage.CLINICAL_RULES
+    with pytest.raises(ValueError, match=_AGE_MESSAGE):
+        decide(policy, case())

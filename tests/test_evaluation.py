@@ -14,7 +14,7 @@ from absgate import (
     run_suite,
 )
 from absgate.condition import Truth, evaluate
-from absgate.engine import _StewardshipOutcome, _verdict
+from absgate.engine import _VERDICTS, _StewardshipOutcome
 from absgate.evaluation import (
     CHECK_DOCUMENTED,
     CHECK_NARROW,
@@ -153,7 +153,7 @@ def _gate_skipping_stewardship(policy, class_map, fields, fired):
     vetoed = set()
     for veto in policy.stewardship.class_vetoes:
         truth = evaluate(veto.when, fields)
-        evaluated.append((veto.rule_id, _verdict(truth)))
+        evaluated.append((veto.rule_id, _VERDICTS[truth.value]))
         if truth is not Truth.FALSE:
             vetoed.add(veto.class_id)
     justified = evaluate(policy.stewardship.escalation_justification, fields) is Truth.TRUE
