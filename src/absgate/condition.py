@@ -9,15 +9,23 @@ order FALSE < INDETERMINATE < TRUE, so ``false and x`` is false and
 poles and leaves INDETERMINATE fixed.
 
 ``compile_conditions`` lowers a list of conditions once into a flat
-program: one function per structurally distinct leaf, run once per call,
-then one table step per connective. The engine builds one program per
-policy stage; ``evaluate`` builds a one-condition program and caches it on
-the node.
+program over the structurally distinct leaves, then one table step per
+connective. The leaves are grouped by field, as in the alpha memories of
+Rete (Forgy, 1982) and the predicate indexing of Fabret et al. (SIGMOD
+2001): a field with several leaves is one group, whose truth values come
+from one lookup of the case value in a table built from the literals (a
+row per boolean or token literal, a row per region between sorted numeric
+literals, a membership test per ``has`` token); any other leaf is one
+function call. Every leaf is computed on every call; on any failure the
+leaves rerun one by one in condition order, so the first mismatching leaf
+raises. The engine builds one program per policy stage; ``evaluate``
+builds a one-condition program and caches it on the node.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -44,6 +52,7 @@ __all__ = [
     "compile_conditions",
     "evaluate",
     "referenced_fields",
+    "bare_fields",
     "unresolved_fields",
     "typecheck",
     "print_condition",
@@ -57,19 +66,6 @@ class Truth(Enum):
     FALSE = 0
     INDETERMINATE = 1
     TRUE = 2
-
-    def and_(self, other: "Truth") -> "Truth":
-        return self if self.value <= other.value else other
-
-    def or_(self, other: "Truth") -> "Truth":
-        return self if self.value >= other.value else other
-
-    def not_(self) -> "Truth":
-        if self is Truth.TRUE:
-            return Truth.FALSE
-        if self is Truth.FALSE:
-            return Truth.TRUE
-        return Truth.INDETERMINATE
 
 
 # Source location is carried for diagnostics only; it never participates in
@@ -151,6 +147,8 @@ _NOT = tuple((2 - a,) * 3 for a in range(3))
 _TRUTHS = (Truth.FALSE, Truth.INDETERMINATE, Truth.TRUE)
 
 _Program = Callable[[Mapping[str, FieldValue]], list[int]]
+_FIELD_LEAVES = (Comparison, Has, Present, Absent)
+_LEAF_TYPES = (Literal, *_FIELD_LEAVES)
 
 
 # Atom functions bind what they read as parameter defaults: locals are
@@ -196,34 +194,166 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
     return atom
 
 
+# The most leaves one group serves. A numeric table has a row per region
+# and a column per leaf, so capping the leaves keeps the tables linear in
+# the number of leaves, not quadratic.
+_GROUP_SIZE = 64
+
+
+class _Unserved(Exception):
+    """A case value of a kind its field group's table was not built for."""
+
+
+# The Python type a literal of each kind holds when built by the named
+# ``FieldValue`` constructors; tables are built only over such literals.
+_LITERAL_TYPES = {FieldKind.BOOLEAN: bool, FieldKind.INTEGER: int, FieldKind.DECIMAL: Decimal, FieldKind.TOKEN: str}
+
+
+def _tabled(leaf: Condition) -> bool:
+    """Whether a field group's table can serve this leaf."""
+    if not isinstance(leaf, Comparison):
+        return True
+    kind, value = leaf.literal.kind, leaf.literal.value
+    if type(value) is not _LITERAL_TYPES.get(kind):
+        return False
+    if kind in (FieldKind.BOOLEAN, FieldKind.TOKEN):
+        return leaf.op in ("==", "!=")
+    return kind is FieldKind.INTEGER or value.is_finite()
+
+
+def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldValue]], Any] | None:
+    """One function giving the truth values of all of one field's leaves,
+    presence tests last, or None when no one table serves them all.
+
+    Tables are built here from the literals and bounded by them: a row per
+    distinct boolean or token literal plus one for any other value; a row
+    per region the k sorted distinct numeric literals cut the line into
+    (2k+1 of them, found by bisection); for ``has``, a membership test per
+    token. A value of a kind the group was not built for raises
+    ``_Unserved``, which sends the program to its ordered error path.
+    """
+    tests = []
+    kinds = set()
+    # The presence tests' values when the field is present, and when absent.
+    if_present, if_absent = [], []
+    for leaf in leaves:
+        if isinstance(leaf, (Present, Absent)):
+            hit = isinstance(leaf, Present)
+            if_present.append(_TRUE if hit else _FALSE)
+            if_absent.append(_FALSE if hit else _TRUE)
+        elif _tabled(leaf):
+            tests.append(leaf)
+            kinds.add(FieldKind.TOKEN_SET if isinstance(leaf, Has) else leaf.literal.kind)
+        else:
+            return None
+    presence = tuple(if_present)
+    absent = (_INDETERMINATE,) * len(tests) + tuple(if_absent)
+
+    # ``absent`` also serves as the missing-key default of ``fields.get``, so
+    # a None stored under the name is not taken for absence.
+    if kinds == {FieldKind.TOKEN_SET}:
+        tokens = tuple(leaf.token for leaf in tests)
+
+        def group(fields, name=name, kind=FieldKind.TOKEN_SET, tokens=tokens, presence=list(presence), absent=absent):
+            value = fields.get(name, absent)
+            if value is absent:
+                return absent
+            if value.kind is not kind:
+                raise _Unserved
+            members = value.value
+            return [_TRUE if token in members else _FALSE for token in tokens] + presence
+
+        return group
+
+    # Each leaf's column holds its truth value in every row.
+    columns = []
+    if kinds == {FieldKind.BOOLEAN} or kinds == {FieldKind.TOKEN}:
+        # Row i is for the i-th distinct literal, the last row for any other value.
+        literals = list(dict.fromkeys(leaf.literal.value for leaf in tests))
+        for leaf in tests:
+            hit, miss = (_TRUE, _FALSE) if leaf.op == "==" else (_FALSE, _TRUE)
+            column = [miss] * (len(literals) + 1)
+            column[literals.index(leaf.literal.value)] = hit
+            columns.append(column)
+    elif kinds and kinds <= {FieldKind.INTEGER, FieldKind.DECIMAL}:
+        widen = Decimal if FieldKind.DECIMAL in kinds else int
+        cuts = sorted({widen(leaf.literal.value) for leaf in tests})
+        # A value in region r lies below, on or above the cut whose own
+        # region is c, so ``value op cut`` holds exactly when ``sign op 0``
+        # does; each leaf's column is three runs of one truth value.
+        at = {cut: 2 * i + 1 for i, cut in enumerate(cuts)}
+        for leaf in tests:
+            c = at[widen(leaf.literal.value)]
+            test = _OPERATORS[leaf.op]
+            below, on, above = (_TRUE if test(sign, 0) else _FALSE for sign in (-1, 0, 1))
+            columns.append((below,) * c + (on,) + (above,) * (2 * len(cuts) - c))
+    else:
+        return None
+    # Neighbouring numeric regions often share a row; equal rows are stored once.
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = tuple(shared.setdefault(row, row) for row in [cells + presence for cells in zip(*columns)])
+
+    if FieldKind.DECIMAL not in kinds and FieldKind.INTEGER not in kinds:
+        (kind,) = kinds
+
+        def group(fields, name=name, kind=kind, rows=dict(zip(literals, rows)), other=rows[-1], absent=absent):
+            value = fields.get(name, absent)
+            if value is absent:
+                return absent
+            if value.kind is not kind:
+                raise _Unserved
+            return rows.get(value.value, other)
+
+    else:
+        # Integer literals alone serve integer and decimal values alike, the
+        # way an integer literal widens against a decimal field; a decimal
+        # literal serves only decimal values.
+        accepted = (FieldKind.INTEGER, FieldKind.DECIMAL) if widen is int else (FieldKind.DECIMAL,)
+
+        def group(
+            fields, name=name, accepted=accepted, cuts=cuts, rows=rows, absent=absent,
+            below=bisect_left, upto=bisect_right,
+        ):
+            value = fields.get(name, absent)
+            if value is absent:
+                return absent
+            if value.kind not in accepted:
+                raise _Unserved
+            number = value.value
+            return rows[below(cuts, number) + upto(cuts, number)]
+
+    return group
+
+
 def compile_conditions(conds: Iterable[Condition]) -> _Program:
-    """Lower conditions into one flat program over shared atoms.
+    """Lower conditions into one flat program over field-grouped leaves.
 
     The program maps case fields to a list holding each condition's truth
     value as an int (``Truth(v)``), in the order given. Structurally equal
-    leaves share one atom, and every atom runs exactly once per call, in
-    first-occurrence order, so a kind mismatch raises at the first
-    mismatching leaf in condition order no matter what the other operands
-    yield. Each ``and``, ``or`` and ``not`` is one table step over the
-    slots computed before it. The trees are walked with an explicit stack,
-    so depth is bounded by memory, not by the interpreter's recursion limit.
+    leaves share one slot. A field with several leaves is one group: one
+    lookup of the case value gives all their truth values from a table
+    (``_group``); every other leaf is one atom call. Each ``and``, ``or``
+    and ``not`` is then one table step over the slots computed before it.
+    Every leaf is computed on every call, so if anything fails, the leaves
+    rerun one by one in first-occurrence order: a kind mismatch raises at
+    the first mismatching leaf in condition order, whatever the other
+    operands yield. The trees are walked with an explicit stack, so depth is
+    bounded by memory, not by the interpreter's recursion limit.
     """
-    atoms: list[Callable[[Mapping[str, FieldValue]], int]] = []
-    atom_slot: dict[Condition, int] = {}
-    # Operand references: n >= 0 is atom n, ~n is step n (steps follow the
-    # atoms once their number is known).
+    leaves: list[Condition] = []
+    leaf_index: dict[Condition, int] = {}
+    # Operand references: n >= 0 is leaf n, ~n is step n.
     steps: list[tuple[Any, int, int]] = []
     roots: list[int] = []
 
     def leaf_ref(leaf: Condition) -> int:
         try:
-            return atom_slot[leaf]
-        except KeyError:
-            atom_slot[leaf] = len(atoms)
+            index = leaf_index.setdefault(leaf, len(leaves))
         except TypeError:  # an unhashable literal gets a slot of its own
-            pass
-        atoms.append(_atom(leaf))
-        return len(atoms) - 1
+            index = len(leaves)
+        if index == len(leaves):
+            leaves.append(leaf)
+        return index
 
     for cond in conds:
         work: list[Any] = [cond]
@@ -243,16 +373,53 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
                 refs.append(leaf_ref(item))
         roots.append(refs.pop())
 
-    def slot(ref: int, base: int = len(atoms)) -> int:
-        return ref if ref >= 0 else base + ~ref
+    by_field: dict[str, list[int]] = {}
+    for index, leaf in enumerate(leaves):
+        if isinstance(leaf, _FIELD_LEAVES):
+            by_field.setdefault(leaf.field_name, []).append(index)
+    groups = []
+    grouped: list[int] = []
+    for name, indices in by_field.items():
+        if len(indices) < 2:
+            continue
+        indices.sort(key=lambda index: isinstance(leaves[index], (Present, Absent)))
+        for start in range(0, len(indices), _GROUP_SIZE):
+            members = indices[start : start + _GROUP_SIZE]
+            group = _group(name, [leaves[index] for index in members]) if len(members) > 1 else None
+            if group is not None:
+                groups.append(group)
+                grouped += members
+    # Slots hold the single atoms' values, then each group's, then the
+    # steps'. A step reference ~n counts from the end of ``position``, so
+    # the steps' slots are listed there in reverse.
+    in_group = set(grouped)
+    singles = [index for index in range(len(leaves)) if index not in in_group]
+    position = [0] * len(leaves) + list(range(len(leaves) + len(steps) - 1, len(leaves) - 1, -1))
+    for slot, index in enumerate(singles + grouped):
+        position[index] = slot
+
+    def ordered(fields: Mapping[str, FieldValue]) -> list[int]:
+        # The error path: the first leaf in condition order that fails
+        # raises its own error. If none does (a value the named constructors
+        # would refuse, which a table cannot look up), their values fill the
+        # slots.
+        values = [_atom(leaf)(fields) for leaf in leaves]
+        return [values[index] for index in singles + grouped]
 
     def program(
         fields,
-        atoms=tuple(atoms),
-        steps=tuple((table, slot(a), slot(b)) for table, a, b in steps),
-        roots=tuple(map(slot, roots)),
+        atoms=tuple([_atom(leaves[index]) for index in singles]),
+        groups=tuple(groups),
+        ordered=ordered,
+        steps=tuple([(table, position[a], position[b]) for table, a, b in steps]),
+        roots=tuple(map(position.__getitem__, roots)),
     ):
-        slots = [atom(fields) for atom in atoms]
+        try:
+            slots = [atom(fields) for atom in atoms]
+            for group in groups:
+                slots += group(fields)
+        except Exception:
+            slots = ordered(fields)
         append = slots.append
         for table, a, b in steps:
             append(table[slots[a]][slots[b]])
@@ -275,35 +442,40 @@ def evaluate(cond: Condition, fields: Mapping[str, FieldValue]) -> Truth:
     return _TRUTHS[program(fields)[0]]
 
 
+def _leaves(cond: Condition) -> list[Condition]:
+    """The condition's leaves, walked with an explicit stack."""
+    leaves = []
+    work = [cond]
+    while work:
+        node = work.pop()
+        if isinstance(node, (And, Or)):
+            work += (node.right, node.left)
+        elif isinstance(node, Not):
+            work.append(node.inner)
+        elif isinstance(node, _LEAF_TYPES):
+            leaves.append(node)
+        else:
+            raise TypeError(f"not a condition node: {node!r}")
+    return leaves
+
+
 def referenced_fields(cond: Condition) -> frozenset[str]:
     """Every field name the condition mentions, guards included."""
-    if isinstance(cond, Literal):
-        return frozenset()
-    if isinstance(cond, (Present, Absent, Comparison, Has)):
-        return frozenset((cond.field_name,))
-    if isinstance(cond, (And, Or)):
-        return referenced_fields(cond.left) | referenced_fields(cond.right)
-    if isinstance(cond, Not):
-        return referenced_fields(cond.inner)
-    raise TypeError(f"not a condition node: {cond!r}")
+    return frozenset(leaf.field_name for leaf in _leaves(cond) if not isinstance(leaf, Literal))
+
+
+def bare_fields(cond: Condition) -> frozenset[str]:
+    """The fields the condition references bare, in comparisons and ``has``;
+    ``present`` and ``absent`` resolve either way."""
+    return frozenset(leaf.field_name for leaf in _leaves(cond) if isinstance(leaf, (Comparison, Has)))
 
 
 def unresolved_fields(cond: Condition, fields: Mapping[str, FieldValue]) -> frozenset[str]:
-    """Fields whose absence can make the condition indeterminate.
-
-    Only bare references (comparisons and ``has``) count; ``present`` and
-    ``absent`` resolve either way. Whenever ``evaluate`` returns
+    """Fields whose absence can make the condition indeterminate: its bare
+    references missing from the case. Whenever ``evaluate`` returns
     INDETERMINATE this set is non-empty.
     """
-    if isinstance(cond, (Literal, Present, Absent)):
-        return frozenset()
-    if isinstance(cond, (Comparison, Has)):
-        return frozenset() if cond.field_name in fields else frozenset((cond.field_name,))
-    if isinstance(cond, (And, Or)):
-        return unresolved_fields(cond.left, fields) | unresolved_fields(cond.right, fields)
-    if isinstance(cond, Not):
-        return unresolved_fields(cond.inner, fields)
-    raise TypeError(f"not a condition node: {cond!r}")
+    return frozenset(name for name in bare_fields(cond) if name not in fields)
 
 
 def _err(code: str, message: str, node: _Node) -> Diagnostic:

@@ -19,11 +19,14 @@ Stages run in a fixed order and the first terminating condition wins:
 
 Each stage's conditions (consistency constraints, exclusions, clinical
 rules, and the vetoes with the escalation justification last) are compiled
-once per ``Policy`` into one program over shared atoms
-(``condition.compile_conditions``), cached on the policy with its class map
-and risk-field names. A stage's program runs only when the stage is reached,
-and evaluates every condition of the stage, so a kind mismatch raises
-whatever the other conditions yield.
+once per ``Policy`` into one program over field-grouped leaves
+(``condition.compile_conditions``), cached on the policy with its class map,
+risk-field names, each exclusion's and rule's bare-reference fields, and the
+clinical rules in rule-id order with their ``(rule_id, verdict)`` pair for
+each truth value, so stage 3 appends ready-made pairs in trace order. A
+stage's program runs only when the stage is reached, and evaluates every
+condition of the stage, so a kind mismatch raises whatever the other
+conditions yield, at the first mismatching leaf in declaration order.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace.
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, compile_conditions, unresolved_fields
+from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
     AbstentionCategory,
     AuditTrace,
@@ -59,6 +62,17 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
+    # The clinical rules in rule-id order; where each sits in the program's
+    # output, which follows declaration order (None when the two agree);
+    # per rule, its ``(rule_id, verdict)`` pair for each truth value; and
+    # the positions of the rules that have ``requires``.
+    rules: tuple[ClinicalRule, ...]
+    rule_order: tuple[int, ...] | None
+    rule_verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
+    requiring: tuple[int, ...]
+    # Per exclusion and clinical rule id, the fields whose absence can leave
+    # its condition indeterminate (``condition.bare_fields``).
+    bare_fields: dict[str, tuple[str, ...]]
     # The class vetoes in order, then the escalation justification.
     stewardship: _Program
     class_map: dict[str, ClassDecl]
@@ -73,10 +87,19 @@ def _compiled(policy: Policy) -> _Compiled:
     except AttributeError:
         pass
     stewardship = policy.stewardship
+    # The program runs the rules in declaration order, so a kind mismatch
+    # raises in that order; the trace lists them in rule-id order.
+    rule_order = sorted(range(len(policy.clinical_rules)), key=lambda i: policy.clinical_rules[i].rule_id)
+    rules = tuple(policy.clinical_rules[i] for i in rule_order)
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in policy.clinical_rules),
+        rules,
+        None if rule_order == sorted(rule_order) else tuple(rule_order),
+        tuple(tuple((rule.rule_id, verdict) for verdict in _VERDICTS) for rule in rules),
+        tuple(position for position, rule in enumerate(rules) if rule.requires),
+        {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         policy.class_map(),
         tuple(decl.name for decl in policy.risk_fields()),
@@ -197,32 +220,33 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         if truth == _TRUE:
             triggered_labels.append(exclusion.label)
         elif truth == _INDETERMINATE:
-            unresolved.update(unresolved_fields(exclusion.when, fields))
+            unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
     stages.append(StageRecord(Stage.EXCLUSIONS, tuple(evaluated)))
     if triggered_labels:
         return _abstain(stages, AbstentionCategory.EXPLICIT_EXCLUSION, sorted(triggered_labels))
     if unresolved:
         return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(unresolved))
 
-    # Stage 3: clinical rules.
-    evaluated = []
-    fired: list[ClinicalRule] = []
+    # Stage 3: clinical rules, in rule-id order. A rule abstains if its
+    # condition is indeterminate or a field it requires is missing.
+    truths = compiled.clinical_rules(fields)
+    if compiled.rule_order is not None:
+        truths = [truths[i] for i in compiled.rule_order]
+    evaluated = [verdicts[truth] for verdicts, truth in zip(compiled.rule_verdicts, truths)]
     problems: set[str] = set()
-    for rule, truth in zip(policy.clinical_rules, compiled.clinical_rules(fields)):
-        missing_req = [name for name in rule.requires if name not in fields] if rule.requires else ()
-        if missing_req or truth == _INDETERMINATE:
-            evaluated.append((rule.rule_id, Verdict.INDETERMINATE))
+    for position in compiled.requiring:
+        missing_req = [name for name in compiled.rules[position].requires if name not in fields]
+        if missing_req:
+            evaluated[position] = compiled.rule_verdicts[position][_INDETERMINATE]
             problems.update(missing_req)
+    if _INDETERMINATE in truths:
+        for rule, truth in zip(compiled.rules, truths):
             if truth == _INDETERMINATE:
-                problems.update(unresolved_fields(rule.when, fields))
-        elif truth == _TRUE:
-            evaluated.append((rule.rule_id, Verdict.FIRED))
-            fired.append(rule)
-        else:
-            evaluated.append((rule.rule_id, Verdict.NOT_FIRED))
+                problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
     stages.append(StageRecord(Stage.CLINICAL_RULES, tuple(evaluated)))
     if problems:
         return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(problems))
+    fired = [rule for rule, truth in zip(compiled.rules, truths) if truth == _TRUE]
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
     for rule in fired:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from json.encoder import encode_basestring as _quote
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .canon import canonical_bytes
@@ -328,7 +329,7 @@ class StageRecord:
         # Exact types, so that canonical_serialize can trust its tables.
         if type(self.stage) is not Stage:
             raise TypeError(f"stage is not a Stage: {self.stage!r}")
-        evaluated = tuple(sorted(self.evaluated, key=lambda e: e[0]))
+        evaluated = tuple(sorted(self.evaluated, key=itemgetter(0)))
         for _, verdict in evaluated:
             if type(verdict) is not Verdict:
                 raise TypeError(f"verdict is not a Verdict: {verdict!r}")

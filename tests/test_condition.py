@@ -8,6 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from absgate.condition import (
+    _AND,
+    _NOT,
+    _OR,
+    COMPARISON_OPS,
     Absent,
     And,
     Comparison,
@@ -20,6 +24,7 @@ from absgate.condition import (
     compile_conditions,
     evaluate,
     print_condition,
+    referenced_fields,
     typecheck,
     unresolved_fields,
 )
@@ -34,12 +39,13 @@ T = Truth.TRUE
 
 
 def test_kleene_tables_exhaustively():
-    for a, b in itertools.product((F, I, T), repeat=2):
-        assert Truth.and_(a, b) is min(a, b, key=lambda t: t.value)
-        assert Truth.or_(a, b) is max(a, b, key=lambda t: t.value)
-    assert Truth.not_(T) is F
-    assert Truth.not_(F) is T
-    assert Truth.not_(I) is I
+    # FALSE < INDETERMINATE < TRUE: and is the minimum, or the maximum, and
+    # not reflects the order; ``not`` ignores its second operand.
+    assert (F.value, I.value, T.value) == (0, 1, 2)
+    for a, b in itertools.product(range(3), repeat=2):
+        assert _AND[a][b] == min(a, b)
+        assert _OR[a][b] == max(a, b)
+        assert _NOT[a][b] == 2 - a
 
 
 def _fields(**kwargs):
@@ -346,6 +352,105 @@ def test_unhashable_literals_get_slots_of_their_own():
     assert program({}) == [1, 1, 0]
 
 
+# Field groups: many leaves per field, so every field kind gets its table.
+# Case values sit at, just below and just above every literal, and outside
+# the literal set.
+_GROUP_INTS = (-7, 0, 1, 40, 95)
+_GROUP_DECIMALS = tuple(map(Decimal, ("-0.5", "0", "39.9999", "40", "40.0001", "95.5")))
+
+
+def _around(literals, step):
+    return tuple(sorted({value + delta for value in literals for delta in (-step, 0, step)}))
+
+
+def _group_leaves():
+    return st.one_of(
+        st.builds(Comparison, st.just("age"), _ops, st.sampled_from(_GROUP_INTS).map(FieldValue.integer)),
+        st.builds(Comparison, st.just("weight"), _ops, st.sampled_from(_GROUP_DECIMALS).map(FieldValue.decimal)),
+        # Integer literals on the decimal field, alone or next to decimal ones.
+        st.builds(Comparison, st.just("weight"), _ops, st.sampled_from(_GROUP_INTS).map(FieldValue.integer)),
+        st.builds(Comparison, st.just("sex"), _equality, st.sampled_from(_SEXES).map(FieldValue.token)),
+        st.builds(Comparison, st.just("fever"), _equality, st.booleans().map(FieldValue.boolean)),
+        st.builds(Has, st.just("flags"), st.sampled_from(_FLAGS)),
+        st.builds(Present, st.sampled_from(_KIND_FIELDS)),
+        st.builds(Absent, st.sampled_from(_KIND_FIELDS)),
+        st.sampled_from((Literal(True), Literal(1), Literal(False))),
+    )
+
+
+@st.composite
+def _group_cases(draw):
+    values = {
+        "age": st.sampled_from(_around(_GROUP_INTS, 1)).map(FieldValue.integer),
+        "weight": st.sampled_from(_around(_GROUP_DECIMALS + tuple(map(Decimal, _GROUP_INTS)), Decimal("0.0001"))).map(
+            FieldValue.decimal
+        ),
+        "sex": st.sampled_from(_SEXES + ("other",)).map(FieldValue.token),
+        "flags": st.sets(st.sampled_from(_FLAGS + ("d",))).map(FieldValue.token_set),
+        "fever": st.booleans().map(FieldValue.boolean),
+    }
+    return {name: draw(strategy) for name, strategy in values.items() if draw(st.booleans())}
+
+
+def _bool_literals(cond):
+    """The condition with ``Literal(1)`` spelled ``Literal(True)``, its equal:
+    the oracle tests a literal's value with ``is``."""
+    if isinstance(cond, Literal):
+        return Literal(bool(cond.value))
+    if isinstance(cond, (And, Or)):
+        return type(cond)(_bool_literals(cond.left), _bool_literals(cond.right))
+    if isinstance(cond, Not):
+        return Not(_bool_literals(cond.inner))
+    return cond
+
+
+@st.composite
+def _grouped_stages(draw):
+    """Conditions over a pool of up to 30 leaves on five fields, so fields share groups."""
+    pool = draw(st.lists(_group_leaves(), min_size=6, max_size=30))
+    conditions = st.recursive(
+        st.sampled_from(pool),
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)),
+        max_leaves=6,
+    )
+    return draw(st.lists(conditions, min_size=1, max_size=12))
+
+
+@given(_grouped_stages(), st.lists(_group_cases(), min_size=1, max_size=6))
+def test_grouped_programs_match_the_oracle(conds, cases):
+    program = compile_conditions(conds)
+    for fields in cases:
+        expected = [_ORACLE_TRUTH[truth_of(_bool_literals(cond), fields)] for cond in conds]
+        assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)
+
+
+def test_a_field_with_more_leaves_than_one_group_serves():
+    # 6 x 20 distinct comparisons and two presence tests of one field: two groups.
+    conds = [
+        Comparison("age", op, FieldValue.integer(literal)) for op in COMPARISON_OPS for literal in range(0, 60, 3)
+    ] + [Present("age"), Absent("age")]
+    program = compile_conditions(conds)
+    for fields in [{}] + [_fields(age=value) for value in range(-1, 62)]:
+        assert program(fields) == [_ORACLE_TRUTH[truth_of(cond, fields)].value for cond in conds], fields
+
+
+def test_values_a_table_cannot_look_up_take_the_atoms_values():
+    # Built in code, past the named constructors: an unhashable token value
+    # and a None stored under a field name. The atoms give the oracle's
+    # values, so a program gives them too.
+    conds = [
+        Comparison("sex", "==", FieldValue.token("male")),
+        Comparison("sex", "!=", FieldValue.token("female")),
+        Present("sex"),
+        Comparison("age", ">", FieldValue.integer(3)),
+        Comparison("age", "<", FieldValue.integer(9)),
+        Absent("age"),
+    ]
+    program = compile_conditions(conds)
+    fields = {"sex": FieldValue(FieldKind.TOKEN, ["male"]), "age": None}
+    assert program(fields) == [_ORACLE_TRUTH[truth_of(cond, fields)].value for cond in conds] == [0, 2, 2, 1, 1, 0]
+
+
 def test_programs_run_every_atom_in_first_occurrence_order():
     first = Comparison("age", "==", FieldValue.token("old"))
     second = Has("age", "tok")
@@ -358,6 +463,40 @@ def test_programs_run_every_atom_in_first_occurrence_order():
     ):
         with pytest.raises(ValueError, match=message):
             compile_conditions(conds)(fields)
+
+
+_LIGHT = Comparison("weight", "<", FieldValue.integer(40))
+_HEAVY = Comparison("weight", ">", FieldValue.decimal(Decimal("90.5")))
+_SEX_HAS = Has("sex", "x")
+
+
+@pytest.mark.parametrize(
+    "conds, message",
+    [
+        # weight's leaves form one group; the has on sex is a single atom.
+        # An integer weight mismatches only the decimal literal.
+        ([_SEX_HAS, _LIGHT, _HEAVY], "has applied to non-set field 'sex'"),
+        ([_LIGHT, _SEX_HAS, _HEAVY], "has applied to non-set field 'sex'"),
+        ([_LIGHT, _HEAVY, _SEX_HAS], "comparison across kinds: integer vs decimal"),
+        # A group alone: every field kind's table checks the value's kind.
+        ([_LIGHT, Not(_HEAVY)], "comparison across kinds: integer vs decimal"),
+        ([Has("sex", "m"), Not(_SEX_HAS)], "has applied to non-set field 'sex'"),
+        (
+            [Comparison("weight", op, FieldValue.token("a")) for op in ("==", "!=")],
+            "comparison across kinds: integer vs token",
+        ),
+        (
+            [Comparison("weight", op, FieldValue.boolean(True)) for op in ("==", "!=")],
+            "comparison across kinds: integer vs boolean",
+        ),
+        ([Or(Literal(True), _HEAVY), And(Literal(False), _SEX_HAS), _LIGHT], "integer vs decimal"),
+        ([Present("weight"), Not(_SEX_HAS), Absent("weight"), _HEAVY, _LIGHT], "has applied to non-set field 'sex'"),
+    ],
+)
+def test_a_group_and_a_single_atom_raise_in_condition_order(conds, message):
+    fields = _fields(weight=70, sex="male")
+    with pytest.raises(ValueError, match=message):
+        compile_conditions(conds)(fields)
 
 
 @pytest.mark.parametrize("inner", [Not, lambda c: And(c, Present("fever")), lambda c: Or(Absent("age"), c)])
@@ -374,3 +513,7 @@ def test_evaluate_handles_trees_deeper_than_the_recursion_limit(inner):
     finally:
         sys.setrecursionlimit(limit)
     assert [evaluate(cond, fields) for fields in cases] == expected
+    # The field walks use an explicit stack too.
+    assert referenced_fields(cond) == referenced_fields(inner(Comparison("fever", "==", FieldValue.boolean(True))))
+    assert unresolved_fields(cond, {}) == frozenset({"fever"})
+    assert unresolved_fields(cond, cases[1]) == frozenset()

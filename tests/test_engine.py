@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absgate import decide, load_reference_policy, load_reference_suite
-from absgate.condition import And, Comparison, Has, Literal, Or
+from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present
 from absgate.engine import assess_inputs
 from absgate.model import (
     AbstentionCategory,
@@ -372,3 +372,18 @@ def test_a_stage_not_reached_evaluates_nothing():
     assert trace.stages[-1].stage is Stage.CLINICAL_RULES
     with pytest.raises(ValueError, match=_AGE_MESSAGE):
         decide(policy, case())
+
+
+def test_a_rule_deeper_than_the_recursion_limit_builds_and_abstains():
+    # Built in code: the parser bounds nesting, a Policy built directly
+    # does not. Every level keeps the weight comparison's truth value.
+    cond = Comparison("weight_kg", "<", FieldValue.decimal("40.0"))
+    for level in range(5000):
+        cond = (Not(cond), And(cond, Present("fever")), Or(Absent("age"), cond))[level % 3]
+    policy = _with_rules(cond)
+    output, trace = decide(policy, case(drop=("weight_kg",)))
+    assert output.reason.category is AbstentionCategory.MISSING_INPUTS
+    assert labels(output) == ["weight_kg"]
+    assert trace.stages[-1].evaluated == (("r0", Verdict.INDETERMINATE),)
+    output, trace = decide(policy, case(weight_kg="35.0"))
+    assert labels(output) == ["no_candidate"]
