@@ -20,6 +20,11 @@ function call. Every leaf is computed on every call; on any failure the
 leaves rerun one by one in condition order, so the first mismatching leaf
 raises. The engine builds one program per policy stage; ``evaluate``
 builds a one-condition program and caches it on the node.
+
+Compiling, the field sets, ``typecheck`` and ``print_condition`` all read a
+tree in post-order from one explicit-stack walk (``_postfix``), so a
+tree's depth is bounded by memory, not by the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ __all__ = [
     "evaluate",
     "referenced_fields",
     "bare_fields",
-    "unresolved_fields",
     "typecheck",
     "print_condition",
 ]
@@ -86,6 +90,10 @@ class _Node:
 @dataclass(frozen=True)
 class Literal(_Node):
     value: bool
+
+    def __post_init__(self) -> None:
+        if type(self.value) is not bool:
+            raise ValueError(f"literal is not a boolean: {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -337,8 +345,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     Every leaf is computed on every call, so if anything fails, the leaves
     rerun one by one in first-occurrence order: a kind mismatch raises at
     the first mismatching leaf in condition order, whatever the other
-    operands yield. The trees are walked with an explicit stack, so depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    operands yield. Each tree is read in post-order from ``_postfix``.
     """
     leaves: list[Condition] = []
     leaf_index: dict[Condition, int] = {}
@@ -356,21 +363,17 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         return index
 
     for cond in conds:
-        work: list[Any] = [cond]
         refs: list[int] = []
-        while work:
-            item = work.pop()
-            if isinstance(item, (And, Or)):
-                work += (_AND if isinstance(item, And) else _OR, item.right, item.left)
-            elif isinstance(item, Not):
-                work += (_NOT, item.inner)
-            elif item is _AND or item is _OR or item is _NOT:  # its operands are done
-                b = refs.pop()
-                a = b if item is _NOT else refs.pop()
-                steps.append((item, a, b))
-                refs.append(~(len(steps) - 1))
+        for node in _postfix(cond):
+            if isinstance(node, _LEAF_TYPES):
+                refs.append(leaf_ref(node))
+                continue
+            b = refs.pop()
+            if isinstance(node, Not):
+                steps.append((_NOT, b, b))
             else:
-                refs.append(leaf_ref(item))
+                steps.append((_AND if isinstance(node, And) else _OR, refs.pop(), b))
+            refs.append(~(len(steps) - 1))
         roots.append(refs.pop())
 
     by_field: dict[str, list[int]] = {}
@@ -442,40 +445,38 @@ def evaluate(cond: Condition, fields: Mapping[str, FieldValue]) -> Truth:
     return _TRUTHS[program(fields)[0]]
 
 
-def _leaves(cond: Condition) -> list[Condition]:
-    """The condition's leaves, walked with an explicit stack."""
-    leaves = []
+def _postfix(cond: Condition) -> list[Condition]:
+    """The tree's nodes in post-order: operands left to right, each
+    connective after its operands. The tree is walked with an explicit
+    stack, so its depth is bounded by memory, not by the recursion limit.
+    """
+    # Node first, then the right operand's subtree, then the left one's:
+    # the reverse of post-order.
+    order = []
     work = [cond]
     while work:
         node = work.pop()
+        order.append(node)
         if isinstance(node, (And, Or)):
-            work += (node.right, node.left)
+            work += (node.left, node.right)
         elif isinstance(node, Not):
             work.append(node.inner)
-        elif isinstance(node, _LEAF_TYPES):
-            leaves.append(node)
-        else:
+        elif not isinstance(node, _LEAF_TYPES):
             raise TypeError(f"not a condition node: {node!r}")
-    return leaves
+    order.reverse()
+    return order
 
 
 def referenced_fields(cond: Condition) -> frozenset[str]:
     """Every field name the condition mentions, guards included."""
-    return frozenset(leaf.field_name for leaf in _leaves(cond) if not isinstance(leaf, Literal))
+    return frozenset(node.field_name for node in _postfix(cond) if isinstance(node, _FIELD_LEAVES))
 
 
 def bare_fields(cond: Condition) -> frozenset[str]:
     """The fields the condition references bare, in comparisons and ``has``;
-    ``present`` and ``absent`` resolve either way."""
-    return frozenset(leaf.field_name for leaf in _leaves(cond) if isinstance(leaf, (Comparison, Has)))
-
-
-def unresolved_fields(cond: Condition, fields: Mapping[str, FieldValue]) -> frozenset[str]:
-    """Fields whose absence can make the condition indeterminate: its bare
-    references missing from the case. Whenever ``evaluate`` returns
-    INDETERMINATE this set is non-empty.
-    """
-    return frozenset(name for name in bare_fields(cond) if name not in fields)
+    ``present`` and ``absent`` resolve either way. Whenever ``evaluate``
+    returns INDETERMINATE, one of them is missing from the case."""
+    return frozenset(node.field_name for node in _postfix(cond) if isinstance(node, (Comparison, Has)))
 
 
 def _err(code: str, message: str, node: _Node) -> Diagnostic:
@@ -483,68 +484,46 @@ def _err(code: str, message: str, node: _Node) -> Diagnostic:
 
 
 def typecheck(cond: Condition, schema: Mapping[str, "FieldDecl"]) -> list[Diagnostic]:
-    """Static checks of a condition against a field schema.
+    """Static checks of a condition against a field schema, one diagnostic
+    at most per leaf, in leaf order.
 
     Reports unknown fields, operator/kind mismatches (ordering is defined
     only for integer and decimal fields), and token literals outside a
     closed enumeration.
     """
-    diags: list[Diagnostic] = []
-
-    def check(node: Condition) -> None:
-        if isinstance(node, Literal):
-            return
-        if isinstance(node, (And, Or)):
-            check(node.left)
-            check(node.right)
-            return
-        if isinstance(node, Not):
-            check(node.inner)
-            return
-        decl = schema.get(node.field_name)
-        if decl is None:
-            diags.append(_err("unknown_field", f"condition references undeclared field '{node.field_name}'", node))
-            return
-        if isinstance(node, (Present, Absent)):
-            return
-        if isinstance(node, Has):
-            if decl.kind is not FieldKind.TOKEN_SET:
-                diags.append(
-                    _err("type_mismatch", f"'has' requires a tokenset field, '{node.field_name}' is {decl.kind.value}", node)
-                )
-            elif decl.enum is not None and node.token not in decl.enum:
-                diags.append(
-                    _err("unknown_enum_token", f"token '{node.token}' is outside the enumeration of '{node.field_name}'", node)
-                )
-            return
-        assert isinstance(node, Comparison)
-        kind = decl.kind
-        lit = node.literal
-        if kind is FieldKind.TOKEN_SET:
-            diags.append(_err("type_mismatch", f"tokenset field '{node.field_name}' admits only 'has'", node))
-            return
-        if node.op in _ORDERING_OPS and kind not in (FieldKind.INTEGER, FieldKind.DECIMAL):
-            diags.append(
-                _err("type_mismatch", f"ordering comparison on {kind.value} field '{node.field_name}'", node)
-            )
-            return
-        compatible = lit.kind is kind or (kind is FieldKind.DECIMAL and lit.kind is FieldKind.INTEGER)
-        if not compatible:
-            diags.append(
-                _err(
-                    "type_mismatch",
-                    f"{lit.kind.value} literal compared against {kind.value} field '{node.field_name}'",
-                    node,
-                )
-            )
-            return
-        if kind is FieldKind.TOKEN and decl.enum is not None and lit.value not in decl.enum:
-            diags.append(
-                _err("unknown_enum_token", f"token '{lit.value}' is outside the enumeration of '{node.field_name}'", node)
-            )
-
-    check(cond)
+    diags = []
+    for node in _postfix(cond):
+        if isinstance(node, _FIELD_LEAVES):
+            diag = _leaf_error(node, schema.get(node.field_name))
+            if diag is not None:
+                diags.append(diag)
     return diags
+
+
+def _leaf_error(node: Condition, decl: "FieldDecl | None") -> Diagnostic | None:
+    """The diagnostic of one field leaf, or None."""
+    name = node.field_name
+    if decl is None:
+        return _err("unknown_field", f"condition references undeclared field '{name}'", node)
+    if isinstance(node, (Present, Absent)):
+        return None
+    kind = decl.kind
+    if isinstance(node, Has):
+        if kind is not FieldKind.TOKEN_SET:
+            return _err("type_mismatch", f"'has' requires a tokenset field, '{name}' is {kind.value}", node)
+        if decl.enum is not None and node.token not in decl.enum:
+            return _err("unknown_enum_token", f"token '{node.token}' is outside the enumeration of '{name}'", node)
+        return None
+    lit = node.literal
+    if kind is FieldKind.TOKEN_SET:
+        return _err("type_mismatch", f"tokenset field '{name}' admits only 'has'", node)
+    if node.op in _ORDERING_OPS and kind not in (FieldKind.INTEGER, FieldKind.DECIMAL):
+        return _err("type_mismatch", f"ordering comparison on {kind.value} field '{name}'", node)
+    if not (lit.kind is kind or (kind is FieldKind.DECIMAL and lit.kind is FieldKind.INTEGER)):
+        return _err("type_mismatch", f"{lit.kind.value} literal compared against {kind.value} field '{name}'", node)
+    if kind is FieldKind.TOKEN and decl.enum is not None and lit.value not in decl.enum:
+        return _err("unknown_enum_token", f"token '{lit.value}' is outside the enumeration of '{name}'", node)
+    return None
 
 
 def _literal_text(literal: FieldValue) -> str:
@@ -557,20 +536,22 @@ def _literal_text(literal: FieldValue) -> str:
 
 def print_condition(cond: Condition) -> str:
     """Deterministic, re-parsable text form; doubles as the canonical form."""
-    if isinstance(cond, Literal):
-        return "true" if cond.value else "false"
-    if isinstance(cond, Present):
-        return f"present({cond.field_name})"
-    if isinstance(cond, Absent):
-        return f"absent({cond.field_name})"
-    if isinstance(cond, Comparison):
-        return f"{cond.field_name} {cond.op} {_literal_text(cond.literal)}"
-    if isinstance(cond, Has):
-        return f"{cond.field_name} has {cond.token}"
-    if isinstance(cond, And):
-        return f"({print_condition(cond.left)} and {print_condition(cond.right)})"
-    if isinstance(cond, Or):
-        return f"({print_condition(cond.left)} or {print_condition(cond.right)})"
-    if isinstance(cond, Not):
-        return f"(not {print_condition(cond.inner)})"
-    raise TypeError(f"not a condition node: {cond!r}")
+    texts: list[str] = []
+    for node in _postfix(cond):
+        if isinstance(node, Comparison):
+            text = f"{node.field_name} {node.op} {_literal_text(node.literal)}"
+        elif isinstance(node, (And, Or)):
+            right = texts.pop()
+            text = f"({texts.pop()} {'and' if isinstance(node, And) else 'or'} {right})"
+        elif isinstance(node, Not):
+            text = f"(not {texts.pop()})"
+        elif isinstance(node, Has):
+            text = f"{node.field_name} has {node.token}"
+        elif isinstance(node, Literal):
+            text = "true" if node.value else "false"
+        elif isinstance(node, Present):
+            text = f"present({node.field_name})"
+        else:
+            text = f"absent({node.field_name})"
+        texts.append(text)
+    return texts.pop()

@@ -106,9 +106,12 @@ class _ParseError(Exception):
 
 
 # The greatest height a condition tree may have: the most of "not", "and"
-# and "or" on a path from the whole condition down to one of its terms. A
-# tree is at most this deep, which keeps checking, printing and hashing a
-# policy well inside the interpreter's default recursion limit.
+# and "or" on a path from the whole condition down to one of its terms.
+# With _MAX_OPEN it bounds the recursive-descent parser, and the text
+# ``format_policy`` prints for any tree it admits parses back. A tree built
+# in code may be deeper: checking, printing and hashing walk trees with an
+# explicit stack, so its policy still hashes, validates, formats and
+# decides, but the formatted text is refused with nesting_too_deep.
 MAX_NESTING = 100
 # The most "(" and "not" open at one point of a condition's text. Printing
 # wraps each "and", "or" and "not" in parentheses, so the printed text of a

@@ -23,6 +23,7 @@ from .condition import (
     Comparison,
     Condition,
     Literal,
+    _postfix,
     print_condition,
     referenced_fields,
 )
@@ -270,16 +271,13 @@ class Policy:
 
 def _boolean_conjunct_atoms(cond: Condition) -> frozenset[tuple[str, bool]] | None:
     """Atoms of a pure conjunction of boolean equality tests, else None."""
-    if isinstance(cond, Comparison) and cond.literal.kind is FieldKind.BOOLEAN and cond.op in ("==", "!="):
-        wanted = bool(cond.literal.value) if cond.op == "==" else not cond.literal.value
-        return frozenset(((cond.field_name, wanted),))
-    if isinstance(cond, And):
-        left = _boolean_conjunct_atoms(cond.left)
-        right = _boolean_conjunct_atoms(cond.right)
-        if left is None or right is None:
+    atoms = set()
+    for node in _postfix(cond):
+        if isinstance(node, Comparison) and node.literal.kind is FieldKind.BOOLEAN and node.op in ("==", "!="):
+            atoms.add((node.field_name, bool(node.literal.value) == (node.op == "==")))
+        elif not isinstance(node, And):
             return None
-        return left | right
-    return None
+    return frozenset(atoms)
 
 
 def validate_policy(policy: Policy) -> list[Diagnostic]:

@@ -6,7 +6,8 @@ Truth values are Python's ``True``/``False``/``None`` (``None`` meaning
 "cannot be determined") instead of the engine's enum, every stage is a
 straight-line function, and no engine code is imported. It also provides
 a seeded generator of small all-boolean policies and exhaustive case
-enumerators so the equivalence check sweeps an entire input space.
+enumerators so the equivalence check sweeps an entire input space, and a
+seeded generator of small policies and cases over every field kind.
 """
 
 from __future__ import annotations
@@ -310,3 +311,132 @@ def partial_assignments(policy: Policy):
             name: FieldValue.boolean(value) for name, value in zip(names, values) if value is not None
         }
         yield CaseInput(f"p{index}", "generated", "generated", fields, _WILDCARD)
+
+
+# Every field kind, for policies whose cases cannot be enumerated: numeric
+# case values sit at, one step below and one step above every literal the
+# policies may use, integer literals included on the decimal field; tokens
+# and risk tokens fall inside and outside their vocabularies.
+_KIND_INTS = (0, 18, 65)
+_KIND_DECIMALS = (Decimal("0.5"), Decimal("39.9999"), Decimal("40.0000"))
+_KIND_TOKENS = ("a", "b", "c")
+_KIND_TAGS = ("x", "y", "z")
+_KIND_RISKS = ("k1", "k2")
+_KIND_SCHEMA = (
+    FieldDecl("n", FieldKind.INTEGER),
+    FieldDecl("w", FieldKind.DECIMAL),
+    FieldDecl("tok", FieldKind.TOKEN, enum=_KIND_TOKENS),
+    FieldDecl("tags", FieldKind.TOKEN_SET, enum=_KIND_TAGS),
+    FieldDecl("risk", FieldKind.TOKEN_SET, is_risk=True),
+    FieldDecl("flag", FieldKind.BOOLEAN),
+)
+_KIND_VALUES = {
+    "n": [FieldValue.integer(v + d) for v in _KIND_INTS for d in (-1, 0, 1)],
+    "w": [
+        FieldValue.decimal(v + d)
+        for v in _KIND_DECIMALS + tuple(map(Decimal, _KIND_INTS))
+        for d in (Decimal("-0.0001"), 0, Decimal("0.0001"))
+    ],
+    "tok": [FieldValue.token(t) for t in _KIND_TOKENS],
+    "flag": [FieldValue.boolean(False), FieldValue.boolean(True)],
+}
+_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _kind_leaf(rng: random.Random):
+    roll = rng.randrange(10)
+    if roll == 0:
+        return Comparison("n", rng.choice(_OPS), FieldValue.integer(rng.choice(_KIND_INTS)))
+    if roll == 1:
+        return Comparison("w", rng.choice(_OPS), FieldValue.decimal(rng.choice(_KIND_DECIMALS)))
+    if roll == 2:
+        return Comparison("w", rng.choice(_OPS), FieldValue.integer(rng.choice(_KIND_INTS)))
+    if roll == 3:
+        return Comparison("tok", rng.choice(("==", "!=")), FieldValue.token(rng.choice(_KIND_TOKENS)))
+    if roll == 4:
+        return Comparison("flag", rng.choice(("==", "!=")), FieldValue.boolean(rng.random() < 0.5))
+    if roll == 5:
+        return Has("tags", rng.choice(_KIND_TAGS))
+    if roll == 6:
+        return Has("risk", rng.choice(_KIND_RISKS))
+    if roll == 7:
+        return Present(rng.choice(_KIND_SCHEMA).name)
+    if roll == 8:
+        return Absent(rng.choice(_KIND_SCHEMA).name)
+    return Literal(rng.random() < 0.5)
+
+
+def _kind_cond(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        return _kind_leaf(rng)
+    if roll < 0.7:
+        return And(_kind_cond(rng, depth - 1), _kind_cond(rng, depth - 1))
+    if roll < 0.9:
+        return Or(_kind_cond(rng, depth - 1), _kind_cond(rng, depth - 1))
+    return Not(_kind_cond(rng, depth - 1))
+
+
+def make_kind_policy(seed: int) -> Policy:
+    """Small policy over every field kind drawn deterministically from
+    ``seed``, with escalation-tier classes and vetoes."""
+    rng = random.Random(seed)
+    classes = [
+        ClassDecl(f"c{i}", rng.randint(1, 3), escalation_tier=rng.random() < 0.4) for i in range(rng.randint(2, 4))
+    ]
+    rule_ids = [f"r{i}" for i in range(rng.randint(2, 5))]
+    incompatible: dict[str, set[str]] = {rule_id: set() for rule_id in rule_ids}
+    for a, b in itertools.combinations(rule_ids, 2):
+        if rng.random() < 0.15:
+            incompatible[a].add(b)
+            incompatible[b].add(a)
+    rules = tuple(
+        ClinicalRule(
+            rule_id,
+            _kind_cond(rng, 2),
+            rng.choice(classes).class_id,
+            requires=tuple(decl.name for decl in _KIND_SCHEMA if rng.random() < 0.05),
+            incompatible_with=tuple(sorted(incompatible[rule_id])),
+        )
+        for rule_id in rule_ids
+    )
+    justification = _kind_cond(rng, 1)
+    if justification == Literal(False):
+        justification = Not(Literal(True))
+    return Policy(
+        policy_id=f"kinds_{seed}",
+        version="v1",
+        schema=_KIND_SCHEMA,
+        classes=tuple(classes),
+        stewardship=StewardshipSpec(
+            justification,
+            tuple(
+                StewardshipVeto(f"v{i}", rng.choice(classes).class_id, _kind_cond(rng, 1))
+                for i in range(rng.randint(1, 3))
+            ),
+        ),
+        required=tuple(decl.name for decl in _KIND_SCHEMA if rng.random() < 0.1),
+        known_risks=frozenset(_KIND_RISKS),
+        # Conjunctions, so that most cases get past the first two stages.
+        consistency=tuple(
+            ConsistencyConstraint(f"x{i}", And(_kind_leaf(rng), _kind_leaf(rng))) for i in range(rng.randint(0, 2))
+        ),
+        exclusions=tuple(
+            ExclusionRule(f"e{i}", f"EXL{i}", And(_kind_leaf(rng), _kind_leaf(rng))) for i in range(rng.randint(0, 2))
+        ),
+        clinical_rules=rules,
+    )
+
+
+def kind_cases(seed: int, count: int):
+    """``count`` cases over the every-kind schema drawn from ``seed``; each
+    field is absent one time in eight."""
+    rng = random.Random(seed)
+    for index in range(count):
+        fields = {name: rng.choice(values) for name, values in _KIND_VALUES.items()}
+        fields["tags"] = FieldValue.token_set([t for t in _KIND_TAGS if rng.random() < 0.5])
+        # One risk token in ten is outside known_risks.
+        risks = [t for t in _KIND_RISKS if rng.random() < 0.4] + (["u1"] if rng.random() < 0.1 else [])
+        fields["risk"] = FieldValue.token_set(risks)
+        fields = {name: value for name, value in fields.items() if rng.random() >= 0.125}
+        yield CaseInput(f"k{index}", "generated", "generated", fields, _WILDCARD)

@@ -21,12 +21,12 @@ from absgate.condition import (
     Or,
     Present,
     Truth,
+    bare_fields,
     compile_conditions,
     evaluate,
     print_condition,
     referenced_fields,
     typecheck,
-    unresolved_fields,
 )
 from absgate.model import FieldKind, FieldValue
 from absgate.policy import FieldDecl
@@ -92,11 +92,17 @@ def test_false_conjunct_shortcuts_missing_data():
     assert evaluate(Or(Not(known_false), unknown), fields) is T
 
 
-def test_unresolved_fields_excludes_guards():
+def test_bare_fields_exclude_guards():
     cond = And(Present("a"), Comparison("b", "==", FieldValue.boolean(True)))
-    assert unresolved_fields(cond, {}) == frozenset({"b"})
-    assert unresolved_fields(cond, _fields(b=True)) == frozenset()
-    assert unresolved_fields(Not(Has("c", "tok")), {}) == frozenset({"c"})
+    assert bare_fields(cond) == frozenset({"b"})
+    assert bare_fields(Or(Absent("a"), Not(Has("c", "tok")))) == frozenset({"c"})
+    assert bare_fields(And(Present("a"), Literal(True))) == frozenset()
+
+
+@pytest.mark.parametrize("value", [1, 0, "false", None])
+def test_literals_are_booleans(value):
+    with pytest.raises(ValueError, match="literal is not a boolean"):
+        Literal(value)
 
 
 _SCHEMA = {
@@ -301,12 +307,11 @@ def test_evaluate_rejects_foreign_nodes_nested_in_a_tree():
 
 
 # Leaves a stage program must share or keep apart correctly: equal leaves
-# (the copies below are equal, distinct objects), Literal(True) == Literal(1),
-# a decimal and an int literal against the same decimal field, present and
-# absent of one field, and the same has token twice.
+# (the copies below are equal, distinct objects), a decimal and an int
+# literal against the same decimal field, present and absent of one field,
+# and the same has token twice.
 _SHARED_LEAVES = (
     Literal(True),
-    Literal(1),
     Literal(False),
     Comparison("weight", ">=", FieldValue.decimal(Decimal("40.0"))),
     Comparison("weight", ">=", FieldValue.integer(40)),
@@ -374,7 +379,7 @@ def _group_leaves():
         st.builds(Has, st.just("flags"), st.sampled_from(_FLAGS)),
         st.builds(Present, st.sampled_from(_KIND_FIELDS)),
         st.builds(Absent, st.sampled_from(_KIND_FIELDS)),
-        st.sampled_from((Literal(True), Literal(1), Literal(False))),
+        st.builds(Literal, st.booleans()),
     )
 
 
@@ -390,18 +395,6 @@ def _group_cases(draw):
         "fever": st.booleans().map(FieldValue.boolean),
     }
     return {name: draw(strategy) for name, strategy in values.items() if draw(st.booleans())}
-
-
-def _bool_literals(cond):
-    """The condition with ``Literal(1)`` spelled ``Literal(True)``, its equal:
-    the oracle tests a literal's value with ``is``."""
-    if isinstance(cond, Literal):
-        return Literal(bool(cond.value))
-    if isinstance(cond, (And, Or)):
-        return type(cond)(_bool_literals(cond.left), _bool_literals(cond.right))
-    if isinstance(cond, Not):
-        return Not(_bool_literals(cond.inner))
-    return cond
 
 
 @st.composite
@@ -420,7 +413,7 @@ def _grouped_stages(draw):
 def test_grouped_programs_match_the_oracle(conds, cases):
     program = compile_conditions(conds)
     for fields in cases:
-        expected = [_ORACLE_TRUTH[truth_of(_bool_literals(cond), fields)] for cond in conds]
+        expected = [_ORACLE_TRUTH[truth_of(cond, fields)] for cond in conds]
         assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)
 
 
@@ -515,5 +508,5 @@ def test_evaluate_handles_trees_deeper_than_the_recursion_limit(inner):
     assert [evaluate(cond, fields) for fields in cases] == expected
     # The field walks use an explicit stack too.
     assert referenced_fields(cond) == referenced_fields(inner(Comparison("fever", "==", FieldValue.boolean(True))))
-    assert unresolved_fields(cond, {}) == frozenset({"fever"})
-    assert unresolved_fields(cond, cases[1]) == frozenset()
+    assert bare_fields(cond) == frozenset({"fever"})
+    assert bare_fields(cond).difference(cases[1]) == frozenset()

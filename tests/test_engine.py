@@ -1,13 +1,22 @@
 import copy
 import dataclasses
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absgate import decide, load_reference_policy, load_reference_suite
-from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present
+from absgate import (
+    decide,
+    format_policy,
+    load_reference_policy,
+    load_reference_suite,
+    parse_policy,
+    policy_hash,
+    validate_policy,
+)
+from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, print_condition, typecheck
 from absgate.engine import assess_inputs
 from absgate.model import (
     AbstentionCategory,
@@ -19,6 +28,7 @@ from absgate.model import (
     Verdict,
     canonical_serialize,
 )
+from absgate.policy import ConsistencyConstraint
 
 POLICY = load_reference_policy()
 
@@ -374,16 +384,83 @@ def test_a_stage_not_reached_evaluates_nothing():
         decide(policy, case())
 
 
+_DEPTH = 5000
+
+
+def _deep_rule():
+    """A condition _DEPTH levels deep; every level keeps the truth value of
+    the weight comparison at its bottom."""
+    cond = Comparison("weight_kg", "<", FieldValue.decimal("40.0"))
+    for level in range(_DEPTH):
+        cond = (Not(cond), And(cond, Present("fever")), Or(Absent("age"), cond))[level % 3]
+    return cond
+
+
+_CHAINED = ("fever", "beta_lactam_allergy", "renal_impairment")
+
+
+def _deep_chain():
+    """A left-deep ``and`` of _DEPTH boolean tests, false on ``case()``."""
+    cond = Comparison(_CHAINED[0], "==", FieldValue.boolean(True))
+    for n in range(1, _DEPTH):
+        cond = And(cond, Comparison(_CHAINED[n % 3], "==", FieldValue.boolean(True)))
+    return cond
+
+
+def _deep_policy():
+    """The deep rule as r0, and the chain as both r1 and a consistency constraint."""
+    chain = _deep_chain()
+    policy = _with_rules(_deep_rule(), chain)
+    return dataclasses.replace(policy, consistency=(*policy.consistency, ConsistencyConstraint("c_deep", chain)))
+
+
 def test_a_rule_deeper_than_the_recursion_limit_builds_and_abstains():
     # Built in code: the parser bounds nesting, a Policy built directly
-    # does not. Every level keeps the weight comparison's truth value.
-    cond = Comparison("weight_kg", "<", FieldValue.decimal("40.0"))
-    for level in range(5000):
-        cond = (Not(cond), And(cond, Present("fever")), Or(Absent("age"), cond))[level % 3]
-    policy = _with_rules(cond)
+    # does not.
+    policy = _with_rules(_deep_rule())
     output, trace = decide(policy, case(drop=("weight_kg",)))
     assert output.reason.category is AbstentionCategory.MISSING_INPUTS
     assert labels(output) == ["weight_kg"]
     assert trace.stages[-1].evaluated == (("r0", Verdict.INDETERMINATE),)
     output, trace = decide(policy, case(weight_kg="35.0"))
     assert labels(output) == ["no_candidate"]
+
+
+def test_a_policy_deeper_than_the_recursion_limit_hashes_validates_and_decides():
+    assert sys.getrecursionlimit() < _DEPTH
+    policy = _deep_policy()
+    digest = policy_hash(policy)
+    assert digest == policy_hash(_deep_policy()) != policy_hash(_with_rules(_deep_rule()))
+    # The chain's conjuncts, walked to the full depth, cover the constraint's.
+    assert [(d.code, d.message) for d in validate_policy(policy)] == [
+        ("unreachable_rule", "rule 'r1' contradicts consistency constraint 'c_deep'")
+    ]
+    output, trace = decide(policy, case(drop=("weight_kg",)))
+    assert labels(output) == ["weight_kg"]
+    assert trace.stages[-1].evaluated == (("r0", Verdict.INDETERMINATE), ("r1", Verdict.NOT_FIRED))
+    output, _ = decide(policy, case(**{name: True for name in _CHAINED}))
+    assert output.reason.category is AbstentionCategory.CONFLICTING_SIGNALS
+    assert labels(output) == ["c_deep"]
+
+
+def test_a_policy_deeper_than_the_recursion_limit_typechecks():
+    assert sys.getrecursionlimit() < _DEPTH
+    schema = _deep_policy().field_map()
+    assert typecheck(_deep_rule(), schema) == typecheck(_deep_chain(), schema) == []
+    del schema["weight_kg"]
+    assert [d.message for d in typecheck(_deep_rule(), schema)] == ["condition references undeclared field 'weight_kg'"]
+    del schema["renal_impairment"]
+    assert len(typecheck(_deep_chain(), schema)) == _DEPTH // 3
+
+
+def test_a_policy_deeper_than_the_recursion_limit_formats_but_does_not_reparse():
+    assert sys.getrecursionlimit() < _DEPTH
+    chain = _deep_chain()
+    tail = "".join(f" and {_CHAINED[n % 3]} == true)" for n in range(1, _DEPTH))
+    assert print_condition(chain) == "(" * (_DEPTH - 1) + "fever == true" + tail
+    text = format_policy(_deep_policy())
+    assert f"consistency c_deep forbid {print_condition(chain)}\n" in text
+    # Its text nests deeper than the parser admits: a diagnostic, not an exception.
+    policy, diags = parse_policy(text)
+    assert policy is None
+    assert "nesting_too_deep" in {d.code for d in diags}

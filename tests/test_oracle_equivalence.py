@@ -13,6 +13,8 @@ from absgate import decide, has_errors, load_reference_policy, load_reference_su
 from oracle import (
     as_tuple,
     full_assignments,
+    kind_cases,
+    make_kind_policy,
     make_mini_policy,
     oracle_decide,
     partial_assignments,
@@ -58,3 +60,28 @@ def test_engine_matches_oracle_on_the_reference_suite():
         expected = oracle_decide(policy, case)
         actual = as_tuple(decide(policy, case)[0])
         assert actual == expected, (case.case_id, expected, actual)
+
+
+def test_engine_matches_oracle_on_every_field_kind():
+    seen = set()
+    for seed in range(80):
+        policy = make_kind_policy(seed)
+        assert not has_errors(validate_policy(policy)), seed
+        for case in kind_cases(seed, 40):
+            expected = oracle_decide(policy, case)
+            actual = as_tuple(decide(policy, case)[0])
+            assert actual == expected, (seed, case.case_id, expected, actual)
+            seen.add(expected[1] if expected[0] == "abstain" else "recommend")
+            if expected[1] == "conservative_ambiguity":
+                seen.add(expected[2][0] if expected[2][0] == "all_candidates_vetoed" else "tie_or_none")
+    # Every outcome, unknown risks and vetoed candidates included, is swept.
+    assert seen == {
+        "recommend",
+        "missing_inputs",
+        "conflicting_signals",
+        "unknown_risk",
+        "explicit_exclusion",
+        "conservative_ambiguity",
+        "all_candidates_vetoed",
+        "tie_or_none",
+    }

@@ -143,6 +143,27 @@ def test_validate_policy_semantic_checks(mutation, code, severity):
     assert all(d.severity.value == severity for d in matched)
 
 
+@pytest.mark.parametrize(
+    ("when", "flagged"),
+    [
+        ("(b == false and (a == true and b != true))", True),
+        # The check is syntactic: any other node makes it pass the rule.
+        ("(a == true or b == false)", False),
+        ("(b == false and (not (not a == true)))", False),
+        ("(a == true and (b == false and present(b)))", False),
+    ],
+)
+def test_unreachable_rule_reads_only_conjunctions_of_boolean_tests(when, flagged):
+    text = MINIMAL.replace("field a : bool\n", "field a : bool\nfield b : bool\n").replace(
+        "rule r1 when a == true candidate c1\n",
+        f"consistency x1 forbid (a == true and b == false)\nrule r1 when {when} candidate c1\n",
+    )
+    policy, diags = parse_policy(text)
+    assert policy is not None and diags == []
+    codes = [d.code for d in validate_policy(policy)]
+    assert codes == (["unreachable_rule"] if flagged else [])
+
+
 def test_validate_policy_passes_clean_text():
     policy, _ = parse_policy(MINIMAL)
     assert policy is not None
