@@ -16,15 +16,19 @@ Rete (Forgy, 1982) and the predicate indexing of Fabret et al. (SIGMOD
 from one lookup of the case value in a table built from the literals (a
 row per boolean or token literal, a row per region between sorted numeric
 literals, a membership test per ``has`` token); any other leaf is one
-function call. Every leaf is computed on every call; on any failure the
+function call. Every leaf is computed on every call, and a tree's
+connective steps run only if its sentinel is not FALSE: the sentinel is
+the first leaf among the conjuncts of the tree's top ``and`` chain, and a
+FALSE conjunct already makes the whole tree FALSE. On any failure the
 leaves rerun one by one in condition order, so the first mismatching leaf
 raises. The engine builds one program per policy stage; ``evaluate``
 builds a one-condition program and caches it on the node.
 
-Compiling, the field sets, ``typecheck`` and ``print_condition`` all read a
-tree in post-order from one explicit-stack walk (``_postfix``), so a
-tree's depth is bounded by memory, not by the interpreter's recursion
-limit.
+Compiling, the field sets, ``typecheck``, ``print_condition`` and the
+connectives' ``==`` and ``hash`` all read a tree in post-order from one
+explicit-stack walk (``_postfix``), so a tree's depth is bounded by memory,
+not by the interpreter's recursion limit. The generated ``repr``, and
+``pickle`` and ``copy.deepcopy``, still recurse once per level.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
@@ -123,21 +128,45 @@ class Has(_Node):
     token: str
 
 
+# Connectives compare and hash through ``_postfix``, not field by field, so
+# a tree's depth is bounded by memory here too. A post-order with fixed
+# arities spells exactly one tree, so two trees are equal when their
+# post-orders agree node by node: connectives by class, leaves by their
+# own generated equality.
+def _tree_eq(self: "Condition", other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    mine, theirs = _postfix(self), _postfix(other)
+    return len(mine) == len(theirs) and all(
+        a.__class__ is b.__class__ and (not isinstance(a, _LEAF_TYPES) or a == b) for a, b in zip(mine, theirs)
+    )
+
+
+def _tree_hash(self: "Condition") -> int:
+    return hash(tuple([node if isinstance(node, _LEAF_TYPES) else node.__class__ for node in _postfix(self)]))
+
+
 @dataclass(frozen=True)
 class And(_Node):
     left: "Condition"
     right: "Condition"
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True)
 class Or(_Node):
     left: "Condition"
     right: "Condition"
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True)
 class Not(_Node):
     inner: "Condition"
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 Condition = Union[Literal, Comparison, Present, Absent, Has, And, Or, Not]
@@ -342,16 +371,28 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     lookup of the case value gives all their truth values from a table
     (``_group``); every other leaf is one atom call. Each ``and``, ``or``
     and ``not`` is then one table step over the slots computed before it.
-    Every leaf is computed on every call, so if anything fails, the leaves
-    rerun one by one in first-occurrence order: a kind mismatch raises at
-    the first mismatching leaf in condition order, whatever the other
-    operands yield. Each tree is read in post-order from ``_postfix``.
+
+    Every leaf is computed on every call, and a tree's steps run only if
+    its sentinel is not FALSE. The sentinel is the first leaf among the
+    conjuncts of the root's flattened ``and`` chain (``_sentinel``); a
+    tree with none, such as an ``or`` or ``not`` root, reads a constant
+    TRUE slot instead. A FALSE conjunct makes the whole tree FALSE, and
+    the steps' slots are preset to FALSE, so a skipped tree's root already
+    reads it. Trees whose sentinels share a slot run or skip together.
+
+    Since every leaf runs first, if anything fails the leaves rerun one by
+    one in first-occurrence order: a kind mismatch raises at the first
+    mismatching leaf in condition order, whatever the other operands yield
+    and whichever trees would be skipped. Each tree is read in post-order
+    from ``_postfix``.
     """
     leaves: list[Condition] = []
     leaf_index: dict[Condition, int] = {}
     # Operand references: n >= 0 is leaf n, ~n is step n.
     steps: list[tuple[Any, int, int]] = []
     roots: list[int] = []
+    # Per tree, its sentinel's reference, or None for the constant TRUE.
+    sentinel_refs: list[int | None] = []
 
     def leaf_ref(leaf: Condition) -> int:
         try:
@@ -363,10 +404,13 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         return index
 
     for cond in conds:
+        sentinel, sentinel_ref = _sentinel(cond), None
         refs: list[int] = []
         for node in _postfix(cond):
             if isinstance(node, _LEAF_TYPES):
                 refs.append(leaf_ref(node))
+                if node is sentinel:
+                    sentinel_ref = refs[-1]
                 continue
             b = refs.pop()
             if isinstance(node, Not):
@@ -375,6 +419,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
                 steps.append((_AND if isinstance(node, And) else _OR, refs.pop(), b))
             refs.append(~(len(steps) - 1))
         roots.append(refs.pop())
+        sentinel_refs.append(sentinel_ref)
 
     by_field: dict[str, list[int]] = {}
     for index, leaf in enumerate(leaves):
@@ -393,13 +438,26 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
                 groups.append(group)
                 grouped += members
     # Slots hold the single atoms' values, then each group's, then the
-    # steps'. A step reference ~n counts from the end of ``position``, so
-    # the steps' slots are listed there in reverse.
+    # constant TRUE, then the steps'. A step reference ~n counts from the
+    # end of ``position``, so the steps' slots are listed there in reverse.
+    # Every slot number is one int object, shared by all that name it.
     in_group = set(grouped)
     singles = [index for index in range(len(leaves)) if index not in in_group]
-    position = [0] * len(leaves) + list(range(len(leaves) + len(steps) - 1, len(leaves) - 1, -1))
+    true_slot = len(leaves)
+    position = [0] * len(leaves) + list(range(true_slot + len(steps), true_slot, -1))
     for slot, index in enumerate(singles + grouped):
         position[index] = slot
+    # The steps of the trees behind each sentinel slot, as (table, operand
+    # slot, operand slot, own slot). A tree's steps end with its root's.
+    gated: dict[int, list[tuple[Any, int, int, int]]] = {}
+    start = 0
+    for root, ref in zip(roots, sentinel_refs):
+        if root < 0:
+            gated.setdefault(true_slot if ref is None else position[ref], []).extend(
+                (table, position[a], position[b], position[~n])
+                for n, (table, a, b) in enumerate(steps[start : ~root + 1], start)
+            )
+            start = ~root + 1
 
     def ordered(fields: Mapping[str, FieldValue]) -> list[int]:
         # The error path: the first leaf in condition order that fails
@@ -414,8 +472,16 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         atoms=tuple([_atom(leaves[index]) for index in singles]),
         groups=tuple(groups),
         ordered=ordered,
-        steps=tuple([(table, position[a], position[b]) for table, a, b in steps]),
+        # The constant TRUE and the steps' presets, a byte each: a list
+        # extended by bytes gains their values as ints.
+        preset=bytes([_TRUE] + [_FALSE] * len(steps)),
+        # Two trailing reads of the TRUE slot keep the result a tuple however
+        # few sentinels there are; ``compress`` stops at the last one.
+        sentinels=operator.itemgetter(*gated, true_slot, true_slot),
+        gated=tuple(map(tuple, gated.values())),
         roots=tuple(map(position.__getitem__, roots)),
+        compress=compress,
+        flatten=chain.from_iterable,
     ):
         try:
             slots = [atom(fields) for atom in atoms]
@@ -423,9 +489,9 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
                 slots += group(fields)
         except Exception:
             slots = ordered(fields)
-        append = slots.append
-        for table, a, b in steps:
-            append(table[slots[a]][slots[b]])
+        slots += preset
+        for table, a, b, out in flatten(compress(gated, sentinels(slots))):
+            slots[out] = table[slots[a]][slots[b]]
         return [slots[root] for root in roots]
 
     return program
@@ -465,6 +531,19 @@ def _postfix(cond: Condition) -> list[Condition]:
             raise TypeError(f"not a condition node: {node!r}")
     order.reverse()
     return order
+
+
+def _sentinel(cond: Condition) -> Condition | None:
+    """The first leaf among the conjuncts of the root's flattened ``and``
+    chain, or None when no conjunct is a leaf. Only the chain is walked."""
+    work = [cond]
+    while work:
+        node = work.pop()
+        if isinstance(node, And):
+            work += (node.right, node.left)
+        elif isinstance(node, _LEAF_TYPES):
+            return node
+    return None
 
 
 def referenced_fields(cond: Condition) -> frozenset[str]:

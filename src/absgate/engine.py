@@ -24,9 +24,11 @@ once per ``Policy`` into one program over field-grouped leaves
 risk-field names, each exclusion's and rule's bare-reference fields, and the
 clinical rules in rule-id order with their ``(rule_id, verdict)`` pair for
 each truth value, so stage 3 appends ready-made pairs in trace order. A
-stage's program runs only when the stage is reached, and evaluates every
-condition of the stage, so a kind mismatch raises whatever the other
-conditions yield, at the first mismatching leaf in declaration order.
+stage's program runs only when the stage is reached. It computes every
+leaf of every condition of the stage, so a kind mismatch raises whatever
+the other conditions yield, at the first mismatching leaf in declaration
+order; a condition's connective steps then run only if its sentinel
+conjunct is not FALSE.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace.

@@ -4,9 +4,10 @@ import sys
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from absgate import condition
 from absgate.condition import (
     _AND,
     _NOT,
@@ -510,3 +511,167 @@ def test_evaluate_handles_trees_deeper_than_the_recursion_limit(inner):
     assert referenced_fields(cond) == referenced_fields(inner(Comparison("fever", "==", FieldValue.boolean(True))))
     assert bare_fields(cond) == frozenset({"fever"})
     assert bare_fields(cond).difference(cases[1]) == frozenset()
+
+
+# Connectives compare and hash structurally, ignoring source positions,
+# through the same post-order walk as everything else.
+_X = Comparison("age", "==", FieldValue.integer(1))
+_Y = Present("fever")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (And(_X, _Y), Or(_X, _Y)),
+        (And(_X, _Y), And(_Y, _X)),
+        # Same leaves in the same order, grouped differently.
+        (And(And(_X, _Y), _X), And(_X, And(_Y, _X))),
+        (Not(_X), _X),
+        (Not(Not(_X)), Not(_X)),
+        (Or(_X, Not(_Y)), Or(_X, Not(Absent("fever")))),
+        (And(_X, _Y), 3),
+        (Not(_X), None),
+    ],
+)
+def test_distinct_trees_are_unequal(left, right):
+    assert left != right and right != left
+    assert not left == right
+
+
+def test_equal_trees_ignore_positions_and_hash_alike():
+    built = Or(And(_X, Not(_Y), line=3, col=7), Literal(True), line=1)
+    again = Or(And(copy.copy(_X), Not(Present("fever"))), Literal(True))
+    assert built == again and hash(built) == hash(again)
+    assert {built: "first"}[again] == "first"
+    assert len({built, again, And(_X, Not(_Y))}) == 2
+
+
+@given(_kind_conditions(), _kind_conditions())
+def test_connective_equality_matches_the_printed_form(cond, other):
+    assert cond == copy.deepcopy(cond) and hash(cond) == hash(copy.deepcopy(cond))
+    assert (cond == other) is (print_condition(cond) == print_condition(other))
+    if cond == other:
+        assert hash(cond) == hash(other)
+
+
+# Programs skip the steps of a tree whose sentinel, the first leaf among the
+# conjuncts of its top ``and`` chain, is FALSE.
+_MALE = Comparison("sex", "==", FieldValue.token("male"))
+_FEVER = Comparison("fever", "==", FieldValue.boolean(True))
+
+
+@pytest.fixture
+def step_reads(monkeypatch):
+    """Table reads of the steps of programs compiled after it is set up;
+    each step reads its table once."""
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, index):
+            reads.append(self)
+            return tuple.__getitem__(self, index)
+
+    for name in ("_AND", "_OR", "_NOT"):
+        monkeypatch.setattr(condition, name, Counted(getattr(condition, name)))
+    return reads
+
+
+# (tree, its number of steps, whether its steps run whatever sex is)
+_COUNTED_TREES = (
+    (And(And(_MALE, Or(Present("age"), Absent("age"))), Not(_FEVER)), 4, False),
+    # The sentinel is the first leaf among the conjuncts, not the first leaf.
+    (And(Or(Present("age"), _FEVER), _MALE), 2, False),
+    (Or(_MALE, _FEVER), 1, True),
+    (Not(And(_MALE, _FEVER)), 2, True),
+    # No conjunct is a leaf.
+    (And(Or(_MALE, _FEVER), Not(_MALE)), 3, True),
+    (_MALE, 0, True),
+    (Present("age"), 0, True),
+)
+
+
+@pytest.mark.parametrize("tree, steps, always", _COUNTED_TREES)
+@pytest.mark.parametrize("sex", ["female", "male", None])
+def test_a_false_sentinel_skips_every_step_of_its_tree(step_reads, tree, steps, always, sex):
+    fields = _fields(fever=True, **({} if sex is None else {"sex": sex}))
+    program = compile_conditions([tree])
+    assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value]
+    assert len(step_reads) == (steps if always or sex != "female" else 0)
+
+
+def test_each_tree_runs_or_skips_on_its_own_sentinel(step_reads):
+    trees = [tree for tree, _, _ in _COUNTED_TREES]
+    program = compile_conditions(trees)
+    for sex, skipped in (("female", 6), ("male", 0)):
+        step_reads.clear()
+        fields = _fields(fever=False, age=3, sex=sex)
+        assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value for tree in trees]
+        assert len(step_reads) == sum(steps for _, steps, _ in _COUNTED_TREES) - skipped
+
+
+# Built in code, past the named constructors: a list literal cannot be
+# hashed, so each occurrence gets a slot of its own.
+_LISTED = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
+
+
+def test_an_unhashable_sentinel_keeps_its_one_slot(monkeypatch):
+    built, atom = [], condition._atom
+
+    def counting_atom(leaf):
+        built.append(leaf)
+        return atom(leaf)
+
+    monkeypatch.setattr(condition, "_atom", counting_atom)
+    tree = And(_LISTED, Not(Present("age")))
+    program = compile_conditions([tree])
+    # One atom per leaf: the sentinel reads its leaf's slot.
+    assert built == [_LISTED, Present("age")]
+    for fields in ({}, _fields(sex="male"), _fields(sex="male", age=1)):
+        assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value]
+
+
+def test_a_mismatch_in_a_skipped_tree_still_raises_first():
+    mismatched = Comparison("age", "==", FieldValue.token("old"))
+    fields = _fields(age=70, sex="female")
+    for conds, message in (
+        ([And(_MALE, mismatched), Has("age", "tok")], "comparison across kinds"),
+        ([And(_MALE, Has("age", "tok")), And(_MALE, mismatched)], "has applied to non-set field"),
+        ([_MALE, Or(Literal(True), Has("age", "tok")), And(And(_MALE, _FEVER), mismatched)], "has applied"),
+    ):
+        program = compile_conditions(conds)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                program(fields)
+
+
+@st.composite
+def _gated_programs(draw):
+    """Programs of 0-8 trees sharing leaves from one small pool, most of them
+    ``(leaf and tree)`` or longer ``and`` chains, so sentinels are shared
+    and come out FALSE, INDETERMINATE and TRUE."""
+    pool = draw(st.lists(st.one_of(_kind_atoms(), st.just(_LISTED)), min_size=1, max_size=6))
+    leaves = st.sampled_from(pool)
+    inner = st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)),
+        max_leaves=5,
+    )
+    trees = st.one_of(
+        leaves,
+        st.builds(And, leaves, inner),
+        st.builds(And, st.builds(And, inner, leaves), inner),
+        st.builds(Or, leaves, inner),
+        inner,
+    )
+    return draw(st.lists(trees, max_size=8))
+
+
+@given(_gated_programs(), st.lists(_kind_cases(), min_size=1, max_size=6))
+@example([], [{}])
+@example([And(_LISTED, _FEVER)], [_fields(sex="male", fever=True), {}])
+@example([Or(_MALE, _FEVER), And(_MALE, _FEVER), _MALE], [_fields(sex="female", fever=True)])
+def test_gated_programs_match_the_oracle(conds, cases):
+    program = compile_conditions(conds)
+    for fields in cases:
+        expected = [_ORACLE_TRUTH[truth_of(cond, fields)] for cond in conds]
+        assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)

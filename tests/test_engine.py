@@ -464,3 +464,19 @@ def test_a_policy_deeper_than_the_recursion_limit_formats_but_does_not_reparse()
     policy, diags = parse_policy(text)
     assert policy is None
     assert "nesting_too_deep" in {d.code for d in diags}
+
+
+def test_trees_deeper_than_the_recursion_limit_compare_and_hash():
+    assert sys.getrecursionlimit() < _DEPTH
+    rule, chain = _deep_rule(), _deep_chain()
+    assert rule == _deep_rule() and chain == _deep_chain()
+    assert hash(rule) == hash(_deep_rule()) and hash(chain) == hash(_deep_chain())
+    assert rule != chain
+    # The same tree with the leaf at its bottom changed.
+    other = Comparison("weight_kg", "<", FieldValue.decimal("41.0"))
+    for level in range(_DEPTH):
+        other = (Not(other), And(other, Present("fever")), Or(Absent("age"), other))[level % 3]
+    assert rule != other
+    assert len({rule, _deep_rule(), chain, _deep_chain(), other}) == 3
+    assert _deep_policy() == _deep_policy()
+    assert _deep_policy() != _with_rules(_deep_rule(), chain)
