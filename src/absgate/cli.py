@@ -64,7 +64,7 @@ def _emit(diags: Sequence[Diagnostic]) -> None:
 def _read_text(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ERROR unreadable_file 0:0 {path}: {exc}", file=sys.stderr)
         return None
 

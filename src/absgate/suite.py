@@ -5,6 +5,13 @@ least one case. Parsing checks shape and vocabulary; binding type-checks
 every case field against a policy schema and verifies expected class ids,
 so anything that survives both steps can be decided without surprises.
 
+Suites repeat themselves: cases draw their fields from a few booleans,
+tokens, small ints and token sets. One parse builds each distinct accepted
+field value and expectation once, and the cases share them; binding checks
+each distinct accepted (field name, value) pair once. Only successes are
+kept, and only for the one call, so a rejected value is parsed again and
+reports with every case that carries it.
+
 The canonical suite form orders cases by id and mechanisms lexicographically,
 making ``suite_hash`` insensitive to source ordering while any change to
 fields, descriptions, or expected behaviors changes the digest.
@@ -93,7 +100,17 @@ def _parse_expect(raw: Any, case_id: str, diags: list[Diagnostic]) -> ExpectedBe
     return None
 
 
-def _parse_case(raw: Any, index: int, mechanisms: tuple[str, ...], diags: list[Diagnostic]) -> CaseInput | None:
+def _parse_case(
+    raw: Any,
+    index: int,
+    mechanisms: tuple[str, ...],
+    names: set[str],
+    values: dict[tuple[Any, Any], FieldValue],
+    expectations: dict[Any, ExpectedBehavior],
+    diags: list[Diagnostic],
+) -> CaseInput | None:
+    # ``names``, ``values`` and ``expectations`` hold what this parse has
+    # accepted so far.
     if not isinstance(raw, dict):
         _err(diags, "malformed_case", f"case #{index} is not an object")
         return None
@@ -108,6 +125,12 @@ def _parse_case(raw: Any, index: int, mechanisms: tuple[str, ...], diags: list[D
     if not isinstance(description, str):
         _err(diags, "malformed_case", f"case '{case_id}': description must be a string")
         return None
+    # A JSON escape can spell a lone surrogate, which no UTF-8 output can hold.
+    try:
+        description.encode("utf-8")
+    except UnicodeEncodeError:
+        _err(diags, "malformed_case", f"case '{case_id}': description is not valid Unicode text")
+        return None
     mechanism = raw.get("mechanism")
     if not isinstance(mechanism, str) or not TOKEN_RE.match(mechanism):
         _err(diags, "malformed_case", f"case '{case_id}': mechanism must be a token")
@@ -121,17 +144,38 @@ def _parse_case(raw: Any, index: int, mechanisms: tuple[str, ...], diags: list[D
         return None
     fields: dict[str, FieldValue] = {}
     ok = True
-    for name, value in raw_fields.items():
-        if not IDENT_RE.match(name):
-            _err(diags, "malformed_case", f"case '{case_id}': field name {name!r} is not an identifier")
-            ok = False
-            continue
+    for name, raw_value in raw_fields.items():
+        if name not in names:
+            if not IDENT_RE.match(name):
+                _err(diags, "malformed_case", f"case '{case_id}': field name {name!r} is not an identifier")
+                ok = False
+                continue
+            names.add(name)
+        # The class is part of the key: True == 1 == 1.0 and they hash alike.
+        key = (raw_value.__class__, tuple(raw_value) if raw_value.__class__ is list else raw_value)
         try:
-            fields[name] = FieldValue.from_json(value)
-        except ValueError as exc:
-            _err(diags, "invalid_field_value", f"case '{case_id}', field '{name}': {exc}")
-            ok = False
-    expected = _parse_expect(raw.get("expect"), case_id, diags)
+            value = values.get(key)
+        except TypeError:  # a nested array or an object cannot be a key
+            value = None
+        if value is None:
+            try:
+                value = FieldValue.from_json(raw_value)
+            except ValueError as exc:
+                _err(diags, "invalid_field_value", f"case '{case_id}', field '{name}': {exc}")
+                ok = False
+                continue
+            values[key] = value  # an accepted value is no nested array or object, so it hashes
+        fields[name] = value
+    raw_expect = raw.get("expect")
+    item = tuple(raw_expect.items()) if isinstance(raw_expect, dict) else None
+    try:
+        expected = expectations.get(item)
+    except TypeError:  # an unhashable value, which no expectation accepts
+        expected = None
+    if expected is None:
+        expected = _parse_expect(raw_expect, case_id, diags)
+        if expected is not None:
+            expectations[item] = expected
     if expected is None or not ok:
         return None
     return CaseInput(case_id, description, mechanism, fields, expected)
@@ -144,6 +188,9 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         diags.append(Diagnostic(Severity.ERROR, "malformed_document", exc.msg, exc.lineno, exc.colno))
+        return None, diags
+    except RecursionError:
+        _err(diags, "malformed_document", "document nests too deeply")
         return None, diags
     if not isinstance(document, dict):
         _err(diags, "malformed_document", "suite document must be a JSON object")
@@ -188,8 +235,11 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
         _err(diags, "empty_suite", "suite must carry at least one case")
     else:
         seen_ids: set[str] = set()
+        names: set[str] = set()
+        values: dict[tuple[Any, Any], FieldValue] = {}
+        expectations: dict[Any, ExpectedBehavior] = {}
         for index, raw_case in enumerate(raw_cases):
-            case = _parse_case(raw_case, index, mechanisms, diags)
+            case = _parse_case(raw_case, index, mechanisms, names, values, expectations, diags)
             if case is None:
                 continue
             if case.case_id in seen_ids:
@@ -205,32 +255,36 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
 
 def _bind_value(
     case_id: str, name: str, value: FieldValue, decls: dict[str, FieldDecl], diags: list[Diagnostic]
-) -> None:
+) -> bool:
+    """Check one case field against the schema; True when it binds clean."""
     decl = decls.get(name)
     if decl is None:
         _err(diags, "unknown_field", f"case '{case_id}': field '{name}' is not declared by the policy")
-        return
+        return False
     if value.kind is not decl.kind:
         _err(
             diags,
             "type_mismatch",
             f"case '{case_id}': field '{name}' is {decl.kind.value} but the value is {value.kind.value}",
         )
-        return
+        return False
     if decl.kind is FieldKind.TOKEN and decl.enum is not None and value.value not in decl.enum:
         _err(
             diags,
             "unknown_enum_token",
             f"case '{case_id}': token '{value.value}' is outside the enumeration of '{name}'",
         )
-    elif decl.kind is FieldKind.TOKEN_SET and decl.enum is not None:
-        for token in sorted(value.value):
-            if token not in decl.enum:
-                _err(
-                    diags,
-                    "unknown_enum_token",
-                    f"case '{case_id}': token '{token}' is outside the enumeration of '{name}'",
-                )
+        return False
+    if decl.kind is FieldKind.TOKEN_SET and decl.enum is not None:
+        outside = sorted(value.value.difference(decl.enum))
+        for token in outside:
+            _err(
+                diags,
+                "unknown_enum_token",
+                f"case '{case_id}': token '{token}' is outside the enumeration of '{name}'",
+            )
+        return not outside
+    return True
 
 
 def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
@@ -250,9 +304,12 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
             )
     declared_classes = {c.class_id for c in policy.classes}
     decls = policy.field_map()
+    # Errors are never kept, so a bad value reports once for every case.
+    clean: set[tuple[str, FieldValue]] = set()
     for case in suite.cases:
-        for name, value in case.fields.items():
-            _bind_value(case.case_id, name, value, decls, diags)
+        for pair in case.fields.items():
+            if pair not in clean and _bind_value(case.case_id, *pair, decls, diags):
+                clean.add(pair)
         expected = case.expected
         if expected.action is Action.RECOMMEND and expected.class_id is not None:
             if expected.class_id not in declared_classes:

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -53,9 +54,41 @@ def test_hash_suite_rejects_malformed_and_missing_files(capsys, tmp_path):
     assert err == f"ERROR unreadable_file 0:0 {missing}: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("flag", ["--policy", "--suite"])
+def test_a_file_that_is_not_utf8_is_unreadable(capsys, tmp_path, flag):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    args = ["hash", flag, str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR unreadable_file 0:0 {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("command", "text", "expected"),
+    [
+        ("hash", "[" * 100000, "ERROR malformed_document 0:0 document nests too deeply\n"),
+        (
+            "evaluate",
+            Path(SUITE_PATH).read_text(encoding="utf-8").replace('"description": "', '"description": "\\ud800', 1),
+            "ERROR malformed_case 0:0 case 'c01': description is not valid Unicode text\n",
+        ),
+    ],
+    ids=["deep_nesting", "lone_surrogate"],
+)
+def test_a_too_deep_or_unencodable_suite_is_a_diagnostic_not_a_traceback(capsys, tmp_path, command, text, expected):
+    path = tmp_path / "suite.json"
+    path.write_text(text, encoding="utf-8")
+    args = [command, "--suite", str(path)] + (["--policy", POLICY_PATH] if command == "evaluate" else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_too_deep_a_condition_is_a_diagnostic_not_a_traceback(capsys, tmp_path):
     deep = tmp_path / "deep.policy"
-    text = open(POLICY_PATH, encoding="utf-8").read()
+    text = Path(POLICY_PATH).read_text(encoding="utf-8")
     deep.write_text(text.replace("when age < 18", "when " + "not " * 1200 + "age < 18"), encoding="utf-8")
     # Line 36, at the 201st "not": the parser stops on the way down.
     expected = "ERROR nesting_too_deep 36:846 condition has more than 200 '(' and 'not' open at once\n"
@@ -137,7 +170,7 @@ def test_evaluate_strict_passes_on_the_reference(capsys):
 
 
 def _flipped_suite(tmp_path):
-    doc = json.loads(open(SUITE_PATH).read())
+    doc = json.loads(Path(SUITE_PATH).read_text(encoding="utf-8"))
     for case in doc["cases"]:
         if case["id"] == "c17":
             case["expect"] = {"recommend": "macrolide"}
@@ -163,7 +196,7 @@ def test_parse_errors_beat_behavioral_reporting(tmp_path, capsys):
 
 
 def test_bind_errors_are_usage_errors(tmp_path, capsys):
-    doc = json.loads(open(SUITE_PATH).read())
+    doc = json.loads(Path(SUITE_PATH).read_text(encoding="utf-8"))
     doc["cases"][0]["fields"]["ghost_field"] = True
     path = tmp_path / "unbound.json"
     path.write_text(json.dumps(doc))

@@ -1,8 +1,10 @@
 import json
+from itertools import permutations
 
 from absgate import load_reference_policy, parse_suite, suite_hash
+from absgate.model import CaseInput, FieldKind, FieldValue
 from absgate.reference import reference_suite_text
-from absgate.suite import bind_suite, suite_canonical
+from absgate.suite import Suite, _parse_expect, bind_suite, suite_canonical
 
 POLICY = load_reference_policy()
 
@@ -54,6 +56,25 @@ def test_malformed_document_reports_location():
     assert suite is None
     assert [d.code for d in diags] == ["malformed_document"]
     assert diags[0].line >= 1
+
+
+def test_too_deep_a_document_is_malformed():
+    nested_cases = json.dumps(BASE).replace('"cases": [', '"cases": ' + "[" * 5000 + "[", 1) + "]" * 5000
+    for text in ("[" * 100000, nested_cases):
+        suite, diags = parse_suite(text)
+        assert suite is None
+        assert [d.render() for d in diags] == ["ERROR malformed_document 0:0 document nests too deeply"]
+
+
+def test_a_description_with_a_lone_surrogate_is_malformed():
+    suite, diags = _parse(_doc(cases=[{**BASE["cases"][0], "description": "half \ud800 pair"}]))
+    assert suite is None
+    assert [d.render() for d in diags] == [
+        "ERROR malformed_case 0:0 case 'k1': description is not valid Unicode text"
+    ]
+    suite, diags = _parse(_doc(cases=[{**BASE["cases"][0], "description": "caf\u00e9 \U0001f9ea"}]))
+    assert suite is not None and diags == []
+    suite_hash(suite)
 
 
 def test_document_must_be_an_object():
@@ -171,3 +192,93 @@ def test_canonical_form_carries_the_pin_only_when_present():
     assert suite_canonical(with_pin)["policy_hash_pin"] == pin
     assert "policy_hash_pin" not in suite_canonical(without)
     assert suite_canonical(without)["mechanisms"] == ["mech_a", "mech_b"]
+
+
+# Every field kind, with repeats across cases and distinct raw values that
+# build equal field values ("1.5" and "1.5000", one set in two orders).
+EVERY_KIND = _doc(
+    mechanisms=["mech_a"],
+    cases=[
+        {
+            "id": f"e{i}",
+            "description": "",
+            "mechanism": "mech_a",
+            "fields": {
+                "on": i % 2 == 0,
+                "n": i % 3,
+                "dose": ["1.5", "1.5000", "-0.0000"][i % 3],
+                "site": ["lung", "skin"][i % 2],
+                "risks": [["copd", "asthma"], ["asthma", "copd"], []][i % 3],
+            },
+            "expect": [{"abstain": "any"}, {"recommend": "narrow"}, {"recommend": "any"}][i % 3],
+        }
+        for i in range(7)
+    ],
+)
+
+
+def test_parse_matches_building_each_case_alone():
+    for doc in (json.loads(reference_suite_text()), EVERY_KIND):
+        suite, diags = _parse(doc)
+        assert suite is not None and diags == []
+        built = []
+        for raw in doc["cases"]:
+            case = suite.case(raw["id"])
+            fields = {name: FieldValue.from_json(value) for name, value in raw["fields"].items()}
+            expected = _parse_expect(raw["expect"], raw["id"], [])
+            assert case is not None and case.fields == fields and case.expected == expected
+            assert [v.kind for v in case.fields.values()] == [v.kind for v in fields.values()]
+            built.append(CaseInput(raw["id"], raw["description"], raw["mechanism"], fields, expected))
+        pin = doc.get("policy_hash_pin")
+        alone = Suite(doc["suite_id"], doc["version"], tuple(doc["mechanisms"]), tuple(built), pin)
+        assert suite_hash(suite) == suite_hash(alone)
+    # Equal raw values across cases share one instance.
+    first, second = suite.case("e0"), suite.case("e3")
+    assert first is not None and second is not None
+    assert first.fields["n"] is second.fields["n"] and first.expected is second.expected
+
+
+CROSS_TYPE = [1, True, 1.0, "1.0000", "a", ["a"], ["a", "a"]]
+
+
+def _cross_type_case(index, values):
+    fields = {f"f{j}": value for j, value in enumerate(values)}
+    return {"id": f"x{index}", "description": "", "mechanism": "mech_a", "fields": fields, "expect": {"abstain": "any"}}
+
+
+def test_equal_values_of_different_json_types_never_share_a_parse():
+    kinds = {
+        json.dumps(1): FieldKind.INTEGER,
+        json.dumps(True): FieldKind.BOOLEAN,
+        json.dumps("1.0000"): FieldKind.DECIMAL,
+        json.dumps("a"): FieldKind.TOKEN,
+        json.dumps(["a"]): FieldKind.TOKEN_SET,
+    }
+    accepted = [value for value in CROSS_TYPE if json.dumps(value) in kinds]
+    orders = list(permutations(accepted))[::17]
+    suite, diags = _parse(_doc(mechanisms=["mech_a"], cases=[_cross_type_case(i, o) for i, o in enumerate(orders)]))
+    assert suite is not None and diags == []
+    for index, order in enumerate(orders):
+        case = suite.case(f"x{index}")
+        assert case is not None
+        assert [value.kind for value in case.fields.values()] == [kinds[json.dumps(value)] for value in order]
+    for shift in range(len(CROSS_TYPE)):
+        rotated = [CROSS_TYPE[shift:] + CROSS_TYPE[:shift], CROSS_TYPE[::-1], CROSS_TYPE]
+        cases = [_cross_type_case(i, order) for i, order in enumerate(rotated)]
+        _, diags = _parse(_doc(mechanisms=["mech_a"], cases=cases))
+        alone = [d for case in cases for d in _parse(_doc(mechanisms=["mech_a"], cases=[case]))[1]]
+        assert diags == alone
+        assert [d.code for d in diags] == ["invalid_field_value"] * 6
+
+
+def test_bind_reports_a_repeated_bad_value_for_every_case():
+    cases = [
+        {**BASE["cases"][0], "id": f"b{i}", "fields": {"age": 40, "sex": "robot", "risk_factors": ["ghost"]}}
+        for i in (3, 1, 2)
+    ]
+    suite, _ = _parse(_doc(cases=cases, mechanisms=["mech_a"]))
+    assert suite is not None
+    assert [d.render() for d in bind_suite(suite, POLICY)] == [
+        f"ERROR unknown_enum_token 0:0 case '{case_id}': token 'robot' is outside the enumeration of 'sex'"
+        for case_id in ("b1", "b2", "b3")
+    ]
