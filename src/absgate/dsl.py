@@ -1,9 +1,14 @@
-"""Parser and printer for the policy definition language.
+r"""Parser and printer for the policy definition language.
 
 The language is a line-oriented, UTF-8 statement list; ``#`` starts a
-comment that runs to end of line. Statements begin with a keyword, so the
-parser recovers from a malformed statement by skipping to the next keyword
-and keeps reporting. Grammar::
+comment that runs to end of line. The lexer reads the text in one regex
+scan. Whitespace is no token: a gap between two tokens may hold any
+character ``str.isspace`` accepts, and each other character in it is an
+``unexpected_character`` error. Only ``\n`` ends a line, for the line and
+column of every token and diagnostic; ``\r``, form feed and the other
+Unicode line separators are whitespace within a line. Statements begin with
+a keyword, so the parser recovers from a malformed statement by skipping to
+the next keyword and keeps reporting. Grammar::
 
     policy      := "policy" IDENT "version" TOKEN
     field       := "field" IDENT ":" ftype
@@ -44,8 +49,7 @@ policy is None exactly when an error-level diagnostic was raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .condition import (
     Absent,
@@ -61,7 +65,7 @@ from .condition import (
     typecheck,
 )
 from .diagnostics import Diagnostic, Severity, has_errors
-from .model import IDENT_RE, TOKEN_RE, INT64_MAX, INT64_MIN, FieldKind, FieldValue
+from .model import TOKEN_RE, INT64_MAX, INT64_MIN, FieldKind, FieldValue
 from .policy import (
     ClassDecl,
     ClinicalRule,
@@ -77,7 +81,7 @@ __all__ = ["parse_policy", "format_policy"]
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[\s]+)
+    (?P<NEWLINE>\n)
   | (?P<COMMENT>\#[^\n]*)
   | (?P<DECIMAL>-?[0-9]+\.[0-9]+)
   | (?P<INT>-?[0-9]+)
@@ -89,8 +93,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -134,30 +137,49 @@ def _open(opened: int, tok: _Tok) -> int:
 
 def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
     tokens: list[_Tok] = []
-    pos = 0
     line = 1
     line_start = 0
-    length = len(text)
-    while pos < length:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    end = 0
+    for match in _TOKEN_RE.finditer(text):
+        start = match.start()
+        if start != end and not text[end:start].isspace():
+            _unexpected(text, end, start, line, line_start, diags)
+        end = match.end()
+        kind = match.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = end
+        elif kind != "COMMENT":
+            tokens.append(_Tok(kind, match.group(), line, start - line_start + 1))
+    if end != len(text) and not text[end:].isspace():
+        _unexpected(text, end, len(text), line, line_start, diags)
+    tokens.append(_Tok("EOF", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _unexpected(text: str, start: int, end: int, line: int, line_start: int, diags: list[Diagnostic]) -> None:
+    # A gap between tokens holds no newline, so all of it is on one line.
+    for pos in range(start, end):
+        if not text[pos].isspace():
             col = pos - line_start + 1
             diags.append(
                 Diagnostic(Severity.ERROR, "unexpected_character", f"unexpected character {text[pos]!r}", line, col)
             )
-            pos += 1
-            continue
-        kind = match.lastgroup or ""
-        lexeme = match.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Tok(kind, lexeme, line, match.start() - line_start + 1))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + lexeme.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(_Tok("EOF", "", line, (length - line_start) + 1))
-    return tokens
+
+
+def _int64(text: str) -> int | None:
+    """The value of an INT token, or None outside the signed 64-bit range.
+
+    The significant digits are counted before ``int()`` runs, so the answer
+    does not depend on the interpreter's limit on int-string digits.
+    """
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > 19:  # the digits of INT64_MAX
+        return None
+    value = int(digits or "0")
+    if text.startswith("-"):
+        value = -value
+    return value if INT64_MIN <= value <= INT64_MAX else None
 
 
 _SCALAR_TYPES = {"bool": FieldKind.BOOLEAN, "int": FieldKind.INTEGER, "decimal": FieldKind.DECIMAL}
@@ -198,31 +220,29 @@ class _Parser:
             raise _ParseError(f"expected {what}, found {tok.text!r}", tok)
         return self.advance()
 
+    # Only an IDENT token spells a word and only a PUNCT token a punctuator,
+    # so the text alone tells them.
     def expect_word(self, word: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
+        if tok.text != word:
             raise _ParseError(f"expected '{word}', found {tok.text!r}", tok)
         return self.advance()
 
     def expect_punct(self, text: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != text:
+        if tok.text != text:
             raise _ParseError(f"expected '{text}', found {tok.text!r}", tok)
         return self.advance()
 
     def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+        return self.tokens[self.pos].text == word
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        return self.tokens[self.pos].text == text
 
     def ident(self, what: str) -> _Tok:
-        tok = self.expect_kind("IDENT", what)
-        if not IDENT_RE.match(tok.text):
-            raise _ParseError(f"{what} is not an identifier: {tok.text!r}", tok)
-        return tok
+        # The lexer's IDENT pattern is IDENT_RE, so every IDENT token is one.
+        return self.expect_kind("IDENT", what)
 
     def token_value(self, what: str) -> _Tok:
         tok = self.expect_kind("IDENT", what)
@@ -237,7 +257,7 @@ class _Parser:
     def run(self) -> None:
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.text in _STATEMENTS:
+            if tok.text in _STATEMENTS:
                 try:
                     _STATEMENTS[tok.text](self)
                 except _ParseError as exc:
@@ -251,7 +271,7 @@ class _Parser:
     def _recover(self) -> None:
         while True:
             tok = self.peek()
-            if tok.kind == "EOF" or (tok.kind == "IDENT" and tok.text in _STATEMENTS):
+            if tok.kind == "EOF" or tok.text in _STATEMENTS:
                 return
             self.advance()
 
@@ -345,9 +365,14 @@ class _Parser:
         if name.text in self.classes:
             self.error("duplicate_class", f"class '{name.text}' declared twice", name)
             return
-        rank = int(rank_tok.text)
-        if rank < 1:
-            self.error("invalid_rank", f"rank must be positive: {rank}", rank_tok)
+        rank = _int64(rank_tok.text)
+        if rank is None and not rank_tok.text.startswith("-"):
+            self.error("invalid_rank", f"rank out of 64-bit range: {rank_tok.text}", rank_tok)
+            return
+        if rank is None or rank < 1:
+            # Spelled as int() would print it, without converting all the digits.
+            shown = rank if rank is not None else "-" + rank_tok.text.lstrip("-0")
+            self.error("invalid_rank", f"rank must be positive: {shown}", rank_tok)
             return
         self.classes[name.text] = ClassDecl(name.text, rank, escalation)
 
@@ -469,10 +494,10 @@ class _Parser:
 
     def _atom(self) -> Condition:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("true", "false"):
+        if tok.text in ("true", "false"):
             self.advance()
             return Literal(tok.text == "true", line=tok.line, col=tok.col)
-        if tok.kind == "IDENT" and tok.text in ("present", "absent"):
+        if tok.text in ("present", "absent"):
             self.advance()
             self.expect_punct("(")
             name = self.ident("field name")
@@ -486,7 +511,7 @@ class _Parser:
                 op = self.advance().text
                 literal = self._literal()
                 return Comparison(name.text, op, literal, line=name.line, col=name.col)
-            if nxt.kind == "IDENT" and nxt.text == "has":
+            if nxt.text == "has":
                 self.advance()
                 member = self.token_value("member token")
                 return Has(name.text, member.text, line=name.line, col=name.col)
@@ -497,8 +522,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            value = int(tok.text)
-            if not INT64_MIN <= value <= INT64_MAX:
+            value = _int64(tok.text)
+            if value is None:
                 raise _ParseError(f"integer literal out of 64-bit range: {tok.text}", tok)
             return FieldValue.integer(value)
         if tok.kind == "DECIMAL":

@@ -11,7 +11,10 @@ bytes; their ``to_canonical`` stays the reference form.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
-rendered as strings so no binary float ever reaches serialization.
+rendered as strings so no binary float ever reaches serialization. A decimal
+must fit the decimal context's precision with its four fractional digits
+(24 integer digits in the default context); every value a constructor
+refuses is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,10 @@ class FieldValue:
                 raise ValueError(f"not a decimal: {value!r}") from exc
         if not isinstance(value, Decimal) or not value.is_finite():
             raise ValueError(f"finite decimal required, got {value!r}")
-        quantized = value.quantize(_QUANTUM)
+        try:
+            quantized = value.quantize(_QUANTUM)
+        except InvalidOperation as exc:  # more digits than the context's precision
+            raise ValueError(f"decimal out of range: {value}") from exc
         if quantized != value:
             raise ValueError(f"more than 4 fractional digits: {value}")
         if quantized == 0:

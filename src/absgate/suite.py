@@ -192,6 +192,9 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
     except RecursionError:
         _err(diags, "malformed_document", "document nests too deeply")
         return None, diags
+    except ValueError:  # an integer past the interpreter's int-string digit limit
+        _err(diags, "malformed_document", "document holds an integer with too many digits")
+        return None, diags
     if not isinstance(document, dict):
         _err(diags, "malformed_document", "suite document must be a JSON object")
         return None, diags

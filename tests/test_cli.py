@@ -98,6 +98,24 @@ def test_too_deep_a_condition_is_a_diagnostic_not_a_traceback(capsys, tmp_path):
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize(
+    ("flag", "path", "old", "new", "code"),
+    [
+        ("--policy", POLICY_PATH, "age < 18", "age < " + "1" * 4301, "syntax_error"),
+        ("--suite", SUITE_PATH, '"age": 30', '"age": ' + "1" * 5000, "malformed_document"),
+    ],
+    ids=["policy_integer", "suite_integer"],
+)
+def test_an_oversized_numeral_is_a_diagnostic_not_a_traceback(capsys, tmp_path, flag, path, old, new, code):
+    changed = tmp_path / "changed"
+    changed.write_text(Path(path).read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+    assert main(["hash", flag, str(changed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"ERROR {code} ")
+
+
 def test_decide_prints_the_one_line_outcome(capsys):
     assert main(["decide", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--case-id", "c17"]) == 0
     assert capsys.readouterr().out == "recommend narrow_penicillin\n"

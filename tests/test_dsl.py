@@ -1,7 +1,11 @@
+import random
+import re
+import sys
+
 import pytest
 
 from absgate import format_policy, parse_policy, policy_hash
-from absgate.dsl import MAX_NESTING
+from absgate.dsl import MAX_NESTING, _lex
 from absgate.reference import reference_policy_text
 
 MINIMAL = """\
@@ -284,3 +288,195 @@ def test_requires_and_incompatible_clauses_parse():
     first = policy.clinical_rules[0]
     assert first.requires == ("a",)
     assert first.incompatible_with == ("r2",)
+
+
+# --- lexer ----------------------------------------------------------------
+# The loop lexer the single-scan ``dsl._lex`` replaced, kept as its
+# reference: one regex match per lexeme, whitespace runs included.
+_LOOP_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>[\s]+)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<DECIMAL>-?[0-9]+\.[0-9]+)
+  | (?P<INT>-?[0-9]+)
+  | (?P<OP>==|!=|<=|>=|<|>)
+  | (?P<PUNCT>[{}(),:])
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _loop_lex(text):
+    tokens, diags = [], []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        match = _LOOP_TOKEN_RE.match(text, pos)
+        if match is None:
+            diags.append(f"unexpected character {text[pos]!r} {line}:{pos - line_start + 1}")
+            pos += 1
+            continue
+        kind, lexeme = match.lastgroup, match.group()
+        if kind not in ("WS", "COMMENT"):
+            tokens.append((kind, lexeme, line, match.start() - line_start + 1))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            line_start = match.start() + lexeme.rfind("\n") + 1
+        pos = match.end()
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
+    return tokens, diags
+
+
+def _scan_lex(text):
+    diags = []
+    tokens = [tuple(tok) for tok in _lex(text, diags)]
+    assert all(d.code == "unexpected_character" for d in diags)
+    return tokens, [f"{d.message} {d.line}:{d.col}" for d in diags]
+
+
+def _large_policy_text(seed=5, rules=300):
+    """A policy the size of the benchmark's rule_heavy one (about 35 KiB):
+    every field kind, conditions 3-4 deep, comments and negative numbers."""
+    rng = random.Random(seed)
+    leaves = (
+        lambda: f"i {rng.choice(['<', '<=', '>', '>=', '==', '!='])} {rng.randint(-99, 99)}",
+        lambda: f"d {rng.choice(['<', '>='])} {rng.randint(-9, 99)}.{rng.randint(0, 9999)}",
+        lambda: f"t == {rng.choice(['lo', 'hi'])}",
+        lambda: f"s has {rng.choice('xyz')}",
+        lambda: f"r has {rng.choice(['fever', 'rash'])}",
+        lambda: f"b != {rng.choice(['true', 'false'])}",
+        lambda: f"{rng.choice(['present', 'absent'])}({rng.choice('bidtsr')})",
+    )
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(leaves)()
+        if rng.random() < 0.15:
+            return f"not ({tree(depth - 1)})"
+        return f"({tree(depth - 1)} {rng.choice(['and', 'or'])} {tree(depth - 1)})"
+
+    lines = EVERY_FIELD_TYPE.split("stewardship {")[0].splitlines()
+    for index in range(rules):
+        if index % 25 == 0:
+            lines.append(f"# rules {index} and on")
+        lines.append(f"rule g{index} when {tree(rng.choice([3, 4]))} candidate c{rng.randint(1, 2)}")
+    lines.append("stewardship {\n  escalation_justified_when " + tree(3) + "\n}")
+    return "\n".join(lines) + "\n"
+
+
+# Characters a mutation inserts: whitespace that ends no line (\x1c and the
+# no-break space among it), the byte-order mark, which is no whitespace,
+# characters no token starts with, and characters that split or join tokens.
+_MUTATION_CHARS = "\t\r\x0b\x0c\x1c\xa0\ufeff$@.-=!#\n 7_"
+
+
+def _mutations(text, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 6)):
+            at = rng.randrange(len(chars) + 1)
+            roll = rng.random()
+            if roll < 0.6:
+                chars[at:at] = rng.choice(_MUTATION_CHARS) * rng.choice([1, 1, 1, 2, 5])
+            elif roll < 0.8:
+                del chars[at : at + rng.randint(1, 8)]
+            else:
+                chars[at:at] = chars[at : at + rng.randint(1, 8)]
+        yield "".join(chars)
+
+
+def _lexer_corpus():
+    reference = reference_policy_text()
+    large = _large_policy_text()
+    yield reference
+    yield large
+    yield from _mutations(reference, 400, seed=11)
+    # Slices of the large text keep the corpus quick and start mid-token.
+    yield from (mutated[: 4000] for mutated in _mutations(large[5000:], 60, seed=12))
+    yield reference.rstrip("\n") + "\n# a comment at the end with no newline"
+    yield "$" + reference + "$"
+    yield "\ufeff" + reference
+    yield ""
+    yield "$"
+    yield "#"
+    yield "\r\n".join(MINIMAL.splitlines())
+
+
+def test_the_single_scan_lexer_matches_the_loop_lexer():
+    large = _large_policy_text()
+    assert 30_000 < len(large.encode()) < 45_000
+    policy, diags = parse_policy(large)
+    assert policy is not None and diags == []
+    for text in _lexer_corpus():
+        assert _scan_lex(text) == _loop_lex(text), repr(text[:80])
+
+
+def test_the_lexer_gap_test_is_the_regex_whitespace_class():
+    # A gap between tokens is whitespace exactly when the loop lexer's \s
+    # would have read it as whitespace, for every code point.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
+def test_lexer_diagnostics_and_positions():
+    # The comment hides the last '$'.
+    _, diags = parse_policy("$policy p version v1\n\tfield a : bool @\r\n# end $")
+    assert [d.render() for d in diags if d.code == "unexpected_character"] == [
+        "ERROR unexpected_character 1:1 unexpected character '$'",
+        "ERROR unexpected_character 2:17 unexpected character '@'",
+    ]
+    # Carriage return and form feed end no line.
+    tokens = _lex("a\rb\n\x0cc", [])
+    assert [(t.text, t.line, t.col) for t in tokens] == [("a", 1, 1), ("b", 1, 3), ("c", 2, 2), ("", 2, 3)]
+
+
+def _rule_literal(literal):
+    return parse_policy(MINIMAL.replace("field a : bool", "field a : int").replace("a == true", "a < " + literal))
+
+
+def _rank(literal):
+    return parse_policy(MINIMAL.replace("rank 1", "rank " + literal))
+
+
+def test_oversized_numerals_are_diagnostics():
+    reference = reference_policy_text()
+    for text, expected in (
+        (reference.replace("age < 18", "age < " + "1" * 4301), "syntax_error 36:52 integer literal out of 64-bit range"),
+        (reference.replace("weight_kg < 40.0", "weight_kg < " + "1" * 28 + ".5"), "syntax_error 54:64 decimal out of range"),
+        (
+            reference.replace("narrow_penicillin rank 1", "narrow_penicillin rank " + "1" * 5000),
+            "invalid_rank 20:30 rank out of 64-bit range",
+        ),
+    ):
+        policy, diags = parse_policy(text)
+        assert policy is None
+        assert diags[0].render().startswith("ERROR " + expected + ": ")
+
+
+def test_integer_literals_and_ranks_are_bounded_by_their_digits():
+    limit = sys.get_int_max_str_digits()
+    # The answers must not depend on the interpreter's int-string digit limit.
+    sys.set_int_max_str_digits(640)
+    try:
+        for literal in ("9223372036854775807", "-9223372036854775808", "0" * 5000 + "7", "-" + "0" * 5000):
+            assert _rule_literal(literal)[1] == [], literal
+        for literal in ("9223372036854775808", "-9223372036854775809", "1" * 700, "-" + "0" * 5000 + "1" * 20):
+            assert [d.render() for d in _rule_literal(literal)[1]] == [
+                f"ERROR syntax_error 4:18 integer literal out of 64-bit range: {literal}"
+            ]
+        assert _rank("0" * 5000 + "9223372036854775807")[1] == []
+        for literal, message in (
+            ("9223372036854775808", "rank out of 64-bit range: 9223372036854775808"),
+            ("1" * 700, "rank out of 64-bit range: " + "1" * 700),
+            # Not positive comes first, spelled as int() spells the number.
+            ("-0" + "1" * 700, "rank must be positive: -" + "1" * 700),
+            ("-00", "rank must be positive: 0"),
+            ("-007", "rank must be positive: -7"),
+        ):
+            policy, diags = _rank(literal)
+            assert policy is None
+            assert diags[0].render() == f"ERROR invalid_rank 3:15 {message}"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -42,6 +42,17 @@ def test_decimal_values_are_fixed_point():
         FieldValue.decimal(Decimal("1.23456"))
 
 
+def test_decimals_too_long_to_quantize_raise_value_error():
+    # Four fractional digits leave 24 integer digits in the default context.
+    widest = "9" * 24 + ".9999"
+    assert FieldValue.decimal(widest).to_canonical() == widest
+    for value in ("1" * 25 + ".5", "1" * 40 + ".5", Decimal("1e30"), "-" + "1" * 5000):
+        with pytest.raises(ValueError, match="^decimal out of range: "):
+            FieldValue.decimal(value)
+    with pytest.raises(ValueError, match="^decimal out of range: "):
+        FieldValue.from_json("1" * 40 + ".5")
+
+
 def test_token_values_enforce_lexical_shape():
     assert FieldValue.token("severe").to_canonical() == "severe"
     with pytest.raises(ValueError):

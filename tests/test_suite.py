@@ -77,6 +77,22 @@ def test_a_description_with_a_lone_surrogate_is_malformed():
     suite_hash(suite)
 
 
+def test_oversized_numbers_are_diagnostics():
+    reference = reference_suite_text()
+    decimal = reference.replace('"age": 30', '"weight_kg": "' + "1" * 40 + '.5"', 1)
+    suite, diags = parse_suite(decimal)
+    assert suite is None
+    assert [d.render() for d in diags] == [
+        "ERROR invalid_field_value 0:0 case 'c03', field 'weight_kg': decimal out of range: " + "1" * 40 + ".5"
+    ]
+    integer = reference.replace('"age": 30', '"age": ' + "1" * 5000, 1)
+    suite, diags = parse_suite(integer)
+    assert suite is None
+    assert [d.render() for d in diags] == [
+        "ERROR malformed_document 0:0 document holds an integer with too many digits"
+    ]
+
+
 def test_document_must_be_an_object():
     suite, diags = parse_suite("[1, 2]")
     assert suite is None
