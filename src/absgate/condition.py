@@ -378,8 +378,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     tree with none, such as an ``or`` or ``not`` root, reads a constant
     TRUE slot instead. A FALSE conjunct makes the whole tree FALSE, and
     the steps' slots are preset to FALSE, so a skipped tree's root already
-    reads it. Trees whose sentinels share a slot run or skip together. A
-    program with no steps at all returns straight after its leaves.
+    reads it. Trees whose sentinels share a slot run or skip together.
 
     Since every leaf runs first, if anything fails the leaves rerun one by
     one in first-occurrence order: a kind mismatch raises at the first
@@ -468,25 +467,9 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         values = [_atom(leaf)(fields) for leaf in leaves]
         return [values[index] for index in singles + grouped]
 
-    atoms = tuple([_atom(leaves[index]) for index in singles])
-    root_slots = tuple(map(position.__getitem__, roots))
-
-    if not steps:
-        # Every root is a leaf slot, so the leaves alone give the result.
-        def leaves_only(fields, atoms=atoms, groups=tuple(groups), ordered=ordered, roots=root_slots):
-            try:
-                slots = [atom(fields) for atom in atoms]
-                for group in groups:
-                    slots += group(fields)
-            except Exception:
-                slots = ordered(fields)
-            return [slots[root] for root in roots]
-
-        return leaves_only
-
     def program(
         fields,
-        atoms=atoms,
+        atoms=tuple([_atom(leaves[index]) for index in singles]),
         groups=tuple(groups),
         ordered=ordered,
         # The constant TRUE and the steps' presets, a byte each: a list
@@ -496,7 +479,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         # few sentinels there are; ``compress`` stops at the last one.
         sentinels=operator.itemgetter(*gated, true_slot, true_slot),
         gated=tuple(map(tuple, gated.values())),
-        roots=root_slots,
+        roots=tuple(map(position.__getitem__, roots)),
         compress=compress,
         flatten=chain.from_iterable,
     ):

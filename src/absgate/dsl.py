@@ -220,24 +220,15 @@ class _Parser:
             raise _ParseError(f"expected {what}, found {tok.text!r}", tok)
         return self.advance()
 
-    # Only an IDENT token spells a word and only a PUNCT token a punctuator,
-    # so the text alone tells them.
-    def expect_word(self, word: str) -> _Tok:
-        tok = self.peek()
-        if tok.text != word:
-            raise _ParseError(f"expected '{word}', found {tok.text!r}", tok)
-        return self.advance()
-
-    def expect_punct(self, text: str) -> _Tok:
+    # A keyword or a punctuator. Only an IDENT token spells a word and only a
+    # PUNCT token a punctuator, so the text alone tells them.
+    def expect(self, text: str) -> _Tok:
         tok = self.peek()
         if tok.text != text:
             raise _ParseError(f"expected '{text}', found {tok.text!r}", tok)
         return self.advance()
 
-    def at_word(self, word: str) -> bool:
-        return self.tokens[self.pos].text == word
-
-    def at_punct(self, text: str) -> bool:
+    def at(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
 
     def ident(self, what: str) -> _Tok:
@@ -286,7 +277,7 @@ class _Parser:
             if items and tok.text in ("when", "candidate", "incompatible", "requires"):
                 break
             items.append(self.advance())
-            if self.at_punct(","):
+            if self.at(","):
                 self.advance()
         if not items:
             raise _ParseError(f"expected at least one {what}", self.peek())
@@ -295,18 +286,18 @@ class _Parser:
     def _braced_tokens(self, what: str) -> Iterator[_Tok]:
         # Yields each token of "{" TOKEN ("," | TOKEN)* "}" as it is read,
         # so a caller's diagnostics precede a later syntax error.
-        self.expect_punct("{")
-        while not self.at_punct("}"):
+        self.expect("{")
+        while not self.at("}"):
             yield self.token_value(what)
-            if self.at_punct(","):
+            if self.at(","):
                 self.advance()
-        self.expect_punct("}")
+        self.expect("}")
 
     # --- statements -----------------------------------------------------
     def _stmt_policy(self) -> None:
-        tok = self.expect_word("policy")
+        tok = self.expect("policy")
         name = self.ident("policy id")
-        self.expect_word("version")
+        self.expect("version")
         version = self.token_value("version")
         if self.header is not None:
             self.error("duplicate_header", "policy header declared twice", tok)
@@ -314,9 +305,9 @@ class _Parser:
         self.header = (name.text, version.text)
 
     def _stmt_field(self) -> None:
-        self.expect_word("field")
+        self.expect("field")
         name = self.ident("field name")
-        self.expect_punct(":")
+        self.expect(":")
         kind_tok = self.expect_kind("IDENT", "field type")
         enum: tuple[str, ...] | None = None
         is_risk = False
@@ -327,7 +318,7 @@ class _Parser:
             enum = self._enum_block()
         elif kind_tok.text == "tokenset":
             kind = FieldKind.TOKEN_SET
-            if self.at_word("risk"):
+            if self.at("risk"):
                 self.advance()
                 is_risk = True
             else:
@@ -354,12 +345,12 @@ class _Parser:
         return tuple(tokens)
 
     def _stmt_class(self) -> None:
-        self.expect_word("class")
+        self.expect("class")
         name = self.ident("class id")
-        self.expect_word("rank")
+        self.expect("rank")
         rank_tok = self.expect_kind("INT", "rank integer")
         escalation = False
-        if self.at_word("escalation"):
+        if self.at("escalation"):
             self.advance()
             escalation = True
         if name.text in self.classes:
@@ -377,28 +368,28 @@ class _Parser:
         self.classes[name.text] = ClassDecl(name.text, rank, escalation)
 
     def _stmt_require(self) -> None:
-        self.expect_word("require")
+        self.expect("require")
         for tok in self._ident_list("required field name"):
             self.required.setdefault(tok.text, tok)
 
     def _stmt_known_risks(self) -> None:
-        self.expect_word("known_risks")
+        self.expect("known_risks")
         self.known_risks.update(tok.text for tok in self._braced_tokens("risk token"))
 
     def _stmt_consistency(self) -> None:
-        self.expect_word("consistency")
+        self.expect("consistency")
         name = self.ident("consistency id")
-        self.expect_word("forbid")
+        self.expect("forbid")
         forbid = self._condition()
         if self._claim_rule_id(name):
             self.consistency.append(ConsistencyConstraint(name.text, forbid))
 
     def _stmt_exclude(self) -> None:
-        self.expect_word("exclude")
+        self.expect("exclude")
         name = self.ident("exclusion id")
-        self.expect_word("label")
+        self.expect("label")
         label = self.ident("exclusion label")
-        self.expect_word("when")
+        self.expect("when")
         when = self._condition()
         if not self._claim_rule_id(name):
             return
@@ -408,39 +399,39 @@ class _Parser:
         self.exclusions.append(ExclusionRule(name.text, label.text, when))
 
     def _stmt_rule(self) -> None:
-        self.expect_word("rule")
+        self.expect("rule")
         name = self.ident("rule id")
         requires: list[_Tok] = []
-        if self.at_word("requires"):
+        if self.at("requires"):
             self.advance()
             requires = self._ident_list("required field name")
-        self.expect_word("when")
+        self.expect("when")
         when = self._condition()
-        self.expect_word("candidate")
+        self.expect("candidate")
         candidate = self.ident("candidate class id")
         incompatible: list[_Tok] = []
-        if self.at_word("incompatible"):
+        if self.at("incompatible"):
             self.advance()
             incompatible = self._ident_list("rule id")
         if self._claim_rule_id(name):
             self.rules.append((name, requires, when, candidate, incompatible))
 
     def _stmt_stewardship(self) -> None:
-        tok = self.expect_word("stewardship")
-        self.expect_punct("{")
-        self.expect_word("escalation_justified_when")
+        tok = self.expect("stewardship")
+        self.expect("{")
+        self.expect("escalation_justified_when")
         justification = self._condition()
         vetoes: list[tuple[_Tok, _Tok, Condition]] = []
-        while self.at_word("veto"):
+        while self.at("veto"):
             self.advance()
             veto_id = self.ident("veto id")
-            self.expect_word("class")
+            self.expect("class")
             class_id = self.ident("vetoed class id")
-            self.expect_word("when")
+            self.expect("when")
             when = self._condition()
             if self._claim_rule_id(veto_id):
                 vetoes.append((veto_id, class_id, when))
-        self.expect_punct("}")
+        self.expect("}")
         if self.justification is not None:
             self.error("duplicate_stewardship", "stewardship block declared twice", tok)
             return
@@ -463,7 +454,7 @@ class _Parser:
 
     def _expr(self, opened: int) -> tuple[Condition, int]:
         left, height = self._and_expr(opened)
-        while self.at_word("or"):
+        while self.at("or"):
             tok = self.advance()
             right, right_height = self._and_expr(opened)
             left = Or(left, right, line=left.line, col=left.col)
@@ -472,7 +463,7 @@ class _Parser:
 
     def _and_expr(self, opened: int) -> tuple[Condition, int]:
         left, height = self._not_expr(opened)
-        while self.at_word("and"):
+        while self.at("and"):
             tok = self.advance()
             right, right_height = self._not_expr(opened)
             left = And(left, right, line=left.line, col=left.col)
@@ -481,7 +472,7 @@ class _Parser:
 
     def _not_expr(self, opened: int) -> tuple[Condition, int]:
         tok = self.peek()
-        if not (self.at_word("not") or self.at_punct("(")):
+        if not (self.at("not") or self.at("(")):
             return self._atom(), 0
         self.advance()
         opened = _open(opened + 1, tok)
@@ -489,7 +480,7 @@ class _Parser:
             inner, height = self._not_expr(opened)
             return Not(inner, line=tok.line, col=tok.col), _nested(height + 1, tok)
         inner, height = self._expr(opened)
-        self.expect_punct(")")
+        self.expect(")")
         return inner, height
 
     def _atom(self) -> Condition:
@@ -499,9 +490,9 @@ class _Parser:
             return Literal(tok.text == "true", line=tok.line, col=tok.col)
         if tok.text in ("present", "absent"):
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             name = self.ident("field name")
-            self.expect_punct(")")
+            self.expect(")")
             node_type = Present if tok.text == "present" else Absent
             return node_type(name.text, line=tok.line, col=tok.col)
         if tok.kind == "IDENT":

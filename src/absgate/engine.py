@@ -37,7 +37,7 @@ produce bitwise-identical canonical output and trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
@@ -186,7 +186,7 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
 
 
 def _abstain(
-    stages: list[StageRecord], category: AbstentionCategory, labels: tuple[str, ...] | list[str]
+    stages: list[StageRecord], category: AbstentionCategory, labels: Iterable[str]
 ) -> tuple[SystemOutput, AuditTrace]:
     final = SystemOutput.abstain(category, labels)
     return final, AuditTrace(tuple(stages), final)
@@ -225,9 +225,9 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
     stages.append(StageRecord(Stage.EXCLUSIONS, tuple(evaluated)))
     if triggered_labels:
-        return _abstain(stages, AbstentionCategory.EXPLICIT_EXCLUSION, sorted(triggered_labels))
+        return _abstain(stages, AbstentionCategory.EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
-        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(unresolved))
+        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, unresolved)
 
     # Stage 3: clinical rules, in rule-id order. A rule abstains if its
     # condition is indeterminate or a field it requires is missing.
@@ -247,7 +247,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
     stages.append(StageRecord(Stage.CLINICAL_RULES, tuple(evaluated)))
     if problems:
-        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, sorted(problems))
+        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(compiled.rules, truths) if truth == _TRUE]
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
@@ -256,7 +256,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             if other in fired_ids:
                 conflicted.update((rule.rule_id, other))
     if conflicted:
-        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, sorted(conflicted))
+        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, conflicted)
     if not fired:
         return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
 

@@ -12,8 +12,9 @@ bytes; their ``to_canonical`` stays the reference form.
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
 rendered as strings so no binary float ever reaches serialization. A decimal
-must fit the decimal context's precision with its four fractional digits
-(24 integer digits in the default context); every value a constructor
+has at most 28 digits, four of them fractional. Decimals are read and
+quantized under this module's own context, so whether one is accepted never
+depends on the caller's ``decimal`` context. Every value a constructor
 refuses is a ``ValueError``.
 """
 
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 from operator import itemgetter
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .canon import canonical_bytes
 
@@ -62,6 +63,9 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 _QUANTUM = Decimal("0.0001")
+# Every decimal is read and quantized under this context, never the caller's;
+# only its flags change, and nothing reads them.
+_CONTEXT = Context(prec=28, traps=[InvalidOperation])
 
 
 class FieldKind(str, Enum):
@@ -97,19 +101,19 @@ class FieldValue:
     def decimal(cls, value: "Decimal | str") -> "FieldValue":
         if isinstance(value, str):
             try:
-                value = Decimal(value)
+                value = Decimal(value, _CONTEXT)
             except InvalidOperation as exc:
                 raise ValueError(f"not a decimal: {value!r}") from exc
         if not isinstance(value, Decimal) or not value.is_finite():
             raise ValueError(f"finite decimal required, got {value!r}")
         try:
-            quantized = value.quantize(_QUANTUM)
-        except InvalidOperation as exc:  # more digits than the context's precision
-            raise ValueError(f"decimal out of range: {value}") from exc
+            quantized = value.quantize(_QUANTUM, context=_CONTEXT)
+        except InvalidOperation as exc:  # more than 28 digits
+            raise ValueError(f"decimal out of range: {_CONTEXT.to_sci_string(value)}") from exc
         if quantized != value:
-            raise ValueError(f"more than 4 fractional digits: {value}")
+            raise ValueError(f"more than 4 fractional digits: {_CONTEXT.to_sci_string(value)}")
         if quantized == 0:
-            quantized = abs(quantized)  # normalize -0.0000
+            quantized = quantized.copy_abs()  # normalize -0.0000
         return cls(FieldKind.DECIMAL, quantized)
 
     @classmethod
@@ -175,7 +179,8 @@ class AbstentionCategory(str, Enum):
 
 @dataclass(frozen=True)
 class AbstentionReason:
-    """Why the engine declined, plus the identifiers that triggered it."""
+    """Why the engine declined, plus the identifiers that triggered it: any
+    iterable of labels is kept sorted and without duplicates."""
 
     category: AbstentionCategory
     labels: tuple[str, ...]
@@ -218,8 +223,8 @@ class SystemOutput:
         return cls(Action.RECOMMEND, class_id=class_id)
 
     @classmethod
-    def abstain(cls, category: AbstentionCategory, labels: tuple[str, ...] | list[str]) -> "SystemOutput":
-        return cls(Action.ABSTAIN, reason=AbstentionReason(category, tuple(labels)))
+    def abstain(cls, category: AbstentionCategory, labels: Iterable[str]) -> "SystemOutput":
+        return cls(Action.ABSTAIN, reason=AbstentionReason(category, labels))
 
     def to_canonical(self) -> dict[str, Any]:
         if self.action is Action.RECOMMEND:
@@ -307,13 +312,7 @@ class Stage(str, Enum):
     OUTPUT = "output"
 
 
-PIPELINE_STAGES: tuple[Stage, ...] = (
-    Stage.INPUT_ASSESSMENT,
-    Stage.EXCLUSIONS,
-    Stage.CLINICAL_RULES,
-    Stage.STEWARDSHIP,
-    Stage.OUTPUT,
-)
+PIPELINE_STAGES: tuple[Stage, ...] = tuple(Stage)
 
 
 class Verdict(str, Enum):

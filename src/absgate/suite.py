@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .canon import canonical_hash
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, has_errors
 from .model import (
     IDENT_RE,
     TOKEN_RE,
@@ -58,6 +58,9 @@ class Suite:
         object.__setattr__(self, "cases", tuple(sorted(self.cases, key=lambda c: c.case_id)))
         if not self.cases:
             raise ValueError("suite requires at least one case")
+        for before, after in zip(self.cases, self.cases[1:]):
+            if before.case_id == after.case_id:
+                raise ValueError(f"case id '{after.case_id}' appears twice")
 
     def case(self, case_id: str) -> CaseInput | None:
         for case in self.cases:
@@ -251,7 +254,7 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
             seen_ids.add(case.case_id)
             cases.append(case)
 
-    if suite_id is None or version is None or not cases or any(d.severity is Severity.ERROR for d in diags):
+    if suite_id is None or version is None or not cases or has_errors(diags):
         return None, diags
     return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin), diags
 

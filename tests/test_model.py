@@ -1,3 +1,4 @@
+import decimal
 import json
 from decimal import Decimal
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from absgate import load_reference_policy, policy_hash
 from absgate.canon import canonical_bytes
 from absgate.model import (
     PIPELINE_STAGES,
@@ -43,7 +45,7 @@ def test_decimal_values_are_fixed_point():
 
 
 def test_decimals_too_long_to_quantize_raise_value_error():
-    # Four fractional digits leave 24 integer digits in the default context.
+    # Four fractional digits leave 24 integer digits of the 28.
     widest = "9" * 24 + ".9999"
     assert FieldValue.decimal(widest).to_canonical() == widest
     for value in ("1" * 25 + ".5", "1" * 40 + ".5", Decimal("1e30"), "-" + "1" * 5000):
@@ -51,6 +53,33 @@ def test_decimals_too_long_to_quantize_raise_value_error():
             FieldValue.decimal(value)
     with pytest.raises(ValueError, match="^decimal out of range: "):
         FieldValue.from_json("1" * 40 + ".5")
+
+
+@pytest.mark.parametrize("traps", [True, False])
+def test_decimals_ignore_the_callers_decimal_context(traps):
+    reference_hash = policy_hash(load_reference_policy())
+    with decimal.localcontext() as context:
+        context.prec = 4
+        context.capitals = 0
+        if traps:
+            context.traps.update(dict.fromkeys(context.traps, True))
+        else:
+            context.clear_traps()
+        assert policy_hash(load_reference_policy()) == reference_hash
+        assert FieldValue.decimal("123.4567").value == Decimal("123.4567")
+        assert FieldValue.decimal("-0.0").value.is_signed() is False
+        refused = {
+            "abc": "not a decimal: 'abc'",
+            "1.23456": "more than 4 fractional digits: 1.23456",
+            "1" * 25 + ".5": "decimal out of range: " + "1" * 25 + ".5",
+            "NaN": "finite decimal required, got Decimal('NaN')",
+            Decimal("1E+30"): "decimal out of range: 1E+30",
+            Decimal("1E-5"): "more than 4 fractional digits: 0.00001",
+        }
+        for value, message in refused.items():
+            with pytest.raises(ValueError) as caught:
+                FieldValue.decimal(value)
+            assert str(caught.value) == message
 
 
 def test_token_values_enforce_lexical_shape():

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 from itertools import permutations
 
-from absgate import load_reference_policy, parse_suite, suite_hash
+import pytest
+
+from absgate import load_reference_policy, load_reference_suite, parse_suite, suite_hash
 from absgate.model import CaseInput, FieldKind, FieldValue
 from absgate.reference import reference_suite_text
 from absgate.suite import Suite, _parse_expect, bind_suite, suite_canonical
@@ -49,6 +52,16 @@ def test_clean_suite_parses_and_sorts_cases():
     assert [case.case_id for case in suite.cases] == ["k1", "k2"]
     assert suite.case("k2") is not None
     assert suite.case("ghost") is None
+
+
+def test_a_suite_built_in_code_refuses_a_repeated_case_id():
+    # run_suite keys its traces by case id, so a repeated id would audit
+    # one case's recommendation against the other's trace.
+    reference = load_reference_suite()
+    c17, c18 = reference.case("c17"), reference.case("c18")
+    assert c17 is not None and c18 is not None
+    with pytest.raises(ValueError, match="^case id 'c17' appears twice$"):
+        Suite("s", "v1", reference.mechanisms, (c17, dataclasses.replace(c18, case_id="c17")))
 
 
 def test_malformed_document_reports_location():
