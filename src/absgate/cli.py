@@ -15,14 +15,13 @@ Exit codes: 0 on success (an abstention is a successful outcome), 1 when
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .canon import canonical_bytes
-from .diagnostics import Diagnostic, Severity, has_errors
+from .diagnostics import Diagnostic, has_errors
 from .dsl import parse_policy
 from .engine import decide
 from .evaluation import EvaluationReport, render_ratio, run_suite
@@ -33,32 +32,9 @@ from .suite import Suite, bind_suite, parse_suite, suite_hash
 __all__ = ["main"]
 
 
-def _color_enabled(stream) -> bool:
-    if os.environ.get("ABSGATE_NO_COLOR"):
-        return False
-    return bool(getattr(stream, "isatty", lambda: False)())
-
-
-_RED = "\x1b[31m"
-_YELLOW = "\x1b[33m"
-_GREEN = "\x1b[32m"
-_RESET = "\x1b[0m"
-
-
-def _paint(text: str, code: str, stream) -> str:
-    if _color_enabled(stream):
-        return f"{code}{text}{_RESET}"
-    return text
-
-
 def _emit(diags: Sequence[Diagnostic]) -> None:
     for diag in diags:
-        line = diag.render()
-        if diag.severity is Severity.ERROR:
-            line = _paint(line, _RED, sys.stderr)
-        else:
-            line = _paint(line, _YELLOW, sys.stderr)
-        print(line, file=sys.stderr)
+        print(diag.render(), file=sys.stderr)
 
 
 def _read_text(path: str) -> str | None:
@@ -113,7 +89,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(report: EvaluationReport, runs: int, stream) -> None:
+def _summarize(report: EvaluationReport, runs: int) -> None:
     total = len(report.results)
     print(f"policy sha256:{report.policy_digest}")
     print(f"suite sha256:{report.suite_digest}")
@@ -128,19 +104,17 @@ def _summarize(report: EvaluationReport, runs: int, stream) -> None:
         print(f"coverage {mechanism} {render_ratio(report.coverage[mechanism])}")
     failed = [f for f in report.stewardship_findings if not f.passed]
     if failed:
-        word = _paint("FAIL", _RED, stream)
-        print(f"stewardship {word} ({len(failed)} of {len(report.stewardship_findings)} checks failed)")
+        print(f"stewardship FAIL ({len(failed)} of {len(report.stewardship_findings)} checks failed)")
         for finding in failed:
             print(f"  {finding.case_id} {finding.check} {finding.detail}")
     else:
-        word = _paint("pass", _GREEN, stream)
-        print(f"stewardship {word} ({len(report.stewardship_findings)} checks)")
+        print(f"stewardship pass ({len(report.stewardship_findings)} checks)")
     if runs == 1:
         print("determinism runs=1 (determinism not exercised)")
     elif report.determinism_ok:
-        print(f"determinism {_paint('ok', _GREEN, stream)} runs={runs}")
+        print(f"determinism ok runs={runs}")
     else:
-        print(f"determinism {_paint('FAIL', _RED, stream)} runs={runs}")
+        print(f"determinism FAIL runs={runs}")
     for result in report.results:
         if result.match.value != "full":
             expected = canonical_bytes(result.expected.to_canonical()).decode("utf-8")
@@ -160,7 +134,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = run_suite(policy, suite, runs=args.runs)
     if args.report is not None:
         Path(args.report).write_bytes(canonical_bytes(report.to_canonical()) + b"\n")
-    _summarize(report, args.runs, sys.stdout)
+    _summarize(report, args.runs)
     if args.strict:
         full = all(r.match.value == "full" for r in report.results)
         determinism = report.determinism_ok or args.runs == 1

@@ -241,21 +241,14 @@ class _Unserved(Exception):
     """A case value of a kind its field group's table was not built for."""
 
 
-# The Python type a literal of each kind holds when built by the named
-# ``FieldValue`` constructors; tables are built only over such literals.
-_LITERAL_TYPES = {FieldKind.BOOLEAN: bool, FieldKind.INTEGER: int, FieldKind.DECIMAL: Decimal, FieldKind.TOKEN: str}
-
-
 def _tabled(leaf: Condition) -> bool:
     """Whether a field group's table can serve this leaf."""
     if not isinstance(leaf, Comparison):
         return True
-    kind, value = leaf.literal.kind, leaf.literal.value
-    if type(value) is not _LITERAL_TYPES.get(kind):
-        return False
+    kind = leaf.literal.kind
     if kind in (FieldKind.BOOLEAN, FieldKind.TOKEN):
         return leaf.op in ("==", "!=")
-    return kind is FieldKind.INTEGER or value.is_finite()
+    return kind is not FieldKind.TOKEN_SET
 
 
 def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldValue]], Any] | None:
@@ -395,10 +388,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     sentinel_refs: list[int | None] = []
 
     def leaf_ref(leaf: Condition) -> int:
-        try:
-            index = leaf_index.setdefault(leaf, len(leaves))
-        except TypeError:  # an unhashable literal gets a slot of its own
-            index = len(leaves)
+        index = leaf_index.setdefault(leaf, len(leaves))
         if index == len(leaves):
             leaves.append(leaf)
         return index
@@ -461,9 +451,9 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
 
     def ordered(fields: Mapping[str, FieldValue]) -> list[int]:
         # The error path: the first leaf in condition order that fails
-        # raises its own error. If none does (a value the named constructors
-        # would refuse, which a table cannot look up), their values fill the
-        # slots.
+        # raises its own error. If none does (a value that is no
+        # ``FieldValue``, which a table cannot look up), their values fill
+        # the slots.
         values = [_atom(leaf)(fields) for leaf in leaves]
         return [values[index] for index in singles + grouped]
 

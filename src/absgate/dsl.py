@@ -110,7 +110,8 @@ class _ParseError(Exception):
 
 # The greatest height a condition tree may have: the most of "not", "and"
 # and "or" on a path from the whole condition down to one of its terms.
-# With _MAX_OPEN it bounds the recursive-descent parser, and the text
+# This and _MAX_OPEN are rules of the language, not guards of the parser,
+# which keeps explicit stacks and does not recurse. The text
 # ``format_policy`` prints for any tree it admits parses back. A tree built
 # in code may be deeper: checking, printing and hashing walk trees with an
 # explicit stack, so its policy still hashes, validates, formats and
@@ -118,21 +119,10 @@ class _ParseError(Exception):
 MAX_NESTING = 100
 # The most "(" and "not" open at one point of a condition's text. Printing
 # wraps each "and", "or" and "not" in parentheses, so the printed text of a
-# tree MAX_NESTING high opens at most twice that. Parsing recurses at most
-# three frames per open "(", so this also bounds the parser's recursion.
+# tree MAX_NESTING high opens at most twice that.
 _MAX_OPEN = 2 * MAX_NESTING
-
-
-def _nested(height: int, tok: _Tok) -> int:
-    if height > MAX_NESTING:
-        raise _ParseError(f"condition nests deeper than {MAX_NESTING} levels", tok, "nesting_too_deep")
-    return height
-
-
-def _open(opened: int, tok: _Tok) -> int:
-    if opened > _MAX_OPEN:
-        raise _ParseError(f"condition has more than {_MAX_OPEN} '(' and 'not' open at once", tok, "nesting_too_deep")
-    return opened
+# How tightly each operator binds: "not" tightest, then "and", then "or".
+_BINDS = {"or": 1, "and": 2, "not": 3}
 
 
 def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
@@ -446,42 +436,50 @@ class _Parser:
         return True
 
     # --- expressions ------------------------------------------------------
-    # Each method below takes the number of "(" and "not" open around it, so
-    # that too deep a nesting stops before the recursion does, and returns
-    # its condition with the tree's height (see MAX_NESTING and _MAX_OPEN).
     def _condition(self) -> Condition:
-        return self._expr(0)[0]
-
-    def _expr(self, opened: int) -> tuple[Condition, int]:
-        left, height = self._and_expr(opened)
-        while self.at("or"):
-            tok = self.advance()
-            right, right_height = self._and_expr(opened)
-            left = Or(left, right, line=left.line, col=left.col)
-            height = _nested(max(height, right_height) + 1, tok)
-        return left, height
-
-    def _and_expr(self, opened: int) -> tuple[Condition, int]:
-        left, height = self._not_expr(opened)
-        while self.at("and"):
-            tok = self.advance()
-            right, right_height = self._not_expr(opened)
-            left = And(left, right, line=left.line, col=left.col)
-            height = _nested(max(height, right_height) + 1, tok)
-        return left, height
-
-    def _not_expr(self, opened: int) -> tuple[Condition, int]:
-        tok = self.peek()
-        if not (self.at("not") or self.at("(")):
-            return self._atom(), 0
-        self.advance()
-        opened = _open(opened + 1, tok)
-        if tok.text == "not":
-            inner, height = self._not_expr(opened)
-            return Not(inner, line=tok.line, col=tok.col), _nested(height + 1, tok)
-        inner, height = self._expr(opened)
-        self.expect(")")
-        return inner, height
+        # Shunting-yard (Dijkstra): ``ops`` holds the pending "(", "not",
+        # "and" and "or" tokens, ``terms`` each finished operand with its
+        # tree height, and ``opened`` counts the "(" and "not" in ``ops``.
+        ops: list[_Tok] = []
+        terms: list[tuple[Condition, int]] = []
+        opened = 0
+        while True:
+            if self.at("not") or self.at("("):
+                ops.append(self.advance())
+                opened += 1
+                if opened > _MAX_OPEN:
+                    message = f"condition has more than {_MAX_OPEN} '(' and 'not' open at once"
+                    raise _ParseError(message, ops[-1], "nesting_too_deep")
+                continue
+            terms.append((self._atom(), 0))
+            # An operand has ended. Each pending operator that binds at least
+            # as tightly as the next token applies, so an operator applies as
+            # soon as its right operand ends; then a matched "(" closes.
+            while True:
+                nxt = self.peek().text
+                binds = _BINDS[nxt] if nxt == "and" or nxt == "or" else 0
+                if ops and ops[-1].text != "(" and _BINDS[ops[-1].text] >= binds:
+                    op = ops.pop()
+                    right, height = terms.pop()
+                    if op.text == "not":
+                        opened -= 1
+                        node: Condition = Not(right, line=op.line, col=op.col)
+                    else:
+                        left, left_height = terms.pop()
+                        node = (And if op.text == "and" else Or)(left, right, line=left.line, col=left.col)
+                        height = max(height, left_height)
+                    if height >= MAX_NESTING:
+                        raise _ParseError(f"condition nests deeper than {MAX_NESTING} levels", op, "nesting_too_deep")
+                    terms.append((node, height + 1))
+                elif binds:
+                    ops.append(self.advance())
+                    break
+                elif not ops:
+                    return terms[0][0]
+                else:
+                    self.expect(")")
+                    ops.pop()
+                    opened -= 1
 
     def _atom(self) -> Condition:
         tok = self.peek()

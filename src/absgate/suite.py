@@ -184,18 +184,26 @@ def _parse_case(
     return CaseInput(case_id, description, mechanism, fields, expected)
 
 
+def _json_int(text: str) -> int:
+    # Counts the digits before ``int()`` runs, so the interpreter's limit on
+    # int-string digits never decides which diagnostic a long integer gets.
+    if len(text.lstrip("-")) > 19:  # the digits of INT64_MAX
+        raise ValueError("too many digits")
+    return int(text)
+
+
 def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
     """Parse suite JSON; returns (suite or None, diagnostics)."""
     diags: list[Diagnostic] = []
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         diags.append(Diagnostic(Severity.ERROR, "malformed_document", exc.msg, exc.lineno, exc.colno))
         return None, diags
     except RecursionError:
         _err(diags, "malformed_document", "document nests too deeply")
         return None, diags
-    except ValueError:  # an integer past the interpreter's int-string digit limit
+    except ValueError:  # an integer of more than 19 digits
         _err(diags, "malformed_document", "document holds an integer with too many digits")
         return None, diags
     if not isinstance(document, dict):

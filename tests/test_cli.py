@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,9 +12,29 @@ POLICY_PATH = str(resources.files("absgate.data").joinpath("reference.policy"))
 SUITE_PATH = str(resources.files("absgate.data").joinpath("reference_suite.json"))
 
 
-@pytest.fixture(autouse=True)
-def plain_output(monkeypatch):
-    monkeypatch.setenv("ABSGATE_NO_COLOR", "1")
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH],
+        ["validate", "--policy", "tests/fixtures/defective/unknown_field.policy"],
+    ],
+    ids=["summary", "diagnostics"],
+)
+def test_a_terminal_gets_the_bytes_a_pipe_gets(monkeypatch, argv):
+    outputs = []
+    for stream_type in (_Terminal, io.StringIO):
+        out, err = stream_type(), stream_type()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        main(argv)
+        outputs.append((out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]
+    assert "\x1b" not in "".join(outputs[0])
 
 
 def test_validate_accepts_the_reference_policy(capsys):

@@ -345,17 +345,11 @@ def test_stage_programs_match_the_oracle_on_shared_leaves(conds, cases):
         assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)
 
 
-def test_unhashable_literals_get_slots_of_their_own():
-    # Built in code, past the named constructors: a list literal cannot be
-    # hashed, so it cannot key the table of shared leaves.
-    listed = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
-    twin = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
-    assert evaluate(listed, _fields(sex="male")) is F
-    assert evaluate(Not(listed), _fields(sex="male")) is T
-    assert evaluate(listed, {}) is I
-    program = compile_conditions([listed, Or(Not(twin), listed), Present("sex")])
-    assert program(_fields(sex="male")) == [0, 2, 2]
-    assert program({}) == [1, 1, 0]
+def test_a_literal_holding_a_list_cannot_be_built():
+    # Every literal hashes, so structurally equal leaves always share one
+    # slot: a token value holding a list is refused when it is built.
+    with pytest.raises(ValueError, match="^not a token"):
+        Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
 
 
 # Field groups: many leaves per field, so every field kind gets its table.
@@ -429,9 +423,11 @@ def test_a_field_with_more_leaves_than_one_group_serves():
 
 
 def test_values_a_table_cannot_look_up_take_the_atoms_values():
-    # Built in code, past the named constructors: an unhashable token value
-    # and a None stored under a field name. The atoms give the oracle's
-    # values, so a program gives them too.
+    # A None stored under a field name is no value a table can look up. The
+    # atoms give the oracle's values, so a program gives them too. A token
+    # value holding a list cannot be built at all.
+    with pytest.raises(ValueError, match="^not a token"):
+        FieldValue(FieldKind.TOKEN, ["male"])
     conds = [
         Comparison("sex", "==", FieldValue.token("male")),
         Comparison("sex", "!=", FieldValue.token("female")),
@@ -441,8 +437,19 @@ def test_values_a_table_cannot_look_up_take_the_atoms_values():
         Absent("age"),
     ]
     program = compile_conditions(conds)
-    fields = {"sex": FieldValue(FieldKind.TOKEN, ["male"]), "age": None}
-    assert program(fields) == [_ORACLE_TRUTH[truth_of(cond, fields)].value for cond in conds] == [0, 2, 2, 1, 1, 0]
+    fields = {"sex": FieldValue.token("male"), "age": None}
+    assert program(fields) == [_ORACLE_TRUTH[truth_of(cond, fields)].value for cond in conds] == [2, 2, 2, 1, 1, 0]
+
+
+def test_a_comparison_with_a_token_set_literal_stays_untabled():
+    # No field table is built over token-set literals: such a leaf is an
+    # atom of its own, and the field's other leaves are single atoms too.
+    subset = Comparison("flags", "==", FieldValue.token_set(["a"]))
+    conds = [subset, Has("flags", "a"), Comparison("flags", "!=", FieldValue.token_set(["a", "b"]))]
+    assert not condition._tabled(subset)
+    program = compile_conditions(conds)
+    for fields in ({}, _fields(flags=[]), _fields(flags=["a"]), _fields(flags=["b", "a"])):
+        assert program(fields) == [_ORACLE_TRUTH[truth_of(cond, fields)].value for cond in conds], fields
 
 
 def test_programs_run_every_atom_in_first_occurrence_order():
@@ -609,27 +616,6 @@ def test_each_tree_runs_or_skips_on_its_own_sentinel(step_reads):
         assert len(step_reads) == sum(steps for _, steps, _ in _COUNTED_TREES) - skipped
 
 
-# Built in code, past the named constructors: a list literal cannot be
-# hashed, so each occurrence gets a slot of its own.
-_LISTED = Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
-
-
-def test_an_unhashable_sentinel_keeps_its_one_slot(monkeypatch):
-    built, atom = [], condition._atom
-
-    def counting_atom(leaf):
-        built.append(leaf)
-        return atom(leaf)
-
-    monkeypatch.setattr(condition, "_atom", counting_atom)
-    tree = And(_LISTED, Not(Present("age")))
-    program = compile_conditions([tree])
-    # One atom per leaf: the sentinel reads its leaf's slot.
-    assert built == [_LISTED, Present("age")]
-    for fields in ({}, _fields(sex="male"), _fields(sex="male", age=1)):
-        assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value]
-
-
 def test_a_mismatch_in_a_skipped_tree_still_raises_first():
     mismatched = Comparison("age", "==", FieldValue.token("old"))
     fields = _fields(age=70, sex="female")
@@ -649,7 +635,7 @@ def _gated_programs(draw):
     """Programs of 0-8 trees sharing leaves from one small pool, most of them
     ``(leaf and tree)`` or longer ``and`` chains, so sentinels are shared
     and come out FALSE, INDETERMINATE and TRUE."""
-    pool = draw(st.lists(st.one_of(_kind_atoms(), st.just(_LISTED)), min_size=1, max_size=6))
+    pool = draw(st.lists(_kind_atoms(), min_size=1, max_size=6))
     leaves = st.sampled_from(pool)
     inner = st.recursive(
         leaves,
@@ -668,7 +654,7 @@ def _gated_programs(draw):
 
 @given(_gated_programs(), st.lists(_kind_cases(), min_size=1, max_size=6))
 @example([], [{}])
-@example([And(_LISTED, _FEVER)], [_fields(sex="male", fever=True), {}])
+@example([And(_MALE, _FEVER)], [_fields(sex="male", fever=True), {}])
 @example([Or(_MALE, _FEVER), And(_MALE, _FEVER), _MALE], [_fields(sex="female", fever=True)])
 def test_gated_programs_match_the_oracle(conds, cases):
     program = compile_conditions(conds)

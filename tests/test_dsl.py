@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from absgate import format_policy, parse_policy, policy_hash
+from absgate.condition import print_condition
 from absgate.dsl import MAX_NESTING, _lex
 from absgate.reference import reference_policy_text
 
@@ -129,6 +130,18 @@ def test_nesting_is_limited_with_a_diagnostic(shape):
         policy, diags = _parse_condition(_NESTINGS[shape](levels))
         assert policy is None
         assert [d.code for d in diags] == ["nesting_too_deep"]
+
+
+def test_only_the_open_parentheses_and_nots_count():
+    # 256 negations and 255 pairs of parentheses in a balanced tree nine
+    # levels high: at most eight "(" and one "not" are open at once.
+    text = "not a == true"
+    for _ in range(8):
+        text = f"({text} and {text})"
+    assert text.count("not") + text.count("(") > 2 * MAX_NESTING
+    policy, diags = _parse_condition(text)
+    assert diags == []
+    assert print_condition(policy.clinical_rules[0].when) == text.replace("not a == true", "(not a == true)")
 
 
 def test_the_nesting_diagnostics_name_their_limit():

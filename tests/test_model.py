@@ -97,6 +97,33 @@ def test_token_set_sorted_and_duplicate_free():
         FieldValue.token_set(["a", "a"])
 
 
+@pytest.mark.parametrize(
+    ("kind", "value", "message"),
+    [
+        (FieldKind.BOOLEAN, 1, "boolean value required"),
+        (FieldKind.INTEGER, 1.5, "integer value required"),
+        (FieldKind.INTEGER, True, "integer value required"),
+        (FieldKind.INTEGER, 2**63, "integer out of 64-bit signed range"),
+        (FieldKind.DECIMAL, Decimal("39.99999"), "more than 4 fractional digits"),
+        (FieldKind.DECIMAL, 1.5, "finite decimal required"),
+        (FieldKind.TOKEN, "Male", "not a token"),
+        (FieldKind.TOKEN_SET, "ab", "token set requires a sequence of tokens"),
+        (FieldKind.TOKEN_SET, ["a", "a"], "duplicate tokens in set"),
+        ("boolean", True, "not a field kind"),
+    ],
+)
+def test_values_built_directly_are_checked_like_the_named_constructors(kind, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        FieldValue(kind, value)
+
+
+def test_values_built_directly_are_normalized_like_the_named_constructors():
+    assert FieldValue(FieldKind.DECIMAL, Decimal("40.00000")) == FieldValue.decimal("40.0000")
+    assert FieldValue(FieldKind.DECIMAL, "-0.0").value.is_signed() is False
+    assert FieldValue(FieldKind.TOKEN_SET, ["b", "a"]) == FieldValue.token_set({"a", "b"})
+    assert type(FieldValue(FieldKind.TOKEN_SET, ("a",)).value) is frozenset
+
+
 def test_from_json_dispatch():
     assert FieldValue.from_json(True).kind is FieldKind.BOOLEAN
     assert FieldValue.from_json(7).kind is FieldKind.INTEGER

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from decimal import Decimal
 from itertools import permutations
 
 import pytest
 
-from absgate import load_reference_policy, load_reference_suite, parse_suite, suite_hash
+from absgate import load_reference_policy, load_reference_suite, parse_suite, run_suite, suite_hash
+from absgate.canon import canonical_bytes
 from absgate.model import CaseInput, FieldKind, FieldValue
 from absgate.reference import reference_suite_text
 from absgate.suite import Suite, _parse_expect, bind_suite, suite_canonical
@@ -104,6 +106,43 @@ def test_oversized_numbers_are_diagnostics():
     assert [d.render() for d in diags] == [
         "ERROR malformed_document 0:0 document holds an integer with too many digits"
     ]
+    # Digits are counted before conversion: past 19, the document is malformed.
+    for age, codes in (
+        ("1" + "0" * 18, []),
+        ("-" + "9" * 19, ["invalid_field_value"]),
+        ("-" + "1" * 20, ["malformed_document"]),
+    ):
+        suite, diags = parse_suite(reference.replace('"age": 30', '"age": ' + age, 1))
+        assert [d.code for d in diags] == codes
+        assert (suite is None) == bool(codes)
+
+
+def _with_c19_weight(value):
+    suite = load_reference_suite()
+    cases = tuple(
+        dataclasses.replace(case, fields={**case.fields, "weight_kg": value}) if case.case_id == "c19" else case
+        for case in suite.cases
+    )
+    return dataclasses.replace(suite, cases=cases)
+
+
+def test_suites_with_equal_digests_decide_alike():
+    # A weight a hair under the 40 kg veto threshold, built in code, would
+    # print and hash as 40.0000 but decide as less than 40.
+    with pytest.raises(ValueError, match="^more than 4 fractional digits"):
+        FieldValue(FieldKind.DECIMAL, Decimal("39.99999"))
+    suites = [
+        _with_c19_weight(value)
+        for value in (
+            FieldValue.decimal("40.0000"),
+            FieldValue(FieldKind.DECIMAL, Decimal("40.00000")),
+            FieldValue(FieldKind.DECIMAL, "40"),
+        )
+    ]
+    assert len({suite_hash(suite) for suite in suites}) == 1
+    assert all(bind_suite(suite, POLICY) == [] for suite in suites)
+    reports = {canonical_bytes(run_suite(POLICY, suite, runs=1).to_canonical()) for suite in suites}
+    assert len(reports) == 1
 
 
 def test_document_must_be_an_object():
