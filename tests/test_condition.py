@@ -345,9 +345,10 @@ def test_stage_programs_match_the_oracle_on_shared_leaves(conds, cases):
         assert [Truth(value) for value in program(fields)] == expected, ([print_condition(c) for c in conds], fields)
 
 
-def test_a_literal_holding_a_list_cannot_be_built():
-    # Every literal hashes, so structurally equal leaves always share one
-    # slot: a token value holding a list is refused when it is built.
+def test_unhashable_literals_get_slots_of_their_own():
+    # A list literal, the one unhashable literal there was, is refused when
+    # it is built: every literal hashes, so structurally equal leaves always
+    # share one slot.
     with pytest.raises(ValueError, match="^not a token"):
         Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
 
@@ -614,6 +615,26 @@ def test_each_tree_runs_or_skips_on_its_own_sentinel(step_reads):
         fields = _fields(fever=False, age=3, sex=sex)
         assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value for tree in trees]
         assert len(step_reads) == sum(steps for _, steps, _ in _COUNTED_TREES) - skipped
+
+
+def test_an_unhashable_sentinel_keeps_its_one_slot(monkeypatch):
+    # The list-valued sentinel this test once used is refused when it is
+    # built; a hashable sentinel still reads its own leaf's one slot.
+    with pytest.raises(ValueError, match="^not a token"):
+        FieldValue(FieldKind.TOKEN, ["male"])
+    built, atom = [], condition._atom
+
+    def counting_atom(leaf):
+        built.append(leaf)
+        return atom(leaf)
+
+    monkeypatch.setattr(condition, "_atom", counting_atom)
+    tree = And(_MALE, Not(Present("age")))
+    program = compile_conditions([tree])
+    # One atom per leaf: the sentinel reads its leaf's slot.
+    assert built == [_MALE, Present("age")]
+    for fields in ({}, _fields(sex="male"), _fields(sex="male", age=1)):
+        assert program(fields) == [_ORACLE_TRUTH[truth_of(tree, fields)].value]
 
 
 def test_a_mismatch_in_a_skipped_tree_still_raises_first():
