@@ -25,7 +25,7 @@ from .diagnostics import Diagnostic, has_errors
 from .dsl import parse_policy
 from .engine import decide
 from .evaluation import EvaluationReport, render_ratio, run_suite
-from .model import canonical_serialize
+from .model import MatchLevel, canonical_serialize
 from .policy import Policy, policy_hash, validate_policy
 from .suite import Suite, bind_suite, parse_suite, suite_hash
 
@@ -89,7 +89,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(report: EvaluationReport, runs: int) -> None:
+def _summarize(report: EvaluationReport) -> None:
     total = len(report.results)
     print(f"policy sha256:{report.policy_digest}")
     print(f"suite sha256:{report.suite_digest}")
@@ -109,14 +109,12 @@ def _summarize(report: EvaluationReport, runs: int) -> None:
             print(f"  {finding.case_id} {finding.check} {finding.detail}")
     else:
         print(f"stewardship pass ({len(report.stewardship_findings)} checks)")
-    if runs == 1:
+    if report.run_count == 1:
         print("determinism runs=1 (determinism not exercised)")
-    elif report.determinism_ok:
-        print(f"determinism ok runs={runs}")
     else:
-        print(f"determinism FAIL runs={runs}")
+        print(f"determinism {'ok' if report.determinism_ok else 'FAIL'} runs={report.run_count}")
     for result in report.results:
-        if result.match.value != "full":
+        if result.match is not MatchLevel.FULL:
             expected = canonical_bytes(result.expected.to_canonical()).decode("utf-8")
             print(
                 f"mismatch {result.case_id} level={result.match.value}"
@@ -134,10 +132,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = run_suite(policy, suite, runs=args.runs)
     if args.report is not None:
         Path(args.report).write_bytes(canonical_bytes(report.to_canonical()) + b"\n")
-    _summarize(report, args.runs)
+    _summarize(report)
     if args.strict:
-        full = all(r.match.value == "full" for r in report.results)
-        determinism = report.determinism_ok or args.runs == 1
+        full = all(r.match is MatchLevel.FULL for r in report.results)
+        determinism = report.determinism_ok or report.run_count == 1
         if not (full and determinism and report.all_stewardship_pass()):
             return 1
     return 0

@@ -24,7 +24,10 @@ leaves rerun one by one in condition order, so the first mismatching leaf
 raises. The engine builds one program per policy stage; ``evaluate``
 builds a one-condition program and caches it on the node.
 
-Compiling, the field sets, ``typecheck``, ``print_condition`` and the
+``typecheck`` alone decides which conditions suit a schema: the DSL
+reports all its diagnostics, and a ``Policy`` refuses the first when built.
+
+Compiling, ``bare_fields``, ``typecheck``, ``print_condition`` and the
 connectives' ``==`` and ``hash`` all read a tree in post-order from one
 explicit-stack walk (``_postfix``), so a tree's depth is bounded by memory,
 not by the interpreter's recursion limit. The generated ``repr``, and
@@ -42,7 +45,7 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
-from .model import FieldKind, FieldValue
+from .model import TOKEN_RE, FieldKind, FieldValue
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
     from .policy import FieldDecl
@@ -61,7 +64,6 @@ __all__ = [
     "COMPARISON_OPS",
     "compile_conditions",
     "evaluate",
-    "referenced_fields",
     "bare_fields",
     "typecheck",
     "print_condition",
@@ -110,6 +112,8 @@ class Comparison(_Node):
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator: {self.op!r}")
+        if type(self.literal) is not FieldValue:
+            raise ValueError(f"comparison literal is not a FieldValue: {self.literal!r}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,10 @@ class Absent(_Node):
 class Has(_Node):
     field_name: str
     token: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.token, str) or not TOKEN_RE.match(self.token):
+            raise ValueError(f"not a token (expected [a-z][a-z0-9_]*): {self.token!r}")
 
 
 # Connectives compare and hash through ``_postfix``, not field by field, so
@@ -217,7 +225,7 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
                 return _TRUE if test(value.value, widened) else _FALSE
             raise ValueError(f"comparison across kinds: {value.kind.value} vs {kind.value}")
 
-    elif isinstance(leaf, Has):
+    else:  # Has
         def atom(fields, name=leaf.field_name, token=leaf.token):
             value = fields.get(name)
             if value is None:
@@ -226,8 +234,6 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
                 raise ValueError(f"has applied to non-set field {name!r}")
             return _TRUE if token in value.value else _FALSE
 
-    else:
-        raise TypeError(f"not a condition node: {leaf!r}")
     return atom
 
 
@@ -534,11 +540,6 @@ def _sentinel(cond: Condition) -> Condition | None:
         elif isinstance(node, _LEAF_TYPES):
             return node
     return None
-
-
-def referenced_fields(cond: Condition) -> frozenset[str]:
-    """Every field name the condition mentions, guards included."""
-    return frozenset(node.field_name for node in _postfix(cond) if isinstance(node, _FIELD_LEAVES))
 
 
 def bare_fields(cond: Condition) -> frozenset[str]:

@@ -195,9 +195,9 @@ def _abstain(
 def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     """Run the pipeline; returns the output and its full audit trace.
 
-    Precondition: the case type-checks against the policy schema (the suite
-    bind step enforces this; a kind mismatch here is a programming error,
-    not an abstention).
+    Precondition: the case type-checks against the policy schema (the
+    policy's kinds are checked when it is built, the case's by the suite
+    bind step; a kind mismatch here is a programming error, not an abstention).
     """
     compiled = _compiled(policy)
     fields = case.fields

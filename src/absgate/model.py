@@ -249,11 +249,7 @@ class SystemOutput:
         if self.action is Action.RECOMMEND:
             return {"action": "recommend", "class": self.class_id}
         assert self.reason is not None
-        return {
-            "action": "abstain",
-            "category": self.reason.category.value,
-            "labels": list(self.reason.labels),
-        }
+        return {"action": "abstain", **self.reason.to_canonical()}
 
     def render_line(self) -> str:
         """One-line human text form used by the decide command."""

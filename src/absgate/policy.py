@@ -2,7 +2,8 @@
 
 A ``Policy`` is a fully resolved, immutable declaration set. Construction
 enforces the structural invariants (identifier syntax, unique ids, resolved
-references), so a successfully built ``Policy`` can always be executed;
+references, condition kinds by ``condition.typecheck``), so a successfully
+built ``Policy`` can always be executed on a case ``bind_suite`` accepts;
 ``validate_policy`` adds the semantic lint layer on top (symmetry of
 incompatibility declarations, justification reachability, and similar).
 
@@ -25,7 +26,7 @@ from .condition import (
     Literal,
     _postfix,
     print_condition,
-    referenced_fields,
+    typecheck,
 )
 from .diagnostics import Diagnostic, Severity
 from .model import IDENT_RE, TOKEN_RE, FieldKind
@@ -233,9 +234,9 @@ class Policy:
         conditions.extend(r.when for r in self.clinical_rules)
         conditions.extend(v.when for v in self.stewardship.class_vetoes)
         for cond in conditions:
-            for name in referenced_fields(cond):
-                if name not in fields:
-                    raise ValueError(f"condition references undeclared field: {name}")
+            diags = typecheck(cond, fields)
+            if diags:
+                raise ValueError(diags[0].message)
         for rule in self.clinical_rules:
             if rule.candidate not in classes:
                 raise ValueError(f"rule {rule.rule_id} nominates undeclared class {rule.candidate}")

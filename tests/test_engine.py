@@ -338,12 +338,16 @@ def test_policy_survives_pickle_and_deepcopy_after_deciding():
     assert decisions(policy) == before
 
 
-# Kind mismatches a type-checked policy never holds; built in code to probe
-# when and in what order the engine evaluates conditions.
-_AGE_AS_TOKEN = Comparison("age", "==", FieldValue.token("old"))
-_HAS_ON_A_TOKEN = Has("syndrome", "uti")
-_AGE_MESSAGE = "comparison across kinds: integer vs token"
-_HAS_MESSAGE = "has applied to non-set field 'syndrome'"
+# Kind mismatches ``bind_suite`` refuses in a case; the case is built in
+# code, unbound, to probe when and in what order the engine evaluates
+# conditions. The policy's own conditions are well typed: a mistyped one
+# cannot be built. Nothing before the rules reads these two fields.
+_SYNDROME_TEST = Comparison("syndrome", "==", FieldValue.token("uti"))
+_RISK_TEST = Has("risk_factors", "neutropenia")
+# An integer where a token is declared, a token where a token set is.
+_MISTYPED = {"syndrome": 3, "risk_factors": "neutropenia"}
+_SYNDROME_MESSAGE = "comparison across kinds: integer vs token"
+_RISK_MESSAGE = "has applied to non-set field 'risk_factors'"
 
 
 def _with_rules(*conditions):
@@ -357,31 +361,30 @@ def _with_rules(*conditions):
 @pytest.mark.parametrize(
     "conditions, message",
     [
-        ((Or(Literal(True), _AGE_AS_TOKEN), And(_HAS_ON_A_TOKEN, _AGE_AS_TOKEN)), _AGE_MESSAGE),
-        ((Literal(False), And(_HAS_ON_A_TOKEN, Literal(False)), _AGE_AS_TOKEN), _HAS_MESSAGE),
+        ((Or(Literal(True), _SYNDROME_TEST), And(_RISK_TEST, _SYNDROME_TEST)), _SYNDROME_MESSAGE),
+        ((Literal(False), And(_RISK_TEST, Literal(False)), _SYNDROME_TEST), _RISK_MESSAGE),
     ],
 )
 def test_the_first_mismatch_in_rule_order_raises(conditions, message):
     with pytest.raises(ValueError, match=message):
-        decide(_with_rules(*conditions), case())
+        decide(_with_rules(*conditions), case(**_MISTYPED))
 
 
 def test_a_stage_not_reached_evaluates_nothing():
-    policy = _with_rules(_HAS_ON_A_TOKEN)
-    # Stops at input assessment, before the mistyped rule.
-    output, trace = decide(policy, case(drop=("age",)))
+    policy = _with_rules(_RISK_TEST)
+    # Stops at input assessment, before the rule reads the mistyped field.
+    output, trace = decide(policy, case(drop=("age",), risk_factors="neutropenia"))
     assert labels(output) == ["age"]
     assert [record.stage for record in trace.stages] == [Stage.INPUT_ASSESSMENT]
-    with pytest.raises(ValueError, match=_HAS_MESSAGE):
-        decide(policy, case())
-    # Stops at clinical rules (none fires), before the mistyped veto.
-    veto = dataclasses.replace(POLICY.stewardship.class_vetoes[0], when=_AGE_AS_TOKEN)
-    policy = dataclasses.replace(POLICY, stewardship=dataclasses.replace(POLICY.stewardship, class_vetoes=(veto,)))
-    output, trace = decide(policy, case(syndrome="uti", severity="moderate"))
+    with pytest.raises(ValueError, match=_RISK_MESSAGE):
+        decide(policy, case(risk_factors="neutropenia"))
+    # Stops at clinical rules (none fires), before the veto on weight_kg
+    # reads a token there.
+    output, trace = decide(POLICY, case(syndrome="uti", severity="moderate", weight_kg="light"))
     assert labels(output) == ["no_candidate"]
     assert trace.stages[-1].stage is Stage.CLINICAL_RULES
-    with pytest.raises(ValueError, match=_AGE_MESSAGE):
-        decide(policy, case())
+    with pytest.raises(ValueError, match="comparison across kinds: token vs decimal"):
+        decide(POLICY, case(weight_kg="light"))
 
 
 _DEPTH = 5000

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
-from absgate import parse_policy, policy_hash, validate_policy
-from absgate.condition import Comparison, Literal
+from absgate import format_policy, load_reference_policy, parse_policy, policy_hash, validate_policy
+from absgate.condition import And, Comparison, Has, Literal, Not, Present, typecheck
 from absgate.model import FieldKind, FieldValue
 from absgate.policy import (
     ClassDecl,
@@ -94,6 +96,60 @@ def test_policy_rejects_dangling_references():
                 ClinicalRule("r1", Literal(True), "c1", incompatible_with=("r1",)),
             )
         )
+
+
+REFERENCE = load_reference_policy()
+# The reference schema plus a token set with a closed enumeration.
+_SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")),)
+
+
+def _first_rule_when(cond, policy=REFERENCE):
+    rule = dataclasses.replace(policy.clinical_rules[0], when=cond)
+    return dataclasses.replace(policy, clinical_rules=(rule, *policy.clinical_rules[1:]))
+
+
+@pytest.mark.parametrize(
+    ("cond", "message"),
+    [
+        (Present("ghost"), "condition references undeclared field 'ghost'"),
+        (Has("age", "x"), "'has' requires a tokenset field, 'age' is integer"),
+        (Comparison("risk_factors", "==", FieldValue.token("x")), "tokenset field 'risk_factors' admits only 'has'"),
+        (Comparison("severity", "<", FieldValue.token("mild")), "ordering comparison on token field 'severity'"),
+        (Comparison("age", "==", FieldValue.token("old")), "token literal compared against integer field 'age'"),
+        (Has("flags", "c"), "token 'c' is outside the enumeration of 'flags'"),
+        (Comparison("severity", "==", FieldValue.token("critical")), "token 'critical' is outside the enumeration of 'severity'"),
+    ],
+)
+def test_a_policy_is_type_checked_when_built(cond, message):
+    policy = dataclasses.replace(REFERENCE, schema=_SCHEMA)
+    assert [d.message for d in typecheck(cond, policy.field_map())] == [message]
+    with pytest.raises(ValueError) as refused:
+        _first_rule_when(And(Present("age"), Not(cond)), policy)
+    assert str(refused.value) == message
+
+
+def test_the_first_mistyped_condition_in_declaration_order_is_reported():
+    # Justification, consistency, exclusions, rules, then vetoes; within a
+    # condition, leaf order.
+    rule = dataclasses.replace(REFERENCE.clinical_rules[0], when=Comparison("age", "==", FieldValue.token("old")))
+    stewardship = dataclasses.replace(REFERENCE.stewardship, escalation_justification=And(Has("sex", "x"), Present("ghost")))
+    with pytest.raises(ValueError, match="^'has' requires a tokenset field, 'sex' is token$"):
+        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=stewardship)
+    with pytest.raises(ValueError, match="^token literal compared against integer field 'age'$"):
+        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=REFERENCE.stewardship)
+
+
+def test_a_mistyped_policy_built_in_code_never_reaches_a_case():
+    # Built, it would raise a kind error in ``decide`` and format to text
+    # that does not parse back.
+    with pytest.raises(ValueError, match="^token literal compared against integer field 'age'$"):
+        _first_rule_when(Comparison("age", "==", FieldValue.token("old")))
+    with pytest.raises(ValueError, match="^'has' requires a tokenset field, 'age' is integer$"):
+        _first_rule_when(Has("age", "x"))
+    # A well-typed replacement builds and round-trips through text.
+    policy = _first_rule_when(Comparison("age", ">=", FieldValue.integer(65)))
+    reparsed, diags = parse_policy(format_policy(policy))
+    assert diags == [] and reparsed == policy
 
 
 @pytest.mark.parametrize(
