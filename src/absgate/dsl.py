@@ -43,7 +43,8 @@ admits the text ``format_policy`` prints for any tree the first admits.
 
 ``parse_policy`` returns the policy together with all diagnostics; the
 policy is None exactly when an error-level diagnostic was raised.
-``format_policy`` emits text that re-parses to an equal canonical form.
+The ``Policy`` holds its declarations in id order, and ``format_policy``
+prints them so, as text that re-parses to an equal policy.
 """
 
 from __future__ import annotations
@@ -582,8 +583,8 @@ class _Parser:
                 name.text,
                 when,
                 candidate.text,
-                tuple(dict.fromkeys(t.text for t in requires)),
-                tuple(dict.fromkeys(t.text for t in incompatible)),
+                tuple(t.text for t in requires),
+                tuple(t.text for t in incompatible),
             )
             for name, requires, when, candidate, incompatible in self.rules
         )
@@ -633,7 +634,8 @@ def _format_field(decl: FieldDecl) -> str:
 
 
 def format_policy(policy: Policy) -> str:
-    """Emit policy text that parses back to an equal canonical form."""
+    """Emit policy text, declarations in id order, that parses back to an
+    equal policy."""
     lines: list[str] = [f"policy {policy.policy_id} version {policy.version}", ""]
     lines.extend(_format_field(f) for f in policy.schema)
     lines.append("")

@@ -17,18 +17,19 @@ Stages run in a fixed order and the first terminating condition wins:
    rank-tied survivor set abstains as conservative ambiguity.
 5. output — the unique minimal-rank survivor is recommended.
 
-Each stage's conditions (consistency constraints, exclusions, clinical
-rules, and the vetoes with the escalation justification last) are compiled
-once per ``Policy`` into one program over field-grouped leaves
+A ``Policy`` holds its declarations in id order, so every stage reads
+its conditions, and yields its verdicts, in rule-id order. Each stage's
+conditions (consistency constraints, exclusions, clinical rules, and the
+vetoes with the escalation justification last) are compiled once per
+``Policy`` into one program over field-grouped leaves
 (``condition.compile_conditions``), cached on the policy with its class map,
-risk-field names, each exclusion's and rule's bare-reference fields, and the
-clinical rules in rule-id order with their ``(rule_id, verdict)`` pair for
-each truth value, so stage 3 appends ready-made pairs in trace order. A
-stage's program runs only when the stage is reached. It computes every
-leaf of every condition of the stage, so a kind mismatch raises whatever
-the other conditions yield, at the first mismatching leaf in declaration
-order; a condition's connective steps then run only if its sentinel
-conjunct is not FALSE.
+risk-field names, each exclusion's and rule's bare-reference fields, and
+each clinical rule's ``(rule_id, verdict)`` pair for each truth value, so
+stage 3 appends ready-made pairs in trace order. A stage's program runs
+only when the stage is reached. It computes every leaf of every condition
+of the stage, so a kind mismatch raises whatever the other conditions
+yield, at the first mismatching leaf in rule-id order; a condition's
+connective steps then run only if its sentinel conjunct is not FALSE.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace.
@@ -64,18 +65,15 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
-    # The clinical rules in rule-id order; where each sits in the program's
-    # output, which follows declaration order (None when the two agree);
-    # per rule, its ``(rule_id, verdict)`` pair for each truth value; and
-    # the positions of the rules that have ``requires``.
-    rules: tuple[ClinicalRule, ...]
-    rule_order: tuple[int, ...] | None
+    # Per clinical rule, in the policy's rule-id order, its ``(rule_id,
+    # verdict)`` pair for each truth value; and the positions of the rules
+    # that have ``requires``.
     rule_verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
     requiring: tuple[int, ...]
     # Per exclusion and clinical rule id, the fields whose absence can leave
     # its condition indeterminate (``condition.bare_fields``).
     bare_fields: dict[str, tuple[str, ...]]
-    # The class vetoes in order, then the escalation justification.
+    # The class vetoes in rule-id order, then the escalation justification.
     stewardship: _Program
     class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
@@ -89,16 +87,11 @@ def _compiled(policy: Policy) -> _Compiled:
     except AttributeError:
         pass
     stewardship = policy.stewardship
-    # The program runs the rules in declaration order, so a kind mismatch
-    # raises in that order; the trace lists them in rule-id order.
-    rule_order = sorted(range(len(policy.clinical_rules)), key=lambda i: policy.clinical_rules[i].rule_id)
-    rules = tuple(policy.clinical_rules[i] for i in rule_order)
+    rules = policy.clinical_rules
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
-        compile_conditions(r.when for r in policy.clinical_rules),
-        rules,
-        None if rule_order == sorted(rule_order) else tuple(rule_order),
+        compile_conditions(r.when for r in rules),
         tuple(tuple((rule.rule_id, verdict) for verdict in _VERDICTS) for rule in rules),
         tuple(position for position, rule in enumerate(rules) if rule.requires),
         {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
@@ -125,7 +118,7 @@ def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     """Assess case completeness and input coherence against the policy."""
     compiled = _compiled(policy)
     fields = case.fields
-    missing = tuple(sorted(name for name in policy.required if name not in fields))
+    missing = tuple([name for name in policy.required if name not in fields])
     truths = compiled.consistency(fields)
     # Built from a list, which sizes the tuple exactly; a generator would
     # over-allocate and shrink it (measured: a higher peak heap in run_suite).
@@ -137,7 +130,7 @@ def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
             unknown.update(token for token in value.value if token not in policy.known_risks)
     return CompletenessReport(
         missing_required=missing,
-        consistency_violations=tuple(sorted(rule_id for rule_id, verdict in verdicts if verdict is Verdict.FIRED)),
+        consistency_violations=tuple([rule_id for rule_id, verdict in verdicts if verdict is Verdict.FIRED]),
         unknown_risk_tokens=tuple(sorted(unknown)),
         consistency_verdicts=verdicts,
     )
@@ -231,24 +224,23 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
 
     # Stage 3: clinical rules, in rule-id order. A rule abstains if its
     # condition is indeterminate or a field it requires is missing.
+    rules = policy.clinical_rules
     truths = compiled.clinical_rules(fields)
-    if compiled.rule_order is not None:
-        truths = [truths[i] for i in compiled.rule_order]
     evaluated = [verdicts[truth] for verdicts, truth in zip(compiled.rule_verdicts, truths)]
     problems: set[str] = set()
     for position in compiled.requiring:
-        missing_req = [name for name in compiled.rules[position].requires if name not in fields]
+        missing_req = [name for name in rules[position].requires if name not in fields]
         if missing_req:
             evaluated[position] = compiled.rule_verdicts[position][_INDETERMINATE]
             problems.update(missing_req)
     if _INDETERMINATE in truths:
-        for rule, truth in zip(compiled.rules, truths):
+        for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
     stages.append(StageRecord(Stage.CLINICAL_RULES, tuple(evaluated)))
     if problems:
         return _abstain(stages, AbstentionCategory.MISSING_INPUTS, problems)
-    fired = [rule for rule, truth in zip(compiled.rules, truths) if truth == _TRUE]
+    fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
     for rule in fired:

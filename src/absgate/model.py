@@ -58,6 +58,8 @@ __all__ = [
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\Z")
 TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*\Z")
 _DECIMAL_TEXT_RE = re.compile(r"^-?[0-9]+\.[0-9]{1,4}\Z")
+# A lone surrogate is a str that no UTF-8 output can hold.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -176,9 +178,9 @@ class FieldValue:
         raise ValueError(f"unsupported field value: {raw!r}")
 
     def to_canonical(self) -> Any:
-        if self.kind is FieldKind.DECIMAL:
+        if self.kind is _DECIMAL:
             return format(self.value, ".4f")
-        if self.kind is FieldKind.TOKEN_SET:
+        if self.kind is _TOKEN_SET:
             return sorted(self.value)
         return self.value
 
@@ -303,11 +305,17 @@ class CaseInput:
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.case_id):
             raise ValueError(f"case id is not an identifier: {self.case_id!r}")
+        if not isinstance(self.description, str) or _SURROGATE_RE.search(self.description):
+            raise ValueError(f"description is not UTF-8 text: {self.description!r}")
         if not TOKEN_RE.match(self.mechanism):
             raise ValueError(f"mechanism is not a token: {self.mechanism!r}")
-        for name in self.fields:
+        for name, value in self.fields.items():
             if not IDENT_RE.match(name):
                 raise ValueError(f"field name is not an identifier: {name!r}")
+            if type(value) is not FieldValue:
+                raise ValueError(f"field {name!r} is not a FieldValue: {value!r}")
+        if type(self.expected) is not ExpectedBehavior:
+            raise ValueError(f"expected is not an ExpectedBehavior: {self.expected!r}")
 
     def to_canonical(self) -> dict[str, Any]:
         return {

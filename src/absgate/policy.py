@@ -7,16 +7,19 @@ built ``Policy`` can always be executed on a case ``bind_suite`` accepts;
 ``validate_policy`` adds the semantic lint layer on top (symmetry of
 incompatibility declarations, justification reachability, and similar).
 
-``policy_hash`` digests the canonical form, which normalizes declaration
-order by sorting on ids: two documents that differ only in statement order
-hash identically, while any semantic change (a rank, a threshold, a label)
+Construction owns declaration order: a ``Policy`` holds its fields,
+classes and rules sorted by id, and each list of names sorted without
+duplicates. So documents that differ only in statement order build ``==``
+policies that print and hash identically (``==`` agrees with
+``policy_hash``), while any semantic change (a rank, a threshold, a label)
 changes the digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Iterable
 
 from .canon import canonical_hash
 from .condition import (
@@ -29,7 +32,7 @@ from .condition import (
     typecheck,
 )
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, TOKEN_RE, FieldKind
+from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind
 
 __all__ = [
     "NO_CANDIDATE",
@@ -65,6 +68,10 @@ def _require_ident(value: str, what: str) -> None:
         raise ValueError(f"{what} is not an identifier: {value!r}")
 
 
+def _sorted_by(items: Iterable[Any], attr: str) -> tuple[Any, ...]:
+    return tuple(sorted(items, key=attrgetter(attr)))
+
+
 @dataclass(frozen=True)
 class FieldDecl:
     """One schema field. ``enum`` is the closed vocabulary for token kinds;
@@ -78,6 +85,8 @@ class FieldDecl:
 
     def __post_init__(self) -> None:
         _require_ident(self.name, "field name")
+        if type(self.kind) is not FieldKind:
+            raise ValueError(f"not a field kind: {self.kind!r}")
         if self.kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
             if self.is_risk:
                 if self.kind is not FieldKind.TOKEN_SET:
@@ -96,7 +105,7 @@ class FieldDecl:
             if self.enum is not None or self.is_risk:
                 raise ValueError(f"{self.kind.value} field admits neither enum nor risk marker: {self.name}")
         if self.enum is not None:
-            object.__setattr__(self, "enum", tuple(self.enum))
+            object.__setattr__(self, "enum", tuple(sorted(self.enum)))
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,9 @@ class ClassDecl:
 
     def __post_init__(self) -> None:
         _require_ident(self.class_id, "class id")
-        if not isinstance(self.spectrum_rank, int) or self.spectrum_rank < 1:
-            raise ValueError(f"spectrum rank must be a positive integer: {self.spectrum_rank!r}")
+        rank = self.spectrum_rank
+        if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= INT64_MAX:
+            raise ValueError(f"spectrum rank must be a positive 64-bit integer: {rank!r}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,8 @@ class ClinicalRule:
     def __post_init__(self) -> None:
         _require_ident(self.rule_id, "rule id")
         _require_ident(self.candidate, "candidate class id")
-        object.__setattr__(self, "requires", tuple(self.requires))
-        object.__setattr__(self, "incompatible_with", tuple(self.incompatible_with))
+        object.__setattr__(self, "requires", tuple(sorted(set(self.requires))))
+        object.__setattr__(self, "incompatible_with", tuple(sorted(set(self.incompatible_with))))
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ class StewardshipSpec:
     class_vetoes: tuple[StewardshipVeto, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_vetoes", tuple(self.class_vetoes))
+        object.__setattr__(self, "class_vetoes", _sorted_by(self.class_vetoes, "rule_id"))
 
 
 @dataclass(frozen=True)
@@ -182,13 +192,13 @@ class Policy:
     clinical_rules: tuple[ClinicalRule, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "required", tuple(self.required))
+        object.__setattr__(self, "schema", _sorted_by(self.schema, "name"))
+        object.__setattr__(self, "classes", _sorted_by(self.classes, "class_id"))
+        object.__setattr__(self, "required", tuple(sorted(set(self.required))))
         object.__setattr__(self, "known_risks", frozenset(self.known_risks))
-        object.__setattr__(self, "consistency", tuple(self.consistency))
-        object.__setattr__(self, "exclusions", tuple(self.exclusions))
-        object.__setattr__(self, "clinical_rules", tuple(self.clinical_rules))
+        object.__setattr__(self, "consistency", _sorted_by(self.consistency, "rule_id"))
+        object.__setattr__(self, "exclusions", _sorted_by(self.exclusions, "rule_id"))
+        object.__setattr__(self, "clinical_rules", _sorted_by(self.clinical_rules, "rule_id"))
         _require_ident(self.policy_id, "policy id")
         if not TOKEN_RE.match(self.version):
             raise ValueError(f"version is not a token: {self.version!r}")
@@ -288,7 +298,8 @@ def validate_policy(policy: Policy) -> list[Diagnostic]:
     classes with no justification path, reserved identifiers. Warning
     level: clinical rules contradicting a boolean consistency constraint
     (conservative syntactic check) and risk-typed fields with an empty
-    recognized-risk vocabulary.
+    recognized-risk vocabulary. Within each check, findings follow the id
+    order the policy holds its declarations in.
     """
     diags: list[Diagnostic] = []
     rules = {r.rule_id: r for r in policy.clinical_rules}
@@ -362,60 +373,43 @@ def validate_policy(policy: Policy) -> list[Diagnostic]:
 def _field_canonical(decl: FieldDecl) -> dict[str, Any]:
     entry: dict[str, Any] = {"name": decl.name, "kind": decl.kind.value}
     if decl.enum is not None:
-        entry["enum"] = sorted(decl.enum)
+        entry["enum"] = list(decl.enum)
     if decl.is_risk:
         entry["risk"] = True
     return entry
 
 
 def policy_canonical(policy: Policy) -> dict[str, Any]:
-    """Canonical JSON-able form; declaration order normalized by id sort."""
+    """Canonical JSON-able form, in the id order the policy holds."""
     return {
         "policy": policy.policy_id,
         "version": policy.version,
-        "fields": sorted((_field_canonical(f) for f in policy.schema), key=lambda e: e["name"]),
-        "classes": sorted(
-            (
-                {"id": c.class_id, "rank": c.spectrum_rank, "escalation": c.escalation_tier}
-                for c in policy.classes
-            ),
-            key=lambda e: e["id"],
-        ),
-        "required": sorted(policy.required),
+        "fields": [_field_canonical(f) for f in policy.schema],
+        "classes": [
+            {"id": c.class_id, "rank": c.spectrum_rank, "escalation": c.escalation_tier} for c in policy.classes
+        ],
+        "required": list(policy.required),
         "known_risks": sorted(policy.known_risks),
-        "consistency": sorted(
-            ({"id": c.rule_id, "forbid": print_condition(c.forbid)} for c in policy.consistency),
-            key=lambda e: e["id"],
-        ),
-        "exclusions": sorted(
-            (
-                {"id": e.rule_id, "label": e.label, "when": print_condition(e.when)}
-                for e in policy.exclusions
-            ),
-            key=lambda e: e["id"],
-        ),
-        "rules": sorted(
-            (
-                {
-                    "id": r.rule_id,
-                    "requires": sorted(r.requires),
-                    "when": print_condition(r.when),
-                    "candidate": r.candidate,
-                    "incompatible": sorted(r.incompatible_with),
-                }
-                for r in policy.clinical_rules
-            ),
-            key=lambda e: e["id"],
-        ),
+        "consistency": [{"id": c.rule_id, "forbid": print_condition(c.forbid)} for c in policy.consistency],
+        "exclusions": [
+            {"id": e.rule_id, "label": e.label, "when": print_condition(e.when)} for e in policy.exclusions
+        ],
+        "rules": [
+            {
+                "id": r.rule_id,
+                "requires": list(r.requires),
+                "when": print_condition(r.when),
+                "candidate": r.candidate,
+                "incompatible": list(r.incompatible_with),
+            }
+            for r in policy.clinical_rules
+        ],
         "stewardship": {
             "escalation_justified_when": print_condition(policy.stewardship.escalation_justification),
-            "vetoes": sorted(
-                (
-                    {"id": v.rule_id, "class": v.class_id, "when": print_condition(v.when)}
-                    for v in policy.stewardship.class_vetoes
-                ),
-                key=lambda e: e["id"],
-            ),
+            "vetoes": [
+                {"id": v.rule_id, "class": v.class_id, "when": print_condition(v.when)}
+                for v in policy.stewardship.class_vetoes
+            ],
         },
     }
 

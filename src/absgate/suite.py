@@ -12,9 +12,9 @@ each distinct accepted (field name, value) pair once. Only successes are
 kept, and only for the one call, so a rejected value is parsed again and
 reports with every case that carries it.
 
-The canonical suite form orders cases by id and mechanisms lexicographically,
-making ``suite_hash`` insensitive to source ordering while any change to
-fields, descriptions, or expected behaviors changes the digest.
+A ``Suite`` holds its cases by id and its mechanisms sorted without
+duplicates, so ``suite_hash`` is insensitive to source ordering while any
+change to fields, descriptions, or expected behaviors changes the digest.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .model import (
     ExpectedBehavior,
     FieldKind,
     FieldValue,
+    _SURROGATE_RE,
 )
 from .policy import FieldDecl, Policy, policy_hash
 
@@ -54,7 +55,7 @@ class Suite:
     policy_hash_pin: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
+        object.__setattr__(self, "mechanisms", tuple(sorted(set(self.mechanisms))))
         object.__setattr__(self, "cases", tuple(sorted(self.cases, key=lambda c: c.case_id)))
         if not self.cases:
             raise ValueError("suite requires at least one case")
@@ -128,10 +129,7 @@ def _parse_case(
     if not isinstance(description, str):
         _err(diags, "malformed_case", f"case '{case_id}': description must be a string")
         return None
-    # A JSON escape can spell a lone surrogate, which no UTF-8 output can hold.
-    try:
-        description.encode("utf-8")
-    except UnicodeEncodeError:
+    if _SURROGATE_RE.search(description):  # a JSON escape can spell a lone surrogate
         _err(diags, "malformed_case", f"case '{case_id}': description is not valid Unicode text")
         return None
     mechanism = raw.get("mechanism")
@@ -336,11 +334,11 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
 
 
 def suite_canonical(suite: Suite) -> dict[str, Any]:
-    """Canonical JSON-able form: cases by id, mechanisms sorted."""
+    """Canonical JSON-able form, in the order the suite holds."""
     body: dict[str, Any] = {
         "suite": suite.suite_id,
         "version": suite.version,
-        "mechanisms": sorted(suite.mechanisms),
+        "mechanisms": list(suite.mechanisms),
         "cases": [case.to_canonical() for case in suite.cases],
     }
     if suite.policy_hash_pin is not None:

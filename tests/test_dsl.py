@@ -36,7 +36,7 @@ def test_reference_policy_parses_clean():
     assert len(policy.schema) == 13
     assert len(policy.classes) == 5
     assert len(policy.clinical_rules) == 10
-    assert policy.required == ("age", "syndrome", "pregnant")
+    assert policy.required == ("age", "pregnant", "syndrome")
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,14 @@ def test_the_first_mismatch_in_rule_order_raises(conditions, message):
         decide(_with_rules(*conditions), case(**_MISTYPED))
 
 
+def test_a_mismatch_raises_in_rule_id_order_whatever_the_declaration_order():
+    policy = _with_rules(_SYNDROME_TEST, _RISK_TEST)
+    declared_backwards = dataclasses.replace(policy, clinical_rules=policy.clinical_rules[::-1])
+    assert declared_backwards == policy
+    with pytest.raises(ValueError, match=_SYNDROME_MESSAGE):
+        decide(declared_backwards, case(**_MISTYPED))
+
+
 def test_a_stage_not_reached_evaluates_nothing():
     policy = _with_rules(_RISK_TEST)
     # Stops at input assessment, before the rule reads the mistyped field.

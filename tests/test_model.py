@@ -237,6 +237,22 @@ def test_case_input_identifier_checked():
         CaseInput("9bad", "", "generated", {}, expected)
 
 
+@pytest.mark.parametrize(
+    ("part", "message"),
+    [
+        ({"description": "\ud800"}, "^description is not UTF-8 text"),
+        ({"description": None}, "^description is not UTF-8 text"),
+        ({"fields": {"age": 30}}, "^field 'age' is not a FieldValue"),
+        ({"expected": None}, "^expected is not an ExpectedBehavior"),
+    ],
+    ids=["lone_surrogate", "no_description", "raw_value", "no_expectation"],
+)
+def test_a_case_built_in_code_is_checked_like_a_parsed_one(part, message):
+    parts = {"description": "", "mechanism": "generated", "fields": {}, "expected": ExpectedBehavior(Action.ABSTAIN)}
+    with pytest.raises(ValueError, match=message):
+        CaseInput("c1", **{**parts, **part})
+
+
 @given(st.decimals(min_value=-1000, max_value=1000, places=4, allow_nan=False, allow_infinity=False))
 def test_decimal_canonical_round_trips(value):
     rendered = FieldValue.decimal(value).to_canonical()

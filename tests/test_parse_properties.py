@@ -7,17 +7,23 @@ recursive-descent one it replaced does. The mutations insert characters,
 words and runs of them (long numerals among them), delete and duplicate
 spans, put runs of "not" before a condition and wrap one in parentheses;
 hypothesis draws them under the derandomized profile of ``conftest.py``.
+Statement order reaches nothing: a policy text with its statements and
+lists shuffled parses to an equal policy that prints, hashes and decides
+alike.
 """
+
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absgate import format_policy, has_errors, parse_policy, parse_suite, policy_hash
+from absgate import decide, format_policy, has_errors, load_reference_suite, parse_policy, parse_suite, policy_hash
+from absgate.model import canonical_serialize
 from absgate.condition import And, Not, Or
 from absgate.dsl import _MAX_OPEN, MAX_NESTING, _lex, _Parser, _ParseError
 from absgate.reference import reference_policy_text, reference_suite_text
 
-from oracle import make_kind_policy
+from oracle import kind_cases, make_kind_policy
 
 POLICY = reference_policy_text()
 SUITE = reference_suite_text()
@@ -175,3 +181,48 @@ def _wrap_veto(size):
 def test_the_stack_parser_reads_every_text_as_the_recursive_parser(base, edits):
     text = _mutate(base, edits)
     assert _parsed(_Parser, text) == _parsed(_RecursiveParser, text)
+
+
+# Each list a statement holds: an enumeration or known_risks in braces, a
+# require list, and a rule's requires and incompatible lists.
+_LIST_RE = re.compile(r"(?<=\{ )[^{}]+(?= \})|(?<=^require ).+|(?<=requires ).+?(?= when )|(?<=incompatible ).+$")
+
+
+def _shuffled(text, rng):
+    """``text``, as ``format_policy`` prints it, with its top-level
+    statements, its vetoes and the entries of each list shuffled."""
+
+    def shuffle_list(match):
+        entries = re.split(r",? ", match.group())
+        rng.shuffle(entries)
+        return ", ".join(entries)
+
+    lines = [_LIST_RE.sub(shuffle_list, line) for line in text.splitlines()]
+    start, end = lines.index("stewardship {"), lines.index("}")
+    justification, vetoes = lines[start + 1], lines[start + 2 : end]
+    rng.shuffle(vetoes)
+    statements = [line for line in lines[:start] + lines[end + 1 :] if line]
+    statements.append("\n".join(["stewardship {", justification, *vetoes, "}"]))
+    rng.shuffle(statements)
+    return "\n".join(statements) + "\n"
+
+
+def _decisions(policy, cases):
+    return [b"".join(map(canonical_serialize, decide(policy, case))) for case in cases]
+
+
+_ORDERED = [(parse_policy(POLICY)[0], load_reference_suite().cases)] + [
+    (make_kind_policy(seed), tuple(kind_cases(seed, 40))) for seed in range(3)
+]
+
+
+@given(st.sampled_from(range(len(_ORDERED))), st.randoms(use_true_random=False))
+def test_statement_order_reaches_no_policy_output(index, rng):
+    policy, cases = _ORDERED[index]
+    text = format_policy(policy)
+    shuffled, diags = parse_policy(_shuffled(text, rng))
+    assert diags == []
+    assert shuffled == policy
+    assert format_policy(shuffled) == text
+    assert policy_hash(shuffled) == policy_hash(policy)
+    assert _decisions(shuffled, cases) == _decisions(policy, cases)

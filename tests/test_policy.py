@@ -4,7 +4,7 @@ import pytest
 
 from absgate import format_policy, load_reference_policy, parse_policy, policy_hash, validate_policy
 from absgate.condition import And, Comparison, Has, Literal, Not, Present, typecheck
-from absgate.model import FieldKind, FieldValue
+from absgate.model import INT64_MAX, FieldKind, FieldValue
 from absgate.policy import (
     ClassDecl,
     ClinicalRule,
@@ -53,6 +53,19 @@ def test_field_decl_invariants():
 def test_class_decl_requires_positive_rank():
     with pytest.raises(ValueError):
         ClassDecl("c1", 0)
+    assert ClassDecl("c1", INT64_MAX).spectrum_rank == INT64_MAX
+
+
+# Each builds a declaration that no policy text spells: a kind given as its
+# name, a rank given as a boolean, and a rank ``parse_policy`` refuses.
+@pytest.mark.parametrize(
+    "build",
+    [lambda: FieldDecl("a", "boolean"), lambda: ClassDecl("t", True), lambda: ClassDecl("huge", 2**70)],
+    ids=["kind_name", "bool_rank", "rank_past_int64"],
+)
+def test_declarations_built_in_code_refuse_what_the_dsl_cannot_spell(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_policy_rejects_duplicate_declarations():
@@ -244,6 +257,13 @@ def test_canonical_form_sorts_declarations():
     assert [entry["name"] for entry in doc["fields"]] == ["a", "z"]
     assert doc["policy"] == "p"
     assert doc["version"] == "v1"
+
+
+def test_a_repeated_required_name_is_held_once():
+    repeated = dataclasses.replace(REFERENCE, required=(*REFERENCE.required, "age"))
+    assert repeated.required == ("age", "pregnant", "syndrome")
+    assert repeated == REFERENCE
+    assert policy_hash(repeated) == policy_hash(REFERENCE)
 
 
 def test_hash_is_pure_and_content_addressed():

@@ -187,6 +187,13 @@ def test_duplicate_mechanism_warns():
     assert [d.code for d in diags] == ["duplicate_mechanism"]
 
 
+def test_a_repeated_mechanism_is_held_once():
+    suite = load_reference_suite()
+    repeated = dataclasses.replace(suite, mechanisms=(*suite.mechanisms, suite.mechanisms[0]))
+    assert repeated == suite
+    assert suite_hash(repeated) == suite_hash(suite)
+
+
 def test_bind_checks_fields_against_the_schema():
     checks = [
         ({"ghost": 1}, "unknown_field"),
