@@ -1,16 +1,17 @@
 """Diagnostics shared by the policy and suite loaders.
 
-A diagnostic never carries machine state beyond the source location: output
-must stay byte-stable across runs. The text rendering is the single line
-format emitted on standard error by the command line tools:
+A ``Diagnostic`` is a ``NamedTuple`` record. It never carries machine state
+beyond the source location: output must stay byte-stable across runs. The
+text rendering is the single line format emitted on standard error by the
+command line tools:
 
     LEVEL code line:col message
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Severity", "Diagnostic", "has_errors"]
 
@@ -20,8 +21,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     code: str
     message: str

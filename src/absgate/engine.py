@@ -32,12 +32,12 @@ yield, at the first mismatching leaf in rule-id order; a condition's
 connective steps then run only if its sentinel conjunct is not FALSE.
 
 ``decide`` is pure and deterministic: identical policy and case always
-produce bitwise-identical canonical output and trace.
+produce bitwise-identical canonical output and trace. ``CompletenessReport``
+and the stage-4 outcome are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
@@ -103,8 +103,7 @@ def _compiled(policy: Policy) -> _Compiled:
     return compiled
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     """Stage-1 findings; total over any type-checked case."""
 
     missing_required: tuple[str, ...]
@@ -136,8 +135,7 @@ def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     )
 
 
-@dataclass(frozen=True)
-class _StewardshipOutcome:
+class _StewardshipOutcome(NamedTuple):
     evaluated: tuple[tuple[str, Verdict], ...]
     notes: tuple[str, ...]
     survivors: frozenset[str]

@@ -10,14 +10,15 @@ report files.
 Determinism is not assumed but measured: the suite is executed ``runs``
 times and each run's outputs and traces are folded into one digest; the
 report's ``determinism_ok`` is true exactly when all run digests agree.
+``CaseResult``, ``StewardshipFinding`` and ``EvaluationReport`` are
+``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .engine import decide
 from .model import (
@@ -71,8 +72,7 @@ def render_ratio(value: Fraction) -> str:
     return f"{scaled // 10000}.{scaled % 10000:04d}"
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     mechanism: str
     actual: SystemOutput
@@ -91,8 +91,7 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class StewardshipFinding:
+class StewardshipFinding(NamedTuple):
     case_id: str
     check: str
     passed: bool
@@ -107,8 +106,7 @@ class StewardshipFinding:
         }
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     policy_digest: str
     suite_digest: str
     run_count: int

@@ -70,6 +70,17 @@ _QUANTUM = Decimal("0.0001")
 _CONTEXT = Context(prec=28, traps=[InvalidOperation])
 
 
+def _sorted_names(items: Iterable[Any], pattern: re.Pattern[str], what: str) -> tuple[str, ...]:
+    """``items`` sorted without duplicates, after checking that each is a
+    ``str`` that ``pattern`` matches; the first that is not raises
+    ``ValueError`` with the message ``f"{what}: {item!r}"``."""
+    items = tuple(items)
+    for item in items:
+        if type(item) is not str or not pattern.match(item):
+            raise ValueError(f"{what}: {item!r}")
+    return tuple(sorted(set(items)))
+
+
 class FieldKind(str, Enum):
     BOOLEAN = "boolean"
     INTEGER = "integer"
@@ -126,10 +137,7 @@ class FieldValue:
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
                 raise ValueError(f"token set requires a sequence of tokens, got {value!r}")
             items = list(value)
-            for item in items:
-                if not isinstance(item, str) or not TOKEN_RE.match(item):
-                    raise ValueError(f"not a token (expected [a-z][a-z0-9_]*): {item!r}")
-            if len(set(items)) != len(items):
+            if len(_sorted_names(items, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")) != len(items):
                 raise ValueError(f"duplicate tokens in set: {items!r}")
             object.__setattr__(self, "value", frozenset(items))
         else:

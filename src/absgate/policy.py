@@ -32,7 +32,7 @@ from .condition import (
     typecheck,
 )
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind
+from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind, _sorted_names
 
 __all__ = [
     "NO_CANDIDATE",
@@ -64,7 +64,7 @@ RESERVED_IDENTIFIERS = frozenset({NO_CANDIDATE, ALL_CANDIDATES_VETOED, JUSTIFIED
 
 
 def _require_ident(value: str, what: str) -> None:
-    if not IDENT_RE.match(value):
+    if type(value) is not str or not IDENT_RE.match(value):
         raise ValueError(f"{what} is not an identifier: {value!r}")
 
 
@@ -94,18 +94,15 @@ class FieldDecl:
                 if self.enum is not None:
                     raise ValueError(f"risk-typed field carries no enumeration: {self.name}")
             else:
-                if not self.enum:
+                enum = _sorted_names(self.enum or (), TOKEN_RE, "enumeration entry is not a token")
+                if not enum:
                     raise ValueError(f"{self.kind.value} field requires a non-empty enumeration: {self.name}")
-                if len(set(self.enum)) != len(self.enum):
+                if len(enum) != len(self.enum):
                     raise ValueError(f"duplicate enumeration tokens on field {self.name}")
-                for token in self.enum:
-                    if not TOKEN_RE.match(token):
-                        raise ValueError(f"enumeration entry is not a token: {token!r}")
+                object.__setattr__(self, "enum", enum)
         else:
             if self.enum is not None or self.is_risk:
                 raise ValueError(f"{self.kind.value} field admits neither enum nor risk marker: {self.name}")
-        if self.enum is not None:
-            object.__setattr__(self, "enum", tuple(sorted(self.enum)))
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,10 @@ class ClinicalRule:
     def __post_init__(self) -> None:
         _require_ident(self.rule_id, "rule id")
         _require_ident(self.candidate, "candidate class id")
-        object.__setattr__(self, "requires", tuple(sorted(set(self.requires))))
-        object.__setattr__(self, "incompatible_with", tuple(sorted(set(self.incompatible_with))))
+        requires = _sorted_names(self.requires, IDENT_RE, "required field is not an identifier")
+        incompatible = _sorted_names(self.incompatible_with, IDENT_RE, "incompatible rule id is not an identifier")
+        object.__setattr__(self, "requires", requires)
+        object.__setattr__(self, "incompatible_with", incompatible)
 
 
 @dataclass(frozen=True)
@@ -194,13 +193,15 @@ class Policy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", _sorted_by(self.schema, "name"))
         object.__setattr__(self, "classes", _sorted_by(self.classes, "class_id"))
-        object.__setattr__(self, "required", tuple(sorted(set(self.required))))
-        object.__setattr__(self, "known_risks", frozenset(self.known_risks))
+        required = _sorted_names(self.required, IDENT_RE, "required field is not an identifier")
+        object.__setattr__(self, "required", required)
+        risks = _sorted_names(self.known_risks, TOKEN_RE, "known risk is not a token")
+        object.__setattr__(self, "known_risks", frozenset(risks))
         object.__setattr__(self, "consistency", _sorted_by(self.consistency, "rule_id"))
         object.__setattr__(self, "exclusions", _sorted_by(self.exclusions, "rule_id"))
         object.__setattr__(self, "clinical_rules", _sorted_by(self.clinical_rules, "rule_id"))
         _require_ident(self.policy_id, "policy id")
-        if not TOKEN_RE.match(self.version):
+        if type(self.version) is not str or not TOKEN_RE.match(self.version):
             raise ValueError(f"version is not a token: {self.version!r}")
         if not self.schema:
             raise ValueError("policy declares no fields")
@@ -235,9 +236,6 @@ class Policy:
         for name in self.required:
             if name not in fields:
                 raise ValueError(f"required field is not declared: {name}")
-        for token in self.known_risks:
-            if not TOKEN_RE.match(token):
-                raise ValueError(f"known risk is not a token: {token!r}")
         conditions: list[Condition] = [self.stewardship.escalation_justification]
         conditions.extend(c.forbid for c in self.consistency)
         conditions.extend(e.when for e in self.exclusions)

@@ -15,6 +15,8 @@ reports with every case that carries it.
 A ``Suite`` holds its cases by id and its mechanisms sorted without
 duplicates, so ``suite_hash`` is insensitive to source ordering while any
 change to fields, descriptions, or expected behaviors changes the digest.
+Built in code, it refuses what ``parse_suite`` refuses of its vocabulary:
+a mechanism that is not a token, and a case whose mechanism it lacks.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .model import (
     FieldKind,
     FieldValue,
     _SURROGATE_RE,
+    _sorted_names,
 )
 from .policy import FieldDecl, Policy, policy_hash
 
@@ -55,13 +58,17 @@ class Suite:
     policy_hash_pin: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mechanisms", tuple(sorted(set(self.mechanisms))))
+        object.__setattr__(self, "mechanisms", _sorted_names(self.mechanisms, TOKEN_RE, "mechanism is not a token"))
         object.__setattr__(self, "cases", tuple(sorted(self.cases, key=lambda c: c.case_id)))
         if not self.cases:
             raise ValueError("suite requires at least one case")
         for before, after in zip(self.cases, self.cases[1:]):
             if before.case_id == after.case_id:
                 raise ValueError(f"case id '{after.case_id}' appears twice")
+        mechanisms = set(self.mechanisms)
+        for case in self.cases:
+            if case.mechanism not in mechanisms:
+                raise ValueError(f"case '{case.case_id}': mechanism '{case.mechanism}' is not in the suite vocabulary")
 
     def case(self, case_id: str) -> CaseInput | None:
         for case in self.cases:

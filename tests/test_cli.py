@@ -164,6 +164,12 @@ def test_decide_trace_is_canonical_json(capsys):
     ]
 
 
+def test_decide_on_a_defective_policy_is_a_usage_error(capsys):
+    defective = "tests/fixtures/defective/unknown_field.policy"
+    assert main(["decide", "--policy", defective, "--suite", SUITE_PATH, "--case-id", "c01"]) == 2
+    assert capsys.readouterr().err == "ERROR unknown_field 10:19 condition references undeclared field 'severety'\n"
+
+
 def test_decide_unknown_case_is_a_usage_error(capsys):
     code = main(["decide", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--case-id", "ghost"])
     assert code == 2

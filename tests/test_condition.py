@@ -117,6 +117,11 @@ def test_comparison_literals_are_field_values(literal):
         Comparison("age", "==", literal)
 
 
+def test_comparison_operators_are_known():
+    with pytest.raises(ValueError, match="^unknown comparison operator: '=<'$"):
+        Comparison("age", "=<", FieldValue.integer(1))
+
+
 _SCHEMA = {
     decl.name: decl
     for decl in (

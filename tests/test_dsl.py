@@ -79,6 +79,40 @@ def test_defect_produces_expected_diagnostic(mutation, code):
     assert all(d.severity.value == "error" for d in diags if d.code == code)
 
 
+@pytest.mark.parametrize(
+    ("mutation", "rendered"),
+    [
+        (
+            lambda t: t.replace("field a : bool", "field a : bool\nfield s : token { }"),
+            "ERROR syntax_error 4:1 enumeration must list at least one token",
+        ),
+        (
+            lambda t: t.replace("class c1 rank 1\n", "class c1 rank 1\nrequire\n"),
+            "ERROR syntax_error 5:1 expected at least one required field name",
+        ),
+        (
+            lambda t: t.replace("version v1", "version V1"),
+            "ERROR syntax_error 1:18 version must match [a-z][a-z0-9_]*: 'V1'",
+        ),
+        (
+            lambda t: t.replace("field a : bool", "field a : bool\nfield s : token { male }").replace(
+                "when a == true", "when s == Male"
+            ),
+            "ERROR syntax_error 5:19 token literal must match [a-z][a-z0-9_]*: 'Male'",
+        ),
+        (
+            lambda t: t.replace("rule r1", "exclude e1 label L when a == true\nexclude e1 label M when a == false\nrule r1"),
+            "ERROR duplicate_rule_id 5:9 rule id 'e1' declared twice",
+        ),
+    ],
+    ids=["empty_enumeration", "empty_require", "version_not_token", "token_literal_not_token", "repeated_exclusion"],
+)
+def test_a_refusal_is_reported_first_at_its_position(mutation, rendered):
+    policy, diags = parse_policy(mutation(MINIMAL))
+    assert policy is None
+    assert diags[0].render() == rendered
+
+
 def test_recovery_reports_independent_errors():
     text = MINIMAL.replace("field a : bool", "field a : wibble\nfield b : alsobad")
     policy, diags = parse_policy(text)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -13,6 +14,7 @@ from absgate import (
     load_reference_suite,
     run_suite,
 )
+from absgate.cli import main
 from absgate.condition import Truth, evaluate
 from absgate.engine import _VERDICTS, _StewardshipOutcome
 from absgate.evaluation import (
@@ -31,14 +33,19 @@ from absgate.evaluation import (
 from absgate.model import (
     AbstentionCategory,
     Action,
+    AuditTrace,
     ExpectedBehavior,
     MatchLevel,
+    Stage,
+    StageRecord,
     SystemOutput,
     Verdict,
 )
 
 POLICY = load_reference_policy()
 SUITE = load_reference_suite()
+POLICY_PATH = str(resources.files("absgate.data").joinpath("reference.policy"))
+SUITE_PATH = str(resources.files("absgate.data").joinpath("reference_suite.json"))
 
 
 def test_render_ratio_is_exact_and_rounds_half_up():
@@ -144,6 +151,10 @@ def test_audit_requires_traces():
     recommended = [r for r in report.results if r.actual.action is Action.RECOMMEND]
     with pytest.raises(TraceRequiredError):
         stewardship_audit(POLICY, recommended, {})
+    first = recommended[0]
+    stageless = AuditTrace((StageRecord(Stage.INPUT_ASSESSMENT),), first.actual)
+    with pytest.raises(TraceRequiredError, match=f"^trace_required: case '{first.case_id}' has no stewardship stage$"):
+        stewardship_audit(POLICY, [first], {first.case_id: stageless})
 
 
 def _gate_skipping_stewardship(policy, class_map, fields, fired):
@@ -175,6 +186,16 @@ def test_audit_catches_a_skipped_escalation_gate(monkeypatch):
     by_case = {r.case_id: r for r in report.results}
     assert by_case["c21"].actual.class_id == "broad_beta_lactam"
     assert by_case["c21"].match is MatchLevel.MISMATCH
+
+
+def test_the_cli_summary_lists_each_failed_audit_check(monkeypatch, capsys):
+    monkeypatch.setattr(engine_module, "_stewardship_stage", _gate_skipping_stewardship)
+    assert main(["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--runs", "1", "--strict"]) == 1
+    assert (
+        "stewardship FAIL (2 of 18 checks failed)\n"
+        "  c21 no_unjustified_escalation ('broad_beta_lactam',)\n"
+        "  c21 justified_escalation_documented ('broad_beta_lactam', 'escalation_justification')\n"
+    ) in capsys.readouterr().out
 
 
 def _broadest_selector(class_map, survivors):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absgate import load_reference_policy, policy_hash
+from absgate import load_reference_policy, load_reference_suite, policy_hash
 from absgate.canon import canonical_bytes
 from absgate.model import (
     PIPELINE_STAGES,
@@ -216,6 +216,20 @@ def test_expected_behavior_serialization():
     assert expected.to_canonical() == {"abstain": "unknown_risk"}
 
 
+@pytest.mark.parametrize(
+    ("parts", "message"),
+    [
+        ({"category": AbstentionCategory.UNKNOWN_RISK}, "^recommend expectation cannot carry a category$"),
+        ({"class_id": "Not Ident"}, "^class id is not an identifier: 'Not Ident'$"),
+        ({"action": Action.ABSTAIN, "class_id": "a"}, "^abstain expectation cannot carry a class id$"),
+    ],
+    ids=["recommend_with_category", "class_id", "abstain_with_class_id"],
+)
+def test_an_expectation_refuses_a_detail_its_action_cannot_carry(parts, message):
+    with pytest.raises(ValueError, match=message):
+        ExpectedBehavior(**{"action": Action.RECOMMEND, **parts})
+
+
 def test_stage_record_sorts_evaluations():
     record = StageRecord(Stage.EXCLUSIONS, (("z", Verdict.FIRED), ("a", Verdict.NOT_FIRED)))
     assert [rule_id for rule_id, _ in record.evaluated] == ["a", "z"]
@@ -244,8 +258,10 @@ def test_case_input_identifier_checked():
         ({"description": None}, "^description is not UTF-8 text"),
         ({"fields": {"age": 30}}, "^field 'age' is not a FieldValue"),
         ({"expected": None}, "^expected is not an ExpectedBehavior"),
+        ({"mechanism": "Not A Token"}, "^mechanism is not a token: 'Not A Token'$"),
+        ({"fields": {"Not Ident": FieldValue.boolean(True)}}, "^field name is not an identifier: 'Not Ident'$"),
     ],
-    ids=["lone_surrogate", "no_description", "raw_value", "no_expectation"],
+    ids=["lone_surrogate", "no_description", "raw_value", "no_expectation", "mechanism", "field_name"],
 )
 def test_a_case_built_in_code_is_checked_like_a_parsed_one(part, message):
     parts = {"description": "", "mechanism": "generated", "fields": {}, "expected": ExpectedBehavior(Action.ABSTAIN)}
@@ -293,6 +309,12 @@ def _traces(draw):
 @given(st.one_of(_outputs(), _traces()))
 def test_direct_encoding_equals_the_reference_form(value):
     assert canonical_serialize(value) == canonical_bytes(value.to_canonical())
+
+
+def test_other_values_take_the_reference_path():
+    case = load_reference_suite().cases[0]
+    for value in (case, case.expected, FieldValue.token_set(["b", "a"])):
+        assert canonical_serialize(value) == canonical_bytes(value.to_canonical())
 
 
 def test_direct_encoding_covers_every_stage_prefix_category_and_verdict():

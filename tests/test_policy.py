@@ -116,6 +116,59 @@ REFERENCE = load_reference_policy()
 _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")),)
 
 
+# A name that is not a ``str`` is refused like any other malformed name:
+# with ``ValueError``, before a regex match or a sort can raise ``TypeError``.
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: _base(policy_id="Not Ident"), "policy id is not an identifier: 'Not Ident'"),
+        (lambda: _base(version="V1"), "version is not a token: 'V1'"),
+        (lambda: _base(schema=()), "policy declares no fields"),
+        (lambda: _base(classes=()), "policy declares no classes"),
+        (
+            lambda: _base(clinical_rules=(ClinicalRule("r1", Literal(True), "c1", requires=("ghost",)),)),
+            "rule r1 requires undeclared field ghost",
+        ),
+        (
+            lambda: _base(stewardship=StewardshipSpec(Literal(True), (StewardshipVeto("v1", "ghost", Literal(False)),))),
+            "veto v1 targets undeclared class ghost",
+        ),
+        (lambda: _base(version=3), "version is not a token: 3"),
+        (lambda: dataclasses.replace(REFERENCE.clinical_rules[0], rule_id=3), "rule id is not an identifier: 3"),
+        (lambda: dataclasses.replace(REFERENCE, required=("age", 3)), "required field is not an identifier: 3"),
+        (
+            lambda: dataclasses.replace(REFERENCE.clinical_rules[0], requires=("age", 3)),
+            "required field is not an identifier: 3",
+        ),
+        (
+            lambda: dataclasses.replace(REFERENCE.clinical_rules[0], incompatible_with=("r1", 3)),
+            "incompatible rule id is not an identifier: 3",
+        ),
+        (lambda: dataclasses.replace(REFERENCE, known_risks=frozenset({3})), "known risk is not a token: 3"),
+        (lambda: FieldDecl("s", FieldKind.TOKEN, enum=("a", 3)), "enumeration entry is not a token: 3"),
+    ],
+    ids=[
+        "policy_id",
+        "version",
+        "no_fields",
+        "no_classes",
+        "undeclared_requirement",
+        "veto_on_undeclared_class",
+        "version_not_str",
+        "rule_id_not_str",
+        "required_not_str",
+        "requires_not_str",
+        "incompatible_not_str",
+        "known_risk_not_str",
+        "enum_entry_not_str",
+    ],
+)
+def test_a_declaration_built_in_code_names_its_defect(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def _first_rule_when(cond, policy=REFERENCE):
     rule = dataclasses.replace(policy.clinical_rules[0], when=cond)
     return dataclasses.replace(policy, clinical_rules=(rule, *policy.clinical_rules[1:]))

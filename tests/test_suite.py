@@ -9,6 +9,7 @@ from absgate import load_reference_policy, load_reference_suite, parse_suite, ru
 from absgate.canon import canonical_bytes
 from absgate.model import CaseInput, FieldKind, FieldValue
 from absgate.reference import reference_suite_text
+from absgate.policy import FieldDecl
 from absgate.suite import Suite, _parse_expect, bind_suite, suite_canonical
 
 POLICY = load_reference_policy()
@@ -64,6 +65,21 @@ def test_a_suite_built_in_code_refuses_a_repeated_case_id():
     assert c17 is not None and c18 is not None
     with pytest.raises(ValueError, match="^case id 'c17' appears twice$"):
         Suite("s", "v1", reference.mechanisms, (c17, dataclasses.replace(c18, case_id="c17")))
+
+
+@pytest.mark.parametrize(
+    ("mechanisms", "message"),
+    [
+        (("zzz",), "case 'c01': mechanism 'missing_required' is not in the suite vocabulary"),
+        (("Not A Token",), "mechanism is not a token: 'Not A Token'"),
+        (("missing_required", 3), "mechanism is not a token: 3"),
+    ],
+    ids=["outside_vocabulary", "not_a_token", "not_a_str"],
+)
+def test_a_suite_built_in_code_checks_its_vocabulary(mechanisms, message):
+    with pytest.raises(ValueError) as refused:
+        dataclasses.replace(load_reference_suite(), mechanisms=mechanisms)
+    assert str(refused.value) == message
 
 
 def test_malformed_document_reports_location():
@@ -169,6 +185,27 @@ def test_parse_errors_by_code():
         suite, diags = _parse(doc)
         assert suite is None, code
         assert code in {d.code for d in diags}, (code, [d.render() for d in diags])
+
+
+@pytest.mark.parametrize(
+    ("case", "message"),
+    [
+        ({"expect": [1]}, "case 'k1': expect must be a one-key object"),
+        ({"expect": {"recommend": 3}}, "case 'k1': bad recommend expectation 3"),
+        ({"expect": {"abstain": ["x"]}}, "case 'k1': bad abstain expectation ['x']"),
+        ({"fields": [1]}, "case 'k1': fields must be an object"),
+        (
+            {"fields": {"flags": [["a"]]}},
+            "case 'k1', field 'flags': not a token (expected [a-z][a-z0-9_]*): ['a']",
+        ),
+        ({"fields": {"flags": {"a": 1}}}, "case 'k1', field 'flags': unsupported field value: {'a': 1}"),
+    ],
+    ids=["expect_not_one_key", "recommend_not_str", "abstain_unhashable", "fields_not_object", "nested", "object"],
+)
+def test_a_case_refusal_names_its_defect(case, message):
+    suite, diags = _parse(_doc(cases=[{**BASE["cases"][0], **case}], mechanisms=["mech_a"]))
+    assert suite is None
+    assert [d.message for d in diags] == [message]
 
 
 def test_unknown_keys_warn_but_do_not_reject():
@@ -344,6 +381,18 @@ def test_equal_values_of_different_json_types_never_share_a_parse():
         alone = [d for case in cases for d in _parse(_doc(mechanisms=["mech_a"], cases=[case]))[1]]
         assert diags == alone
         assert [d.code for d in diags] == ["invalid_field_value"] * 6
+
+
+def test_bind_reports_each_token_outside_a_closed_set_for_every_case():
+    policy = dataclasses.replace(POLICY, schema=(*POLICY.schema, FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b"))))
+    cases = [{**BASE["cases"][0], "id": f"b{i}", "fields": {"flags": ["z", "a", "c"]}} for i in (2, 1)]
+    suite, _ = _parse(_doc(cases=cases, mechanisms=["mech_a"]))
+    assert suite is not None
+    assert [d.render() for d in bind_suite(suite, policy)] == [
+        f"ERROR unknown_enum_token 0:0 case '{case_id}': token '{token}' is outside the enumeration of 'flags'"
+        for case_id in ("b1", "b2")
+        for token in ("c", "z")
+    ]
 
 
 def test_bind_reports_a_repeated_bad_value_for_every_case():
