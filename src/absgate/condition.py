@@ -215,22 +215,25 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
         # An integer literal against a decimal field widens exactly.
         widened = Decimal(right) if kind is FieldKind.INTEGER else None
 
-        def atom(fields, name=leaf.field_name, test=_OPERATORS[leaf.op], kind=kind, right=right, widened=widened):
+        def atom(
+            fields, name=leaf.field_name, test=_OPERATORS[leaf.op], kind=kind, right=right, widened=widened,
+            decimal=FieldKind.DECIMAL,
+        ):
             value = fields.get(name)
             if value is None:
                 return _INDETERMINATE
             if value.kind is kind:
                 return _TRUE if test(value.value, right) else _FALSE
-            if value.kind is FieldKind.DECIMAL and widened is not None:
+            if value.kind is decimal and widened is not None:
                 return _TRUE if test(value.value, widened) else _FALSE
             raise ValueError(f"comparison across kinds: {value.kind.value} vs {kind.value}")
 
     else:  # Has
-        def atom(fields, name=leaf.field_name, token=leaf.token):
+        def atom(fields, name=leaf.field_name, token=leaf.token, token_set=FieldKind.TOKEN_SET):
             value = fields.get(name)
             if value is None:
                 return _INDETERMINATE
-            if value.kind is not FieldKind.TOKEN_SET:
+            if value.kind is not token_set:
                 raise ValueError(f"has applied to non-set field {name!r}")
             return _TRUE if token in value.value else _FALSE
 

@@ -23,13 +23,22 @@ conditions (consistency constraints, exclusions, clinical rules, and the
 vetoes with the escalation justification last) are compiled once per
 ``Policy`` into one program over field-grouped leaves
 (``condition.compile_conditions``), cached on the policy with its class map,
-risk-field names, each exclusion's and rule's bare-reference fields, and
-each clinical rule's ``(rule_id, verdict)`` pair for each truth value, so
-stage 3 appends ready-made pairs in trace order. A stage's program runs
-only when the stage is reached. It computes every leaf of every condition
-of the stage, so a kind mismatch raises whatever the other conditions
-yield, at the first mismatching leaf in rule-id order; a condition's
-connective steps then run only if its sentinel conjunct is not FALSE.
+risk-field names and each exclusion's and rule's bare-reference fields.
+
+A stage's program runs only when the stage is reached. It computes every
+leaf of every condition of the stage, so a kind mismatch raises whatever
+the other conditions yield, at the first mismatching leaf in rule-id order;
+a condition's connective steps then run only if its sentinel conjunct is
+not FALSE.
+
+Stages 1–3 record one verdict per declaration, so the cache also holds a
+table per stage (``_Table``): each declaration's ``(rule_id, verdict)``
+pair and that pair's canonical JSON text for each truth value. A stage's
+record is two C-level picks from its table by the truth values, and it
+carries its encoded text, so ``canonical_serialize`` re-encodes nothing of
+it. In stage 3 a rule whose ``requires`` are unmet picks by INDETERMINATE
+whatever its condition yields. Stages 4 and 5 build plain records, which
+are encoded when serialized.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -38,7 +47,9 @@ and the stage-4 outcome are ``NamedTuple`` records.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import starmap
+from operator import getitem
+from typing import Any, Iterable, NamedTuple
 
 from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
@@ -50,13 +61,41 @@ from .model import (
     StageRecord,
     SystemOutput,
     Verdict,
+    _pair_json,
 )
 from .policy import ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, NO_CANDIDATE, ClassDecl, ClinicalRule, Policy
 
 __all__ = ["CompletenessReport", "assess_inputs", "decide"]
 
+# Enum members read as globals, which is several times cheaper than reading
+# them off their classes; each class is unpacked in definition order.
+_INPUT_ASSESSMENT, _EXCLUSIONS, _CLINICAL_RULES, _STEWARDSHIP, _OUTPUT = Stage
+_MISSING_INPUTS, _UNKNOWN_RISK, _CONFLICTING_SIGNALS, _EXPLICIT_EXCLUSION, _CONSERVATIVE_AMBIGUITY = AbstentionCategory
+_FIRED, _VETOED = Verdict.FIRED, Verdict.VETOED
+_TOKEN_SET = FieldKind.TOKEN_SET
+
 # A rule's verdict, indexed by its condition's truth value.
-_VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, Verdict.FIRED)
+_VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
+
+
+class _Table(NamedTuple):
+    """Per declaration of a stage, in rule-id order, its ``(rule_id,
+    verdict)`` pair and that pair's JSON text (``model._pair_json``), each
+    indexed by truth value."""
+
+    verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
+    fragments: tuple[tuple[str, ...], ...]
+
+    @classmethod
+    def of(cls, declarations: Iterable[Any]) -> "_Table":
+        verdicts = tuple(tuple((decl.rule_id, verdict) for verdict in _VERDICTS) for decl in declarations)
+        return cls(verdicts, tuple(tuple(starmap(_pair_json, pairs)) for pairs in verdicts))
+
+    def record(self, stage: Stage, truths: list[int]) -> StageRecord:
+        """The stage's record for one truth value per declaration: the pairs
+        and their text are picked from the tables by C-level maps."""
+        evaluated = tuple(map(getitem, self.verdicts, truths))
+        return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, self.fragments, truths)))
 
 
 class _Compiled(NamedTuple):
@@ -65,10 +104,10 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
-    # Per clinical rule, in the policy's rule-id order, its ``(rule_id,
-    # verdict)`` pair for each truth value; and the positions of the rules
-    # that have ``requires``.
-    rule_verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
+    consistency_table: _Table
+    exclusion_table: _Table
+    rule_table: _Table
+    # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
     # Per exclusion and clinical rule id, the fields whose absence can leave
     # its condition indeterminate (``condition.bare_fields``).
@@ -92,7 +131,9 @@ def _compiled(policy: Policy) -> _Compiled:
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        tuple(tuple((rule.rule_id, verdict) for verdict in _VERDICTS) for rule in rules),
+        _Table.of(policy.consistency),
+        _Table.of(policy.exclusions),
+        _Table.of(rules),
         tuple(position for position, rule in enumerate(rules) if rule.requires),
         {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
@@ -115,24 +156,25 @@ class CompletenessReport(NamedTuple):
 
 def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     """Assess case completeness and input coherence against the policy."""
-    compiled = _compiled(policy)
-    fields = case.fields
+    return _assess_inputs(policy, _compiled(policy), case.fields)[0]
+
+
+def _assess_inputs(policy: Policy, compiled: _Compiled, fields) -> tuple[CompletenessReport, list[int]]:
+    """Stage 1's report and its consistency constraints' truth values."""
     missing = tuple([name for name in policy.required if name not in fields])
     truths = compiled.consistency(fields)
-    # Built from a list, which sizes the tuple exactly; a generator would
-    # over-allocate and shrink it (measured: a higher peak heap in run_suite).
-    verdicts = tuple([(rule.rule_id, _VERDICTS[truth]) for rule, truth in zip(policy.consistency, truths)])
+    verdicts = tuple(map(getitem, compiled.consistency_table.verdicts, truths))
     unknown: set[str] = set()
     for name in compiled.risk_fields:
         value = fields.get(name)
-        if value is not None and value.kind is FieldKind.TOKEN_SET:
+        if value is not None and value.kind is _TOKEN_SET:
             unknown.update(token for token in value.value if token not in policy.known_risks)
     return CompletenessReport(
         missing_required=missing,
-        consistency_violations=tuple([rule_id for rule_id, verdict in verdicts if verdict is Verdict.FIRED]),
+        consistency_violations=tuple([rule_id for rule_id, verdict in verdicts if verdict is _FIRED]),
         unknown_risk_tokens=tuple(sorted(unknown)),
         consistency_verdicts=verdicts,
-    )
+    ), truths
 
 
 class _StewardshipOutcome(NamedTuple):
@@ -142,14 +184,13 @@ class _StewardshipOutcome(NamedTuple):
     justified: bool
 
 
-def _stewardship_stage(
-    policy: Policy, class_map: dict[str, ClassDecl], fields, fired: list[ClinicalRule]
-) -> _StewardshipOutcome:
+def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired: list[ClinicalRule]) -> _StewardshipOutcome:
     """Stage 4: veto pruning and the escalation gate."""
+    class_map = compiled.class_map
     candidates = {rule.candidate for rule in fired}
     evaluated: list[tuple[str, Verdict]] = []
     vetoed_classes: set[str] = set()
-    truths = _compiled(policy).stewardship(fields)
+    truths = compiled.stewardship(fields)
     for veto, truth in zip(policy.stewardship.class_vetoes, truths):
         evaluated.append((veto.rule_id, _VERDICTS[truth]))
         if truth != _FALSE:  # indeterminate vetoes, conservatively
@@ -164,7 +205,7 @@ def _stewardship_stage(
             survivors.add(class_id)
     for rule in fired:
         if rule.candidate in removed:
-            evaluated.append((rule.rule_id, Verdict.VETOED))
+            evaluated.append((rule.rule_id, _VETOED))
     notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
     return _StewardshipOutcome(tuple(evaluated), notes, frozenset(survivors), justified)
 
@@ -195,49 +236,50 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     stages: list[StageRecord] = []
 
     # Stage 1: input assessment.
-    report = assess_inputs(policy, case)
-    stages.append(StageRecord(Stage.INPUT_ASSESSMENT, report.consistency_verdicts))
+    report, truths = _assess_inputs(policy, compiled, fields)
+    stages.append(compiled.consistency_table.record(_INPUT_ASSESSMENT, truths))
     if report.missing_required:
-        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, report.missing_required)
+        return _abstain(stages, _MISSING_INPUTS, report.missing_required)
     if report.consistency_violations:
-        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, report.consistency_violations)
+        return _abstain(stages, _CONFLICTING_SIGNALS, report.consistency_violations)
     if report.unknown_risk_tokens:
-        return _abstain(stages, AbstentionCategory.UNKNOWN_RISK, report.unknown_risk_tokens)
+        return _abstain(stages, _UNKNOWN_RISK, report.unknown_risk_tokens)
 
     # Stage 2: exclusions.
-    evaluated: list[tuple[str, Verdict]] = []
     triggered_labels: list[str] = []
     unresolved: set[str] = set()
-    for exclusion, truth in zip(policy.exclusions, compiled.exclusions(fields)):
-        evaluated.append((exclusion.rule_id, _VERDICTS[truth]))
+    truths = compiled.exclusions(fields)
+    for exclusion, truth in zip(policy.exclusions, truths):
         if truth == _TRUE:
             triggered_labels.append(exclusion.label)
         elif truth == _INDETERMINATE:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
-    stages.append(StageRecord(Stage.EXCLUSIONS, tuple(evaluated)))
+    stages.append(compiled.exclusion_table.record(_EXCLUSIONS, truths))
     if triggered_labels:
-        return _abstain(stages, AbstentionCategory.EXPLICIT_EXCLUSION, triggered_labels)
+        return _abstain(stages, _EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
-        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, unresolved)
+        return _abstain(stages, _MISSING_INPUTS, unresolved)
 
     # Stage 3: clinical rules, in rule-id order. A rule abstains if its
-    # condition is indeterminate or a field it requires is missing.
+    # condition is indeterminate or a field it requires is missing: the
+    # record is picked by a copy of the truth values in which such a rule
+    # reads INDETERMINATE.
     rules = policy.clinical_rules
     truths = compiled.clinical_rules(fields)
-    evaluated = [verdicts[truth] for verdicts, truth in zip(compiled.rule_verdicts, truths)]
+    picks = truths.copy()
     problems: set[str] = set()
     for position in compiled.requiring:
         missing_req = [name for name in rules[position].requires if name not in fields]
         if missing_req:
-            evaluated[position] = compiled.rule_verdicts[position][_INDETERMINATE]
+            picks[position] = _INDETERMINATE
             problems.update(missing_req)
     if _INDETERMINATE in truths:
         for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    stages.append(StageRecord(Stage.CLINICAL_RULES, tuple(evaluated)))
+    stages.append(compiled.rule_table.record(_CLINICAL_RULES, picks))
     if problems:
-        return _abstain(stages, AbstentionCategory.MISSING_INPUTS, problems)
+        return _abstain(stages, _MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
@@ -246,21 +288,20 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             if other in fired_ids:
                 conflicted.update((rule.rule_id, other))
     if conflicted:
-        return _abstain(stages, AbstentionCategory.CONFLICTING_SIGNALS, conflicted)
+        return _abstain(stages, _CONFLICTING_SIGNALS, conflicted)
     if not fired:
-        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
+        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
 
     # Stage 4: stewardship.
-    class_map = compiled.class_map
-    outcome = _stewardship_stage(policy, class_map, fields, fired)
-    stages.append(StageRecord(Stage.STEWARDSHIP, outcome.evaluated, outcome.notes))
+    outcome = _stewardship_stage(policy, compiled, fields, fired)
+    stages.append(StageRecord(_STEWARDSHIP, outcome.evaluated, outcome.notes))
     if not outcome.survivors:
-        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
-    selection = _select_recommendation(class_map, outcome.survivors)
+        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
+    selection = _select_recommendation(compiled.class_map, outcome.survivors)
     if isinstance(selection, tuple):
-        return _abstain(stages, AbstentionCategory.CONSERVATIVE_AMBIGUITY, selection)
+        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, selection)
 
     # Stage 5: output.
     final = SystemOutput.recommend(selection)
-    stages.append(StageRecord(Stage.OUTPUT, (), (selection,)))
+    stages.append(StageRecord(_OUTPUT, (), (selection,)))
     return final, AuditTrace(tuple(stages), final)

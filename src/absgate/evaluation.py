@@ -32,7 +32,7 @@ from .model import (
     canonical_serialize,
     compare_outputs,
 )
-from .policy import JUSTIFIED_NOTE, Policy, policy_hash
+from .policy import JUSTIFIED_NOTE, ClassDecl, Policy, policy_hash
 from .suite import Suite, suite_hash
 
 __all__ = [
@@ -48,6 +48,12 @@ __all__ = [
     "stewardship_audit",
     "run_suite",
 ]
+
+# Enum members read as globals, which is several times cheaper than reading
+# them off their classes.
+_RECOMMEND, _ABSTAIN = Action
+_FULL, _ACTION = MatchLevel.FULL, MatchLevel.ACTION
+_STEWARDSHIP = Stage.STEWARDSHIP
 
 CHECK_NARROW = "narrow_preference"
 CHECK_NO_UNJUSTIFIED = "no_unjustified_escalation"
@@ -144,8 +150,8 @@ def concordance(results: Iterable[CaseResult]) -> tuple[Fraction, Fraction]:
     if not results:
         raise EmptySuiteError("empty_suite: concordance over zero results")
     total = len(results)
-    full = sum(1 for r in results if r.match is MatchLevel.FULL)
-    action = sum(1 for r in results if r.match in (MatchLevel.FULL, MatchLevel.ACTION))
+    full = sum(1 for r in results if r.match is _FULL)
+    action = sum(1 for r in results if r.match is _FULL or r.match is _ACTION)
     return Fraction(action, total), Fraction(full, total)
 
 
@@ -155,7 +161,7 @@ def coverage_by_mechanism(results: Iterable[CaseResult]) -> dict[str, Fraction]:
     recommended: dict[str, int] = {}
     for result in results:
         totals[result.mechanism] = totals.get(result.mechanism, 0) + 1
-        if result.actual.action is Action.RECOMMEND:
+        if result.actual.action is _RECOMMEND:
             recommended[result.mechanism] = recommended.get(result.mechanism, 0) + 1
     return {m: Fraction(recommended.get(m, 0), total) for m, total in sorted(totals.items())}
 
@@ -164,17 +170,41 @@ def abstention_distribution(results: Iterable[CaseResult]) -> dict[str, int]:
     """Counts per abstention category, explicit zeros included."""
     counts = {category.value: 0 for category in AbstentionCategory}
     for result in results:
-        if result.actual.action is Action.ABSTAIN:
+        if result.actual.action is _ABSTAIN:
             assert result.actual.reason is not None
             counts[result.actual.reason.category.value] += 1
     return counts
 
 
-def _stewardship_record(trace: AuditTrace):
+def _audit_result(
+    class_map: Mapping[str, ClassDecl], result: CaseResult, trace: AuditTrace | None
+) -> list[StewardshipFinding]:
+    """The stewardship findings for one result: none unless it recommends,
+    and then the checks of its recommendation against its trace."""
+    if result.actual.action is not _RECOMMEND:
+        return []
+    if trace is None:
+        raise TraceRequiredError(f"trace_required: no trace recorded for case '{result.case_id}'")
     for record in trace.stages:
-        if record.stage is Stage.STEWARDSHIP:
-            return record
-    return None
+        if record.stage is _STEWARDSHIP:
+            break
+    else:
+        raise TraceRequiredError(f"trace_required: case '{result.case_id}' has no stewardship stage")
+    justified = JUSTIFIED_NOTE in record.notes
+    survivors = tuple(note for note in record.notes if note != JUSTIFIED_NOTE)
+    recommended = result.actual.class_id
+    assert recommended is not None
+    recommended_rank = class_map[recommended].spectrum_rank
+    survivor_ranks = [class_map[s].spectrum_rank for s in survivors if s in class_map]
+    narrow_ok = bool(survivor_ranks) and recommended_rank <= min(survivor_ranks) and recommended in survivors
+    escalation = class_map[recommended].escalation_tier
+    findings = [
+        StewardshipFinding(result.case_id, CHECK_NARROW, narrow_ok, survivors),
+        StewardshipFinding(result.case_id, CHECK_NO_UNJUSTIFIED, (not escalation) or justified, (recommended,)),
+    ]
+    if escalation:
+        findings.append(StewardshipFinding(result.case_id, CHECK_DOCUMENTED, justified, (recommended, JUSTIFIED_NOTE)))
+    return findings
 
 
 def stewardship_audit(
@@ -188,43 +218,10 @@ def stewardship_audit(
     policy semantics, so a misbehaving stage 4 that still records its
     survivor set honestly is caught rather than excused.
     """
-    findings: list[StewardshipFinding] = []
     class_map = policy.class_map()
+    findings: list[StewardshipFinding] = []
     for result in results:
-        if result.actual.action is not Action.RECOMMEND:
-            continue
-        trace = traces.get(result.case_id)
-        if trace is None:
-            raise TraceRequiredError(f"trace_required: no trace recorded for case '{result.case_id}'")
-        record = _stewardship_record(trace)
-        if record is None:
-            raise TraceRequiredError(f"trace_required: case '{result.case_id}' has no stewardship stage")
-        justified = JUSTIFIED_NOTE in record.notes
-        survivors = tuple(note for note in record.notes if note != JUSTIFIED_NOTE)
-        recommended = result.actual.class_id
-        assert recommended is not None
-        recommended_rank = class_map[recommended].spectrum_rank
-        survivor_ranks = [class_map[s].spectrum_rank for s in survivors if s in class_map]
-        narrow_ok = bool(survivor_ranks) and recommended_rank <= min(survivor_ranks) and recommended in survivors
-        findings.append(StewardshipFinding(result.case_id, CHECK_NARROW, narrow_ok, survivors))
-        escalation = class_map[recommended].escalation_tier
-        findings.append(
-            StewardshipFinding(
-                result.case_id,
-                CHECK_NO_UNJUSTIFIED,
-                (not escalation) or justified,
-                (recommended,),
-            )
-        )
-        if escalation:
-            findings.append(
-                StewardshipFinding(
-                    result.case_id,
-                    CHECK_DOCUMENTED,
-                    justified,
-                    (recommended, JUSTIFIED_NOTE),
-                )
-            )
+        findings += _audit_result(class_map, result, traces.get(result.case_id))
     return findings
 
 
@@ -232,14 +229,17 @@ def run_suite(policy: Policy, suite: Suite, runs: int = 3) -> EvaluationReport:
     """Execute the suite ``runs`` times and assemble the canonical report.
 
     Precondition: ``bind_suite(suite, policy)`` reported no errors. Cases
-    execute in case-id order, one after another.
+    execute in case-id order, one after another. Each case of the first run
+    is audited as soon as it is decided (as ``stewardship_audit`` would), so
+    no trace outlives its case.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1: {runs}")
 
+    class_map = policy.class_map()
     run_digests: list[str] = []
     built: list[CaseResult] = []
-    traces: dict[str, AuditTrace] = {}
+    findings: list[StewardshipFinding] = []
     for run_index in range(runs):
         stream = hashlib.sha256()
         for case in suite.cases:
@@ -248,17 +248,16 @@ def run_suite(policy: Policy, suite: Suite, runs: int = 3) -> EvaluationReport:
             stream.update(canonical_serialize(output))
             stream.update(trace_bytes)
             if run_index == 0:
-                built.append(
-                    CaseResult(
-                        case_id=case.case_id,
-                        mechanism=case.mechanism,
-                        actual=output,
-                        expected=case.expected,
-                        match=compare_outputs(output, case.expected),
-                        trace_digest=hashlib.sha256(trace_bytes).hexdigest(),
-                    )
+                result = CaseResult(
+                    case_id=case.case_id,
+                    mechanism=case.mechanism,
+                    actual=output,
+                    expected=case.expected,
+                    match=compare_outputs(output, case.expected),
+                    trace_digest=hashlib.sha256(trace_bytes).hexdigest(),
                 )
-                traces[case.case_id] = trace
+                built.append(result)
+                findings += _audit_result(class_map, result, trace)
         run_digests.append(stream.hexdigest())
     results = tuple(built)
 
@@ -272,7 +271,7 @@ def run_suite(policy: Policy, suite: Suite, runs: int = 3) -> EvaluationReport:
         concordance_full=full_level,
         coverage=coverage_by_mechanism(results),
         distribution=abstention_distribution(results),
-        stewardship_findings=tuple(stewardship_audit(policy, results, traces)),
+        stewardship_findings=tuple(findings),
         determinism_ok=len(set(run_digests)) == 1,
         run_digests=tuple(run_digests),
     )

@@ -5,9 +5,10 @@ exactly one of two shapes, a recommendation of a single class or a typed
 abstention, and nothing in this module can represent both at once. All value
 types here are immutable, hashable where practical, and serialize through
 ``to_canonical`` into the shared canonical JSON form used for hashing and
-reports (see ``canon``). Outputs and audit traces, which every decision
-serializes, are encoded by ``canonical_serialize`` straight to the same
-bytes; their ``to_canonical`` stays the reference form.
+reports (see ``canon``). Outputs, stage records and audit traces, which
+every decision serializes, are encoded by ``canonical_serialize`` straight
+to the same bytes; their ``to_canonical`` stays the reference form. A stage
+record that the engine builds arrives with its text already encoded.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
@@ -198,12 +199,18 @@ class Action(str, Enum):
     ABSTAIN = "abstain"
 
 
+_RECOMMEND, _ABSTAIN = Action
+
+
 class AbstentionCategory(str, Enum):
     MISSING_INPUTS = "missing_inputs"
     UNKNOWN_RISK = "unknown_risk"
     CONFLICTING_SIGNALS = "conflicting_signals"
     EXPLICIT_EXCLUSION = "explicit_exclusion"
     CONSERVATIVE_AMBIGUITY = "conservative_ambiguity"
+
+
+_EXPLICIT_EXCLUSION = AbstentionCategory.EXPLICIT_EXCLUSION
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ class AbstentionReason:
         for label in normalized:
             if not IDENT_RE.match(label):
                 raise ValueError(f"label is not an identifier: {label!r}")
-        if self.category is AbstentionCategory.EXPLICIT_EXCLUSION and not normalized:
+        if self.category is _EXPLICIT_EXCLUSION and not normalized:
             raise ValueError("explicit exclusion requires at least one label")
         object.__setattr__(self, "labels", normalized)
 
@@ -238,7 +245,7 @@ class SystemOutput:
     reason: AbstentionReason | None = None
 
     def __post_init__(self) -> None:
-        if self.action is Action.RECOMMEND:
+        if self.action is _RECOMMEND:
             if self.class_id is None or self.reason is not None:
                 raise ValueError("recommendation carries a class id and no reason")
             if not IDENT_RE.match(self.class_id):
@@ -249,21 +256,21 @@ class SystemOutput:
 
     @classmethod
     def recommend(cls, class_id: str) -> "SystemOutput":
-        return cls(Action.RECOMMEND, class_id=class_id)
+        return cls(_RECOMMEND, class_id=class_id)
 
     @classmethod
     def abstain(cls, category: AbstentionCategory, labels: Iterable[str]) -> "SystemOutput":
-        return cls(Action.ABSTAIN, reason=AbstentionReason(category, labels))
+        return cls(_ABSTAIN, reason=AbstentionReason(category, labels))
 
     def to_canonical(self) -> dict[str, Any]:
-        if self.action is Action.RECOMMEND:
+        if self.action is _RECOMMEND:
             return {"action": "recommend", "class": self.class_id}
         assert self.reason is not None
         return {"action": "abstain", **self.reason.to_canonical()}
 
     def render_line(self) -> str:
         """One-line human text form used by the decide command."""
-        if self.action is Action.RECOMMEND:
+        if self.action is _RECOMMEND:
             return f"recommend {self.class_id}"
         assert self.reason is not None
         labels = ", ".join(self.reason.labels)
@@ -276,6 +283,9 @@ class MatchLevel(str, Enum):
     MISMATCH = "mismatch"
 
 
+_FULL, _ACTION, _MISMATCH = MatchLevel
+
+
 @dataclass(frozen=True)
 class ExpectedBehavior:
     """Expected action for a case; ``None`` detail means wildcard ("any")."""
@@ -285,7 +295,7 @@ class ExpectedBehavior:
     category: AbstentionCategory | None = None
 
     def __post_init__(self) -> None:
-        if self.action is Action.RECOMMEND:
+        if self.action is _RECOMMEND:
             if self.category is not None:
                 raise ValueError("recommend expectation cannot carry a category")
             if self.class_id is not None and not IDENT_RE.match(self.class_id):
@@ -295,7 +305,7 @@ class ExpectedBehavior:
                 raise ValueError("abstain expectation cannot carry a class id")
 
     def to_canonical(self) -> dict[str, str]:
-        if self.action is Action.RECOMMEND:
+        if self.action is _RECOMMEND:
             return {"recommend": self.class_id if self.class_id is not None else "any"}
         return {"abstain": self.category.value if self.category is not None else "any"}
 
@@ -355,11 +365,33 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StageRecord:
-    """What one pipeline stage evaluated, in rule-id order."""
+    """What one pipeline stage evaluated, in rule-id order.
+
+    A record that the engine builds through ``_encoded`` carries its own
+    canonical JSON text. The text is not a field, so ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` ignore it, and pickles and copies
+    leave it out. Every other record has the class default ``None``.
+    """
 
     stage: Stage
     evaluated: tuple[tuple[str, Verdict], ...] = ()
     notes: tuple[str, ...] = ()
+    _json = None
+
+    @classmethod
+    def _encoded(cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str) -> "StageRecord":
+        """A record without notes, trusted as built: ``evaluated`` is a tuple
+        of ``(str, Verdict)`` pairs in rule-id order and ``pairs_json`` their
+        ``_pair_json`` texts joined by commas. Skips the sort and the type
+        checks of ``__post_init__``, and attaches the record's JSON text."""
+        record = object.__new__(cls)
+        record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
+        return record
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_json", None)
+        return state
 
     def __post_init__(self) -> None:
         # Exact types, so that canonical_serialize can trust its tables.
@@ -416,15 +448,15 @@ def compare_outputs(actual: SystemOutput, expected: ExpectedBehavior) -> MatchLe
     action match. Different actions are a mismatch.
     """
     if actual.action is not expected.action:
-        return MatchLevel.MISMATCH
-    if actual.action is Action.RECOMMEND:
+        return _MISMATCH
+    if actual.action is _RECOMMEND:
         if expected.class_id is None or expected.class_id == actual.class_id:
-            return MatchLevel.FULL
-        return MatchLevel.ACTION
+            return _FULL
+        return _ACTION
     assert actual.reason is not None
     if expected.category is None or expected.category is actual.reason.category:
-        return MatchLevel.FULL
-    return MatchLevel.ACTION
+        return _FULL
+    return _ACTION
 
 
 # JSON text of each enum member, built once so that encoding a trace runs no
@@ -435,7 +467,7 @@ _CATEGORY_JSON = {category: _quote(category.value) for category in AbstentionCat
 
 
 def _encode_output(output: SystemOutput) -> str:
-    if output.action is Action.RECOMMEND:
+    if output.action is _RECOMMEND:
         return f'{{"action":"recommend","class":{_quote(output.class_id)}}}'
     reason = output.reason
     assert reason is not None
@@ -443,23 +475,37 @@ def _encode_output(output: SystemOutput) -> str:
     return f'{{"action":"abstain","category":{_CATEGORY_JSON[reason.category]},"labels":[{labels}]}}'
 
 
+def _pair_json(rule_id: str, verdict: Verdict) -> str:
+    """JSON text of one ``[rule_id, verdict]`` pair of a stage record."""
+    return f"[{_quote(rule_id)},{_VERDICT_JSON[verdict]}]"
+
+
+def _record_json(stage: Stage, pairs_json: str, notes_json: str) -> str:
+    return f'{{"evaluated":[{pairs_json}],"notes":[{notes_json}],"stage":{_STAGE_JSON[stage]}}}'
+
+
 def _encode_record(record: StageRecord) -> str:
-    evaluated = ",".join([f"[{_quote(rule_id)},{_VERDICT_JSON[verdict]}]" for rule_id, verdict in record.evaluated])
-    notes = ",".join(map(_quote, record.notes))
-    return f'{{"evaluated":[{evaluated}],"notes":[{notes}],"stage":{_STAGE_JSON[record.stage]}}}'
+    text = record._json
+    if text is None:
+        pairs_json = ",".join([_pair_json(rule_id, verdict) for rule_id, verdict in record.evaluated])
+        text = _record_json(record.stage, pairs_json, ",".join(map(_quote, record.notes)))
+    return text
 
 
 def canonical_serialize(value: Any) -> bytes:
     """Canonical byte form of any domain value exposing ``to_canonical``.
 
-    An exact ``SystemOutput`` or ``AuditTrace`` is encoded straight to
-    canonical JSON text: keys written in sorted order, every string through
-    the escaper ``json.dumps(ensure_ascii=False)`` uses, enum members from
-    tables. The bytes equal ``canonical_bytes(value.to_canonical())``, which
-    stays the reference form. No float or non-member enum can reach them: a
-    non-``str`` id, note or label raises ``TypeError`` here, and stages,
-    verdicts and categories are type-checked when their records are built.
-    Any other value, subclasses included, takes the generic path.
+    An exact ``SystemOutput``, ``StageRecord`` or ``AuditTrace`` is encoded
+    straight to canonical JSON text: keys written in sorted order, every
+    string through the escaper ``json.dumps(ensure_ascii=False)`` uses, enum
+    members from tables. A record the engine built already carries its text,
+    made once per policy from the same per-pair encoder (``_pair_json``), and
+    that text is used as is; a record built in code is encoded here. The
+    bytes equal ``canonical_bytes(value.to_canonical())``, which stays the
+    reference form. No float or non-member enum can reach them: a non-``str``
+    id, note or label raises ``TypeError`` here, and stages, verdicts and
+    categories are type-checked when their records are built. Any other
+    value, subclasses included, takes the generic path.
     """
     kind = type(value)
     if kind is AuditTrace:
@@ -467,4 +513,6 @@ def canonical_serialize(value: Any) -> bytes:
         return f'{{"final":{_encode_output(value.final)},"stages":[{stages}]}}'.encode("utf-8")
     if kind is SystemOutput:
         return _encode_output(value).encode("utf-8")
+    if kind is StageRecord:
+        return _encode_record(value).encode("utf-8")
     return canonical_bytes(value.to_canonical())

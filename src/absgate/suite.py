@@ -15,8 +15,9 @@ reports with every case that carries it.
 A ``Suite`` holds its cases by id and its mechanisms sorted without
 duplicates, so ``suite_hash`` is insensitive to source ordering while any
 change to fields, descriptions, or expected behaviors changes the digest.
-Built in code, it refuses what ``parse_suite`` refuses of its vocabulary:
-a mechanism that is not a token, and a case whose mechanism it lacks.
+Built in code, it refuses what ``parse_suite`` refuses of its header and
+vocabulary: a suite id that is not an identifier, a version or mechanism
+that is not a token, and a case whose mechanism it lacks.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class Suite:
     policy_hash_pin: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.suite_id) is not str or not IDENT_RE.match(self.suite_id):
+            raise ValueError(f"suite id is not an identifier: {self.suite_id!r}")
+        if type(self.version) is not str or not TOKEN_RE.match(self.version):
+            raise ValueError(f"suite version is not a token: {self.version!r}")
         object.__setattr__(self, "mechanisms", _sorted_names(self.mechanisms, TOKEN_RE, "mechanism is not a token"))
         object.__setattr__(self, "cases", tuple(sorted(self.cases, key=lambda c: c.case_id)))
         if not self.cases:

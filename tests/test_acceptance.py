@@ -124,8 +124,8 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
     if not pristine.all_stewardship_pass():
         problems.append("audit flags the correct engine")
 
-    def gate_bypass(policy, class_map, fields, fired):
-        outcome = _honest_stage(policy, class_map, fields, fired)
+    def gate_bypass(policy, compiled, fields, fired):
+        outcome = _honest_stage(policy, compiled, fields, fired)
         vetoed = {v.class_id for v in policy.stewardship.class_vetoes
                   if evaluate(v.when, fields) is not Truth.FALSE}
         survivors = frozenset({rule.candidate for rule in fired} - vetoed)

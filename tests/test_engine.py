@@ -16,6 +16,7 @@ from absgate import (
     policy_hash,
     validate_policy,
 )
+from absgate.canon import canonical_bytes
 from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, print_condition, typecheck
 from absgate.engine import assess_inputs
 from absgate.model import (
@@ -25,6 +26,7 @@ from absgate.model import (
     ExpectedBehavior,
     FieldValue,
     Stage,
+    StageRecord,
     Verdict,
     canonical_serialize,
 )
@@ -336,6 +338,63 @@ def test_policy_survives_pickle_and_deepcopy_after_deciding():
         assert [repr(c) for c in _conditions(clone)] == [repr(c) for c in _conditions(policy)]
         assert decisions(clone) == before
     assert decisions(policy) == before
+
+
+def _encodes_to_the_reference_form(value):
+    return canonical_serialize(value) == canonical_bytes(value.to_canonical())
+
+
+def test_engine_built_records_carry_their_text_and_encode_to_the_reference_form():
+    suite = load_reference_suite()
+    # c04 has a rule held indeterminate by an unmet requires and a rule whose
+    # condition is indeterminate.
+    c04 = suite.case("c04")
+    assert c04 is not None
+    rules = {rule.rule_id: rule for rule in POLICY.clinical_rules}
+    assert "renal_impairment" in rules["r_uti_mild"].requires and "renal_impairment" not in c04.fields
+    assert not rules["r_uti_renal"].requires
+    verdicts = dict(decide(POLICY, c04)[1].stages[2].evaluated)
+    assert verdicts["r_uti_mild"] is verdicts["r_uti_renal"] is Verdict.INDETERMINATE
+    for c in suite.cases:
+        trace = decide(POLICY, c)[1]
+        assert _encodes_to_the_reference_form(trace)
+        for record in trace.stages:
+            assert _encodes_to_the_reference_form(record)
+            # Stages 1-3 are picked from the policy's tables with their text.
+            encoded = record.stage in (Stage.INPUT_ASSESSMENT, Stage.EXCLUSIONS, Stage.CLINICAL_RULES)
+            assert (record._json is not None) is encoded
+
+
+def test_copies_of_engine_built_records_and_traces_are_equal_and_carry_no_text():
+    trace = decide(POLICY, load_reference_suite().case("c17"))[1]
+    assert len(trace.stages) == 5
+    record = trace.stages[2]
+    assert record._json is not None
+    clones = (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record), dataclasses.replace(record))
+    for clone in clones:
+        assert clone == record
+        assert hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+        assert "_json" not in vars(clone) and clone._json is None
+        assert canonical_serialize(clone) == canonical_serialize(record)
+    for clone in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert clone == trace
+        assert hash(clone) == hash(trace)
+        assert all(r._json is None for r in clone.stages)
+        assert canonical_serialize(clone) == canonical_serialize(trace)
+    replaced = dataclasses.replace(trace)
+    assert replaced == trace and canonical_serialize(replaced) == canonical_serialize(trace)
+
+
+def test_a_record_built_in_code_still_sorts_and_checks_its_pairs():
+    engine_built = decide(POLICY, load_reference_suite().case("c17"))[1].stages[2]
+    public = StageRecord(Stage.CLINICAL_RULES, tuple(reversed(engine_built.evaluated)))
+    assert public.evaluated == engine_built.evaluated
+    assert public == engine_built and hash(public) == hash(engine_built) and repr(public) == repr(engine_built)
+    assert public._json is None
+    assert canonical_serialize(public) == canonical_serialize(engine_built)
+    with pytest.raises(TypeError, match="^verdict is not a Verdict: 'fired'$"):
+        StageRecord(Stage.CLINICAL_RULES, (("r", "fired"),))
 
 
 # Kind mismatches ``bind_suite`` refuses in a case; the case is built in

@@ -157,7 +157,7 @@ def test_audit_requires_traces():
         stewardship_audit(POLICY, [first], {first.case_id: stageless})
 
 
-def _gate_skipping_stewardship(policy, class_map, fields, fired):
+def _gate_skipping_stewardship(policy, compiled, fields, fired):
     """Seeded bug: the escalation justification gate is never applied."""
     candidates = {rule.candidate for rule in fired}
     evaluated = []
@@ -186,6 +186,18 @@ def test_audit_catches_a_skipped_escalation_gate(monkeypatch):
     by_case = {r.case_id: r for r in report.results}
     assert by_case["c21"].actual.class_id == "broad_beta_lactam"
     assert by_case["c21"].match is MatchLevel.MISMATCH
+
+
+@pytest.mark.parametrize("seeded_bug", [False, True], ids=["honest", "gate_skipped"])
+def test_run_suite_audits_each_case_as_stewardship_audit_does(monkeypatch, seeded_bug):
+    # run_suite audits each case as it is decided and keeps no trace; its
+    # findings, failures and order included, are those of the public audit.
+    if seeded_bug:
+        monkeypatch.setattr(engine_module, "_stewardship_stage", _gate_skipping_stewardship)
+    report = run_suite(POLICY, SUITE, runs=1)
+    traces = {case.case_id: decide(POLICY, case)[1] for case in SUITE.cases}
+    assert list(report.stewardship_findings) == stewardship_audit(POLICY, report.results, traces)
+    assert report.all_stewardship_pass() is not seeded_bug
 
 
 def test_the_cli_summary_lists_each_failed_audit_check(monkeypatch, capsys):

@@ -17,7 +17,18 @@ import re
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from absgate import decide, format_policy, has_errors, load_reference_suite, parse_policy, parse_suite, policy_hash
+from absgate import (
+    Suite,
+    bind_suite,
+    decide,
+    format_policy,
+    has_errors,
+    load_reference_suite,
+    parse_policy,
+    parse_suite,
+    policy_hash,
+)
+from absgate.canon import canonical_bytes
 from absgate.model import canonical_serialize
 from absgate.condition import And, Not, Or
 from absgate.dsl import _MAX_OPEN, MAX_NESTING, _lex, _Parser, _ParseError
@@ -226,3 +237,26 @@ def test_statement_order_reaches_no_policy_output(index, rng):
     assert format_policy(shuffled) == text
     assert policy_hash(shuffled) == policy_hash(policy)
     assert _decisions(shuffled, cases) == _decisions(policy, cases)
+
+
+_SUITES = [load_reference_suite()] + [Suite("kinds", "v1", ("generated",), cases) for _, cases in _ORDERED[1:]]
+# Negations keep a policy well formed while they move which rules fire;
+# the condition edits mostly leave a text that does not parse.
+_NEGATIONS = st.lists(st.tuples(st.just("wrap"), _AT, st.just("(not "), st.integers(1, 2)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(range(len(_ORDERED))), st.one_of(_NEGATIONS, _CONDITION_EDITS))
+@example(0, [])
+def test_engine_built_traces_encode_to_the_reference_form(index, edits):
+    # Stages 1-3 of an engine-built trace carry text picked from per-policy
+    # tables; it must be the bytes the reference form gives, record by record.
+    policy, _ = parse_policy(_mutate(format_policy(_ORDERED[index][0]), edits))
+    suite = _SUITES[index]
+    if policy is None or has_errors(bind_suite(suite, policy)):
+        return
+    for case in suite.cases:
+        trace = decide(policy, case)[1]
+        assert canonical_serialize(trace) == canonical_bytes(trace.to_canonical())
+        for record in trace.stages:
+            assert canonical_serialize(record) == canonical_bytes(record.to_canonical())

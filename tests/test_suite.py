@@ -82,6 +82,26 @@ def test_a_suite_built_in_code_checks_its_vocabulary(mechanisms, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize(
+    ("changes", "message"),
+    [
+        ({"suite_id": "Not An Id"}, "suite id is not an identifier: 'Not An Id'"),
+        ({"suite_id": 3}, "suite id is not an identifier: 3"),
+        ({"version": "V1"}, "suite version is not a token: 'V1'"),
+        ({"version": 3}, "suite version is not a token: 3"),
+        ({"suite_id": "Not An Id", "version": 3}, "suite id is not an identifier: 'Not An Id'"),
+    ],
+    ids=["id_not_an_identifier", "id_not_a_str", "version_not_a_token", "version_not_a_str", "both"],
+)
+def test_a_suite_built_in_code_checks_its_id_and_version(changes, message):
+    # parse_suite refuses each of these as a malformed document.
+    with pytest.raises(ValueError) as refused:
+        dataclasses.replace(load_reference_suite(), **changes)
+    assert str(refused.value) == message
+    for key, value in changes.items():
+        assert [d.code for d in _parse(_doc(**{key: value}))[1]] == ["malformed_document"]
+
+
 def test_malformed_document_reports_location():
     suite, diags = parse_suite('{"suite_id": }')
     assert suite is None
