@@ -40,6 +40,11 @@ it. In stage 3 a rule whose ``requires`` are unmet picks by INDETERMINATE
 whatever its condition yields. Stages 4 and 5 build plain records, which
 are encoded when serialized.
 
+Many cases end in equal outputs, so the cache also keeps each distinct
+output (built through the public ``SystemOutput`` constructors, with all
+their checks) and ``decide`` returns that instance for an equal outcome;
+an output keeps its text once encoded, so a shared one is encoded once.
+
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
 and the stage-4 outcome are ``NamedTuple`` records.
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from itertools import starmap
 from operator import getitem
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
@@ -73,6 +78,9 @@ _INPUT_ASSESSMENT, _EXCLUSIONS, _CLINICAL_RULES, _STEWARDSHIP, _OUTPUT = Stage
 _MISSING_INPUTS, _UNKNOWN_RISK, _CONFLICTING_SIGNALS, _EXPLICIT_EXCLUSION, _CONSERVATIVE_AMBIGUITY = AbstentionCategory
 _FIRED, _VETOED = Verdict.FIRED, Verdict.VETOED
 _TOKEN_SET = FieldKind.TOKEN_SET
+
+# The most outputs ``decide`` keeps per policy.
+_OUTPUT_MEMO_LIMIT = 1024
 
 # A rule's verdict, indexed by its condition's truth value.
 _VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
@@ -116,6 +124,9 @@ class _Compiled(NamedTuple):
     stewardship: _Program
     class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
+    # The outputs decided so far, by ``(category, frozenset(labels))`` for an
+    # abstention and by class id for a recommendation; see ``_output``.
+    outputs: dict[Any, SystemOutput]
 
 
 def _compiled(policy: Policy) -> _Compiled:
@@ -139,6 +150,7 @@ def _compiled(policy: Policy) -> _Compiled:
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         policy.class_map(),
         tuple(decl.name for decl in policy.risk_fields()),
+        {},
     )
     object.__setattr__(policy, "_compiled", compiled)
     return compiled
@@ -217,10 +229,22 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
     return tied[0] if len(tied) == 1 else tuple(tied)
 
 
+def _output(outputs: dict[Any, SystemOutput], key: Any, build: Callable[..., SystemOutput], *args: Any) -> SystemOutput:
+    """The output under ``key``, built by ``build(*args)`` on first use.
+    Unknown-risk labels come from case data, so the memo stops growing at
+    ``_OUTPUT_MEMO_LIMIT`` entries; past that, outputs are built per call."""
+    output = outputs.get(key)
+    if output is None:
+        output = build(*args)
+        if len(outputs) < _OUTPUT_MEMO_LIMIT:
+            outputs[key] = output
+    return output
+
+
 def _abstain(
-    stages: list[StageRecord], category: AbstentionCategory, labels: Iterable[str]
+    compiled: _Compiled, stages: list[StageRecord], category: AbstentionCategory, labels: Collection[str]
 ) -> tuple[SystemOutput, AuditTrace]:
-    final = SystemOutput.abstain(category, labels)
+    final = _output(compiled.outputs, (category, frozenset(labels)), SystemOutput.abstain, category, labels)
     return final, AuditTrace(tuple(stages), final)
 
 
@@ -239,11 +263,11 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     report, truths = _assess_inputs(policy, compiled, fields)
     stages.append(compiled.consistency_table.record(_INPUT_ASSESSMENT, truths))
     if report.missing_required:
-        return _abstain(stages, _MISSING_INPUTS, report.missing_required)
+        return _abstain(compiled, stages, _MISSING_INPUTS, report.missing_required)
     if report.consistency_violations:
-        return _abstain(stages, _CONFLICTING_SIGNALS, report.consistency_violations)
+        return _abstain(compiled, stages, _CONFLICTING_SIGNALS, report.consistency_violations)
     if report.unknown_risk_tokens:
-        return _abstain(stages, _UNKNOWN_RISK, report.unknown_risk_tokens)
+        return _abstain(compiled, stages, _UNKNOWN_RISK, report.unknown_risk_tokens)
 
     # Stage 2: exclusions.
     triggered_labels: list[str] = []
@@ -256,9 +280,9 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
     stages.append(compiled.exclusion_table.record(_EXCLUSIONS, truths))
     if triggered_labels:
-        return _abstain(stages, _EXPLICIT_EXCLUSION, triggered_labels)
+        return _abstain(compiled, stages, _EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
-        return _abstain(stages, _MISSING_INPUTS, unresolved)
+        return _abstain(compiled, stages, _MISSING_INPUTS, unresolved)
 
     # Stage 3: clinical rules, in rule-id order. A rule abstains if its
     # condition is indeterminate or a field it requires is missing: the
@@ -279,7 +303,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
     stages.append(compiled.rule_table.record(_CLINICAL_RULES, picks))
     if problems:
-        return _abstain(stages, _MISSING_INPUTS, problems)
+        return _abstain(compiled, stages, _MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
     fired_ids = {rule.rule_id for rule in fired}
     conflicted: set[str] = set()
@@ -288,20 +312,20 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             if other in fired_ids:
                 conflicted.update((rule.rule_id, other))
     if conflicted:
-        return _abstain(stages, _CONFLICTING_SIGNALS, conflicted)
+        return _abstain(compiled, stages, _CONFLICTING_SIGNALS, conflicted)
     if not fired:
-        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
+        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
 
     # Stage 4: stewardship.
     outcome = _stewardship_stage(policy, compiled, fields, fired)
     stages.append(StageRecord(_STEWARDSHIP, outcome.evaluated, outcome.notes))
     if not outcome.survivors:
-        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
+        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
     selection = _select_recommendation(compiled.class_map, outcome.survivors)
     if isinstance(selection, tuple):
-        return _abstain(stages, _CONSERVATIVE_AMBIGUITY, selection)
+        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, selection)
 
     # Stage 5: output.
-    final = SystemOutput.recommend(selection)
+    final = _output(compiled.outputs, selection, SystemOutput.recommend, selection)
     stages.append(StageRecord(_OUTPUT, (), (selection,)))
     return final, AuditTrace(tuple(stages), final)

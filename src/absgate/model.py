@@ -8,7 +8,8 @@ types here are immutable, hashable where practical, and serialize through
 reports (see ``canon``). Outputs, stage records and audit traces, which
 every decision serializes, are encoded by ``canonical_serialize`` straight
 to the same bytes; their ``to_canonical`` stays the reference form. A stage
-record that the engine builds arrives with its text already encoded.
+record that the engine builds arrives with its text already encoded, and
+an output keeps its text once encoded.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
@@ -238,11 +239,24 @@ class AbstentionReason:
 
 @dataclass(frozen=True)
 class SystemOutput:
-    """Exactly one of: recommendation of a class, or typed abstention."""
+    """Exactly one of: recommendation of a class, or typed abstention.
+
+    An output keeps its canonical JSON text once ``canonical_serialize`` has
+    encoded it, so an output that many decisions share is encoded once. As
+    with a ``StageRecord``'s text, it is not a field: ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` ignore it, and pickles and copies
+    leave it out.
+    """
 
     action: Action
     class_id: str | None = None
     reason: AbstentionReason | None = None
+    _json = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_json", None)
+        return state
 
     def __post_init__(self) -> None:
         if self.action is _RECOMMEND:
@@ -295,6 +309,8 @@ class ExpectedBehavior:
     category: AbstentionCategory | None = None
 
     def __post_init__(self) -> None:
+        if type(self.action) is not Action:
+            raise ValueError(f"expected action is not an Action: {self.action!r}")
         if self.action is _RECOMMEND:
             if self.category is not None:
                 raise ValueError("recommend expectation cannot carry a category")
@@ -303,11 +319,16 @@ class ExpectedBehavior:
         else:
             if self.class_id is not None:
                 raise ValueError("abstain expectation cannot carry a class id")
+            if self.category is not None and type(self.category) is not AbstentionCategory:
+                raise ValueError(f"category is not an AbstentionCategory: {self.category!r}")
 
     def to_canonical(self) -> dict[str, str]:
         if self.action is _RECOMMEND:
             return {"recommend": self.class_id if self.class_id is not None else "any"}
         return {"abstain": self.category.value if self.category is not None else "any"}
+
+
+_FIELD_VALUE_TYPE = frozenset((FieldValue,))
 
 
 @dataclass(frozen=True)
@@ -327,11 +348,15 @@ class CaseInput:
             raise ValueError(f"description is not UTF-8 text: {self.description!r}")
         if not TOKEN_RE.match(self.mechanism):
             raise ValueError(f"mechanism is not a token: {self.mechanism!r}")
-        for name, value in self.fields.items():
-            if not IDENT_RE.match(name):
-                raise ValueError(f"field name is not an identifier: {name!r}")
-            if type(value) is not FieldValue:
-                raise ValueError(f"field {name!r} is not a FieldValue: {value!r}")
+        fields = self.fields
+        # One C-level pass over the values and one over the names; only a
+        # failure walks the fields in order to refuse the first offender.
+        if not ({*map(type, fields.values())} <= _FIELD_VALUE_TYPE and all(map(IDENT_RE.match, fields))):
+            for name, value in fields.items():
+                if not IDENT_RE.match(name):
+                    raise ValueError(f"field name is not an identifier: {name!r}")
+                if type(value) is not FieldValue:
+                    raise ValueError(f"field {name!r} is not a FieldValue: {value!r}")
         if type(self.expected) is not ExpectedBehavior:
             raise ValueError(f"expected is not an ExpectedBehavior: {self.expected!r}")
 
@@ -464,15 +489,44 @@ def compare_outputs(actual: SystemOutput, expected: ExpectedBehavior) -> MatchLe
 _STAGE_JSON = {stage: _quote(stage.value) for stage in Stage}
 _VERDICT_JSON = {verdict: _quote(verdict.value) for verdict in Verdict}
 _CATEGORY_JSON = {category: _quote(category.value) for category in AbstentionCategory}
+_ANY_JSON = '"any"'
 
 
 def _encode_output(output: SystemOutput) -> str:
-    if output.action is _RECOMMEND:
-        return f'{{"action":"recommend","class":{_quote(output.class_id)}}}'
-    reason = output.reason
-    assert reason is not None
-    labels = ",".join(map(_quote, reason.labels))
-    return f'{{"action":"abstain","category":{_CATEGORY_JSON[reason.category]},"labels":[{labels}]}}'
+    text = output._json
+    if text is None:
+        if output.action is _RECOMMEND:
+            text = f'{{"action":"recommend","class":{_quote(output.class_id)}}}'
+        else:
+            reason = output.reason
+            assert reason is not None
+            labels = ",".join(map(_quote, reason.labels))
+            text = f'{{"action":"abstain","category":{_CATEGORY_JSON[reason.category]},"labels":[{labels}]}}'
+        output.__dict__["_json"] = text
+    return text
+
+
+def _value_json(value: FieldValue) -> str:
+    """JSON text of ``value.to_canonical()``, written per kind."""
+    kind, payload = value.kind, value.value
+    if kind is _TOKEN:
+        return _quote(payload)
+    if kind is _BOOLEAN:
+        return "true" if payload else "false"
+    if kind is _INTEGER:
+        return int.__repr__(payload)  # what json.dumps writes, for an int subclass too
+    if kind is _DECIMAL:
+        return f'"{format(payload, ".4f")}"'
+    return f"[{','.join(map(_quote, sorted(payload)))}]"
+
+
+def _expected_json(expected: ExpectedBehavior) -> str:
+    """JSON text of ``expected.to_canonical()``."""
+    if expected.action is _RECOMMEND:
+        class_id = expected.class_id
+        return f'{{"recommend":{_ANY_JSON if class_id is None else _quote(class_id)}}}'
+    category = expected.category
+    return f'{{"abstain":{_ANY_JSON if category is None else _CATEGORY_JSON[category]}}}'
 
 
 def _pair_json(rule_id: str, verdict: Verdict) -> str:

@@ -17,16 +17,23 @@ duplicates, so ``suite_hash`` is insensitive to source ordering while any
 change to fields, descriptions, or expected behaviors changes the digest.
 Built in code, it refuses what ``parse_suite`` refuses of its header and
 vocabulary: a suite id that is not an identifier, a version or mechanism
-that is not a token, and a case whose mechanism it lacks.
+that is not a token, a policy hash pin that is not 64 lowercase hex
+digits, and a case whose mechanism it lacks. Its cases must be exact
+``CaseInput`` instances.
+
+``suite_hash`` writes the canonical text directly, and encodes each
+distinct field value and expectation instance once per call, since parsed
+cases share them; ``suite_canonical`` stays the reference form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
 from typing import Any
 
-from .canon import canonical_hash
+from .canon import sha256_hex
 from .diagnostics import Diagnostic, Severity, has_errors
 from .model import (
     IDENT_RE,
@@ -38,7 +45,9 @@ from .model import (
     FieldKind,
     FieldValue,
     _SURROGATE_RE,
+    _expected_json,
     _sorted_names,
+    _value_json,
 )
 from .policy import FieldDecl, Policy, policy_hash
 
@@ -63,8 +72,15 @@ class Suite:
             raise ValueError(f"suite id is not an identifier: {self.suite_id!r}")
         if type(self.version) is not str or not TOKEN_RE.match(self.version):
             raise ValueError(f"suite version is not a token: {self.version!r}")
+        pin = self.policy_hash_pin
+        if pin is not None and (type(pin) is not str or len(pin) != 64 or not set(pin) <= _HEX64):
+            raise ValueError(f"policy hash pin is not 64 lowercase hex digits: {pin!r}")
         object.__setattr__(self, "mechanisms", _sorted_names(self.mechanisms, TOKEN_RE, "mechanism is not a token"))
-        object.__setattr__(self, "cases", tuple(sorted(self.cases, key=lambda c: c.case_id)))
+        cases = tuple(self.cases)
+        for case in cases:
+            if type(case) is not CaseInput:
+                raise ValueError(f"case is not a CaseInput: {case!r}")
+        object.__setattr__(self, "cases", tuple(sorted(cases, key=lambda c: c.case_id)))
         if not self.cases:
             raise ValueError("suite requires at least one case")
         for before, after in zip(self.cases, self.cases[1:]):
@@ -328,12 +344,15 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
             )
     declared_classes = {c.class_id for c in policy.classes}
     decls = policy.field_map()
-    # Errors are never kept, so a bad value reports once for every case.
-    clean: set[tuple[str, FieldValue]] = set()
+    # Clean pairs are keyed by the value's id, which hashes in C; each value
+    # is held, so no id is reused during the call. Errors are never kept, so
+    # a bad value reports once for every case.
+    clean: dict[tuple[str, int], FieldValue] = {}
     for case in suite.cases:
-        for pair in case.fields.items():
-            if pair not in clean and _bind_value(case.case_id, *pair, decls, diags):
-                clean.add(pair)
+        for name, value in case.fields.items():
+            key = (name, id(value))
+            if key not in clean and _bind_value(case.case_id, name, value, decls, diags):
+                clean[key] = value
         expected = case.expected
         if expected.action is Action.RECOMMEND and expected.class_id is not None:
             if expected.class_id not in declared_classes:
@@ -346,7 +365,8 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
 
 
 def suite_canonical(suite: Suite) -> dict[str, Any]:
-    """Canonical JSON-able form, in the order the suite holds."""
+    """Canonical JSON-able form, in the order the suite holds: the reference
+    form of the text that ``suite_hash`` writes directly."""
     body: dict[str, Any] = {
         "suite": suite.suite_id,
         "version": suite.version,
@@ -358,6 +378,44 @@ def suite_canonical(suite: Suite) -> dict[str, Any]:
     return body
 
 
+def _suite_json(suite: Suite) -> str:
+    """The canonical JSON text of ``suite_canonical(suite)``, written
+    directly: keys in sorted order, every string through the escaper that
+    ``json.dumps(ensure_ascii=False)`` uses. The construction checks of
+    ``Suite``, ``CaseInput``, ``FieldValue`` and ``ExpectedBehavior``
+    guarantee that no float or other value ``canonical_bytes`` refuses can
+    reach it."""
+    texts: dict[int, str] = {}  # id of a FieldValue or ExpectedBehavior -> its text
+    # Holds every instance in ``texts``, so no id is reused during the call
+    # even when a case's mapping makes its values on access.
+    encoded: list[Any] = []
+    cases = []
+    for case in suite.cases:
+        fields = case.fields
+        entries = []
+        for name in sorted(fields):
+            value = fields[name]
+            text = texts.get(id(value))
+            if text is None:
+                text = texts[id(value)] = _value_json(value)
+                encoded.append(value)
+            entries.append(f"{_quote(name)}:{text}")
+        expected = case.expected
+        expect = texts.get(id(expected))
+        if expect is None:
+            expect = texts[id(expected)] = _expected_json(expected)
+            encoded.append(expected)
+        cases.append(
+            f'{{"description":{_quote(case.description)},"expect":{expect},"fields":{{{",".join(entries)}}},'
+            f'"id":{_quote(case.case_id)},"mechanism":{_quote(case.mechanism)}}}'
+        )
+    pin = "" if suite.policy_hash_pin is None else f'"policy_hash_pin":"{suite.policy_hash_pin}",'
+    return (
+        f'{{"cases":[{",".join(cases)}],"mechanisms":[{",".join(map(_quote, suite.mechanisms))}],{pin}'
+        f'"suite":{_quote(suite.suite_id)},"version":{_quote(suite.version)}}}'
+    )
+
+
 def suite_hash(suite: Suite) -> str:
     """SHA-256 hex digest of the canonical suite form."""
-    return canonical_hash(suite_canonical(suite))
+    return sha256_hex(_suite_json(suite).encode("utf-8"))

@@ -18,7 +18,7 @@ from absgate import (
 )
 from absgate.canon import canonical_bytes
 from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, print_condition, typecheck
-from absgate.engine import assess_inputs
+from absgate.engine import _OUTPUT_MEMO_LIMIT, _compiled, assess_inputs
 from absgate.model import (
     AbstentionCategory,
     Action,
@@ -27,10 +27,13 @@ from absgate.model import (
     FieldValue,
     Stage,
     StageRecord,
+    SystemOutput,
     Verdict,
     canonical_serialize,
 )
 from absgate.policy import ConsistencyConstraint
+
+from oracle import kind_cases, make_kind_policy, oracle_decide
 
 POLICY = load_reference_policy()
 
@@ -395,6 +398,60 @@ def test_a_record_built_in_code_still_sorts_and_checks_its_pairs():
     assert canonical_serialize(public) == canonical_serialize(engine_built)
     with pytest.raises(TypeError, match="^verdict is not a Verdict: 'fired'$"):
         StageRecord(Stage.CLINICAL_RULES, (("r", "fired"),))
+
+
+def _fresh_output(outcome):
+    """A ``SystemOutput`` built anew from the oracle's flat form of one."""
+    if outcome[0] == "recommend":
+        return SystemOutput.recommend(outcome[1])
+    return SystemOutput.abstain(AbstentionCategory(outcome[1]), outcome[2])
+
+
+def test_interned_outputs_equal_fresh_ones_and_encode_to_the_reference_form():
+    pairs = [(POLICY, load_reference_suite().cases)]
+    pairs += [(make_kind_policy(seed), kind_cases(seed, 60)) for seed in range(6)]
+    for policy, cases in pairs:
+        cases = list(cases)
+        # A copy decides in the other order, so its memo fills in another order.
+        copied = pickle.loads(pickle.dumps(policy))
+        reverse = {c.case_id: decide(copied, c)[0] for c in reversed(cases)}
+        for c in cases:
+            output, trace = decide(policy, c)
+            fresh = _fresh_output(oracle_decide(policy, c))
+            assert output == fresh and hash(output) == hash(fresh) and repr(output) == repr(fresh)
+            assert trace.final is output and reverse[c.case_id] == output
+            assert decide(policy, c)[0] is output
+            assert canonical_serialize(output) == canonical_bytes(output.to_canonical()) == canonical_serialize(fresh)
+
+
+def test_an_output_keeps_its_text_out_of_equality_repr_pickles_and_copies():
+    output = decide(POLICY, load_reference_suite().case("c11"))[0]
+    fresh = SystemOutput.abstain(output.reason.category, output.reason.labels)
+    text = canonical_serialize(output)
+    assert output._json == text.decode("utf-8") and fresh._json is None
+    assert output == fresh and hash(output) == hash(fresh) and repr(output) == repr(fresh)
+    assert "_json" not in repr(output) and b"_json" not in pickle.dumps(output)
+    clones = (pickle.loads(pickle.dumps(output)), copy.deepcopy(output), copy.copy(output), dataclasses.replace(output))
+    for clone in clones:
+        assert clone == output and "_json" not in vars(clone) and clone._json is None
+        assert canonical_serialize(clone) == text
+
+
+def test_the_output_memo_stops_at_its_limit_and_outputs_stay_right():
+    policy = pickle.loads(pickle.dumps(POLICY))
+    memo = _compiled(policy).outputs
+    assert memo == {}
+    total = _OUTPUT_MEMO_LIMIT + 40
+    for n in range(total):
+        output = decide(policy, case(risk_factors=[f"zz{n}"]))[0]
+        assert output == SystemOutput.abstain(AbstentionCategory.UNKNOWN_RISK, [f"zz{n}"])
+    assert len(memo) == _OUTPUT_MEMO_LIMIT
+    # Past the limit an output is built per call; one kept is shared.
+    late = case(risk_factors=[f"zz{total - 1}"])
+    assert decide(policy, late)[0] is not decide(policy, late)[0]
+    early = case(risk_factors=["zz0"])
+    assert decide(policy, early)[0] is decide(policy, early)[0]
+    assert decide(policy, case())[0] == SystemOutput.recommend("narrow_penicillin")
 
 
 # Kind mismatches ``bind_suite`` refuses in a case; the case is built in

@@ -222,8 +222,13 @@ def test_expected_behavior_serialization():
         ({"category": AbstentionCategory.UNKNOWN_RISK}, "^recommend expectation cannot carry a category$"),
         ({"class_id": "Not Ident"}, "^class id is not an identifier: 'Not Ident'$"),
         ({"action": Action.ABSTAIN, "class_id": "a"}, "^abstain expectation cannot carry a class id$"),
+        ({"action": "recommend"}, "^expected action is not an Action: 'recommend'$"),
+        (
+            {"action": Action.ABSTAIN, "category": "missing_inputs"},
+            "^category is not an AbstentionCategory: 'missing_inputs'$",
+        ),
     ],
-    ids=["recommend_with_category", "class_id", "abstain_with_class_id"],
+    ids=["recommend_with_category", "class_id", "abstain_with_class_id", "str_action", "str_category"],
 )
 def test_an_expectation_refuses_a_detail_its_action_cannot_carry(parts, message):
     with pytest.raises(ValueError, match=message):
@@ -267,6 +272,21 @@ def test_a_case_built_in_code_is_checked_like_a_parsed_one(part, message):
     parts = {"description": "", "mechanism": "generated", "fields": {}, "expected": ExpectedBehavior(Action.ABSTAIN)}
     with pytest.raises(ValueError, match=message):
         CaseInput("c1", **{**parts, **part})
+
+
+def test_a_case_refuses_the_first_bad_field_in_field_order():
+    good, raw = FieldValue.boolean(True), True
+    parts = {"description": "", "mechanism": "generated", "expected": ExpectedBehavior(Action.ABSTAIN)}
+    refusals = [
+        ({"a": good, "Bad name": good, "c": raw}, ValueError, "^field name is not an identifier: 'Bad name'$"),
+        ({"a": good, "b": raw, "Bad name": good}, ValueError, "^field 'b' is not a FieldValue: True$"),
+        ({"a": raw, 3: good}, ValueError, "^field 'a' is not a FieldValue: True$"),
+        ({"a": good, 3: good, "Bad name": good}, TypeError, "expected string"),
+        ({"a": good, "Bad name": good, 3: good}, ValueError, "^field name is not an identifier: 'Bad name'$"),
+    ]
+    for fields, error, message in refusals:
+        with pytest.raises(error, match=message):
+            CaseInput("c1", fields=fields, **parts)
 
 
 @given(st.decimals(min_value=-1000, max_value=1000, places=4, allow_nan=False, allow_infinity=False))

@@ -1,16 +1,29 @@
 import dataclasses
 import json
+from collections.abc import Mapping
 from decimal import Decimal
+from enum import IntEnum
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absgate import load_reference_policy, load_reference_suite, parse_suite, run_suite, suite_hash
 from absgate.canon import canonical_bytes
-from absgate.model import CaseInput, FieldKind, FieldValue
+from absgate.model import (
+    INT64_MAX,
+    INT64_MIN,
+    AbstentionCategory,
+    Action,
+    CaseInput,
+    ExpectedBehavior,
+    FieldKind,
+    FieldValue,
+)
 from absgate.reference import reference_suite_text
 from absgate.policy import FieldDecl
-from absgate.suite import Suite, _parse_expect, bind_suite, suite_canonical
+from absgate.suite import Suite, _parse_expect, _suite_json, bind_suite, suite_canonical
 
 POLICY = load_reference_policy()
 
@@ -100,6 +113,32 @@ def test_a_suite_built_in_code_checks_its_id_and_version(changes, message):
     assert str(refused.value) == message
     for key, value in changes.items():
         assert [d.code for d in _parse(_doc(**{key: value}))[1]] == ["malformed_document"]
+
+
+@pytest.mark.parametrize(
+    ("pin", "message"),
+    [
+        (123, "policy hash pin is not 64 lowercase hex digits: 123"),
+        ("XYZ", "policy hash pin is not 64 lowercase hex digits: 'XYZ'"),
+        ("AB" * 32, f"policy hash pin is not 64 lowercase hex digits: '{'AB' * 32}'"),
+        ("ab" * 33, f"policy hash pin is not 64 lowercase hex digits: '{'ab' * 33}'"),
+    ],
+    ids=["not_a_str", "short", "upper_case", "long"],
+)
+def test_a_suite_built_in_code_checks_its_pin(pin, message):
+    with pytest.raises(ValueError) as refused:
+        dataclasses.replace(load_reference_suite(), policy_hash_pin=pin)
+    assert str(refused.value) == message
+    assert [d.code for d in _parse(_doc(policy_hash_pin=pin))[1]] == ["invalid_pin"]
+    assert dataclasses.replace(load_reference_suite(), policy_hash_pin="ab" * 32).policy_hash_pin == "ab" * 32
+
+
+@pytest.mark.parametrize("stranger", [None, "c99", {"id": "c99"}], ids=["none", "str", "dict"])
+def test_a_suite_built_in_code_holds_only_cases(stranger):
+    reference = load_reference_suite()
+    with pytest.raises(ValueError) as refused:
+        dataclasses.replace(reference, cases=(*reference.cases, stranger))
+    assert str(refused.value) == f"case is not a CaseInput: {stranger!r}"
 
 
 def test_malformed_document_reports_location():
@@ -422,7 +461,115 @@ def test_bind_reports_a_repeated_bad_value_for_every_case():
     ]
     suite, _ = _parse(_doc(cases=cases, mechanisms=["mech_a"]))
     assert suite is not None
-    assert [d.render() for d in bind_suite(suite, POLICY)] == [
-        f"ERROR unknown_enum_token 0:0 case '{case_id}': token 'robot' is outside the enumeration of 'sex'"
-        for case_id in ("b1", "b2", "b3")
-    ]
+    # Parsed cases share one instance of each value; cases built from fresh
+    # instances, or from mappings that make their values on access, bind alike.
+    unshared = _rebuilt(suite, lambda fields: {name: FieldValue(v.kind, v.value) for name, v in fields.items()})
+    on_access = _rebuilt(suite, _FreshValues)
+    for each in (suite, unshared, on_access):
+        assert [d.render() for d in bind_suite(each, POLICY)] == [
+            f"ERROR unknown_enum_token 0:0 case '{case_id}': token 'robot' is outside the enumeration of 'sex'"
+            for case_id in ("b1", "b2", "b3")
+        ]
+
+
+class _FreshValues(Mapping):
+    """Case fields that build a new ``FieldValue`` on every access, so no
+    instance outlives its use."""
+
+    def __init__(self, fields):
+        self._raw = {name: (value.kind, value.value) for name, value in fields.items()}
+
+    def __getitem__(self, name):
+        return FieldValue(*self._raw[name])
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self):
+        return len(self._raw)
+
+
+def _rebuilt(suite, fields_of):
+    cases = tuple(dataclasses.replace(case, fields=fields_of(case.fields)) for case in suite.cases)
+    return dataclasses.replace(suite, cases=cases)
+
+
+def test_bind_checks_each_value_a_mapping_makes_on_access():
+    # A clean value is freed after its check, so a later bad value of the
+    # same field may be built at its address.
+    sexes = ("female", "male", "robot")
+    cases = [{**BASE["cases"][0], "id": f"b{i}", "fields": {"sex": sexes[i % 3]}} for i in range(9)]
+    suite, _ = _parse(_doc(cases=cases, mechanisms=["mech_a"]))
+    assert suite is not None
+    expected = [d.render() for d in bind_suite(suite, POLICY)]
+    assert len(expected) == 3
+    assert [d.render() for d in bind_suite(_rebuilt(suite, _FreshValues), POLICY)] == expected
+
+
+def test_suite_hash_does_not_depend_on_how_cases_hold_their_values():
+    suite, _ = _parse(EVERY_KIND)
+    assert suite is not None
+    on_access = _rebuilt(suite, _FreshValues)
+    assert type(on_access.cases[0].fields) is _FreshValues
+    assert _suite_json(on_access) == _suite_json(suite)
+    assert _suite_json(suite).encode("utf-8") == canonical_bytes(suite_canonical(suite))
+
+
+class _Level(IntEnum):
+    LOW = -3
+    HIGH = 2**40
+
+
+# Description text with JSON escapes, line and paragraph separators and
+# characters outside the Basic Multilingual Plane; no lone surrogates, which
+# a case refuses.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\xb5\U0001f600'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+_TOKEN = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_VALUES = st.one_of(
+    st.builds(FieldValue.boolean, st.booleans()),
+    st.builds(FieldValue.integer, st.one_of(st.integers(INT64_MIN, INT64_MAX), st.sampled_from(_Level))),
+    st.builds(
+        FieldValue.decimal,
+        st.one_of(st.decimals(-(10**6), 10**6, places=4), st.sampled_from(["0", "-0.0000", "-1.5", "-0.0001"])),
+    ),
+    st.builds(FieldValue.token, _TOKEN),
+    st.builds(FieldValue.token_set, st.lists(_TOKEN, unique=True, max_size=4)),
+)
+_EXPECTATIONS = st.one_of(
+    st.builds(ExpectedBehavior, st.just(Action.RECOMMEND), st.none() | _IDENT),
+    st.builds(ExpectedBehavior, st.just(Action.ABSTAIN), category=st.none() | st.sampled_from(AbstentionCategory)),
+)
+
+
+@st.composite
+def _suites(draw):
+    """Suites whose cases share their values and expectations, as parsed
+    ones do, or share none."""
+    shared = draw(st.booleans())
+    values = draw(st.lists(_VALUES, min_size=1, max_size=5))
+    expectations = draw(st.lists(_EXPECTATIONS, min_size=1, max_size=3))
+    mechanisms = draw(st.lists(_TOKEN, min_size=1, max_size=3, unique=True))
+    cases = []
+    for case_id in draw(st.lists(_IDENT, min_size=1, max_size=5, unique=True)):
+        fields = {}
+        for name in draw(st.lists(_IDENT, max_size=5, unique=True)):
+            value = draw(st.sampled_from(values))
+            fields[name] = value if shared else FieldValue(value.kind, value.value)
+        expected = draw(st.sampled_from(expectations))
+        expected = expected if shared else dataclasses.replace(expected)
+        cases.append(CaseInput(case_id, draw(_TEXT), draw(st.sampled_from(mechanisms)), fields, expected))
+    pin = draw(st.none() | st.from_regex(r"[0-9a-f]{64}", fullmatch=True))
+    return Suite(draw(_IDENT), draw(_TOKEN), tuple(mechanisms), tuple(cases), pin)
+
+
+@settings(max_examples=300)
+@given(_suites())
+def test_the_direct_suite_text_equals_the_reference_form(suite):
+    assert _suite_json(suite).encode("utf-8") == canonical_bytes(suite_canonical(suite))
