@@ -24,8 +24,8 @@ leaves rerun one by one in condition order, so the first mismatching leaf
 raises. The engine builds one program per policy stage; ``evaluate``
 builds a one-condition program and caches it on the node.
 
-``typecheck`` alone decides which conditions suit a schema: the DSL
-reports all its diagnostics, and a ``Policy`` refuses the first when built.
+``typecheck`` alone decides which conditions suit a schema; its one caller,
+``policy.reference_findings``, serves ``parse_policy`` and ``Policy`` alike.
 
 Compiling, ``bare_fields``, ``typecheck``, ``print_condition`` and the
 connectives' ``==`` and ``hash`` all read a tree in post-order from one

@@ -50,6 +50,8 @@ prints them so, as text that re-parses to an equal policy.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import getitem
 from typing import Iterator, NamedTuple
 
 from .condition import (
@@ -63,7 +65,6 @@ from .condition import (
     Or,
     Present,
     print_condition,
-    typecheck,
 )
 from .diagnostics import Diagnostic, Severity, has_errors
 from .model import TOKEN_RE, INT64_MAX, INT64_MIN, FieldKind, FieldValue
@@ -76,6 +77,7 @@ from .policy import (
     Policy,
     StewardshipSpec,
     StewardshipVeto,
+    reference_findings,
 )
 
 __all__ = ["parse_policy", "format_policy"]
@@ -191,7 +193,7 @@ class _Parser:
         self.consistency: list[ConsistencyConstraint] = []
         self.exclusions: list[ExclusionRule] = []
         self.rule_ids: set[str] = set()
-        self.rules: list[tuple[_Tok, list[_Tok], Condition, _Tok, list[_Tok]]] = []
+        self.rules: list[tuple[_Tok, Condition, _Tok, list[_Tok], list[_Tok]]] = []  # as reference_findings takes it
         self.justification: Condition | None = None
         self.vetoes: list[tuple[_Tok, _Tok, Condition]] = []
 
@@ -232,7 +234,7 @@ class _Parser:
             raise _ParseError(f"{what} must match [a-z][a-z0-9_]*: {tok.text!r}", tok)
         return tok
 
-    def error(self, code: str, message: str, tok: _Tok) -> None:
+    def error(self, code: str, message: str, tok: _Tok | Diagnostic) -> None:
         self.diags.append(Diagnostic(Severity.ERROR, code, message, tok.line, tok.col))
 
     # --- statement loop -------------------------------------------------
@@ -405,7 +407,7 @@ class _Parser:
             self.advance()
             incompatible = self._ident_list("rule id")
         if self._claim_rule_id(name):
-            self.rules.append((name, requires, when, candidate, incompatible))
+            self.rules.append((name, when, candidate, requires, incompatible))
 
     def _stmt_stewardship(self) -> None:
         tok = self.expect("stewardship")
@@ -541,70 +543,44 @@ class _Parser:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no classes declared"))
         if self.justification is None:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no stewardship block declared"))
-
-        for name, tok in self.required.items():
-            if name not in self.fields:
-                self.error("unknown_field", f"required field '{name}' is not declared", tok)
-
-        # Only clinical rules may be named in an incompatible clause; rule_ids
-        # also holds consistency, exclusion and veto ids.
-        clinical_ids = {name.text for name, *_ in self.rules}
-        for name, requires, when, candidate, incompatible in self.rules:
-            self.diags.extend(typecheck(when, self.fields))
-            for tok in requires:
-                if tok.text not in self.fields:
-                    self.error("unknown_field", f"rule '{name.text}' requires undeclared field '{tok.text}'", tok)
-            if candidate.text not in self.classes:
-                self.error("unknown_class", f"rule '{name.text}' nominates undeclared class '{candidate.text}'", candidate)
-            for tok in incompatible:
-                if tok.text == name.text:
-                    self.error("self_incompatibility", f"rule '{name.text}' declared incompatible with itself", tok)
-                elif tok.text not in clinical_ids:
-                    self.error("unknown_rule", f"rule '{name.text}' incompatible with unknown rule '{tok.text}'", tok)
-
-        for constraint in self.consistency:
-            self.diags.extend(typecheck(constraint.forbid, self.fields))
-        for exclusion in self.exclusions:
-            self.diags.extend(typecheck(exclusion.when, self.fields))
-        if self.justification is not None:
-            self.diags.extend(typecheck(self.justification, self.fields))
-        for veto_id, class_tok, when in self.vetoes:
-            self.diags.extend(typecheck(when, self.fields))
-            if class_tok.text not in self.classes:
-                self.error(
-                    "unknown_class", f"veto '{veto_id.text}' targets undeclared class '{class_tok.text}'", class_tok
+        rules = [
+            (name.text, when, cand.text, [t.text for t in req], [t.text for t in inc])
+            for name, when, cand, req, inc in self.rules
+        ]
+        vetoes = [(v.text, c.text, when) for v, c, when in self.vetoes]
+        refusal = None
+        if not has_errors(self.diags):
+            assert self.header is not None and self.justification is not None
+            try:
+                return Policy(
+                    policy_id=self.header[0],
+                    version=self.header[1],
+                    schema=tuple(self.fields.values()),
+                    classes=tuple(self.classes.values()),
+                    stewardship=StewardshipSpec(self.justification, tuple(StewardshipVeto(*v) for v in vetoes)),
+                    required=tuple(self.required),
+                    known_risks=frozenset(self.known_risks),
+                    consistency=tuple(self.consistency),
+                    exclusions=tuple(self.exclusions),
+                    clinical_rules=tuple(ClinicalRule(*rule) for rule in rules),
                 )
-
-        if has_errors(self.diags):
-            return None
-        assert self.header is not None and self.justification is not None
-        clinical = tuple(
-            ClinicalRule(
-                name.text,
-                when,
-                candidate.text,
-                tuple(t.text for t in requires),
-                tuple(t.text for t in incompatible),
-            )
-            for name, requires, when, candidate, incompatible in self.rules
-        )
-        vetoes = tuple(StewardshipVeto(veto_id.text, class_tok.text, when) for veto_id, class_tok, when in self.vetoes)
-        try:
-            return Policy(
-                policy_id=self.header[0],
-                version=self.header[1],
-                schema=tuple(self.fields.values()),
-                classes=tuple(self.classes.values()),
-                stewardship=StewardshipSpec(self.justification, vetoes),
-                required=tuple(self.required),
-                known_risks=frozenset(self.known_risks),
-                consistency=tuple(self.consistency),
-                exclusions=tuple(self.exclusions),
-                clinical_rules=clinical,
-            )
-        except ValueError as exc:  # structural invariant not covered above
-            self.diags.append(Diagnostic(Severity.ERROR, "invalid_policy", str(exc)))
-            return None
+            except ValueError as exc:
+                refusal = str(exc)
+        # Refused or incomplete: report every finding, a name at its token.
+        tokens = {"required": list(self.required.values()), "rules": self.rules, "vetoes": self.vetoes}
+        for code, message, anchor in reference_findings(
+            self.fields,
+            self.classes,
+            list(self.required),
+            rules,
+            [c.forbid for c in self.consistency] + [e.when for e in self.exclusions],
+            self.justification,
+            vetoes,
+        ):
+            self.error(code, message, anchor if isinstance(anchor, Diagnostic) else reduce(getitem, anchor, tokens))
+        if refusal is not None and not has_errors(self.diags):  # an invariant no finding covers
+            self.diags.append(Diagnostic(Severity.ERROR, "invalid_policy", refusal))
+        return None
 
 
 # Statement keyword -> the _Parser method that reads that statement.

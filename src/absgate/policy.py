@@ -1,11 +1,12 @@
 """Policy declarations: schema, classes, rules, stewardship, hashing.
 
 A ``Policy`` is a fully resolved, immutable declaration set. Construction
-enforces the structural invariants (identifier syntax, unique ids, resolved
-references, condition kinds by ``condition.typecheck``), so a successfully
-built ``Policy`` can always be executed on a case ``bind_suite`` accepts;
-``validate_policy`` adds the semantic lint layer on top (symmetry of
-incompatibility declarations, justification reachability, and similar).
+enforces identifier syntax and unique ids, then raises the first finding of
+``reference_findings``, which ``parse_policy`` reports in full, so a defect
+reads alike in text and in code. A built ``Policy`` can always be executed
+on a case ``bind_suite`` accepts; ``validate_policy`` adds the semantic lint
+layer on top (symmetry of incompatibility declarations, justification
+reachability, and similar).
 
 Construction owns declaration order: a ``Policy`` holds its fields,
 classes and rules sorted by id, and each list of names sorted without
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable
+from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
 from .canon import canonical_hash
 from .condition import (
@@ -47,6 +48,7 @@ __all__ = [
     "StewardshipVeto",
     "StewardshipSpec",
     "Policy",
+    "reference_findings",
     "validate_policy",
     "policy_canonical",
     "policy_hash",
@@ -208,7 +210,16 @@ class Policy:
         if not self.classes:
             raise ValueError("policy declares no classes")
         self._check_unique()
-        self._check_references()
+        for _code, message, _anchor in reference_findings(
+            self.field_map(),
+            {c.class_id for c in self.classes},
+            self.required,
+            [(r.rule_id, r.when, r.candidate, r.requires, r.incompatible_with) for r in self.clinical_rules],
+            [c.forbid for c in self.consistency] + [e.when for e in self.exclusions],
+            self.stewardship.escalation_justification,
+            [(v.rule_id, v.class_id, v.when) for v in self.stewardship.class_vetoes],
+        ):
+            raise ValueError(message)
 
     def _check_unique(self) -> None:
         field_names = [f.name for f in self.schema]
@@ -229,37 +240,6 @@ class Policy:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate exclusion label")
 
-    def _check_references(self) -> None:
-        fields = self.field_map()
-        classes = {c.class_id for c in self.classes}
-        rule_ids = {r.rule_id for r in self.clinical_rules}
-        for name in self.required:
-            if name not in fields:
-                raise ValueError(f"required field is not declared: {name}")
-        conditions: list[Condition] = [self.stewardship.escalation_justification]
-        conditions.extend(c.forbid for c in self.consistency)
-        conditions.extend(e.when for e in self.exclusions)
-        conditions.extend(r.when for r in self.clinical_rules)
-        conditions.extend(v.when for v in self.stewardship.class_vetoes)
-        for cond in conditions:
-            diags = typecheck(cond, fields)
-            if diags:
-                raise ValueError(diags[0].message)
-        for rule in self.clinical_rules:
-            if rule.candidate not in classes:
-                raise ValueError(f"rule {rule.rule_id} nominates undeclared class {rule.candidate}")
-            for name in rule.requires:
-                if name not in fields:
-                    raise ValueError(f"rule {rule.rule_id} requires undeclared field {name}")
-            for other in rule.incompatible_with:
-                if other not in rule_ids:
-                    raise ValueError(f"rule {rule.rule_id} incompatible with unknown rule {other}")
-                if other == rule.rule_id:
-                    raise ValueError(f"rule {rule.rule_id} declared incompatible with itself")
-        for veto in self.stewardship.class_vetoes:
-            if veto.class_id not in classes:
-                raise ValueError(f"veto {veto.rule_id} targets undeclared class {veto.class_id}")
-
     def __getstate__(self) -> dict[str, Any]:
         # The engine caches its compiled stage programs on the instance as
         # ``_compiled``; they hold functions, so pickles and copies leave
@@ -276,6 +256,47 @@ class Policy:
 
     def risk_fields(self) -> tuple[FieldDecl, ...]:
         return tuple(f for f in self.schema if f.is_risk)
+
+
+def reference_findings(
+    fields: Mapping[str, FieldDecl],
+    classes: Container[str],
+    required: Sequence[str],
+    rules: Sequence[tuple[str, Condition, str, Sequence[str], Sequence[str]]],
+    conditions: Iterable[Condition],
+    justification: Condition | None,
+    vetoes: Sequence[tuple[str, str, Condition]],
+) -> Iterator[tuple[str, str, Any]]:
+    """Each unresolved reference in a policy's parts as ``(code, message,
+    anchor)``, in part order. A rule is ``(id, when, candidate, requires,
+    incompatible)``, ``conditions`` the consistency then exclusion
+    conditions, and a veto ``(id, class, when)``. A condition finding's
+    anchor is its ``typecheck`` diagnostic, with line and column; a name's
+    is its index path in the parts: ``("rules", 2, 3, 0)`` is the third
+    rule's first requires name."""
+    for i, name in enumerate(required):
+        if name not in fields:
+            yield "unknown_field", f"required field '{name}' is not declared", ("required", i)
+    rule_ids = {rule[0] for rule in rules}
+    for i, (rule_id, when, candidate, requires, incompatible) in enumerate(rules):
+        yield from ((diag.code, diag.message, diag) for diag in typecheck(when, fields))
+        for j, name in enumerate(requires):
+            if name not in fields:
+                yield "unknown_field", f"rule '{rule_id}' requires undeclared field '{name}'", ("rules", i, 3, j)
+        if candidate not in classes:
+            yield "unknown_class", f"rule '{rule_id}' nominates undeclared class '{candidate}'", ("rules", i, 2)
+        for j, other in enumerate(incompatible):
+            if other == rule_id:
+                yield "self_incompatibility", f"rule '{rule_id}' declared incompatible with itself", ("rules", i, 4, j)
+            elif other not in rule_ids:
+                yield "unknown_rule", f"rule '{rule_id}' incompatible with unknown rule '{other}'", ("rules", i, 4, j)
+    tail = () if justification is None else (justification,)
+    for cond in (*conditions, *tail):
+        yield from ((diag.code, diag.message, diag) for diag in typecheck(cond, fields))
+    for i, (veto_id, class_id, when) in enumerate(vetoes):
+        yield from ((diag.code, diag.message, diag) for diag in typecheck(when, fields))
+        if class_id not in classes:
+            yield "unknown_class", f"veto '{veto_id}' targets undeclared class '{class_id}'", ("vetoes", i, 1)
 
 
 def _boolean_conjunct_atoms(cond: Condition) -> frozenset[tuple[str, bool]] | None:

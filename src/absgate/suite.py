@@ -54,6 +54,8 @@ from .policy import FieldDecl, Policy, policy_hash
 __all__ = ["Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
 
 _HEX64 = frozenset("0123456789abcdef")
+# Enum members read as globals, several times cheaper than off their classes.
+_TOKEN, _TOKEN_SET, _RECOMMEND = FieldKind.TOKEN, FieldKind.TOKEN_SET, Action.RECOMMEND
 
 _TOP_KEYS = {"suite_id", "version", "policy_hash_pin", "mechanisms", "cases"}
 _CASE_KEYS = {"id", "description", "mechanism", "fields", "expect"}
@@ -308,14 +310,14 @@ def _bind_value(
             f"case '{case_id}': field '{name}' is {decl.kind.value} but the value is {value.kind.value}",
         )
         return False
-    if decl.kind is FieldKind.TOKEN and decl.enum is not None and value.value not in decl.enum:
+    if decl.kind is _TOKEN and decl.enum is not None and value.value not in decl.enum:
         _err(
             diags,
             "unknown_enum_token",
             f"case '{case_id}': token '{value.value}' is outside the enumeration of '{name}'",
         )
         return False
-    if decl.kind is FieldKind.TOKEN_SET and decl.enum is not None:
+    if decl.kind is _TOKEN_SET and decl.enum is not None:
         outside = sorted(value.value.difference(decl.enum))
         for token in outside:
             _err(
@@ -354,7 +356,7 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
             if key not in clean and _bind_value(case.case_id, name, value, decls, diags):
                 clean[key] = value
         expected = case.expected
-        if expected.action is Action.RECOMMEND and expected.class_id is not None:
+        if expected.action is _RECOMMEND and expected.class_id is not None:
             if expected.class_id not in declared_classes:
                 _err(
                     diags,

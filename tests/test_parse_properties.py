@@ -3,9 +3,11 @@
 Every text, however damaged, parses to a result or to diagnostics and never
 raises; a policy that parses prints back to text that parses to the same
 digest; and the explicit-stack condition parser reads every text as the
-recursive-descent one it replaced does. The mutations insert characters,
-words and runs of them (long numerals among them), delete and duplicate
-spans, put runs of "not" before a condition and wrap one in parentheses;
+recursive-descent one it replaced does, and the one reference checker it
+shares with ``Policy`` reports as the two-layer resolver it replaced. The
+mutations insert characters, words and runs of them (long numerals among
+them), delete and duplicate spans, put runs of "not" before a condition,
+wrap one in parentheses and rename a referenced name or a literal;
 hypothesis draws them under the derandomized profile of ``conftest.py``.
 Statement order reaches nothing: a policy text with its statements and
 lists shuffled parses to an equal policy that prints, hashes and decides
@@ -30,8 +32,10 @@ from absgate import (
 )
 from absgate.canon import canonical_bytes
 from absgate.model import canonical_serialize
-from absgate.condition import And, Not, Or
+from absgate.condition import And, Not, Or, typecheck
+from absgate.diagnostics import Diagnostic, Severity
 from absgate.dsl import _MAX_OPEN, MAX_NESTING, _lex, _Parser, _ParseError
+from absgate.policy import ClinicalRule, Policy, StewardshipSpec, StewardshipVeto
 from absgate.reference import reference_policy_text, reference_suite_text
 
 from oracle import kind_cases, make_kind_policy
@@ -63,10 +67,24 @@ _CONDITION_EDITS = st.lists(
 )
 
 
+# A reference site: the first name after "require", "requires",
+# "candidate", "incompatible" or "class", or the literal after a comparison
+# operator. A "rename" edit replaces the site's text with its `chars`.
+_SITE_RE = re.compile(r"(?:\b(?:requires?|candidate|incompatible|class)|[=<>]) ([\w.]+)")
+_RENAME = st.tuples(
+    st.just("rename"), _AT, st.sampled_from(["ghost", "r_cellulitis_pcn", "true", "7", "2.5", "mild"]), st.just(1)
+)
+
+
 def _mutate(text, edits):
     for op, at, chars, size in edits:
         at %= len(text) + 1
-        if op == "insert":
+        if op == "rename":
+            sites = list(_SITE_RE.finditer(text))
+            if sites:
+                start, end = sites[at % len(sites)].span(1)
+                text = text[:start] + chars + text[end:]
+        elif op == "insert":
             text = text[:at] + chars * size + text[at:]
         elif op == "delete":
             text = text[:at] + text[at + size :]
@@ -192,6 +210,106 @@ def _wrap_veto(size):
 def test_the_stack_parser_reads_every_text_as_the_recursive_parser(base, edits):
     text = _mutate(base, edits)
     assert _parsed(_Parser, text) == _parsed(_RecursiveParser, text)
+
+
+class _TwoLayerParser(_Parser):
+    """The resolver that checked every reference itself before it built the
+    ``Policy``, which checked them again, kept as the reference of the one
+    checker ``_Parser.resolve`` now shares with ``Policy``."""
+
+    def resolve(self):
+        if self.header is None:
+            self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no policy header declared"))
+        if not self.fields:
+            self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no fields declared"))
+        if not self.classes:
+            self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no classes declared"))
+        if self.justification is None:
+            self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no stewardship block declared"))
+
+        for name, tok in self.required.items():
+            if name not in self.fields:
+                self.error("unknown_field", f"required field '{name}' is not declared", tok)
+
+        clinical_ids = {name.text for name, *_ in self.rules}
+        for name, when, candidate, requires, incompatible in self.rules:
+            self.diags.extend(typecheck(when, self.fields))
+            for tok in requires:
+                if tok.text not in self.fields:
+                    self.error("unknown_field", f"rule '{name.text}' requires undeclared field '{tok.text}'", tok)
+            if candidate.text not in self.classes:
+                self.error("unknown_class", f"rule '{name.text}' nominates undeclared class '{candidate.text}'", candidate)
+            for tok in incompatible:
+                if tok.text == name.text:
+                    self.error("self_incompatibility", f"rule '{name.text}' declared incompatible with itself", tok)
+                elif tok.text not in clinical_ids:
+                    self.error("unknown_rule", f"rule '{name.text}' incompatible with unknown rule '{tok.text}'", tok)
+
+        for constraint in self.consistency:
+            self.diags.extend(typecheck(constraint.forbid, self.fields))
+        for exclusion in self.exclusions:
+            self.diags.extend(typecheck(exclusion.when, self.fields))
+        if self.justification is not None:
+            self.diags.extend(typecheck(self.justification, self.fields))
+        for veto_id, class_tok, when in self.vetoes:
+            self.diags.extend(typecheck(when, self.fields))
+            if class_tok.text not in self.classes:
+                self.error(
+                    "unknown_class", f"veto '{veto_id.text}' targets undeclared class '{class_tok.text}'", class_tok
+                )
+
+        if has_errors(self.diags):
+            return None
+        clinical = tuple(
+            ClinicalRule(name.text, when, candidate.text, tuple(t.text for t in requires), tuple(t.text for t in incompatible))
+            for name, when, candidate, requires, incompatible in self.rules
+        )
+        vetoes = tuple(StewardshipVeto(veto_id.text, class_tok.text, when) for veto_id, class_tok, when in self.vetoes)
+        try:
+            return Policy(
+                policy_id=self.header[0],
+                version=self.header[1],
+                schema=tuple(self.fields.values()),
+                classes=tuple(self.classes.values()),
+                stewardship=StewardshipSpec(self.justification, vetoes),
+                required=tuple(self.required),
+                known_risks=frozenset(self.known_risks),
+                consistency=tuple(self.consistency),
+                exclusions=tuple(self.exclusions),
+                clinical_rules=clinical,
+            )
+        except ValueError as exc:
+            self.diags.append(Diagnostic(Severity.ERROR, "invalid_policy", str(exc)))
+            return None
+
+
+def _rename(text, after, name):
+    """The edit that renames the reference site right after ``after``."""
+    at = text.index(after) + len(after)
+    return ("rename", [site.start(1) for site in _SITE_RE.finditer(text)].index(at), name, 1)
+
+
+# A text without its classes and its stewardship block, so every candidate
+# is undeclared as well.
+_SECTIONLESS = re.sub(r"^class .*\n", "", POLICY[: POLICY.index("stewardship {")], flags=re.M)
+
+
+# One example per finding kind: a required name, a requires name, a
+# candidate, an unknown incompatible id, the rule's own id, a veto class, a
+# condition's literal; then the text that lacks two sections.
+@settings(max_examples=400)
+@given(st.sampled_from(_BASES), st.lists(st.one_of(_EDIT, _RENAME), min_size=1, max_size=5))
+@example(POLICY, [_rename(POLICY, "require ", "ghost")])
+@example(POLICY, [_rename(POLICY, "requires ", "ghost")])
+@example(POLICY, [_rename(POLICY, "candidate ", "ghost")])
+@example(POLICY, [_rename(POLICY, "incompatible ", "ghost")])
+@example(POLICY, [_rename(POLICY, "incompatible ", "r_cellulitis_pcn")])
+@example(POLICY, [_rename(POLICY, "v_renal_antipseudomonal class ", "ghost")])
+@example(POLICY, [_rename(POLICY, "age < ", "mild")])
+@example(_SECTIONLESS, [_rename(_SECTIONLESS, "require ", "ghost")])
+def test_the_one_checker_reports_every_text_as_the_two_layer_resolver(base, edits):
+    text = _mutate(base, edits)
+    assert _parsed(_Parser, text) == _parsed(_TwoLayerParser, text)
 
 
 # Each list a statement holds: an enumeration or known_risks in braces, a

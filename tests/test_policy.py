@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+import absgate.dsl
+import absgate.policy
 from absgate import format_policy, load_reference_policy, parse_policy, policy_hash, validate_policy
 from absgate.condition import And, Comparison, Has, Literal, Not, Present, typecheck
 from absgate.model import INT64_MAX, FieldKind, FieldValue
@@ -15,6 +17,8 @@ from absgate.policy import (
     StewardshipVeto,
     policy_canonical,
 )
+
+from oracle import make_kind_policy
 
 MINIMAL = """\
 policy p version v1
@@ -127,11 +131,11 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
         (lambda: _base(classes=()), "policy declares no classes"),
         (
             lambda: _base(clinical_rules=(ClinicalRule("r1", Literal(True), "c1", requires=("ghost",)),)),
-            "rule r1 requires undeclared field ghost",
+            "rule 'r1' requires undeclared field 'ghost'",
         ),
         (
             lambda: _base(stewardship=StewardshipSpec(Literal(True), (StewardshipVeto("v1", "ghost", Literal(False)),))),
-            "veto v1 targets undeclared class ghost",
+            "veto 'v1' targets undeclared class 'ghost'",
         ),
         (lambda: _base(version=3), "version is not a token: 3"),
         (lambda: dataclasses.replace(REFERENCE.clinical_rules[0], rule_id=3), "rule id is not an identifier: 3"),
@@ -195,14 +199,88 @@ def test_a_policy_is_type_checked_when_built(cond, message):
 
 
 def test_the_first_mistyped_condition_in_declaration_order_is_reported():
-    # Justification, consistency, exclusions, rules, then vetoes; within a
-    # condition, leaf order.
+    # Rules, then consistency, exclusions, justification and vetoes, as
+    # ``parse_policy`` reports them; within a condition, leaf order.
     rule = dataclasses.replace(REFERENCE.clinical_rules[0], when=Comparison("age", "==", FieldValue.token("old")))
     stewardship = dataclasses.replace(REFERENCE.stewardship, escalation_justification=And(Has("sex", "x"), Present("ghost")))
-    with pytest.raises(ValueError, match="^'has' requires a tokenset field, 'sex' is token$"):
-        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=stewardship)
     with pytest.raises(ValueError, match="^token literal compared against integer field 'age'$"):
-        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=REFERENCE.stewardship)
+        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=stewardship)
+    with pytest.raises(ValueError, match="^'has' requires a tokenset field, 'sex' is token$"):
+        dataclasses.replace(REFERENCE, stewardship=stewardship)
+
+
+_A_TRUE = Comparison("a", "==", FieldValue.boolean(True))
+
+
+# One defect of each kind that the reference checker finds, spelled in
+# ``MINIMAL``'s text and built in code.
+@pytest.mark.parametrize(
+    ("old", "new", "overrides", "code"),
+    [
+        ("class c1", "require ghost\nclass c1", dict(required=("ghost",)), "unknown_field"),
+        (
+            "rule r1 when",
+            "rule r1 requires ghost when",
+            dict(clinical_rules=(ClinicalRule("r1", _A_TRUE, "c1", requires=("ghost",)),)),
+            "unknown_field",
+        ),
+        ("candidate c1", "candidate ghost", dict(clinical_rules=(ClinicalRule("r1", _A_TRUE, "ghost"),)), "unknown_class"),
+        (
+            "candidate c1",
+            "candidate c1 incompatible r9",
+            dict(clinical_rules=(ClinicalRule("r1", _A_TRUE, "c1", incompatible_with=("r9",)),)),
+            "unknown_rule",
+        ),
+        (
+            "candidate c1",
+            "candidate c1 incompatible r1",
+            dict(clinical_rules=(ClinicalRule("r1", _A_TRUE, "c1", incompatible_with=("r1",)),)),
+            "self_incompatibility",
+        ),
+        (
+            "when false",
+            "when false\n  veto v1 class ghost when a == true",
+            dict(stewardship=StewardshipSpec(Literal(True), (StewardshipVeto("v1", "ghost", _A_TRUE),))),
+            "unknown_class",
+        ),
+        (
+            "a == true",
+            "a == 1",
+            dict(clinical_rules=(ClinicalRule("r1", Comparison("a", "==", FieldValue.integer(1)), "c1"),)),
+            "type_mismatch",
+        ),
+    ],
+    ids=["required", "requires", "candidate", "unknown_incompatible", "self_incompatible", "veto_class", "condition_type"],
+)
+def test_a_defect_is_worded_alike_in_text_and_in_code(old, new, overrides, code):
+    policy, diags = parse_policy(MINIMAL.replace(old, new))
+    assert policy is None and diags[0].code == code
+    with pytest.raises(ValueError) as refused:
+        _base(**overrides)
+    assert str(refused.value) == diags[0].message
+
+
+@pytest.mark.parametrize("text", [format_policy(REFERENCE), format_policy(make_kind_policy(0))], ids=["reference", "kinds"])
+def test_a_clean_parse_type_checks_each_condition_once(text, monkeypatch):
+    calls = []
+
+    def counted(cond, schema):
+        calls.append(cond)
+        return typecheck(cond, schema)
+
+    monkeypatch.setattr(absgate.policy, "typecheck", counted)
+    # The parser's own binding too, should it ever check a condition itself.
+    monkeypatch.setattr(absgate.dsl, "typecheck", counted, raising=False)
+    policy, diags = parse_policy(text)
+    assert diags == []
+    conditions = [
+        *(c.forbid for c in policy.consistency),
+        *(e.when for e in policy.exclusions),
+        *(r.when for r in policy.clinical_rules),
+        policy.stewardship.escalation_justification,
+        *(v.when for v in policy.stewardship.class_vetoes),
+    ]
+    assert sorted(map(id, calls)) == sorted(map(id, conditions))
 
 
 def test_a_mistyped_policy_built_in_code_never_reaches_a_case():
