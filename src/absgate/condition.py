@@ -45,7 +45,7 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
-from .model import TOKEN_RE, FieldKind, FieldValue
+from .model import TOKEN_RE, FieldKind, FieldValue, _field_state, _name
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
     from .policy import FieldDecl
@@ -87,11 +87,7 @@ class Truth(Enum):
 class _Node:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_program", None)
-        return state
+    __getstate__ = _field_state
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,7 @@ class Has(_Node):
     token: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.token, str) or not TOKEN_RE.match(self.token):
-            raise ValueError(f"not a token (expected [a-z][a-z0-9_]*): {self.token!r}")
+        _name(self.token, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
 
 
 # Connectives compare and hash through ``_postfix``, not field by field, so

@@ -16,14 +16,18 @@ fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
 rendered as strings so no binary float ever reaches serialization. A decimal
 has at most 28 digits, four of them fractional. Decimals are read and
 quantized under this module's own context, so whether one is accepted never
-depends on the caller's ``decimal`` context. Every value a constructor
-refuses is a ``ValueError``.
+depends on the caller's ``decimal`` context.
+
+Every name and value a constructor refuses raises ``ValueError``, a name
+that is not a ``str`` included: one check, ``_name``, refuses every bad id,
+label and token. A category, stage, verdict or trace part of the wrong type
+raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Context, Decimal, InvalidOperation
 from enum import Enum
 from json.encoder import encode_basestring as _quote
@@ -72,15 +76,24 @@ _QUANTUM = Decimal("0.0001")
 _CONTEXT = Context(prec=28, traps=[InvalidOperation])
 
 
+def _name(value: Any, pattern: re.Pattern[str], what: str) -> str:
+    """``value`` when it is a ``str`` that ``pattern`` matches; anything else
+    raises ``ValueError`` with the message ``f"{what}: {value!r}"``."""
+    if type(value) is not str or not pattern.match(value):
+        raise ValueError(f"{what}: {value!r}")
+    return value
+
+
 def _sorted_names(items: Iterable[Any], pattern: re.Pattern[str], what: str) -> tuple[str, ...]:
-    """``items`` sorted without duplicates, after checking that each is a
-    ``str`` that ``pattern`` matches; the first that is not raises
-    ``ValueError`` with the message ``f"{what}: {item!r}"``."""
-    items = tuple(items)
-    for item in items:
-        if type(item) is not str or not pattern.match(item):
-            raise ValueError(f"{what}: {item!r}")
-    return tuple(sorted(set(items)))
+    """``items`` sorted without duplicates, each checked by ``_name`` in
+    the order given."""
+    return tuple(sorted({_name(item, pattern, what) for item in items}))
+
+
+def _field_state(self: Any) -> dict[str, Any]:
+    """The pickle and copy state of a dataclass: its fields alone, so that
+    a cache kept in the instance dict is left out and rebuilt on use."""
+    return {field.name: self.__dict__[field.name] for field in fields(self)}
 
 
 class FieldKind(str, Enum):
@@ -133,8 +146,7 @@ class FieldValue:
             # copy_abs normalizes -0.0000.
             object.__setattr__(self, "value", quantized.copy_abs() if quantized == 0 else quantized)
         elif kind is _TOKEN:
-            if not isinstance(value, str) or not TOKEN_RE.match(value):
-                raise ValueError(f"not a token (expected [a-z][a-z0-9_]*): {value!r}")
+            _name(value, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
         elif kind is _TOKEN_SET:
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
                 raise ValueError(f"token set requires a sequence of tokens, got {value!r}")
@@ -225,10 +237,7 @@ class AbstentionReason:
     def __post_init__(self) -> None:
         if type(self.category) is not AbstentionCategory:
             raise TypeError(f"category is not an AbstentionCategory: {self.category!r}")
-        normalized = tuple(sorted(set(self.labels)))
-        for label in normalized:
-            if not IDENT_RE.match(label):
-                raise ValueError(f"label is not an identifier: {label!r}")
+        normalized = _sorted_names(self.labels, IDENT_RE, "label is not an identifier")
         if self.category is _EXPLICIT_EXCLUSION and not normalized:
             raise ValueError("explicit exclusion requires at least one label")
         object.__setattr__(self, "labels", normalized)
@@ -252,21 +261,18 @@ class SystemOutput:
     class_id: str | None = None
     reason: AbstentionReason | None = None
     _json = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_json", None)
-        return state
+    __getstate__ = _field_state
 
     def __post_init__(self) -> None:
         if self.action is _RECOMMEND:
             if self.class_id is None or self.reason is not None:
                 raise ValueError("recommendation carries a class id and no reason")
-            if not IDENT_RE.match(self.class_id):
-                raise ValueError(f"class id is not an identifier: {self.class_id!r}")
-        else:
+            _name(self.class_id, IDENT_RE, "class id is not an identifier")
+        elif self.action is _ABSTAIN:
             if self.reason is None or self.class_id is not None:
                 raise ValueError("abstention carries a reason and no class id")
+        else:
+            raise ValueError(f"output action is not an Action: {self.action!r}")
 
     @classmethod
     def recommend(cls, class_id: str) -> "SystemOutput":
@@ -314,8 +320,8 @@ class ExpectedBehavior:
         if self.action is _RECOMMEND:
             if self.category is not None:
                 raise ValueError("recommend expectation cannot carry a category")
-            if self.class_id is not None and not IDENT_RE.match(self.class_id):
-                raise ValueError(f"class id is not an identifier: {self.class_id!r}")
+            if self.class_id is not None:
+                _name(self.class_id, IDENT_RE, "class id is not an identifier")
         else:
             if self.class_id is not None:
                 raise ValueError("abstain expectation cannot carry a class id")
@@ -342,19 +348,20 @@ class CaseInput:
     expected: ExpectedBehavior
 
     def __post_init__(self) -> None:
-        if not IDENT_RE.match(self.case_id):
-            raise ValueError(f"case id is not an identifier: {self.case_id!r}")
+        _name(self.case_id, IDENT_RE, "case id is not an identifier")
         if not isinstance(self.description, str) or _SURROGATE_RE.search(self.description):
             raise ValueError(f"description is not UTF-8 text: {self.description!r}")
-        if not TOKEN_RE.match(self.mechanism):
-            raise ValueError(f"mechanism is not a token: {self.mechanism!r}")
+        _name(self.mechanism, TOKEN_RE, "mechanism is not a token")
         fields = self.fields
         # One C-level pass over the values and one over the names; only a
-        # failure walks the fields in order to refuse the first offender.
-        if not ({*map(type, fields.values())} <= _FIELD_VALUE_TYPE and all(map(IDENT_RE.match, fields))):
+        # failure or a name that is not a str walks the fields in order.
+        try:
+            clean = {*map(type, fields.values())} <= _FIELD_VALUE_TYPE and all(map(IDENT_RE.match, fields))
+        except TypeError:
+            clean = False
+        if not clean:
             for name, value in fields.items():
-                if not IDENT_RE.match(name):
-                    raise ValueError(f"field name is not an identifier: {name!r}")
+                _name(name, IDENT_RE, "field name is not an identifier")
                 if type(value) is not FieldValue:
                     raise ValueError(f"field {name!r} is not a FieldValue: {value!r}")
         if type(self.expected) is not ExpectedBehavior:
@@ -413,10 +420,7 @@ class StageRecord:
         record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
         return record
 
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_json", None)
-        return state
+    __getstate__ = _field_state
 
     def __post_init__(self) -> None:
         # Exact types, so that canonical_serialize can trust its tables.

@@ -33,7 +33,7 @@ from .condition import (
     typecheck,
 )
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind, _sorted_names
+from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind, _field_state, _name, _sorted_names
 
 __all__ = [
     "NO_CANDIDATE",
@@ -65,11 +65,6 @@ JUSTIFIED_NOTE = "escalation_justification"
 RESERVED_IDENTIFIERS = frozenset({NO_CANDIDATE, ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, "any"})
 
 
-def _require_ident(value: str, what: str) -> None:
-    if type(value) is not str or not IDENT_RE.match(value):
-        raise ValueError(f"{what} is not an identifier: {value!r}")
-
-
 def _sorted_by(items: Iterable[Any], attr: str) -> tuple[Any, ...]:
     return tuple(sorted(items, key=attrgetter(attr)))
 
@@ -86,7 +81,7 @@ class FieldDecl:
     is_risk: bool = False
 
     def __post_init__(self) -> None:
-        _require_ident(self.name, "field name")
+        _name(self.name, IDENT_RE, "field name is not an identifier")
         if type(self.kind) is not FieldKind:
             raise ValueError(f"not a field kind: {self.kind!r}")
         if self.kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
@@ -116,7 +111,7 @@ class ClassDecl:
     escalation_tier: bool = False
 
     def __post_init__(self) -> None:
-        _require_ident(self.class_id, "class id")
+        _name(self.class_id, IDENT_RE, "class id is not an identifier")
         rank = self.spectrum_rank
         if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= INT64_MAX:
             raise ValueError(f"spectrum rank must be a positive 64-bit integer: {rank!r}")
@@ -128,7 +123,7 @@ class ConsistencyConstraint:
     forbid: Condition
 
     def __post_init__(self) -> None:
-        _require_ident(self.rule_id, "consistency id")
+        _name(self.rule_id, IDENT_RE, "consistency id is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,8 @@ class ExclusionRule:
     when: Condition
 
     def __post_init__(self) -> None:
-        _require_ident(self.rule_id, "exclusion id")
-        _require_ident(self.label, "exclusion label")
+        _name(self.rule_id, IDENT_RE, "exclusion id is not an identifier")
+        _name(self.label, IDENT_RE, "exclusion label is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ class ClinicalRule:
     incompatible_with: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_ident(self.rule_id, "rule id")
-        _require_ident(self.candidate, "candidate class id")
+        _name(self.rule_id, IDENT_RE, "rule id is not an identifier")
+        _name(self.candidate, IDENT_RE, "candidate class id is not an identifier")
         requires = _sorted_names(self.requires, IDENT_RE, "required field is not an identifier")
         incompatible = _sorted_names(self.incompatible_with, IDENT_RE, "incompatible rule id is not an identifier")
         object.__setattr__(self, "requires", requires)
@@ -166,8 +161,8 @@ class StewardshipVeto:
     when: Condition
 
     def __post_init__(self) -> None:
-        _require_ident(self.rule_id, "veto id")
-        _require_ident(self.class_id, "vetoed class id")
+        _name(self.rule_id, IDENT_RE, "veto id is not an identifier")
+        _name(self.class_id, IDENT_RE, "vetoed class id is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -202,9 +197,8 @@ class Policy:
         object.__setattr__(self, "consistency", _sorted_by(self.consistency, "rule_id"))
         object.__setattr__(self, "exclusions", _sorted_by(self.exclusions, "rule_id"))
         object.__setattr__(self, "clinical_rules", _sorted_by(self.clinical_rules, "rule_id"))
-        _require_ident(self.policy_id, "policy id")
-        if type(self.version) is not str or not TOKEN_RE.match(self.version):
-            raise ValueError(f"version is not a token: {self.version!r}")
+        _name(self.policy_id, IDENT_RE, "policy id is not an identifier")
+        _name(self.version, TOKEN_RE, "version is not a token")
         if not self.schema:
             raise ValueError("policy declares no fields")
         if not self.classes:
@@ -222,31 +216,26 @@ class Policy:
             raise ValueError(message)
 
     def _check_unique(self) -> None:
-        field_names = [f.name for f in self.schema]
-        if len(set(field_names)) != len(field_names):
-            raise ValueError("duplicate field declaration")
-        class_ids = [c.class_id for c in self.classes]
-        if len(set(class_ids)) != len(class_ids):
-            raise ValueError("duplicate class declaration")
+        # Worded as ``parse_policy`` words a repeated declaration.
         rule_ids = (
             [c.rule_id for c in self.consistency]
             + [e.rule_id for e in self.exclusions]
             + [r.rule_id for r in self.clinical_rules]
             + [v.rule_id for v in self.stewardship.class_vetoes]
         )
-        if len(set(rule_ids)) != len(rule_ids):
-            raise ValueError("duplicate rule id")
-        labels = [e.label for e in self.exclusions]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate exclusion label")
+        for what, names in (
+            ("field", [f.name for f in self.schema]),
+            ("class", [c.class_id for c in self.classes]),
+            ("rule id", rule_ids),
+            ("exclusion label", [e.label for e in self.exclusions]),
+        ):
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"{what} '{name}' declared twice")
+                seen.add(name)
 
-    def __getstate__(self) -> dict[str, Any]:
-        # The engine caches its compiled stage programs on the instance as
-        # ``_compiled``; they hold functions, so pickles and copies leave
-        # them out and rebuild them on first use.
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
+    __getstate__ = _field_state
 
     def field_map(self) -> dict[str, FieldDecl]:
         return {f.name: f for f in self.schema}

@@ -29,6 +29,7 @@ cases share them; ``suite_canonical`` stays the reference form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
 from typing import Any
@@ -46,12 +47,22 @@ from .model import (
     FieldValue,
     _SURROGATE_RE,
     _expected_json,
+    _name,
     _sorted_names,
     _value_json,
 )
 from .policy import FieldDecl, Policy, policy_hash
 
-__all__ = ["Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
+__all__ = ["MAX_DEPTH", "Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
+
+# The most arrays and objects a suite document may hold inside one another;
+# a suite itself needs 5 (document, cases, case, fields, token set). A rule
+# of the format, so that neither the recursion limit nor the interpreter's
+# JSON decoder decides whether a document is accepted.
+MAX_DEPTH = 32
+# A JSON string, closed or running to the end of the scan, or one bracket.
+_SCAN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.S)
+_TOO_DEEP = Diagnostic(Severity.ERROR, "malformed_document", "document nests too deeply")
 
 _HEX64 = frozenset("0123456789abcdef")
 # Enum members read as globals, several times cheaper than off their classes.
@@ -70,10 +81,8 @@ class Suite:
     policy_hash_pin: str | None = None
 
     def __post_init__(self) -> None:
-        if type(self.suite_id) is not str or not IDENT_RE.match(self.suite_id):
-            raise ValueError(f"suite id is not an identifier: {self.suite_id!r}")
-        if type(self.version) is not str or not TOKEN_RE.match(self.version):
-            raise ValueError(f"suite version is not a token: {self.version!r}")
+        _name(self.suite_id, IDENT_RE, "suite id is not an identifier")
+        _name(self.version, TOKEN_RE, "suite version is not a token")
         pin = self.policy_hash_pin
         if pin is not None and (type(pin) is not str or len(pin) != 64 or not set(pin) <= _HEX64):
             raise ValueError(f"policy hash pin is not 64 lowercase hex digits: {pin!r}")
@@ -220,23 +229,52 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
+def _too_deep(text: str, end: int) -> bool:
+    """Whether ``text[:end]`` opens more than MAX_DEPTH arrays and objects at
+    once outside strings."""
+    depth = 0
+    for token in _SCAN_RE.findall(text, 0, end):
+        if token in "[{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif token in "]}":
+            depth -= 1
+    return False
+
+
 def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
-    """Parse suite JSON; returns (suite or None, diagnostics)."""
+    """Parse suite JSON; returns (suite or None, diagnostics).
+
+    A document deeper than MAX_DEPTH gets that one diagnostic. Its text is
+    measured only when decoding fails or the parse finds an error or an
+    unknown key: a parse without either read every part, and a part it
+    reads cleanly is at most 5 deep. So a deeper value that a repeated key
+    replaces in a clean document goes unmeasured."""
     diags: list[Diagnostic] = []
     try:
         document = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
+        if _too_deep(text, exc.pos):
+            return None, [_TOO_DEEP]
         diags.append(Diagnostic(Severity.ERROR, "malformed_document", exc.msg, exc.lineno, exc.colno))
         return None, diags
     except RecursionError:
-        _err(diags, "malformed_document", "document nests too deeply")
-        return None, diags
+        return None, [_TOO_DEEP]
     except ValueError:  # an integer of more than 19 digits
         _err(diags, "malformed_document", "document holds an integer with too many digits")
         return None, diags
+    suite = _suite_from(document, diags)
+    if any(d.severity is Severity.ERROR or d.code == "unknown_key" for d in diags) and _too_deep(text, len(text)):
+        return None, [_TOO_DEEP]
+    return suite, diags
+
+
+def _suite_from(document: Any, diags: list[Diagnostic]) -> Suite | None:
+    """The suite a decoded document holds, or None; findings go to ``diags``."""
     if not isinstance(document, dict):
         _err(diags, "malformed_document", "suite document must be a JSON object")
-        return None, diags
+        return None
     for key in document:
         if key not in _TOP_KEYS:
             _warn(diags, "unknown_key", f"unknown top-level key {key!r}")
@@ -291,8 +329,8 @@ def parse_suite(text: str) -> tuple[Suite | None, list[Diagnostic]]:
             cases.append(case)
 
     if suite_id is None or version is None or not cases or has_errors(diags):
-        return None, diags
-    return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin), diags
+        return None
+    return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin)
 
 
 def _bind_value(

@@ -53,6 +53,8 @@ def _outputs():
     suite_text = reference_suite_text()
     for name, age in (("reference", "30"), ("age_of_5000_digits", "1" * 5000), ("age_of_25_digits", "1" * 25)):
         report(name, reference, *parse_suite(suite_text.replace('"age": 30', '"age": ' + age, 1)))
+    notes = '{"notes": ' + "[" * 500 + "]" * 500 + ", "
+    report("notes_500_deep", reference, *parse_suite(suite_text.replace("{", notes, 1)))
     for seed in range(3):
         kinds = policy(f"kinds_{seed}", format_policy(make_kind_policy(seed)))
         report(f"kinds_{seed}", kinds, Suite("kinds", "v1", ("generated",), tuple(kind_cases(seed, 40))), [])
@@ -81,6 +83,10 @@ def test_outputs_do_not_depend_on_the_interpreter_state():
     for name in ("age_of_5000_digits", "age_of_25_digits"):
         at = lines.index(f"suite {name}")
         assert lines[at + 1] == "ERROR malformed_document 0:0 document holds an integer with too many digits"
+    # A document deeper than MAX_DEPTH is refused whatever the recursion limit.
+    at = lines.index("suite notes_500_deep")
+    assert lines[at + 1] == "ERROR malformed_document 0:0 document nests too deeply"
+    assert lines[at + 2].startswith("policy kinds_0 ")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 from decimal import Decimal
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from absgate import load_reference_policy, load_reference_suite, policy_hash
 from absgate.canon import canonical_bytes
+from absgate.condition import Has, Literal
 from absgate.model import (
     PIPELINE_STAGES,
     AbstentionCategory,
@@ -26,6 +28,8 @@ from absgate.model import (
     canonical_serialize,
     compare_outputs,
 )
+from absgate.policy import ClassDecl, ClinicalRule, ConsistencyConstraint, ExclusionRule, FieldDecl, StewardshipVeto
+from absgate.suite import Suite
 
 
 def test_boolean_and_integer_values():
@@ -168,6 +172,22 @@ def test_system_output_exclusivity():
         SystemOutput.recommend("x\n")
 
 
+@pytest.mark.parametrize(
+    ("action", "parts"),
+    [
+        ("bogus", {"reason": AbstentionReason(AbstentionCategory.MISSING_INPUTS, ["age"])}),
+        ("recommend", {"class_id": "x"}),
+        ("abstain", {"reason": AbstentionReason(AbstentionCategory.MISSING_INPUTS, ["age"])}),
+        (None, {"class_id": "x"}),
+    ],
+    ids=["bogus", "str_recommend", "str_abstain", "none"],
+)
+def test_an_output_refuses_an_action_that_is_not_an_action(action, parts):
+    with pytest.raises(ValueError) as refused:
+        SystemOutput(action, **parts)
+    assert str(refused.value) == f"output action is not an Action: {action!r}"
+
+
 def test_render_line_forms():
     assert SystemOutput.recommend("class_a").render_line() == "recommend class_a"
     out = SystemOutput.abstain(AbstentionCategory.EXPLICIT_EXCLUSION, ["EX_PREGNANCY"])
@@ -281,12 +301,84 @@ def test_a_case_refuses_the_first_bad_field_in_field_order():
         ({"a": good, "Bad name": good, "c": raw}, ValueError, "^field name is not an identifier: 'Bad name'$"),
         ({"a": good, "b": raw, "Bad name": good}, ValueError, "^field 'b' is not a FieldValue: True$"),
         ({"a": raw, 3: good}, ValueError, "^field 'a' is not a FieldValue: True$"),
-        ({"a": good, 3: good, "Bad name": good}, TypeError, "expected string"),
+        ({"a": good, 3: good, "Bad name": good}, ValueError, "^field name is not an identifier: 3$"),
         ({"a": good, "Bad name": good, 3: good}, ValueError, "^field name is not an identifier: 'Bad name'$"),
     ]
     for fields, error, message in refusals:
         with pytest.raises(error, match=message):
             CaseInput("c1", fields=fields, **parts)
+
+
+_CASE = {
+    "case_id": "c1",
+    "description": "",
+    "mechanism": "generated",
+    "fields": {},
+    "expected": ExpectedBehavior(Action.ABSTAIN),
+}
+_NOT_A_TOKEN = "not a token (expected [a-z][a-z0-9_]*): 3"
+_REFERENCE = load_reference_policy()
+_MISSING = AbstentionCategory.MISSING_INPUTS
+
+# Every constructor that takes a name refuses one that is not a ``str`` with
+# ``ValueError`` and the message it gives a malformed ``str``, never with the
+# ``TypeError`` of a regex match or a sort.
+_NAMES_NOT_STR = {
+    "token": (lambda: FieldValue.token(3), _NOT_A_TOKEN),
+    "token_set_entry": (lambda: FieldValue.token_set(["a", 3]), _NOT_A_TOKEN),
+    "label": (lambda: AbstentionReason(_MISSING, [3]), "label is not an identifier: 3"),
+    "label_beside_a_str": (lambda: AbstentionReason(_MISSING, ["a", 3]), "label is not an identifier: 3"),
+    "output_class": (lambda: SystemOutput.recommend(3), "class id is not an identifier: 3"),
+    "expected_class": (lambda: ExpectedBehavior(Action.RECOMMEND, class_id=3), "class id is not an identifier: 3"),
+    "case_id": (lambda: CaseInput(**{**_CASE, "case_id": 3}), "case id is not an identifier: 3"),
+    "case_mechanism": (lambda: CaseInput(**{**_CASE, "mechanism": 3}), "mechanism is not a token: 3"),
+    "case_field": (
+        lambda: CaseInput(**{**_CASE, "fields": {3: FieldValue.boolean(True)}}),
+        "field name is not an identifier: 3",
+    ),
+    "has_token": (lambda: Has("f", 3), _NOT_A_TOKEN),
+    "field_name": (lambda: FieldDecl(3, FieldKind.BOOLEAN), "field name is not an identifier: 3"),
+    "enum_entry": (lambda: FieldDecl("f", FieldKind.TOKEN, enum=(3,)), "enumeration entry is not a token: 3"),
+    "class_id": (lambda: ClassDecl(3, 1), "class id is not an identifier: 3"),
+    "consistency_id": (lambda: ConsistencyConstraint(3, Literal(True)), "consistency id is not an identifier: 3"),
+    "exclusion_id": (lambda: ExclusionRule(3, "L", Literal(True)), "exclusion id is not an identifier: 3"),
+    "exclusion_label": (lambda: ExclusionRule("e", 3, Literal(True)), "exclusion label is not an identifier: 3"),
+    "rule_id": (lambda: ClinicalRule(3, Literal(True), "c"), "rule id is not an identifier: 3"),
+    "candidate": (lambda: ClinicalRule("r", Literal(True), 3), "candidate class id is not an identifier: 3"),
+    "requires": (
+        lambda: ClinicalRule("r", Literal(True), "c", requires=(3,)),
+        "required field is not an identifier: 3",
+    ),
+    "incompatible": (
+        lambda: ClinicalRule("r", Literal(True), "c", incompatible_with=(3,)),
+        "incompatible rule id is not an identifier: 3",
+    ),
+    "veto_id": (lambda: StewardshipVeto(3, "c", Literal(True)), "veto id is not an identifier: 3"),
+    "veto_class": (lambda: StewardshipVeto("v", 3, Literal(True)), "vetoed class id is not an identifier: 3"),
+    "policy_id": (lambda: dataclasses.replace(_REFERENCE, policy_id=3), "policy id is not an identifier: 3"),
+    "policy_version": (lambda: dataclasses.replace(_REFERENCE, version=3), "version is not a token: 3"),
+    "policy_required": (
+        lambda: dataclasses.replace(_REFERENCE, required=(3,)),
+        "required field is not an identifier: 3",
+    ),
+    "known_risk": (lambda: dataclasses.replace(_REFERENCE, known_risks=frozenset({3})), "known risk is not a token: 3"),
+    "suite_id": (lambda: Suite(3, "v1", ("generated",), (CaseInput(**_CASE),)), "suite id is not an identifier: 3"),
+    "suite_version": (
+        lambda: Suite("s", 3, ("generated",), (CaseInput(**_CASE),)),
+        "suite version is not a token: 3",
+    ),
+    "suite_mechanism": (
+        lambda: Suite("s", "v1", ("generated", 3), (CaseInput(**_CASE),)),
+        "mechanism is not a token: 3",
+    ),
+}
+
+
+@pytest.mark.parametrize(("build", "message"), list(_NAMES_NOT_STR.values()), ids=list(_NAMES_NOT_STR))
+def test_a_name_that_is_not_a_str_is_refused_with_value_error(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 @given(st.decimals(min_value=-1000, max_value=1000, places=4, allow_nan=False, allow_infinity=False))
@@ -383,7 +475,7 @@ def test_untyped_trace_content_never_reaches_bytes(record):
 def test_untyped_output_content_never_reaches_bytes():
     with pytest.raises(TypeError):
         canonical_serialize(SystemOutput.abstain("missing_inputs", ["age"]))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^label is not an identifier: 1\.5$"):
         canonical_serialize(SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, [1.5]))
     with pytest.raises(TypeError):
         AuditTrace(({"stage": Stage.INPUT_ASSESSMENT},), SystemOutput.recommend("class_a"))

@@ -260,6 +260,46 @@ def test_a_defect_is_worded_alike_in_text_and_in_code(old, new, overrides, code)
     assert str(refused.value) == diags[0].message
 
 
+# One repeated declaration of each kind, spelled in ``MINIMAL``'s text and
+# built in code.
+@pytest.mark.parametrize(
+    ("old", "new", "overrides", "code"),
+    [
+        (
+            "field a : bool",
+            "field a : bool\nfield a : int",
+            dict(schema=(FieldDecl("a", FieldKind.BOOLEAN), FieldDecl("a", FieldKind.INTEGER))),
+            "duplicate_field",
+        ),
+        (
+            "class c1 rank 1",
+            "class c1 rank 1\nclass c1 rank 2",
+            dict(classes=(ClassDecl("c1", 1), ClassDecl("c1", 2))),
+            "duplicate_class",
+        ),
+        (
+            "rule r1 when",
+            "exclude r1 label L when a == true\nrule r1 when",
+            dict(exclusions=(ExclusionRule("r1", "L", _A_TRUE),)),
+            "duplicate_rule_id",
+        ),
+        (
+            "rule r1 when",
+            "exclude e1 label L when a == true\nexclude e2 label L when a == true\nrule r1 when",
+            dict(exclusions=(ExclusionRule("e1", "L", _A_TRUE), ExclusionRule("e2", "L", _A_TRUE))),
+            "duplicate_label",
+        ),
+    ],
+    ids=["field", "class", "rule_id", "exclusion_label"],
+)
+def test_a_repeated_declaration_is_worded_alike_in_text_and_in_code(old, new, overrides, code):
+    policy, diags = parse_policy(MINIMAL.replace(old, new))
+    assert policy is None and [diag.code for diag in diags] == [code]
+    with pytest.raises(ValueError) as refused:
+        _base(**overrides)
+    assert str(refused.value) == diags[0].message
+
+
 @pytest.mark.parametrize("text", [format_policy(REFERENCE), format_policy(make_kind_policy(0))], ids=["reference", "kinds"])
 def test_a_clean_parse_type_checks_each_condition_once(text, monkeypatch):
     calls = []

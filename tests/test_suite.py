@@ -23,7 +23,7 @@ from absgate.model import (
 )
 from absgate.reference import reference_suite_text
 from absgate.policy import FieldDecl
-from absgate.suite import Suite, _parse_expect, _suite_json, bind_suite, suite_canonical
+from absgate.suite import MAX_DEPTH, Suite, _parse_expect, _suite_json, bind_suite, suite_canonical
 
 POLICY = load_reference_policy()
 
@@ -154,6 +154,36 @@ def test_too_deep_a_document_is_malformed():
         suite, diags = parse_suite(text)
         assert suite is None
         assert [d.render() for d in diags] == ["ERROR malformed_document 0:0 document nests too deeply"]
+
+
+def _arrays(depth):
+    return "[" * depth + "]" * depth
+
+
+# Each builds a document that nests ``depth`` deep, counting the document.
+@pytest.mark.parametrize(
+    ("build", "codes"),
+    [
+        (lambda depth: json.dumps(BASE)[:-1] + f', "notes": {_arrays(depth - 1)}}}', ["unknown_key"]),
+        (lambda depth: json.dumps(BASE)[:-1] + f', "notes": {_arrays(depth - 1)}, "notes": 1}}', ["unknown_key"]),
+        (lambda depth: json.dumps(BASE).replace('"age": 40', f'"age": {_arrays(depth - 4)}'), ["invalid_field_value"]),
+        (lambda depth: "[" * depth, ["malformed_document"]),
+    ],
+    ids=["unknown_key", "replaced_unknown_key", "field_value", "unclosed"],
+)
+def test_a_document_nests_at_most_max_depth_deep(build, codes):
+    suite, diags = parse_suite(build(MAX_DEPTH))
+    assert [d.code for d in diags] == codes
+    suite, diags = parse_suite(build(MAX_DEPTH + 1))
+    assert suite is None
+    assert [d.render() for d in diags] == ["ERROR malformed_document 0:0 document nests too deeply"]
+
+
+def test_brackets_inside_strings_do_not_nest():
+    for text in ('["' + "[" * 100 + '", ', '["' + "[" * 100, '["\\"' + "[" * 100 + '", '):
+        suite, diags = parse_suite(text)
+        assert [d.code for d in diags] == ["malformed_document"]
+        assert diags[0].message != "document nests too deeply"
 
 
 def test_a_description_with_a_lone_surrogate_is_malformed():
