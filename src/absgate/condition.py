@@ -45,7 +45,7 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
-from .model import TOKEN_RE, FieldKind, FieldValue, _field_state, _name
+from .model import IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _field_state, _name
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
     from .policy import FieldDecl
@@ -106,6 +106,7 @@ class Comparison(_Node):
     literal: FieldValue
 
     def __post_init__(self) -> None:
+        _name(self.field_name, IDENT_RE, "field name is not an identifier")
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator: {self.op!r}")
         if type(self.literal) is not FieldValue:
@@ -116,10 +117,16 @@ class Comparison(_Node):
 class Present(_Node):
     field_name: str
 
+    def __post_init__(self) -> None:
+        _name(self.field_name, IDENT_RE, "field name is not an identifier")
+
 
 @dataclass(frozen=True)
 class Absent(_Node):
     field_name: str
+
+    def __post_init__(self) -> None:
+        _name(self.field_name, IDENT_RE, "field name is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,7 @@ class Has(_Node):
     token: str
 
     def __post_init__(self) -> None:
+        _name(self.field_name, IDENT_RE, "field name is not an identifier")
         _name(self.token, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
 
 

@@ -162,8 +162,6 @@ class CompletenessReport(NamedTuple):
     missing_required: tuple[str, ...]
     consistency_violations: tuple[str, ...]
     unknown_risk_tokens: tuple[str, ...]
-    # Verdict per consistency constraint, kept for the audit trace.
-    consistency_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
 def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
@@ -175,7 +173,6 @@ def _assess_inputs(policy: Policy, compiled: _Compiled, fields) -> tuple[Complet
     """Stage 1's report and its consistency constraints' truth values."""
     missing = tuple([name for name in policy.required if name not in fields])
     truths = compiled.consistency(fields)
-    verdicts = tuple(map(getitem, compiled.consistency_table.verdicts, truths))
     unknown: set[str] = set()
     for name in compiled.risk_fields:
         value = fields.get(name)
@@ -183,9 +180,8 @@ def _assess_inputs(policy: Policy, compiled: _Compiled, fields) -> tuple[Complet
             unknown.update(token for token in value.value if token not in policy.known_risks)
     return CompletenessReport(
         missing_required=missing,
-        consistency_violations=tuple([rule_id for rule_id, verdict in verdicts if verdict is _FIRED]),
+        consistency_violations=tuple([c.rule_id for c, truth in zip(policy.consistency, truths) if truth == _TRUE]),
         unknown_risk_tokens=tuple(sorted(unknown)),
-        consistency_verdicts=verdicts,
     ), truths
 
 

@@ -334,7 +334,7 @@ class ExpectedBehavior:
         return {"abstain": self.category.value if self.category is not None else "any"}
 
 
-_FIELD_VALUE_TYPE = frozenset((FieldValue,))
+_FIELD_VALUE_TYPE, _STR_TYPE = frozenset((FieldValue,)), frozenset((str,))
 
 
 @dataclass(frozen=True)
@@ -349,16 +349,19 @@ class CaseInput:
 
     def __post_init__(self) -> None:
         _name(self.case_id, IDENT_RE, "case id is not an identifier")
-        if not isinstance(self.description, str) or _SURROGATE_RE.search(self.description):
-            raise ValueError(f"description is not UTF-8 text: {self.description!r}")
+        if not isinstance(self.description, str):
+            raise ValueError(f"description is not a string: {self.description!r}")
+        if _SURROGATE_RE.search(self.description):  # a JSON escape can spell a lone surrogate
+            raise ValueError("description is not valid Unicode text")
         _name(self.mechanism, TOKEN_RE, "mechanism is not a token")
         fields = self.fields
-        # One C-level pass over the values and one over the names; only a
-        # failure or a name that is not a str walks the fields in order.
-        try:
-            clean = {*map(type, fields.values())} <= _FIELD_VALUE_TYPE and all(map(IDENT_RE.match, fields))
-        except TypeError:
-            clean = False
+        # C-level passes over the value types, the name types and the names;
+        # only a failure walks the fields in order, checking as ``_name`` does.
+        clean = (
+            {*map(type, fields.values())} <= _FIELD_VALUE_TYPE
+            and {*map(type, fields)} <= _STR_TYPE
+            and all(map(IDENT_RE.match, fields))
+        )
         if not clean:
             for name, value in fields.items():
                 _name(name, IDENT_RE, "field name is not an identifier")

@@ -1,9 +1,10 @@
 """Case suite loading, binding, and hashing.
 
 A suite is a JSON document: header identity, a mechanism vocabulary, and at
-least one case. Parsing checks shape and vocabulary; binding type-checks
-every case field against a policy schema and verifies expected class ids,
-so anything that survives both steps can be decided without surprises.
+least one case. Parsing checks shape and construction the rules; binding
+type-checks every case field against a policy schema and verifies expected
+class ids, so anything that survives both steps can be decided without
+surprises.
 
 Suites repeat themselves: cases draw their fields from a few booleans,
 tokens, small ints and token sets. One parse builds each distinct accepted
@@ -15,11 +16,13 @@ reports with every case that carries it.
 A ``Suite`` holds its cases by id and its mechanisms sorted without
 duplicates, so ``suite_hash`` is insensitive to source ordering while any
 change to fields, descriptions, or expected behaviors changes the digest.
-Built in code, it refuses what ``parse_suite`` refuses of its header and
-vocabulary: a suite id that is not an identifier, a version or mechanism
-that is not a token, a policy hash pin that is not 64 lowercase hex
-digits, and a case whose mechanism it lacks. Its cases must be exact
-``CaseInput`` instances.
+Construction is the one checker of a suite's rules: ``Suite`` raises the
+first finding of ``suite_findings`` (header, each case in the order given,
+an empty case list), and ``CaseInput`` and ``ExpectedBehavior`` check each
+case. ``parse_suite`` checks JSON shape and field values, builds each case
+and the ``Suite`` directly, and reports each refusal under its diagnostic
+code. Within a case, shape and value findings come first, and
+construction's refusal is reported only when they pass.
 
 ``suite_hash`` writes the canonical text directly, and encodes each
 distinct field value and expectation instance once per call, since parsed
@@ -32,7 +35,7 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 from .canon import sha256_hex
 from .diagnostics import Diagnostic, Severity, has_errors
@@ -45,15 +48,13 @@ from .model import (
     ExpectedBehavior,
     FieldKind,
     FieldValue,
-    _SURROGATE_RE,
     _expected_json,
     _name,
-    _sorted_names,
     _value_json,
 )
 from .policy import FieldDecl, Policy, policy_hash
 
-__all__ = ["MAX_DEPTH", "Suite", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
+__all__ = ["MAX_DEPTH", "Suite", "suite_findings", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
 
 # The most arrays and objects a suite document may hold inside one another;
 # a suite itself needs 5 (document, cases, case, fields, token set). A rule
@@ -64,7 +65,7 @@ MAX_DEPTH = 32
 _SCAN_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.S)
 _TOO_DEEP = Diagnostic(Severity.ERROR, "malformed_document", "document nests too deeply")
 
-_HEX64 = frozenset("0123456789abcdef")
+_PIN_RE = re.compile(r"^[0-9a-f]{64}\Z")
 # Enum members read as globals, several times cheaper than off their classes.
 _TOKEN, _TOKEN_SET, _RECOMMEND = FieldKind.TOKEN, FieldKind.TOKEN_SET, Action.RECOMMEND
 
@@ -81,32 +82,52 @@ class Suite:
     policy_hash_pin: str | None = None
 
     def __post_init__(self) -> None:
-        _name(self.suite_id, IDENT_RE, "suite id is not an identifier")
-        _name(self.version, TOKEN_RE, "suite version is not a token")
-        pin = self.policy_hash_pin
-        if pin is not None and (type(pin) is not str or len(pin) != 64 or not set(pin) <= _HEX64):
-            raise ValueError(f"policy hash pin is not 64 lowercase hex digits: {pin!r}")
-        object.__setattr__(self, "mechanisms", _sorted_names(self.mechanisms, TOKEN_RE, "mechanism is not a token"))
-        cases = tuple(self.cases)
-        for case in cases:
-            if type(case) is not CaseInput:
-                raise ValueError(f"case is not a CaseInput: {case!r}")
+        mechanisms, cases = tuple(self.mechanisms), tuple(self.cases)
+        for _code, message in suite_findings(self.suite_id, self.version, self.policy_hash_pin, mechanisms, cases):
+            raise ValueError(message)
+        object.__setattr__(self, "mechanisms", tuple(sorted(set(mechanisms))))
         object.__setattr__(self, "cases", tuple(sorted(cases, key=lambda c: c.case_id)))
-        if not self.cases:
-            raise ValueError("suite requires at least one case")
-        for before, after in zip(self.cases, self.cases[1:]):
-            if before.case_id == after.case_id:
-                raise ValueError(f"case id '{after.case_id}' appears twice")
-        mechanisms = set(self.mechanisms)
-        for case in self.cases:
-            if case.mechanism not in mechanisms:
-                raise ValueError(f"case '{case.case_id}': mechanism '{case.mechanism}' is not in the suite vocabulary")
 
     def case(self, case_id: str) -> CaseInput | None:
         for case in self.cases:
             if case.case_id == case_id:
                 return case
         return None
+
+
+def suite_findings(
+    suite_id: Any, version: Any, pin: Any, mechanisms: Sequence[Any], cases: Sequence[Any]
+) -> Iterator[tuple[str, str]]:
+    """Each defect of a suite's parts as ``(code, message)``: the id, the
+    version, the pin and each mechanism, then each case in the order given,
+    then an empty case list."""
+    pins = [] if pin is None else [("invalid_pin", pin, _PIN_RE, "policy hash pin is not 64 lowercase hex digits")]
+    names = [
+        ("malformed_document", suite_id, IDENT_RE, "suite id is not an identifier"),
+        ("malformed_document", version, TOKEN_RE, "suite version is not a token"),
+        *pins,
+        *[("malformed_document", mechanism, TOKEN_RE, "mechanism is not a token") for mechanism in mechanisms],
+    ]
+    for code, value, pattern, what in names:
+        try:
+            _name(value, pattern, what)
+        except ValueError as exc:
+            yield code, str(exc)
+    # A case's mechanism is a token, so no bad entry can match one.
+    vocabulary = {mechanism for mechanism in mechanisms if type(mechanism) is str}
+    seen: set[str] = set()
+    for case in cases:
+        if type(case) is not CaseInput:
+            yield "malformed_case", f"case is not a CaseInput: {case!r}"
+        elif case.case_id in seen:
+            yield "duplicate_case_id", f"case id '{case.case_id}' appears twice"
+        else:
+            seen.add(case.case_id)
+            if case.mechanism not in vocabulary:
+                message = f"case '{case.case_id}': mechanism '{case.mechanism}' is not in the suite vocabulary"
+                yield "unknown_mechanism", message
+    if not cases:
+        yield "empty_suite", "suite must carry at least one case"
 
 
 def _err(diags: list[Diagnostic], code: str, message: str) -> None:
@@ -123,10 +144,14 @@ def _parse_expect(raw: Any, case_id: str, diags: list[Diagnostic]) -> ExpectedBe
         return None
     key, value = next(iter(raw.items()))
     if key == "recommend":
-        if not isinstance(value, str) or (value != "any" and not IDENT_RE.match(value)):
+        if not isinstance(value, str):
             _err(diags, "unknown_expected_behavior", f"case '{case_id}': bad recommend expectation {value!r}")
             return None
-        return ExpectedBehavior(Action.RECOMMEND, class_id=None if value == "any" else value)
+        try:
+            return ExpectedBehavior(Action.RECOMMEND, class_id=None if value == "any" else value)
+        except ValueError as exc:
+            _err(diags, "unknown_expected_behavior", f"case '{case_id}': {exc}")
+            return None
     if key == "abstain":
         if not isinstance(value, str):
             _err(diags, "unknown_expected_behavior", f"case '{case_id}': bad abstain expectation {value!r}")
@@ -146,14 +171,11 @@ def _parse_expect(raw: Any, case_id: str, diags: list[Diagnostic]) -> ExpectedBe
 def _parse_case(
     raw: Any,
     index: int,
-    mechanisms: tuple[str, ...],
-    names: set[str],
     values: dict[tuple[Any, Any], FieldValue],
     expectations: dict[Any, ExpectedBehavior],
     diags: list[Diagnostic],
 ) -> CaseInput | None:
-    # ``names``, ``values`` and ``expectations`` hold what this parse has
-    # accepted so far.
+    # ``values`` and ``expectations`` hold what this parse has accepted so far.
     if not isinstance(raw, dict):
         _err(diags, "malformed_case", f"case #{index} is not an object")
         return None
@@ -164,20 +186,6 @@ def _parse_case(
     for key in raw:
         if key not in _CASE_KEYS:
             _warn(diags, "unknown_key", f"case '{case_id}': unknown key {key!r}")
-    description = raw.get("description")
-    if not isinstance(description, str):
-        _err(diags, "malformed_case", f"case '{case_id}': description must be a string")
-        return None
-    if _SURROGATE_RE.search(description):  # a JSON escape can spell a lone surrogate
-        _err(diags, "malformed_case", f"case '{case_id}': description is not valid Unicode text")
-        return None
-    mechanism = raw.get("mechanism")
-    if not isinstance(mechanism, str) or not TOKEN_RE.match(mechanism):
-        _err(diags, "malformed_case", f"case '{case_id}': mechanism must be a token")
-        return None
-    if mechanism not in mechanisms:
-        _err(diags, "unknown_mechanism", f"case '{case_id}': mechanism '{mechanism}' is not in the suite vocabulary")
-        return None
     raw_fields = raw.get("fields")
     if not isinstance(raw_fields, dict):
         _err(diags, "malformed_case", f"case '{case_id}': fields must be an object")
@@ -185,12 +193,6 @@ def _parse_case(
     fields: dict[str, FieldValue] = {}
     ok = True
     for name, raw_value in raw_fields.items():
-        if name not in names:
-            if not IDENT_RE.match(name):
-                _err(diags, "malformed_case", f"case '{case_id}': field name {name!r} is not an identifier")
-                ok = False
-                continue
-            names.add(name)
         # The class is part of the key: True == 1 == 1.0 and they hash alike.
         key = (raw_value.__class__, tuple(raw_value) if raw_value.__class__ is list else raw_value)
         try:
@@ -218,7 +220,11 @@ def _parse_case(
             expectations[item] = expected
     if expected is None or not ok:
         return None
-    return CaseInput(case_id, description, mechanism, fields, expected)
+    try:
+        return CaseInput(case_id, raw.get("description"), raw.get("mechanism"), fields, expected)
+    except ValueError as exc:
+        _err(diags, "malformed_case", f"case '{case_id}': {exc}")
+        return None
 
 
 def _json_int(text: str) -> int:
@@ -279,58 +285,33 @@ def _suite_from(document: Any, diags: list[Diagnostic]) -> Suite | None:
         if key not in _TOP_KEYS:
             _warn(diags, "unknown_key", f"unknown top-level key {key!r}")
 
-    suite_id = document.get("suite_id")
-    if not isinstance(suite_id, str) or not IDENT_RE.match(suite_id):
-        _err(diags, "malformed_document", "suite_id must be an identifier")
-        suite_id = None
-    version = document.get("version")
-    if not isinstance(version, str) or not TOKEN_RE.match(version):
-        _err(diags, "malformed_document", "version must be a token")
-        version = None
-
-    pin = document.get("policy_hash_pin")
-    if pin is not None:
-        if not isinstance(pin, str) or len(pin) != 64 or not set(pin) <= _HEX64:
-            _err(diags, "invalid_pin", "policy_hash_pin must be 64 lowercase hex digits")
-            pin = None
-
-    raw_mechanisms = document.get("mechanisms")
-    mechanisms: tuple[str, ...] = ()
-    if not isinstance(raw_mechanisms, list):
+    mechanisms = document.get("mechanisms")
+    if not isinstance(mechanisms, list):
         _err(diags, "malformed_document", "mechanisms must be an array of tokens")
-    else:
-        seen: list[str] = []
-        for entry in raw_mechanisms:
-            if not isinstance(entry, str) or not TOKEN_RE.match(entry):
-                _err(diags, "malformed_document", f"mechanism {entry!r} is not a token")
-            elif entry in seen:
+        mechanisms = []
+    seen: set[str] = set()
+    for entry in mechanisms:
+        if isinstance(entry, str):
+            if entry in seen:
                 _warn(diags, "duplicate_mechanism", f"mechanism '{entry}' listed twice")
-            else:
-                seen.append(entry)
-        mechanisms = tuple(seen)
+            seen.add(entry)
 
-    raw_cases = document.get("cases")
-    cases: list[CaseInput] = []
-    if not isinstance(raw_cases, list) or not raw_cases:
-        _err(diags, "empty_suite", "suite must carry at least one case")
-    else:
-        seen_ids: set[str] = set()
-        names: set[str] = set()
-        values: dict[tuple[Any, Any], FieldValue] = {}
-        expectations: dict[Any, ExpectedBehavior] = {}
-        for index, raw_case in enumerate(raw_cases):
-            case = _parse_case(raw_case, index, mechanisms, names, values, expectations, diags)
-            if case is None:
-                continue
-            if case.case_id in seen_ids:
-                _err(diags, "duplicate_case_id", f"case id '{case.case_id}' appears twice")
-                continue
-            seen_ids.add(case.case_id)
-            cases.append(case)
+    raw_cases = document["cases"] if isinstance(document.get("cases"), list) else []
+    values: dict[tuple[Any, Any], FieldValue] = {}
+    expectations: dict[Any, ExpectedBehavior] = {}
+    parsed = [_parse_case(raw, index, values, expectations, diags) for index, raw in enumerate(raw_cases)]
+    cases = [case for case in parsed if case is not None]
 
-    if suite_id is None or version is None or not cases or has_errors(diags):
-        return None
-    return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin)
+    suite_id, version, pin = document.get("suite_id"), document.get("version"), document.get("policy_hash_pin")
+    if not has_errors(diags):
+        try:
+            return Suite(suite_id, version, tuple(mechanisms), tuple(cases), pin)
+        except ValueError:
+            pass
+    for code, message in suite_findings(suite_id, version, pin, mechanisms, cases):
+        if code != "empty_suite" or not raw_cases:  # each case that failed to parse has said why
+            _err(diags, code, message)
+    return None
 
 
 def _bind_value(

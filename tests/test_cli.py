@@ -52,6 +52,13 @@ def test_validate_rejects_a_defective_policy(capsys):
     assert err.splitlines()[0].startswith("ERROR ")
 
 
+def test_hash_refuses_a_defective_suite(capsys):
+    assert main(["hash", "--suite", "tests/fixtures/defective/unknown_mechanism.json"]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR unknown_mechanism 0:0 case 'c01': mechanism 'recommend_narrow' is not in the suite vocabulary\n"
+    )
+
+
 def test_validate_reports_missing_files(capsys):
     assert main(["validate", "--policy", "no/such/file.policy"]) == 2
     assert "unreadable_file" in capsys.readouterr().err

@@ -111,6 +111,22 @@ def test_has_tokens_are_tokens(token):
         Has("risk_factors", token)
 
 
+_LEAVES = {
+    "comparison": lambda name: Comparison(name, "==", FieldValue.integer(1)),
+    "present": Present,
+    "absent": Absent,
+    "has": lambda name: Has(name, "a"),
+}
+
+
+@pytest.mark.parametrize("name", ["Not Ident", "9a", "x\n", "", 3, None])
+@pytest.mark.parametrize("leaf", list(_LEAVES.values()), ids=list(_LEAVES))
+def test_leaf_field_names_are_identifiers(leaf, name):
+    with pytest.raises(ValueError) as refused:
+        leaf(name)
+    assert str(refused.value) == f"field name is not an identifier: {name!r}"
+
+
 @pytest.mark.parametrize("literal", [5, True, "old", None, Decimal("1.5")])
 def test_comparison_literals_are_field_values(literal):
     with pytest.raises(ValueError, match="^comparison literal is not a FieldValue"):

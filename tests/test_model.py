@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from absgate import load_reference_policy, load_reference_suite, policy_hash
 from absgate.canon import canonical_bytes
-from absgate.condition import Has, Literal
+from absgate.condition import Absent, Comparison, Has, Literal, Present
 from absgate.model import (
     PIPELINE_STAGES,
     AbstentionCategory,
@@ -279,8 +279,8 @@ def test_case_input_identifier_checked():
 @pytest.mark.parametrize(
     ("part", "message"),
     [
-        ({"description": "\ud800"}, "^description is not UTF-8 text"),
-        ({"description": None}, "^description is not UTF-8 text"),
+        ({"description": "\ud800"}, "^description is not valid Unicode text$"),
+        ({"description": None}, "^description is not a string: None$"),
         ({"fields": {"age": 30}}, "^field 'age' is not a FieldValue"),
         ({"expected": None}, "^expected is not an ExpectedBehavior"),
         ({"mechanism": "Not A Token"}, "^mechanism is not a token: 'Not A Token'$"),
@@ -294,6 +294,10 @@ def test_a_case_built_in_code_is_checked_like_a_parsed_one(part, message):
         CaseInput("c1", **{**parts, **part})
 
 
+class _Name(str):
+    pass
+
+
 def test_a_case_refuses_the_first_bad_field_in_field_order():
     good, raw = FieldValue.boolean(True), True
     parts = {"description": "", "mechanism": "generated", "expected": ExpectedBehavior(Action.ABSTAIN)}
@@ -303,6 +307,9 @@ def test_a_case_refuses_the_first_bad_field_in_field_order():
         ({"a": raw, 3: good}, ValueError, "^field 'a' is not a FieldValue: True$"),
         ({"a": good, 3: good, "Bad name": good}, ValueError, "^field name is not an identifier: 3$"),
         ({"a": good, "Bad name": good, 3: good}, ValueError, "^field name is not an identifier: 'Bad name'$"),
+        # A str subclass is refused alone, by the C-level pass, as beside a bad value.
+        ({_Name("a"): good}, ValueError, "^field name is not an identifier: 'a'$"),
+        ({_Name("a"): good, "b": raw}, ValueError, "^field name is not an identifier: 'a'$"),
     ]
     for fields, error, message in refusals:
         with pytest.raises(error, match=message):
@@ -337,6 +344,10 @@ _NAMES_NOT_STR = {
         "field name is not an identifier: 3",
     ),
     "has_token": (lambda: Has("f", 3), _NOT_A_TOKEN),
+    "comparison_field": (lambda: Comparison(3, "==", FieldValue.integer(1)), "field name is not an identifier: 3"),
+    "present_field": (lambda: Present(3), "field name is not an identifier: 3"),
+    "absent_field": (lambda: Absent(3), "field name is not an identifier: 3"),
+    "has_field": (lambda: Has(3, "a"), "field name is not an identifier: 3"),
     "field_name": (lambda: FieldDecl(3, FieldKind.BOOLEAN), "field name is not an identifier: 3"),
     "enum_entry": (lambda: FieldDecl("f", FieldKind.TOKEN, enum=(3,)), "enumeration entry is not a token: 3"),
     "class_id": (lambda: ClassDecl(3, 1), "class id is not an identifier: 3"),

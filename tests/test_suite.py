@@ -1,19 +1,26 @@
+import copy
 import dataclasses
 import json
+import re
+from collections import defaultdict
 from collections.abc import Mapping
 from decimal import Decimal
 from enum import IntEnum
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absgate import load_reference_policy, load_reference_suite, parse_suite, run_suite, suite_hash
 from absgate.canon import canonical_bytes
+from absgate.diagnostics import Diagnostic, Severity, has_errors
 from absgate.model import (
+    IDENT_RE,
     INT64_MAX,
     INT64_MIN,
+    TOKEN_RE,
+    _SURROGATE_RE,
     AbstentionCategory,
     Action,
     CaseInput,
@@ -23,7 +30,17 @@ from absgate.model import (
 )
 from absgate.reference import reference_suite_text
 from absgate.policy import FieldDecl
-from absgate.suite import MAX_DEPTH, Suite, _parse_expect, _suite_json, bind_suite, suite_canonical
+from absgate.suite import (
+    _CASE_KEYS,
+    _TOP_KEYS,
+    MAX_DEPTH,
+    Suite,
+    _json_int,
+    _parse_expect,
+    _suite_json,
+    bind_suite,
+    suite_canonical,
+)
 
 POLICY = load_reference_policy()
 
@@ -603,3 +620,369 @@ def _suites(draw):
 @given(_suites())
 def test_the_direct_suite_text_equals_the_reference_form(suite):
     assert _suite_json(suite).encode("utf-8") == canonical_bytes(suite_canonical(suite))
+
+
+# The two-layer suite parser that checked every suite rule itself before
+# construction checked them again, kept as the reference of the one checker
+# (``suite_findings``, ``CaseInput``, ``ExpectedBehavior``) that
+# ``parse_suite`` now reports.
+
+
+def _reference_expect(raw, case_id, diags):
+    if not isinstance(raw, dict) or len(raw) != 1:
+        _ref_err(diags, "unknown_expected_behavior", f"case '{case_id}': expect must be a one-key object")
+        return None
+    key, value = next(iter(raw.items()))
+    if key == "recommend":
+        if not isinstance(value, str) or (value != "any" and not IDENT_RE.match(value)):
+            _ref_err(diags, "unknown_expected_behavior", f"case '{case_id}': bad recommend expectation {value!r}")
+            return None
+        return ExpectedBehavior(Action.RECOMMEND, class_id=None if value == "any" else value)
+    if key == "abstain":
+        if not isinstance(value, str):
+            _ref_err(diags, "unknown_expected_behavior", f"case '{case_id}': bad abstain expectation {value!r}")
+            return None
+        if value == "any":
+            return ExpectedBehavior(Action.ABSTAIN)
+        try:
+            category = AbstentionCategory(value)
+        except ValueError:
+            _ref_err(diags, "unknown_expected_behavior", f"case '{case_id}': unknown abstention category {value!r}")
+            return None
+        return ExpectedBehavior(Action.ABSTAIN, category=category)
+    _ref_err(diags, "unknown_expected_behavior", f"case '{case_id}': expect key must be recommend or abstain")
+    return None
+
+
+_HEX64 = frozenset("0123456789abcdef")
+
+
+def _ref_err(diags, code, message):
+    diags.append(Diagnostic(Severity.ERROR, code, message))
+
+
+def _ref_warn(diags, code, message):
+    diags.append(Diagnostic(Severity.WARNING, code, message))
+
+
+def _reference_case(raw, index, mechanisms, diags):
+    if not isinstance(raw, dict):
+        _ref_err(diags, "malformed_case", f"case #{index} is not an object")
+        return None
+    case_id = raw.get("id")
+    if not isinstance(case_id, str) or not IDENT_RE.match(case_id):
+        _ref_err(diags, "malformed_case", f"case #{index}: missing or invalid id")
+        return None
+    for key in raw:
+        if key not in _CASE_KEYS:
+            _ref_warn(diags, "unknown_key", f"case '{case_id}': unknown key {key!r}")
+    description = raw.get("description")
+    if not isinstance(description, str):
+        _ref_err(diags, "malformed_case", f"case '{case_id}': description must be a string")
+        return None
+    if _SURROGATE_RE.search(description):
+        _ref_err(diags, "malformed_case", f"case '{case_id}': description is not valid Unicode text")
+        return None
+    mechanism = raw.get("mechanism")
+    if not isinstance(mechanism, str) or not TOKEN_RE.match(mechanism):
+        _ref_err(diags, "malformed_case", f"case '{case_id}': mechanism must be a token")
+        return None
+    if mechanism not in mechanisms:
+        _ref_err(diags, "unknown_mechanism", f"case '{case_id}': mechanism '{mechanism}' is not in the suite vocabulary")
+        return None
+    raw_fields = raw.get("fields")
+    if not isinstance(raw_fields, dict):
+        _ref_err(diags, "malformed_case", f"case '{case_id}': fields must be an object")
+        return None
+    fields = {}
+    ok = True
+    for name, raw_value in raw_fields.items():
+        if not IDENT_RE.match(name):
+            _ref_err(diags, "malformed_case", f"case '{case_id}': field name {name!r} is not an identifier")
+            ok = False
+            continue
+        try:
+            fields[name] = FieldValue.from_json(raw_value)
+        except ValueError as exc:
+            _ref_err(diags, "invalid_field_value", f"case '{case_id}', field '{name}': {exc}")
+            ok = False
+    expected = _reference_expect(raw.get("expect"), case_id, diags)
+    if expected is None or not ok:
+        return None
+    return CaseInput(case_id, description, mechanism, fields, expected)
+
+
+def _reference_suite_from(document, diags):
+    if not isinstance(document, dict):
+        _ref_err(diags, "malformed_document", "suite document must be a JSON object")
+        return None
+    for key in document:
+        if key not in _TOP_KEYS:
+            _ref_warn(diags, "unknown_key", f"unknown top-level key {key!r}")
+    suite_id = document.get("suite_id")
+    if not isinstance(suite_id, str) or not IDENT_RE.match(suite_id):
+        _ref_err(diags, "malformed_document", "suite_id must be an identifier")
+        suite_id = None
+    version = document.get("version")
+    if not isinstance(version, str) or not TOKEN_RE.match(version):
+        _ref_err(diags, "malformed_document", "version must be a token")
+        version = None
+    pin = document.get("policy_hash_pin")
+    if pin is not None:
+        if not isinstance(pin, str) or len(pin) != 64 or not set(pin) <= _HEX64:
+            _ref_err(diags, "invalid_pin", "policy_hash_pin must be 64 lowercase hex digits")
+            pin = None
+    raw_mechanisms = document.get("mechanisms")
+    mechanisms = ()
+    if not isinstance(raw_mechanisms, list):
+        _ref_err(diags, "malformed_document", "mechanisms must be an array of tokens")
+    else:
+        seen = []
+        for entry in raw_mechanisms:
+            if not isinstance(entry, str) or not TOKEN_RE.match(entry):
+                _ref_err(diags, "malformed_document", f"mechanism {entry!r} is not a token")
+            elif entry in seen:
+                _ref_warn(diags, "duplicate_mechanism", f"mechanism '{entry}' listed twice")
+            else:
+                seen.append(entry)
+        mechanisms = tuple(seen)
+    raw_cases = document.get("cases")
+    cases = []
+    if not isinstance(raw_cases, list) or not raw_cases:
+        _ref_err(diags, "empty_suite", "suite must carry at least one case")
+    else:
+        seen_ids = set()
+        for index, raw_case in enumerate(raw_cases):
+            case = _reference_case(raw_case, index, mechanisms, diags)
+            if case is None:
+                continue
+            if case.case_id in seen_ids:
+                _ref_err(diags, "duplicate_case_id", f"case id '{case.case_id}' appears twice")
+                continue
+            seen_ids.add(case.case_id)
+            cases.append(case)
+    if suite_id is None or version is None or not cases or has_errors(diags):
+        return None
+    return Suite(suite_id, version, mechanisms, tuple(cases), pin)
+
+
+def _reference_parse(text):
+    diags = []
+    return _reference_suite_from(json.loads(text, parse_int=_json_int), diags), diags
+
+
+# Each message the reference words otherwise, as a pattern over its message,
+# and the constructor's wording of it. A template's fields are the pattern's
+# groups, the document's header keys, and the parts of the case the message
+# names; a key the document or case lacks reads None.
+_REWORDED = [
+    (r"suite_id must be an identifier", "suite id is not an identifier: {suite_id!r}"),
+    (r"version must be a token", "suite version is not a token: {version!r}"),
+    (
+        r"policy_hash_pin must be 64 lowercase hex digits",
+        "policy hash pin is not 64 lowercase hex digits: {policy_hash_pin!r}",
+    ),
+    (r"mechanism (?P<entry>.+) is not a token", "mechanism is not a token: {entry}"),
+    (r"case '(?P<id>\w+)': description must be a string", "case '{id}': description is not a string: {description!r}"),
+    (r"case '(?P<id>\w+)': mechanism must be a token", "case '{id}': mechanism is not a token: {mechanism!r}"),
+    (
+        r"case '(?P<id>\w+)': field name (?P<name>.+) is not an identifier",
+        "case '{id}': field name is not an identifier: {name}",
+    ),
+    (
+        r"case '(?P<id>\w+)': bad recommend expectation (?P<value>'.*'|\".*\")",
+        "case '{id}': class id is not an identifier: {value}",
+    ),
+]
+
+
+def _reworded(message, document):
+    for pattern, template in _REWORDED:
+        match = re.fullmatch(pattern, message, re.S)
+        if match:
+            named = match.groupdict().get("id")
+            case = next((raw for raw in document["cases"] if isinstance(raw, dict) and raw.get("id") == named), {})
+            return template.format_map(defaultdict(lambda: None, {**document, **case, **match.groupdict()}))
+    return message
+
+
+_MISSING = object()  # a header key or case part left out
+_FIRST = object()  # a mechanism entry that repeats the first
+
+
+def _edited(document, edit):
+    """``document`` with one edit applied; each position is taken modulo the
+    length of what it indexes."""
+    doc = copy.deepcopy(document)
+    kind, at, *rest = edit
+    cases = doc["cases"]
+    if kind in ("header", "case"):
+        target = doc if kind == "header" else cases[at % len(cases)]
+        key, value = rest
+        if value is _MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    elif kind == "mechanism":
+        entry, replace = rest
+        mechanisms, position = doc["mechanisms"], at % len(doc["mechanisms"])
+        mechanisms[position : position + replace] = [mechanisms[0] if entry is _FIRST else entry]
+    elif kind == "case_value":
+        cases[at % len(cases)] = rest[0]
+    elif kind == "repeat_id":
+        source, target = at % len(cases), (at + 1 + rest[0] % (len(cases) - 1)) % len(cases)
+        cases[target]["id"] = cases[source]["id"]
+    elif kind in ("field_value", "field_name"):
+        fields = cases[at % len(cases)]["fields"]
+        if fields:
+            names = list(fields)
+            name = names[rest[0] % len(names)]
+            if kind == "field_value":
+                fields[name] = rest[1]
+            else:
+                cases[at % len(cases)]["fields"] = {rest[1] if n == name else n: v for n, v in fields.items()}
+    return doc
+
+
+_BASES = [json.loads(reference_suite_text()), EVERY_KIND]
+_AT = st.integers(0, 1000)
+_NOT_STR = st.sampled_from([3, None, True, ["a"], {"a": 1}])
+_SUITE_EDIT = st.one_of(
+    st.tuples(
+        st.just("header"),
+        _AT,
+        st.sampled_from(["suite_id", "version", "policy_hash_pin", "mechanisms", "cases"]),
+        st.sampled_from(["other", "v2", "ab" * 32, "Not An Id", "V1", "AB" * 32, "zz", "9a", "a\n", "", _MISSING])
+        | _NOT_STR,
+    ),
+    st.tuples(st.just("mechanism"), _AT, st.sampled_from(["extra", "Bad", "", _FIRST]) | _NOT_STR, st.booleans()),
+    st.tuples(
+        st.just("case"),
+        _AT,
+        st.sampled_from(["id", "description", "mechanism", "fields", "expect", "note"]),
+        st.sampled_from(["other", "ghost", "Bad Id", "c01\n", "half \ud800 pair", "mech_a", "missing_required", _MISSING])
+        | _NOT_STR
+        | st.sampled_from(
+            [
+                {"recommend": "Bad Class"},
+                {"recommend": "it's"},
+                {"recommend": ""},
+                {"recommend": None},
+                {"recommend": "narrow"},
+                {"abstain": "whimsy"},
+                {"abstain": ["x"]},
+                {"explode": True},
+                {},
+                [],
+            ]
+        ),
+    ),
+    st.tuples(st.just("case_value"), _AT, _NOT_STR | st.just("c01")),
+    st.tuples(st.just("repeat_id"), _AT, _AT),
+    st.tuples(
+        st.just("field_value"),
+        _AT,
+        _AT,
+        st.sampled_from([1.5, "Bad", [["a"]], [], ["a", "a"], 2**63, "1.23456", "tok", "2.5", -7]) | _NOT_STR,
+    ),
+    st.tuples(st.just("field_name"), _AT, _AT, st.sampled_from(["Not Ident", "9a", "x\n", "", "other_name"])),
+)
+
+
+def _outcome(parse, text):
+    suite, diags = parse(text)
+    return suite and suite_hash(suite), [(d.severity, d.code) for d in diags], [d.message for d in diags]
+
+
+# One example per finding: each reworded message, then each other code.
+@settings(max_examples=600)
+@given(st.sampled_from(range(len(_BASES))), _SUITE_EDIT)
+@example(0, ("header", 0, "suite_id", "Not An Id"))
+@example(0, ("header", 0, "version", 3))
+@example(0, ("header", 0, "policy_hash_pin", "zz"))
+@example(0, ("mechanism", 0, "Bad", True))
+@example(1, ("case", 0, "description", None))
+@example(1, ("case", 0, "mechanism", "Bad"))
+@example(1, ("field_name", 0, 0, "Not Ident"))
+@example(1, ("case", 0, "expect", {"recommend": "Bad Class"}))
+@example(0, ("case", 0, "description", "half \ud800 pair"))
+@example(0, ("case", 0, "mechanism", "ghost"))
+@example(0, ("repeat_id", 0, 0))
+@example(0, ("header", 0, "cases", _MISSING))
+@example(0, ("case_value", 0, 3))
+@example(0, ("field_value", 0, 0, 1.5))
+@example(0, ("case", 0, "expect", {"abstain": "whimsy"}))
+@example(0, ("header", 0, "mechanisms", 3))
+@example(0, ("mechanism", 0, _FIRST, False))
+@example(0, ("header", 0, "notes", 1))
+def test_the_one_checker_reports_every_single_defect_as_the_two_layer_parser(base, edit):
+    document = _edited(_BASES[base], edit)
+    text = json.dumps(document)
+    digest, codes, messages = _outcome(parse_suite, text)
+    reference_digest, reference_codes, reference_messages = _outcome(_reference_parse, text)
+    assert codes == reference_codes
+    assert digest == reference_digest
+    assert messages == [_reworded(message, document) for message in reference_messages]
+
+
+def _base_case(**changes):
+    suite, _ = _parse(BASE)
+    assert suite is not None
+    return dataclasses.replace(suite.cases[0], **changes)
+
+
+def _base_suite(**changes):
+    suite, _ = _parse(BASE)
+    assert suite is not None
+    return dataclasses.replace(suite, **changes)
+
+
+def _case_doc(**changes):
+    return _doc(cases=[{**BASE["cases"][0], **changes}, BASE["cases"][1]])
+
+
+# Per rule: a document that breaks it, the same defect built in code, and
+# the prefix by which the parser names the case.
+_RULES = {
+    "suite_id": (_doc(suite_id="Not An Id"), lambda: _base_suite(suite_id="Not An Id"), ""),
+    "version": (_doc(version=3), lambda: _base_suite(version=3), ""),
+    "pin": (_doc(policy_hash_pin="zz"), lambda: _base_suite(policy_hash_pin="zz"), ""),
+    "mechanism_token": (
+        _doc(mechanisms=["mech_a", "mech_b", "Bad"]),
+        lambda: _base_suite(mechanisms=("mech_a", "mech_b", "Bad")),
+        "",
+    ),
+    "repeated_case_id": (
+        _doc(cases=[BASE["cases"][0], {**BASE["cases"][1], "id": "k1"}]),
+        lambda: _base_suite(cases=(_base_case(), _base_case(mechanism="mech_b"))),
+        "",
+    ),
+    "unknown_mechanism": (_case_doc(mechanism="ghost"), lambda: _base_suite(cases=(_base_case(mechanism="ghost"),)), ""),
+    "empty_suite": (_doc(cases=[]), lambda: _base_suite(cases=()), ""),
+    "description_not_a_string": (_case_doc(description=3), lambda: _base_case(description=3), "case 'k1': "),
+    "lone_surrogate": (
+        _case_doc(description="half \ud800 pair"),
+        lambda: _base_case(description="half \ud800 pair"),
+        "case 'k1': ",
+    ),
+    "case_mechanism_token": (_case_doc(mechanism="Bad"), lambda: _base_case(mechanism="Bad"), "case 'k1': "),
+    "field_name": (
+        _case_doc(fields={"Not Ident": 40}),
+        lambda: _base_case(fields={"Not Ident": FieldValue.integer(40)}),
+        "case 'k1': ",
+    ),
+    "expected_class_id": (
+        _case_doc(expect={"recommend": "Bad Class"}),
+        lambda: ExpectedBehavior(Action.RECOMMEND, class_id="Bad Class"),
+        "case 'k1': ",
+    ),
+}
+
+
+@pytest.mark.parametrize(("document", "build", "prefix"), list(_RULES.values()), ids=list(_RULES))
+def test_a_suite_defect_is_worded_alike_in_text_and_in_code(document, build, prefix):
+    suite, diags = _parse(document)
+    assert suite is None and len(diags) == 1
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert diags[0].message == prefix + str(refused.value)
