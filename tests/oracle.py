@@ -3,8 +3,11 @@
 This module re-derives the pipeline behavior directly from the written
 stage rules, sharing only the parsed data structures with the package.
 Truth values are Python's ``True``/``False``/``None`` (``None`` meaning
-"cannot be determined") instead of the engine's enum, every stage is a
-straight-line function, and no engine code is imported. It also provides
+"cannot be determined") instead of the engine's enum, the stages are one
+straight-line function, and no engine code is imported. It gives each
+case's outcome (``oracle_decide``) and the stages of its audit trace
+(``oracle_trace``), to compare with the engine's through ``as_tuple`` and
+``as_trace``. It also provides
 a seeded generator of small all-boolean policies and exhaustive case
 enumerators so the equivalence check sweeps an entire input space, and a
 seeded generator of small policies and cases over every field kind.
@@ -13,6 +16,7 @@ seeded generator of small policies and cases over every field kind.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from decimal import Decimal
 
@@ -26,7 +30,16 @@ from absgate.condition import (
     Or,
     Present,
 )
-from absgate.model import Action, CaseInput, ExpectedBehavior, FieldKind, FieldValue, SystemOutput
+from absgate.model import (
+    Action,
+    AuditTrace,
+    CaseInput,
+    ExpectedBehavior,
+    FieldKind,
+    FieldValue,
+    SystemOutput,
+    canonical_serialize,
+)
 from absgate.policy import (
     ClassDecl,
     ClinicalRule,
@@ -110,20 +123,31 @@ def holes_of(cond, fields) -> set[str]:
     raise TypeError(f"not a condition node: {cond!r}")
 
 
-def oracle_decide(policy: Policy, case: CaseInput) -> tuple:
-    """Stage rules transcribed verbatim; returns a plain comparable tuple.
+_VERDICT = {True: "fired", False: "not_fired", None: "indeterminate"}
 
-    ``("recommend", class_id)`` or ``("abstain", category, labels)``.
-    """
+
+def _stage(name: str, pairs, notes=()) -> tuple:
+    """One stage of a trace: its name, ``(rule_id, verdict)`` pairs sorted by
+    id, and its notes."""
+    return (name, tuple(sorted(pairs)), tuple(notes))
+
+
+def _oracle(policy: Policy, case: CaseInput) -> tuple[tuple, tuple]:
+    """The stage rules transcribed verbatim: the outcome, as ``oracle_decide``
+    gives it, and the stages of its trace, as ``oracle_trace`` gives them."""
     fields = case.fields
+    stages = []
 
-    # Stage 1: required fields, then consistency, then unknown risk tokens.
+    # Stage 1: every consistency constraint is recorded; then required
+    # fields, consistency, unknown risk tokens abstain, in that order.
+    verdicts = {c.rule_id: truth_of(c.forbid, fields) for c in policy.consistency}
+    stages.append(_stage("input_assessment", ((i, _VERDICT[v]) for i, v in verdicts.items())))
     missing = tuple(sorted(set(policy.required) - set(fields)))
     if missing:
-        return ("abstain", "missing_inputs", missing)
-    violated = tuple(sorted(c.rule_id for c in policy.consistency if truth_of(c.forbid, fields) is True))
+        return ("abstain", "missing_inputs", missing), tuple(stages)
+    violated = tuple(sorted(i for i, v in verdicts.items() if v is True))
     if violated:
-        return ("abstain", "conflicting_signals", violated)
+        return ("abstain", "conflicting_signals", violated), tuple(stages)
     strange = set()
     for decl in policy.schema:
         if decl.is_risk and decl.name in fields:
@@ -131,36 +155,44 @@ def oracle_decide(policy: Policy, case: CaseInput) -> tuple:
                 if token not in policy.known_risks:
                     strange.add(token)
     if strange:
-        return ("abstain", "unknown_risk", tuple(sorted(strange)))
+        return ("abstain", "unknown_risk", tuple(sorted(strange))), tuple(stages)
 
     # Stage 2: a true exclusion wins; otherwise indeterminate scope abstains.
     labels = []
     gaps: set[str] = set()
+    pairs = []
     for exclusion in policy.exclusions:
         verdict = truth_of(exclusion.when, fields)
+        pairs.append((exclusion.rule_id, _VERDICT[verdict]))
         if verdict is True:
             labels.append(exclusion.label)
         elif verdict is None:
             gaps |= holes_of(exclusion.when, fields)
+    stages.append(_stage("exclusions", pairs))
     if labels:
-        return ("abstain", "explicit_exclusion", tuple(sorted(labels)))
+        return ("abstain", "explicit_exclusion", tuple(sorted(labels))), tuple(stages)
     if gaps:
-        return ("abstain", "missing_inputs", tuple(sorted(gaps)))
+        return ("abstain", "missing_inputs", tuple(sorted(gaps))), tuple(stages)
 
-    # Stage 3: any unevaluable rule aborts; fired incompatibles conflict.
+    # Stage 3: any unevaluable rule (unmet requires, or an indeterminate
+    # condition) is recorded indeterminate and aborts; fired incompatibles
+    # conflict.
     problems: set[str] = set()
     fired: list[ClinicalRule] = []
+    pairs = []
     for rule in policy.clinical_rules:
         unmet = set(rule.requires) - set(fields)
         verdict = truth_of(rule.when, fields)
+        pairs.append((rule.rule_id, _VERDICT[None if unmet else verdict]))
         if unmet or verdict is None:
             problems |= unmet
             if verdict is None:
                 problems |= holes_of(rule.when, fields)
         elif verdict is True:
             fired.append(rule)
+    stages.append(_stage("clinical_rules", pairs))
     if problems:
-        return ("abstain", "missing_inputs", tuple(sorted(problems)))
+        return ("abstain", "missing_inputs", tuple(sorted(problems))), tuple(stages)
     fired_ids = {rule.rule_id for rule in fired}
     clash: set[str] = set()
     for rule in fired:
@@ -168,33 +200,52 @@ def oracle_decide(policy: Policy, case: CaseInput) -> tuple:
             if other in fired_ids:
                 clash |= {rule.rule_id, other}
     if clash:
-        return ("abstain", "conflicting_signals", tuple(sorted(clash)))
+        return ("abstain", "conflicting_signals", tuple(sorted(clash))), tuple(stages)
     if not fired:
-        return ("abstain", "conservative_ambiguity", ("no_candidate",))
+        return ("abstain", "conservative_ambiguity", ("no_candidate",)), tuple(stages)
 
     # Stage 4: vetoes prune (indeterminate prunes), escalation needs a
-    # definitively true justification.
-    pruned = {v.class_id for v in policy.stewardship.class_vetoes if truth_of(v.when, fields) is not False}
+    # definitively true justification. Every veto is recorded, and so is
+    # each fired rule whose candidate is removed, as vetoed; the notes are
+    # the justification, when it holds, then the survivors.
+    vetoes = {v.rule_id: truth_of(v.when, fields) for v in policy.stewardship.class_vetoes}
+    pruned = {v.class_id for v in policy.stewardship.class_vetoes if vetoes[v.rule_id] is not False}
     justified = truth_of(policy.stewardship.escalation_justification, fields) is True
     ranks = {c.class_id: c.spectrum_rank for c in policy.classes}
     escalation = {c.class_id for c in policy.classes if c.escalation_tier}
     survivors = set()
+    pairs = [(i, _VERDICT[v]) for i, v in vetoes.items()]
     for rule in fired:
         cid = rule.candidate
-        if cid in pruned:
-            continue
-        if cid in escalation and not justified:
-            continue
-        survivors.add(cid)
+        if cid in pruned or (cid in escalation and not justified):
+            pairs.append((rule.rule_id, "vetoed"))
+        else:
+            survivors.add(cid)
+    notes = (("escalation_justification",) if justified else ()) + tuple(sorted(survivors))
+    stages.append(_stage("stewardship", pairs, notes))
     if not survivors:
-        return ("abstain", "conservative_ambiguity", ("all_candidates_vetoed",))
+        return ("abstain", "conservative_ambiguity", ("all_candidates_vetoed",)), tuple(stages)
     best = min(ranks[cid] for cid in survivors)
     tied = tuple(sorted(cid for cid in survivors if ranks[cid] == best))
     if len(tied) > 1:
-        return ("abstain", "conservative_ambiguity", tied)
+        return ("abstain", "conservative_ambiguity", tied), tuple(stages)
 
     # Stage 5.
-    return ("recommend", tied[0])
+    stages.append(_stage("output", (), tied))
+    return ("recommend", tied[0]), tuple(stages)
+
+
+def oracle_decide(policy: Policy, case: CaseInput) -> tuple:
+    """The outcome as a plain comparable tuple: ``("recommend", class_id)``
+    or ``("abstain", category, labels)``."""
+    return _oracle(policy, case)[0]
+
+
+def oracle_trace(policy: Policy, case: CaseInput) -> tuple:
+    """The trace's stages as plain tuples, one ``(stage, pairs, notes)`` per
+    stage reached, in pipeline order; ``pairs`` holds ``(rule_id, verdict)``
+    sorted by id, and names and verdicts are their canonical strings."""
+    return _oracle(policy, case)[1]
 
 
 def as_tuple(output: SystemOutput) -> tuple:
@@ -203,6 +254,13 @@ def as_tuple(output: SystemOutput) -> tuple:
         return ("recommend", output.class_id)
     assert output.reason is not None
     return ("abstain", output.reason.category.value, output.reason.labels)
+
+
+def as_trace(trace: AuditTrace) -> tuple:
+    """Engine trace, decoded from its canonical bytes, in ``oracle_trace``'s
+    shape."""
+    stages = json.loads(canonical_serialize(trace))["stages"]
+    return tuple((s["stage"], tuple(map(tuple, s["evaluated"])), tuple(s["notes"])) for s in stages)
 
 
 _WILDCARD = ExpectedBehavior(Action.ABSTAIN)
