@@ -31,19 +31,24 @@ the other conditions yield, at the first mismatching leaf in rule-id order;
 a condition's connective steps then run only if its sentinel conjunct is
 not FALSE.
 
-Stages 1–3 record one verdict per declaration, so the cache also holds a
-table per stage (``_Table``): each declaration's ``(rule_id, verdict)``
-pair and that pair's canonical JSON text for each truth value. A stage's
-record is two C-level picks from its table by the truth values, and it
-carries its encoded text, so ``canonical_serialize`` re-encodes nothing of
-it. In stage 3 a rule whose ``requires`` are unmet picks by INDETERMINATE
-whatever its condition yields. Stages 4 and 5 build plain records, which
-are encoded when serialized.
+Every stage record is built through ``StageRecord._encoded`` and carries
+its canonical JSON text, so ``canonical_serialize`` re-encodes nothing of
+it. The cache holds a table per stage 1–4 (``_Table``): each declaration's
+``(rule_id, verdict)`` pair and that pair's text for each truth value.
+Stages 1–3 pick their record from it by the truth values, with two C-level
+maps, once per distinct vector of them (in stage 3 a rule whose
+``requires`` are unmet picks by INDETERMINATE whatever its condition
+yields). Stage 4 merges its picks, in rule-id order, with the pre-built
+``vetoed`` pair of each fired rule whose candidate is removed. Stage 5's
+record is built once per class. Records are immutable, so traces share
+them, and ``decide`` assembles each trace through ``AuditTrace._trusted``.
 
 Many cases end in equal outputs, so the cache also keeps each distinct
 output (built through the public ``SystemOutput`` constructors, with all
 their checks) and ``decide`` returns that instance for an equal outcome;
 an output keeps its text once encoded, so a shared one is encoded once.
+Memo keys come from case data, so each memo, of outputs or of a table's
+records, stops growing at ``_OUTPUT_MEMO_LIMIT`` entries.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -79,31 +84,55 @@ _MISSING_INPUTS, _UNKNOWN_RISK, _CONFLICTING_SIGNALS, _EXPLICIT_EXCLUSION, _CONS
 _FIRED, _VETOED = Verdict.FIRED, Verdict.VETOED
 _TOKEN_SET = FieldKind.TOKEN_SET
 
-# The most outputs ``decide`` keeps per policy.
+# The most outputs ``decide`` keeps per policy, and the most records it keeps
+# per stage table.
 _OUTPUT_MEMO_LIMIT = 1024
 
 # A rule's verdict, indexed by its condition's truth value.
 _VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
 
 
+def _interned(memo: dict[Any, Any], key: Any, build: Callable[..., Any], *args: Any) -> Any:
+    """The value under ``key``, built by ``build(*args)`` on first use. Keys
+    can come from case data, so a memo stops growing at
+    ``_OUTPUT_MEMO_LIMIT`` entries; past that, values are built per call."""
+    value = memo.get(key)
+    if value is None:
+        value = build(*args)
+        if len(memo) < _OUTPUT_MEMO_LIMIT:
+            memo[key] = value
+    return value
+
+
 class _Table(NamedTuple):
     """Per declaration of a stage, in rule-id order, its ``(rule_id,
     verdict)`` pair and that pair's JSON text (``model._pair_json``), each
-    indexed by truth value."""
+    indexed by truth value; and the stage's records built so far, by
+    ``bytes`` of their truth values."""
 
+    stage: Stage
     verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
     fragments: tuple[tuple[str, ...], ...]
+    records: dict[bytes, StageRecord]
 
     @classmethod
-    def of(cls, declarations: Iterable[Any]) -> "_Table":
+    def of(cls, stage: Stage, declarations: Iterable[Any]) -> "_Table":
         verdicts = tuple(tuple((decl.rule_id, verdict) for verdict in _VERDICTS) for decl in declarations)
-        return cls(verdicts, tuple(tuple(starmap(_pair_json, pairs)) for pairs in verdicts))
+        return cls(stage, verdicts, tuple(tuple(starmap(_pair_json, pairs)) for pairs in verdicts), {})
 
-    def record(self, stage: Stage, truths: list[int]) -> StageRecord:
-        """The stage's record for one truth value per declaration: the pairs
-        and their text are picked from the tables by C-level maps."""
+    def entries(self, truths: list[int]) -> Iterable[tuple[tuple[str, Verdict], str]]:
+        """Each declaration's pair and its text for one truth value each."""
+        return zip(map(getitem, self.verdicts, truths), map(getitem, self.fragments, truths))
+
+    def record(self, truths: list[int]) -> StageRecord:
+        """The stage's record for one truth value per declaration, built once
+        per distinct ``truths``: the pairs and their text are picked from the
+        tables by C-level maps."""
+        return _interned(self.records, bytes(truths), self._build, truths)
+
+    def _build(self, truths: list[int]) -> StageRecord:
         evaluated = tuple(map(getitem, self.verdicts, truths))
-        return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, self.fragments, truths)))
+        return StageRecord._encoded(self.stage, evaluated, ",".join(map(getitem, self.fragments, truths)))
 
 
 class _Compiled(NamedTuple):
@@ -115,6 +144,11 @@ class _Compiled(NamedTuple):
     consistency_table: _Table
     exclusion_table: _Table
     rule_table: _Table
+    veto_table: _Table
+    # Per clinical rule id, its ``(rule_id, VETOED)`` pair and that pair's text.
+    vetoed: dict[str, tuple[tuple[str, Verdict], str]]
+    # Per class id, the stage-5 record that recommends it.
+    output_records: dict[str, StageRecord]
     # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
     # Per exclusion and clinical rule id, the fields whose absence can leave
@@ -125,7 +159,7 @@ class _Compiled(NamedTuple):
     class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
     # The outputs decided so far, by ``(category, frozenset(labels))`` for an
-    # abstention and by class id for a recommendation; see ``_output``.
+    # abstention and by class id for a recommendation; see ``_interned``.
     outputs: dict[Any, SystemOutput]
 
 
@@ -138,17 +172,21 @@ def _compiled(policy: Policy) -> _Compiled:
         pass
     stewardship = policy.stewardship
     rules = policy.clinical_rules
+    class_map = policy.class_map()
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _Table.of(policy.consistency),
-        _Table.of(policy.exclusions),
-        _Table.of(rules),
+        _Table.of(_INPUT_ASSESSMENT, policy.consistency),
+        _Table.of(_EXCLUSIONS, policy.exclusions),
+        _Table.of(_CLINICAL_RULES, rules),
+        _Table.of(_STEWARDSHIP, stewardship.class_vetoes),
+        {rule.rule_id: ((rule.rule_id, _VETOED), _pair_json(rule.rule_id, _VETOED)) for rule in rules},
+        {class_id: StageRecord._encoded(_OUTPUT, (), "", (class_id,)) for class_id in class_map},
         tuple(position for position, rule in enumerate(rules) if rule.requires),
         {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
-        policy.class_map(),
+        class_map,
         tuple(decl.name for decl in policy.risk_fields()),
         {},
     )
@@ -186,8 +224,7 @@ def _assess_inputs(policy: Policy, compiled: _Compiled, fields) -> tuple[Complet
 
 
 class _StewardshipOutcome(NamedTuple):
-    evaluated: tuple[tuple[str, Verdict], ...]
-    notes: tuple[str, ...]
+    record: StageRecord
     survivors: frozenset[str]
     justified: bool
 
@@ -196,26 +233,23 @@ def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired: list[
     """Stage 4: veto pruning and the escalation gate."""
     class_map = compiled.class_map
     candidates = {rule.candidate for rule in fired}
-    evaluated: list[tuple[str, Verdict]] = []
-    vetoed_classes: set[str] = set()
     truths = compiled.stewardship(fields)
-    for veto, truth in zip(policy.stewardship.class_vetoes, truths):
-        evaluated.append((veto.rule_id, _VERDICTS[truth]))
-        if truth != _FALSE:  # indeterminate vetoes, conservatively
-            vetoed_classes.add(veto.class_id)
+    # An indeterminate veto vetoes, conservatively.
+    vetoed_classes = {veto.class_id for veto, truth in zip(policy.stewardship.class_vetoes, truths) if truth != _FALSE}
     justified = truths[-1] == _TRUE
-    survivors: set[str] = set()
-    removed: set[str] = set()
-    for class_id in candidates:
-        if class_id in vetoed_classes or (class_map[class_id].escalation_tier and not justified):
-            removed.add(class_id)
-        else:
-            survivors.add(class_id)
-    for rule in fired:
-        if rule.candidate in removed:
-            evaluated.append((rule.rule_id, _VETOED))
+    removed = {c for c in candidates if c in vetoed_classes or (class_map[c].escalation_tier and not justified)}
+    survivors = candidates - removed
+    # The vetoes' entries and the removed rules' entries, each in rule-id
+    # order, merged by one sort of the two runs.
+    entries = [*compiled.veto_table.entries(truths)]
+    if removed:
+        entries += [compiled.vetoed[rule.rule_id] for rule in fired if rule.candidate in removed]
+        entries.sort()
     notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
-    return _StewardshipOutcome(tuple(evaluated), notes, frozenset(survivors), justified)
+    record = StageRecord._encoded(
+        _STEWARDSHIP, tuple([pair for pair, _ in entries]), ",".join([text for _, text in entries]), notes
+    )
+    return _StewardshipOutcome(record, frozenset(survivors), justified)
 
 
 def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset[str]) -> "str | tuple[str, ...]":
@@ -225,23 +259,11 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
     return tied[0] if len(tied) == 1 else tuple(tied)
 
 
-def _output(outputs: dict[Any, SystemOutput], key: Any, build: Callable[..., SystemOutput], *args: Any) -> SystemOutput:
-    """The output under ``key``, built by ``build(*args)`` on first use.
-    Unknown-risk labels come from case data, so the memo stops growing at
-    ``_OUTPUT_MEMO_LIMIT`` entries; past that, outputs are built per call."""
-    output = outputs.get(key)
-    if output is None:
-        output = build(*args)
-        if len(outputs) < _OUTPUT_MEMO_LIMIT:
-            outputs[key] = output
-    return output
-
-
 def _abstain(
     compiled: _Compiled, stages: list[StageRecord], category: AbstentionCategory, labels: Collection[str]
 ) -> tuple[SystemOutput, AuditTrace]:
-    final = _output(compiled.outputs, (category, frozenset(labels)), SystemOutput.abstain, category, labels)
-    return final, AuditTrace(tuple(stages), final)
+    final = _interned(compiled.outputs, (category, frozenset(labels)), SystemOutput.abstain, category, labels)
+    return final, AuditTrace._trusted(tuple(stages), final)
 
 
 def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
@@ -257,7 +279,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
 
     # Stage 1: input assessment.
     report, truths = _assess_inputs(policy, compiled, fields)
-    stages.append(compiled.consistency_table.record(_INPUT_ASSESSMENT, truths))
+    stages.append(compiled.consistency_table.record(truths))
     if report.missing_required:
         return _abstain(compiled, stages, _MISSING_INPUTS, report.missing_required)
     if report.consistency_violations:
@@ -274,7 +296,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             triggered_labels.append(exclusion.label)
         elif truth == _INDETERMINATE:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
-    stages.append(compiled.exclusion_table.record(_EXCLUSIONS, truths))
+    stages.append(compiled.exclusion_table.record(truths))
     if triggered_labels:
         return _abstain(compiled, stages, _EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
@@ -297,7 +319,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    stages.append(compiled.rule_table.record(_CLINICAL_RULES, picks))
+    stages.append(compiled.rule_table.record(picks))
     if problems:
         return _abstain(compiled, stages, _MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
@@ -314,7 +336,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
 
     # Stage 4: stewardship.
     outcome = _stewardship_stage(policy, compiled, fields, fired)
-    stages.append(StageRecord(_STEWARDSHIP, outcome.evaluated, outcome.notes))
+    stages.append(outcome.record)
     if not outcome.survivors:
         return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
     selection = _select_recommendation(compiled.class_map, outcome.survivors)
@@ -322,6 +344,6 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, selection)
 
     # Stage 5: output.
-    final = _output(compiled.outputs, selection, SystemOutput.recommend, selection)
-    stages.append(StageRecord(_OUTPUT, (), (selection,)))
-    return final, AuditTrace(tuple(stages), final)
+    final = _interned(compiled.outputs, selection, SystemOutput.recommend, selection)
+    stages.append(compiled.output_records[selection])
+    return final, AuditTrace._trusted(tuple(stages), final)

@@ -414,13 +414,17 @@ class StageRecord:
     _json = None
 
     @classmethod
-    def _encoded(cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str) -> "StageRecord":
-        """A record without notes, trusted as built: ``evaluated`` is a tuple
-        of ``(str, Verdict)`` pairs in rule-id order and ``pairs_json`` their
-        ``_pair_json`` texts joined by commas. Skips the sort and the type
-        checks of ``__post_init__``, and attaches the record's JSON text."""
+    def _encoded(
+        cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str, notes: tuple[str, ...] = ()
+    ) -> "StageRecord":
+        """A record trusted as built: ``evaluated`` is a tuple of ``(str,
+        Verdict)`` pairs in rule-id order, ``pairs_json`` their
+        ``_pair_json`` texts joined by commas, and ``notes`` a tuple of
+        ``str``. Skips the sort and the type checks of ``__post_init__``, and
+        attaches the record's JSON text, notes included."""
         record = object.__new__(cls)
-        record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
+        record.__dict__.update(stage=stage, evaluated=evaluated, notes=notes)
+        record.__dict__["_json"] = _record_json(stage, pairs_json, ",".join(map(_quote, notes)))
         return record
 
     __getstate__ = _field_state
@@ -454,6 +458,16 @@ class AuditTrace:
 
     stages: tuple[StageRecord, ...]
     final: SystemOutput
+
+    @classmethod
+    def _trusted(cls, stages: tuple[StageRecord, ...], final: SystemOutput) -> "AuditTrace":
+        """A trace trusted as built, for ``decide`` alone: ``stages`` is a
+        tuple of exact ``StageRecord`` instances in pipeline order, at least
+        one, and ``final`` an exact ``SystemOutput``. Skips the checks of
+        ``__post_init__``."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(stages=stages, final=final)
+        return trace
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -560,13 +574,14 @@ def canonical_serialize(value: Any) -> bytes:
     straight to canonical JSON text: keys written in sorted order, every
     string through the escaper ``json.dumps(ensure_ascii=False)`` uses, enum
     members from tables. A record the engine built already carries its text,
-    made once per policy from the same per-pair encoder (``_pair_json``), and
-    that text is used as is; a record built in code is encoded here. The
-    bytes equal ``canonical_bytes(value.to_canonical())``, which stays the
-    reference form. No float or non-member enum can reach them: a non-``str``
-    id, note or label raises ``TypeError`` here, and stages, verdicts and
-    categories are type-checked when their records are built. Any other
-    value, subclasses included, takes the generic path.
+    joined from pair texts that the same per-pair encoder (``_pair_json``)
+    wrote once per policy, and that text is used as is; a record built in
+    code is encoded here. The bytes equal
+    ``canonical_bytes(value.to_canonical())``, which stays the reference
+    form. No float or non-member enum can reach them: a non-``str`` id, note
+    or label raises ``TypeError`` here, and stages, verdicts and categories
+    are type-checked when their records are built. Any other value,
+    subclasses included, takes the generic path.
     """
     kind = type(value)
     if kind is AuditTrace:

@@ -7,10 +7,10 @@ Truth values are Python's ``True``/``False``/``None`` (``None`` meaning
 straight-line function, and no engine code is imported. It gives each
 case's outcome (``oracle_decide``) and the stages of its audit trace
 (``oracle_trace``), to compare with the engine's through ``as_tuple`` and
-``as_trace``. It also provides
-a seeded generator of small all-boolean policies and exhaustive case
-enumerators so the equivalence check sweeps an entire input space, and a
-seeded generator of small policies and cases over every field kind.
+``as_trace``. It also provides a seeded generator of small all-boolean
+policies and exhaustive case enumerators so the equivalence check sweeps
+an entire input space, and a seeded generator of small policies and cases
+over every field kind.
 """
 
 from __future__ import annotations

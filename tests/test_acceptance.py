@@ -130,8 +130,9 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
                   if evaluate(v.when, fields) is not Truth.FALSE}
         survivors = frozenset({rule.candidate for rule in fired} - vetoed)
         notes = (("escalation_justification",) if outcome.justified else ()) + tuple(sorted(survivors))
-        evaluated = tuple(pair for pair in outcome.evaluated if pair[1] is not engine_module.Verdict.VETOED)
-        return engine_module._StewardshipOutcome(evaluated, notes, survivors, outcome.justified)
+        evaluated = tuple(pair for pair in outcome.record.evaluated if pair[1] is not engine_module.Verdict.VETOED)
+        record = engine_module.StageRecord(engine_module.Stage.STEWARDSHIP, evaluated, notes)
+        return engine_module._StewardshipOutcome(record, survivors, outcome.justified)
 
     _honest_stage = engine_module._stewardship_stage
     with monkeypatch.context() as patch:

@@ -1,7 +1,11 @@
 import copy
 import dataclasses
+import functools
+import importlib.util
 import pickle
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +13,12 @@ from hypothesis import strategies as st
 
 from absgate import (
     decide,
+    engine,
     format_policy,
     load_reference_policy,
     load_reference_suite,
     parse_policy,
+    parse_suite,
     policy_hash,
     validate_policy,
 )
@@ -32,10 +38,12 @@ from absgate.model import (
     canonical_serialize,
 )
 from absgate.policy import ConsistencyConstraint
+from absgate.reference import reference_policy_text, reference_suite_text
 
 from oracle import kind_cases, make_kind_policy, oracle_decide
 
 POLICY = load_reference_policy()
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Complete adult pneumonia presentation; every rule evaluates definitively.
 BASE = {
@@ -358,14 +366,95 @@ def test_engine_built_records_carry_their_text_and_encode_to_the_reference_form(
     assert not rules["r_uti_renal"].requires
     verdicts = dict(decide(POLICY, c04)[1].stages[2].evaluated)
     assert verdicts["r_uti_mild"] is verdicts["r_uti_renal"] is Verdict.INDETERMINATE
-    for c in suite.cases:
-        trace = decide(POLICY, c)[1]
-        assert _encodes_to_the_reference_form(trace)
+    pairs = [(POLICY, suite.cases)]
+    pairs += [(make_kind_policy(seed), kind_cases(seed, 40)) for seed in range(6)]
+    stages, vetoed = set(), 0
+    for policy, cases in pairs:
+        for c in cases:
+            trace = decide(policy, c)[1]
+            assert _encodes_to_the_reference_form(trace)
+            # Every stage's record carries its text, made from the policy's tables.
+            for record in trace.stages:
+                assert record._json is not None
+                assert record._json.encode("utf-8") == canonical_bytes(record.to_canonical())
+                stages.add(record.stage)
+                vetoed += any(verdict is Verdict.VETOED for _, verdict in record.evaluated)
+    assert stages == set(Stage) and vetoed
+
+
+def test_equal_truth_values_give_the_identical_record():
+    policy = pickle.loads(pickle.dumps(POLICY))
+    cases = list(load_reference_suite().cases)
+    traces = [decide(policy, c)[1] for c in cases]
+    # Equal records of stages 1-3 hold equal truth values (stage 3's with
+    # unmet requires read as indeterminate); a stage-5 record, the class.
+    first: dict = {}
+    for trace in traces:
         for record in trace.stages:
-            assert _encodes_to_the_reference_form(record)
-            # Stages 1-3 are picked from the policy's tables with their text.
-            encoded = record.stage in (Stage.INPUT_ASSESSMENT, Stage.EXCLUSIONS, Stage.CLINICAL_RULES)
-            assert (record._json is not None) is encoded
+            if record.stage is not Stage.STEWARDSHIP:
+                assert first.setdefault((record.stage, record.evaluated, record.notes), record) is record
+    assert len(first) < sum(len(t.stages) for t in traces)
+    truths = [0] * len(policy.clinical_rules)
+    assert _compiled(policy).rule_table.record(truths) is _compiled(policy).rule_table.record(truths.copy())
+    # Deciding again hands out the same records.
+    again = [decide(policy, c)[1] for c in cases]
+    for trace, repeat in zip(traces, again):
+        assert trace == repeat and trace is not repeat
+        for record, shared in zip(trace.stages, repeat.stages):
+            assert record is shared or record.stage is Stage.STEWARDSHIP
+
+
+def test_a_memo_limit_of_two_decides_alike_and_keeps_at_most_two(monkeypatch):
+    cases = load_reference_suite().cases
+    expected = [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(POLICY, c) for c in cases)]
+    monkeypatch.setattr(engine, "_OUTPUT_MEMO_LIMIT", 2)
+    policy = pickle.loads(pickle.dumps(POLICY))
+    for _ in range(2):  # the second pass meets full memos
+        assert [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(policy, c) for c in cases)] == expected
+    compiled = _compiled(policy)
+    tables = [value for value in compiled if isinstance(value, engine._Table)]
+    assert len(tables) == 4
+    # Stage 4 takes its pairs from its table and keeps no record there.
+    assert [len(memo) for memo in (compiled.outputs, *(table.records for table in tables))] == [2, 2, 2, 2, 0]
+
+
+def _load_generate():
+    """``bench/generate.py``, imported from the checkout by path."""
+    spec = importlib.util.spec_from_file_location("absgate_test_generate", BENCH / "generate.py")
+    # Its dataclasses look their module up in sys.modules.
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _memo_order_workloads():
+    """For the reference suite and the seed-7 intake_screen suite: one
+    policy, its cases, and each case's canonical output and trace bytes from
+    a cold decide on a freshly parsed policy, one that keeps no memo entry."""
+    generated = _load_generate().build("intake_screen", 7)
+    texts = [(reference_policy_text(), reference_suite_text()), (generated.policy_text, generated.suite_text)]
+    workloads = []
+    for policy_text, suite_text in texts:
+        cases = parse_suite(suite_text)[0].cases
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_OUTPUT_MEMO_LIMIT", 0)
+            cold = parse_policy(policy_text)[0]
+            expected = [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(cold, c) for c in cases)]
+        workloads.append((parse_policy(policy_text)[0], cases, expected))
+    return workloads
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_order_that_fills_the_memos_changes_no_decision(seed):
+    # One warm policy per workload across every example and order.
+    for policy, cases, expected in _memo_order_workloads():
+        order = list(range(len(cases)))
+        random.Random(seed).shuffle(order)
+        for index in order:
+            output, trace = decide(policy, cases[index])
+            assert canonical_serialize(output) + canonical_serialize(trace) == expected[index], cases[index].case_id
 
 
 def test_copies_of_engine_built_records_and_traces_are_equal_and_carry_no_text():

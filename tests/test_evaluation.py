@@ -173,7 +173,7 @@ def _gate_skipping_stewardship(policy, compiled, fields, fired):
         if rule.candidate not in survivors:
             evaluated.append((rule.rule_id, Verdict.VETOED))
     notes = (("escalation_justification",) if justified else ()) + tuple(sorted(survivors))
-    return _StewardshipOutcome(tuple(evaluated), notes, frozenset(survivors), justified)
+    return _StewardshipOutcome(StageRecord(Stage.STEWARDSHIP, evaluated, notes), frozenset(survivors), justified)
 
 
 def test_audit_catches_a_skipped_escalation_gate(monkeypatch):
