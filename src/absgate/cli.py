@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 on success (an abstention is a successful outcome), 1 when
 ``evaluate --strict`` finds a behavioral mismatch or a determinism failure,
-2 on usage, parse, or binding errors.
+2 on usage, parse, binding, unreadable-file or unwritable-report errors.
 """
 
 from __future__ import annotations
@@ -131,7 +131,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 2
     report = run_suite(policy, suite, runs=args.runs)
     if args.report is not None:
-        Path(args.report).write_bytes(canonical_bytes(report.to_canonical()) + b"\n")
+        try:
+            Path(args.report).write_bytes(canonical_bytes(report.to_canonical()) + b"\n")
+        except OSError as exc:
+            print(f"ERROR unwritable_file 0:0 {args.report}: {exc}", file=sys.stderr)
+            return 2
     _summarize(report)
     if args.strict:
         full = all(r.match is MatchLevel.FULL for r in report.results)
@@ -164,9 +168,12 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 

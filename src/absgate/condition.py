@@ -30,22 +30,21 @@ builds a one-condition program and caches it on the node.
 Compiling, ``bare_fields``, ``typecheck``, ``print_condition`` and the
 connectives' ``==`` and ``hash`` all read a tree in post-order from one
 explicit-stack walk (``_postfix``), so a tree's depth is bounded by memory,
-not by the interpreter's recursion limit. The generated ``repr``, and
-``pickle`` and ``copy.deepcopy``, still recurse once per level.
+not by the interpreter's recursion limit. ``repr``, ``pickle`` and
+``copy.deepcopy`` still recurse once per level.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _field_state, _name
+from .model import IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _Frozen, _name, _set
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
     from .policy import FieldDecl
@@ -79,71 +78,76 @@ class Truth(Enum):
     TRUE = 2
 
 
-# Source location is carried for diagnostics only; it never participates in
-# equality, so structurally identical conditions compare equal. The program
-# ``evaluate`` compiles lives in the instance dict as ``_program``, outside the
-# dataclass fields, and is left out of pickles and copies.
-@dataclass(frozen=True)
-class _Node:
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
-    __getstate__ = _field_state
+# Source location, the keyword-only ``line`` and ``col`` that start every
+# node's fields, is for diagnostics only: ``==`` and ``hash`` leave it out.
+# The program ``evaluate`` compiles is kept on the node as ``_program``,
+# not in a field, and is left out of pickles and copies.
+class _Node(_Frozen):
+    _fields = ("line", "col")
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls._fields[2:])
 
 
-@dataclass(frozen=True)
 class Literal(_Node):
-    value: bool
+    _fields = ("line", "col", "value")
 
-    def __post_init__(self) -> None:
-        if type(self.value) is not bool:
-            raise ValueError(f"literal is not a boolean: {self.value!r}")
+    def __init__(self, value: bool, *, line: int = 0, col: int = 0) -> None:
+        if type(value) is not bool:
+            raise ValueError(f"literal is not a boolean: {value!r}")
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Comparison(_Node):
-    field_name: str
-    op: str
-    literal: FieldValue
+    _fields = ("line", "col", "field_name", "op", "literal")
 
-    def __post_init__(self) -> None:
-        _name(self.field_name, IDENT_RE, "field name is not an identifier")
-        if self.op not in COMPARISON_OPS:
-            raise ValueError(f"unknown comparison operator: {self.op!r}")
-        if type(self.literal) is not FieldValue:
-            raise ValueError(f"comparison literal is not a FieldValue: {self.literal!r}")
+    def __init__(self, field_name: str, op: str, literal: FieldValue, *, line: int = 0, col: int = 0) -> None:
+        _name(field_name, IDENT_RE, "field name is not an identifier")
+        if op not in COMPARISON_OPS:
+            raise ValueError(f"unknown comparison operator: {op!r}")
+        if type(literal) is not FieldValue:
+            raise ValueError(f"comparison literal is not a FieldValue: {literal!r}")
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "field_name", field_name)
+        _set(self, "op", op)
+        _set(self, "literal", literal)
 
 
-@dataclass(frozen=True)
 class Present(_Node):
-    field_name: str
+    _fields = ("line", "col", "field_name")
 
-    def __post_init__(self) -> None:
-        _name(self.field_name, IDENT_RE, "field name is not an identifier")
+    def __init__(self, field_name: str, *, line: int = 0, col: int = 0) -> None:
+        _name(field_name, IDENT_RE, "field name is not an identifier")
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "field_name", field_name)
 
 
-@dataclass(frozen=True)
 class Absent(_Node):
-    field_name: str
-
-    def __post_init__(self) -> None:
-        _name(self.field_name, IDENT_RE, "field name is not an identifier")
+    _fields = ("line", "col", "field_name")
+    __init__ = Present.__init__
 
 
-@dataclass(frozen=True)
 class Has(_Node):
-    field_name: str
-    token: str
+    _fields = ("line", "col", "field_name", "token")
 
-    def __post_init__(self) -> None:
-        _name(self.field_name, IDENT_RE, "field name is not an identifier")
-        _name(self.token, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
+    def __init__(self, field_name: str, token: str, *, line: int = 0, col: int = 0) -> None:
+        _name(field_name, IDENT_RE, "field name is not an identifier")
+        _name(token, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "field_name", field_name)
+        _set(self, "token", token)
 
 
 # Connectives compare and hash through ``_postfix``, not field by field, so
 # a tree's depth is bounded by memory here too. A post-order with fixed
 # arities spells exactly one tree, so two trees are equal when their
 # post-orders agree node by node: connectives by class, leaves by their
-# own generated equality.
+# own equality.
 def _tree_eq(self: "Condition", other: object) -> bool:
     if other.__class__ is not self.__class__:
         return NotImplemented
@@ -157,27 +161,34 @@ def _tree_hash(self: "Condition") -> int:
     return hash(tuple([node if isinstance(node, _LEAF_TYPES) else node.__class__ for node in _postfix(self)]))
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    left: "Condition"
-    right: "Condition"
+    _fields = ("line", "col", "left", "right")
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
+    def __init__(self, left: Condition, right: Condition, *, line: int = 0, col: int = 0) -> None:
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Or(_Node):
-    left: "Condition"
-    right: "Condition"
+    _fields = ("line", "col", "left", "right")
+    __init__ = And.__init__
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
 
-@dataclass(frozen=True)
 class Not(_Node):
-    inner: "Condition"
+    _fields = ("line", "col", "inner")
     __eq__ = _tree_eq
     __hash__ = _tree_hash
+
+    def __init__(self, inner: Condition, *, line: int = 0, col: int = 0) -> None:
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "inner", inner)
 
 
 Condition = Union[Literal, Comparison, Present, Absent, Has, And, Or, Not]

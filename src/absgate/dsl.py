@@ -130,6 +130,7 @@ _BINDS = {"or": 1, "and": 2, "not": 3}
 
 def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
     tokens: list[_Tok] = []
+    new = tuple.__new__  # skips the Python-level __new__ that NamedTuple generates
     line = 1
     line_start = 0
     end = 0
@@ -143,7 +144,7 @@ def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
             line += 1
             line_start = end
         elif kind != "COMMENT":
-            tokens.append(_Tok(kind, match.group(), line, start - line_start + 1))
+            tokens.append(new(_Tok, (kind, match.group(), line, start - line_start + 1)))
     if end != len(text) and not text[end:].isspace():
         _unexpected(text, end, len(text), line, line_start, diags)
     tokens.append(_Tok("EOF", "", line, len(text) - line_start + 1))

@@ -27,11 +27,10 @@ raises ``TypeError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from decimal import Context, Decimal, InvalidOperation
 from enum import Enum
 from json.encoder import encode_basestring as _quote
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Mapping
 
 from .canon import canonical_bytes
@@ -90,10 +89,50 @@ def _sorted_names(items: Iterable[Any], pattern: re.Pattern[str], what: str) -> 
     return tuple(sorted({_name(item, pattern, what) for item in items}))
 
 
-def _field_state(self: Any) -> dict[str, Any]:
-    """The pickle and copy state of a dataclass: its fields alone, so that
-    a cache kept in the instance dict is left out and rebuilt on use."""
-    return {field.name: self.__dict__[field.name] for field in fields(self)}
+# Stores one field of a value being built. Unlike a write through the
+# instance's ``__dict__``, it keeps CPython's compact attribute storage:
+# no dict per instance, and faster attribute reads.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types that check or normalize themselves when built:
+    a subclass lists its constructor parameters in ``_fields``, in ``repr``
+    order, and its ``__init__`` checks them and stores each with ``_set``.
+    Nothing can be set or deleted; ``==`` and ``hash`` go by class and by
+    ``_key``, an ``attrgetter`` over ``_fields`` unless a subclass sets
+    another. Pickles and copies hold the fields alone, so a cache kept in the
+    instance (``_json``, ``_program``, ``_compiled``) is rebuilt on use, and
+    ``_replace`` rebuilds through the constructor, checks and all."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes: Any) -> Any:
+        return self.__class__(**{**self.__getstate__(), **changes})
 
 
 class FieldKind(str, Enum):
@@ -109,18 +148,15 @@ class FieldKind(str, Enum):
 _BOOLEAN, _INTEGER, _DECIMAL, _TOKEN, _TOKEN_SET = FieldKind
 
 
-@dataclass(frozen=True)
-class FieldValue:
+class FieldValue(_Frozen):
     """One typed case-input value, checked against its kind however it is
     built: a decimal is read from a string or a ``Decimal``, quantized to
     four fractional digits and normalized from ``-0``, and a token set
     becomes a ``frozenset``. So every value hashes and serializes."""
 
-    kind: FieldKind
-    value: Any
+    _fields = ("kind", "value")
 
-    def __post_init__(self) -> None:
-        kind, value = self.kind, self.value
+    def __init__(self, kind: FieldKind, value: Any) -> None:
         if kind is _BOOLEAN:
             if not isinstance(value, bool):
                 raise ValueError(f"boolean value required, got {value!r}")
@@ -144,7 +180,7 @@ class FieldValue:
             if quantized != value:
                 raise ValueError(f"more than 4 fractional digits: {_CONTEXT.to_sci_string(value)}")
             # copy_abs normalizes -0.0000.
-            object.__setattr__(self, "value", quantized.copy_abs() if quantized == 0 else quantized)
+            value = quantized.copy_abs() if quantized == 0 else quantized
         elif kind is _TOKEN:
             _name(value, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
         elif kind is _TOKEN_SET:
@@ -153,9 +189,11 @@ class FieldValue:
             items = list(value)
             if len(_sorted_names(items, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")) != len(items):
                 raise ValueError(f"duplicate tokens in set: {items!r}")
-            object.__setattr__(self, "value", frozenset(items))
+            value = frozenset(items)
         else:
             raise ValueError(f"not a field kind: {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "value", value)
 
     @classmethod
     def boolean(cls, value: bool) -> "FieldValue":
@@ -226,53 +264,50 @@ class AbstentionCategory(str, Enum):
 _EXPLICIT_EXCLUSION = AbstentionCategory.EXPLICIT_EXCLUSION
 
 
-@dataclass(frozen=True)
-class AbstentionReason:
+class AbstentionReason(_Frozen):
     """Why the engine declined, plus the identifiers that triggered it: any
     iterable of labels is kept sorted and without duplicates."""
 
-    category: AbstentionCategory
-    labels: tuple[str, ...]
+    _fields = ("category", "labels")
 
-    def __post_init__(self) -> None:
-        if type(self.category) is not AbstentionCategory:
-            raise TypeError(f"category is not an AbstentionCategory: {self.category!r}")
-        normalized = _sorted_names(self.labels, IDENT_RE, "label is not an identifier")
-        if self.category is _EXPLICIT_EXCLUSION and not normalized:
+    def __init__(self, category: AbstentionCategory, labels: tuple[str, ...]) -> None:
+        if type(category) is not AbstentionCategory:
+            raise TypeError(f"category is not an AbstentionCategory: {category!r}")
+        labels = _sorted_names(labels, IDENT_RE, "label is not an identifier")
+        if category is _EXPLICIT_EXCLUSION and not labels:
             raise ValueError("explicit exclusion requires at least one label")
-        object.__setattr__(self, "labels", normalized)
+        _set(self, "category", category)
+        _set(self, "labels", labels)
 
     def to_canonical(self) -> dict[str, Any]:
         return {"category": self.category.value, "labels": list(self.labels)}
 
 
-@dataclass(frozen=True)
-class SystemOutput:
+class SystemOutput(_Frozen):
     """Exactly one of: recommendation of a class, or typed abstention.
 
     An output keeps its canonical JSON text once ``canonical_serialize`` has
     encoded it, so an output that many decisions share is encoded once. As
     with a ``StageRecord``'s text, it is not a field: ``==``, ``hash``,
-    ``repr`` and ``dataclasses.replace`` ignore it, and pickles and copies
-    leave it out.
+    ``repr`` and ``_replace`` ignore it, and pickles and copies leave it out.
     """
 
-    action: Action
-    class_id: str | None = None
-    reason: AbstentionReason | None = None
+    _fields = ("action", "class_id", "reason")
     _json = None
-    __getstate__ = _field_state
 
-    def __post_init__(self) -> None:
-        if self.action is _RECOMMEND:
-            if self.class_id is None or self.reason is not None:
+    def __init__(self, action: Action, class_id: str | None = None, reason: AbstentionReason | None = None) -> None:
+        if action is _RECOMMEND:
+            if class_id is None or reason is not None:
                 raise ValueError("recommendation carries a class id and no reason")
-            _name(self.class_id, IDENT_RE, "class id is not an identifier")
-        elif self.action is _ABSTAIN:
-            if self.reason is None or self.class_id is not None:
+            _name(class_id, IDENT_RE, "class id is not an identifier")
+        elif action is _ABSTAIN:
+            if reason is None or class_id is not None:
                 raise ValueError("abstention carries a reason and no class id")
         else:
-            raise ValueError(f"output action is not an Action: {self.action!r}")
+            raise ValueError(f"output action is not an Action: {action!r}")
+        _set(self, "action", action)
+        _set(self, "class_id", class_id)
+        _set(self, "reason", reason)
 
     @classmethod
     def recommend(cls, class_id: str) -> "SystemOutput":
@@ -306,27 +341,27 @@ class MatchLevel(str, Enum):
 _FULL, _ACTION, _MISMATCH = MatchLevel
 
 
-@dataclass(frozen=True)
-class ExpectedBehavior:
+class ExpectedBehavior(_Frozen):
     """Expected action for a case; ``None`` detail means wildcard ("any")."""
 
-    action: Action
-    class_id: str | None = None
-    category: AbstentionCategory | None = None
+    _fields = ("action", "class_id", "category")
 
-    def __post_init__(self) -> None:
-        if type(self.action) is not Action:
-            raise ValueError(f"expected action is not an Action: {self.action!r}")
-        if self.action is _RECOMMEND:
-            if self.category is not None:
+    def __init__(self, action: Action, class_id: str | None = None, category: AbstentionCategory | None = None) -> None:
+        if type(action) is not Action:
+            raise ValueError(f"expected action is not an Action: {action!r}")
+        if action is _RECOMMEND:
+            if category is not None:
                 raise ValueError("recommend expectation cannot carry a category")
-            if self.class_id is not None:
-                _name(self.class_id, IDENT_RE, "class id is not an identifier")
+            if class_id is not None:
+                _name(class_id, IDENT_RE, "class id is not an identifier")
         else:
-            if self.class_id is not None:
+            if class_id is not None:
                 raise ValueError("abstain expectation cannot carry a class id")
-            if self.category is not None and type(self.category) is not AbstentionCategory:
-                raise ValueError(f"category is not an AbstentionCategory: {self.category!r}")
+            if category is not None and type(category) is not AbstentionCategory:
+                raise ValueError(f"category is not an AbstentionCategory: {category!r}")
+        _set(self, "action", action)
+        _set(self, "class_id", class_id)
+        _set(self, "category", category)
 
     def to_canonical(self) -> dict[str, str]:
         if self.action is _RECOMMEND:
@@ -337,24 +372,21 @@ class ExpectedBehavior:
 _FIELD_VALUE_TYPE, _STR_TYPE = frozenset((FieldValue,)), frozenset((str,))
 
 
-@dataclass(frozen=True)
-class CaseInput:
+class CaseInput(_Frozen):
     """One evaluation case: typed fields plus the expected behavior."""
 
-    case_id: str
-    description: str
-    mechanism: str
-    fields: Mapping[str, FieldValue]
-    expected: ExpectedBehavior
+    _fields = ("case_id", "description", "mechanism", "fields", "expected")
 
-    def __post_init__(self) -> None:
-        _name(self.case_id, IDENT_RE, "case id is not an identifier")
-        if not isinstance(self.description, str):
-            raise ValueError(f"description is not a string: {self.description!r}")
-        if _SURROGATE_RE.search(self.description):  # a JSON escape can spell a lone surrogate
+    def __init__(
+        self, case_id: str, description: str, mechanism: str, fields: Mapping[str, FieldValue],
+        expected: ExpectedBehavior,
+    ) -> None:
+        _name(case_id, IDENT_RE, "case id is not an identifier")
+        if not isinstance(description, str):
+            raise ValueError(f"description is not a string: {description!r}")
+        if _SURROGATE_RE.search(description):  # a JSON escape can spell a lone surrogate
             raise ValueError("description is not valid Unicode text")
-        _name(self.mechanism, TOKEN_RE, "mechanism is not a token")
-        fields = self.fields
+        _name(mechanism, TOKEN_RE, "mechanism is not a token")
         # C-level passes over the value types, the name types and the names;
         # only a failure walks the fields in order, checking as ``_name`` does.
         clean = (
@@ -367,8 +399,13 @@ class CaseInput:
                 _name(name, IDENT_RE, "field name is not an identifier")
                 if type(value) is not FieldValue:
                     raise ValueError(f"field {name!r} is not a FieldValue: {value!r}")
-        if type(self.expected) is not ExpectedBehavior:
-            raise ValueError(f"expected is not an ExpectedBehavior: {self.expected!r}")
+        if type(expected) is not ExpectedBehavior:
+            raise ValueError(f"expected is not an ExpectedBehavior: {expected!r}")
+        _set(self, "case_id", case_id)
+        _set(self, "description", description)
+        _set(self, "mechanism", mechanism)
+        _set(self, "fields", fields)
+        _set(self, "expected", expected)
 
     def to_canonical(self) -> dict[str, Any]:
         return {
@@ -398,20 +435,31 @@ class Verdict(str, Enum):
     VETOED = "vetoed"
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(_Frozen):
     """What one pipeline stage evaluated, in rule-id order.
 
     A record that the engine builds through ``_encoded`` carries its own
     canonical JSON text. The text is not a field, so ``==``, ``hash``,
-    ``repr`` and ``dataclasses.replace`` ignore it, and pickles and copies
-    leave it out. Every other record has the class default ``None``.
+    ``repr`` and ``_replace`` ignore it, and pickles and copies leave it
+    out. Every other record has the class default ``None``.
     """
 
-    stage: Stage
-    evaluated: tuple[tuple[str, Verdict], ...] = ()
-    notes: tuple[str, ...] = ()
+    _fields = ("stage", "evaluated", "notes")
     _json = None
+
+    def __init__(
+        self, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...] = (), notes: tuple[str, ...] = ()
+    ) -> None:
+        # Exact types, so that canonical_serialize can trust its tables.
+        if type(stage) is not Stage:
+            raise TypeError(f"stage is not a Stage: {stage!r}")
+        evaluated = tuple(sorted(evaluated, key=itemgetter(0)))
+        for _, verdict in evaluated:
+            if type(verdict) is not Verdict:
+                raise TypeError(f"verdict is not a Verdict: {verdict!r}")
+        _set(self, "stage", stage)
+        _set(self, "evaluated", evaluated)
+        _set(self, "notes", tuple(notes))
 
     @classmethod
     def _encoded(
@@ -420,25 +468,12 @@ class StageRecord:
         """A record trusted as built: ``evaluated`` is a tuple of ``(str,
         Verdict)`` pairs in rule-id order, ``pairs_json`` their
         ``_pair_json`` texts joined by commas, and ``notes`` a tuple of
-        ``str``. Skips the sort and the type checks of ``__post_init__``, and
+        ``str``. Skips the sort and the type checks of ``__init__``, and
         attaches the record's JSON text, notes included."""
         record = object.__new__(cls)
         record.__dict__.update(stage=stage, evaluated=evaluated, notes=notes)
         record.__dict__["_json"] = _record_json(stage, pairs_json, ",".join(map(_quote, notes)))
         return record
-
-    __getstate__ = _field_state
-
-    def __post_init__(self) -> None:
-        # Exact types, so that canonical_serialize can trust its tables.
-        if type(self.stage) is not Stage:
-            raise TypeError(f"stage is not a Stage: {self.stage!r}")
-        evaluated = tuple(sorted(self.evaluated, key=itemgetter(0)))
-        for _, verdict in evaluated:
-            if type(verdict) is not Verdict:
-                raise TypeError(f"verdict is not a Verdict: {verdict!r}")
-        object.__setattr__(self, "evaluated", evaluated)
-        object.__setattr__(self, "notes", tuple(self.notes))
 
     def to_canonical(self) -> dict[str, Any]:
         return {
@@ -448,36 +483,36 @@ class StageRecord:
         }
 
 
-@dataclass(frozen=True)
-class AuditTrace:
+class AuditTrace(_Frozen):
     """Ordered stage records ending in the final output.
 
     Stages appear in pipeline order; stages after the terminating stage are
     absent, so an abstention at exclusions yields exactly two records.
     """
 
-    stages: tuple[StageRecord, ...]
-    final: SystemOutput
+    _fields = ("stages", "final")
+
+    def __init__(self, stages: tuple[StageRecord, ...], final: SystemOutput) -> None:
+        stages = tuple(stages)
+        if type(final) is not SystemOutput or any(type(record) is not StageRecord for record in stages):
+            raise TypeError("trace requires StageRecord stages and a SystemOutput final")
+        observed = tuple(record.stage for record in stages)
+        if observed != PIPELINE_STAGES[: len(observed)]:
+            raise ValueError(f"stages out of pipeline order: {[s.value for s in observed]}")
+        if not stages:
+            raise ValueError("trace requires at least one stage")
+        _set(self, "stages", stages)
+        _set(self, "final", final)
 
     @classmethod
     def _trusted(cls, stages: tuple[StageRecord, ...], final: SystemOutput) -> "AuditTrace":
         """A trace trusted as built, for ``decide`` alone: ``stages`` is a
         tuple of exact ``StageRecord`` instances in pipeline order, at least
         one, and ``final`` an exact ``SystemOutput``. Skips the checks of
-        ``__post_init__``."""
+        ``__init__``."""
         trace = object.__new__(cls)
         trace.__dict__.update(stages=stages, final=final)
         return trace
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if type(self.final) is not SystemOutput or any(type(record) is not StageRecord for record in self.stages):
-            raise TypeError("trace requires StageRecord stages and a SystemOutput final")
-        observed = tuple(record.stage for record in self.stages)
-        if observed != PIPELINE_STAGES[: len(observed)]:
-            raise ValueError(f"stages out of pipeline order: {[s.value for s in observed]}")
-        if not self.stages:
-            raise ValueError("trace requires at least one stage")
 
     def to_canonical(self) -> dict[str, Any]:
         return {

@@ -18,7 +18,6 @@ changes the digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -33,7 +32,7 @@ from .condition import (
     typecheck,
 )
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind, _field_state, _name, _sorted_names
+from .model import IDENT_RE, INT64_MAX, TOKEN_RE, FieldKind, _Frozen, _name, _set, _sorted_names
 
 __all__ = [
     "NO_CANDIDATE",
@@ -69,136 +68,132 @@ def _sorted_by(items: Iterable[Any], attr: str) -> tuple[Any, ...]:
     return tuple(sorted(items, key=attrgetter(attr)))
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(_Frozen):
     """One schema field. ``enum`` is the closed vocabulary for token kinds;
     a risk-typed tokenset has no enum and is screened against
     ``Policy.known_risks`` at decision time instead."""
 
-    name: str
-    kind: FieldKind
-    enum: tuple[str, ...] | None = None
-    is_risk: bool = False
+    _fields = ("name", "kind", "enum", "is_risk")
 
-    def __post_init__(self) -> None:
-        _name(self.name, IDENT_RE, "field name is not an identifier")
-        if type(self.kind) is not FieldKind:
-            raise ValueError(f"not a field kind: {self.kind!r}")
-        if self.kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
-            if self.is_risk:
-                if self.kind is not FieldKind.TOKEN_SET:
-                    raise ValueError(f"risk marker requires a tokenset field: {self.name}")
-                if self.enum is not None:
-                    raise ValueError(f"risk-typed field carries no enumeration: {self.name}")
+    def __init__(self, name: str, kind: FieldKind, enum: tuple[str, ...] | None = None, is_risk: bool = False) -> None:
+        _name(name, IDENT_RE, "field name is not an identifier")
+        if type(kind) is not FieldKind:
+            raise ValueError(f"not a field kind: {kind!r}")
+        if kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
+            if is_risk:
+                if kind is not FieldKind.TOKEN_SET:
+                    raise ValueError(f"risk marker requires a tokenset field: {name}")
+                if enum is not None:
+                    raise ValueError(f"risk-typed field carries no enumeration: {name}")
             else:
-                enum = _sorted_names(self.enum or (), TOKEN_RE, "enumeration entry is not a token")
+                declared, enum = enum, _sorted_names(enum or (), TOKEN_RE, "enumeration entry is not a token")
                 if not enum:
-                    raise ValueError(f"{self.kind.value} field requires a non-empty enumeration: {self.name}")
-                if len(enum) != len(self.enum):
-                    raise ValueError(f"duplicate enumeration tokens on field {self.name}")
-                object.__setattr__(self, "enum", enum)
+                    raise ValueError(f"{kind.value} field requires a non-empty enumeration: {name}")
+                if len(enum) != len(declared):
+                    raise ValueError(f"duplicate enumeration tokens on field {name}")
         else:
-            if self.enum is not None or self.is_risk:
-                raise ValueError(f"{self.kind.value} field admits neither enum nor risk marker: {self.name}")
+            if enum is not None or is_risk:
+                raise ValueError(f"{kind.value} field admits neither enum nor risk marker: {name}")
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "enum", enum)
+        _set(self, "is_risk", is_risk)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(_Frozen):
     """A recommendable class; lower spectrum rank means narrower."""
 
-    class_id: str
-    spectrum_rank: int
-    escalation_tier: bool = False
+    _fields = ("class_id", "spectrum_rank", "escalation_tier")
 
-    def __post_init__(self) -> None:
-        _name(self.class_id, IDENT_RE, "class id is not an identifier")
-        rank = self.spectrum_rank
-        if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= INT64_MAX:
-            raise ValueError(f"spectrum rank must be a positive 64-bit integer: {rank!r}")
-
-
-@dataclass(frozen=True)
-class ConsistencyConstraint:
-    rule_id: str
-    forbid: Condition
-
-    def __post_init__(self) -> None:
-        _name(self.rule_id, IDENT_RE, "consistency id is not an identifier")
+    def __init__(self, class_id: str, spectrum_rank: int, escalation_tier: bool = False) -> None:
+        _name(class_id, IDENT_RE, "class id is not an identifier")
+        if isinstance(spectrum_rank, bool) or not isinstance(spectrum_rank, int) or not 1 <= spectrum_rank <= INT64_MAX:
+            raise ValueError(f"spectrum rank must be a positive 64-bit integer: {spectrum_rank!r}")
+        _set(self, "class_id", class_id)
+        _set(self, "spectrum_rank", spectrum_rank)
+        _set(self, "escalation_tier", escalation_tier)
 
 
-@dataclass(frozen=True)
-class ExclusionRule:
-    rule_id: str
-    label: str
-    when: Condition
+class ConsistencyConstraint(_Frozen):
+    _fields = ("rule_id", "forbid")
 
-    def __post_init__(self) -> None:
-        _name(self.rule_id, IDENT_RE, "exclusion id is not an identifier")
-        _name(self.label, IDENT_RE, "exclusion label is not an identifier")
+    def __init__(self, rule_id: str, forbid: Condition) -> None:
+        _name(rule_id, IDENT_RE, "consistency id is not an identifier")
+        _set(self, "rule_id", rule_id)
+        _set(self, "forbid", forbid)
 
 
-@dataclass(frozen=True)
-class ClinicalRule:
-    rule_id: str
-    when: Condition
-    candidate: str
-    requires: tuple[str, ...] = ()
-    incompatible_with: tuple[str, ...] = ()
+class ExclusionRule(_Frozen):
+    _fields = ("rule_id", "label", "when")
 
-    def __post_init__(self) -> None:
-        _name(self.rule_id, IDENT_RE, "rule id is not an identifier")
-        _name(self.candidate, IDENT_RE, "candidate class id is not an identifier")
-        requires = _sorted_names(self.requires, IDENT_RE, "required field is not an identifier")
-        incompatible = _sorted_names(self.incompatible_with, IDENT_RE, "incompatible rule id is not an identifier")
-        object.__setattr__(self, "requires", requires)
-        object.__setattr__(self, "incompatible_with", incompatible)
+    def __init__(self, rule_id: str, label: str, when: Condition) -> None:
+        _name(rule_id, IDENT_RE, "exclusion id is not an identifier")
+        _name(label, IDENT_RE, "exclusion label is not an identifier")
+        _set(self, "rule_id", rule_id)
+        _set(self, "label", label)
+        _set(self, "when", when)
 
 
-@dataclass(frozen=True)
-class StewardshipVeto:
-    rule_id: str
-    class_id: str
-    when: Condition
+class ClinicalRule(_Frozen):
+    _fields = ("rule_id", "when", "candidate", "requires", "incompatible_with")
 
-    def __post_init__(self) -> None:
-        _name(self.rule_id, IDENT_RE, "veto id is not an identifier")
-        _name(self.class_id, IDENT_RE, "vetoed class id is not an identifier")
-
-
-@dataclass(frozen=True)
-class StewardshipSpec:
-    escalation_justification: Condition
-    class_vetoes: tuple[StewardshipVeto, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "class_vetoes", _sorted_by(self.class_vetoes, "rule_id"))
+    def __init__(
+        self, rule_id: str, when: Condition, candidate: str, requires: tuple[str, ...] = (),
+        incompatible_with: tuple[str, ...] = (),
+    ) -> None:
+        _name(rule_id, IDENT_RE, "rule id is not an identifier")
+        _name(candidate, IDENT_RE, "candidate class id is not an identifier")
+        _set(self, "rule_id", rule_id)
+        _set(self, "when", when)
+        _set(self, "candidate", candidate)
+        _set(self, "requires", _sorted_names(requires, IDENT_RE, "required field is not an identifier"))
+        incompatible = _sorted_names(incompatible_with, IDENT_RE, "incompatible rule id is not an identifier")
+        _set(self, "incompatible_with", incompatible)
 
 
-@dataclass(frozen=True)
-class Policy:
-    policy_id: str
-    version: str
-    schema: tuple[FieldDecl, ...]
-    classes: tuple[ClassDecl, ...]
-    stewardship: StewardshipSpec
-    required: tuple[str, ...] = ()
-    known_risks: frozenset[str] = frozenset()
-    consistency: tuple[ConsistencyConstraint, ...] = ()
-    exclusions: tuple[ExclusionRule, ...] = ()
-    clinical_rules: tuple[ClinicalRule, ...] = ()
+class StewardshipVeto(_Frozen):
+    _fields = ("rule_id", "class_id", "when")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", _sorted_by(self.schema, "name"))
-        object.__setattr__(self, "classes", _sorted_by(self.classes, "class_id"))
-        required = _sorted_names(self.required, IDENT_RE, "required field is not an identifier")
-        object.__setattr__(self, "required", required)
-        risks = _sorted_names(self.known_risks, TOKEN_RE, "known risk is not a token")
-        object.__setattr__(self, "known_risks", frozenset(risks))
-        object.__setattr__(self, "consistency", _sorted_by(self.consistency, "rule_id"))
-        object.__setattr__(self, "exclusions", _sorted_by(self.exclusions, "rule_id"))
-        object.__setattr__(self, "clinical_rules", _sorted_by(self.clinical_rules, "rule_id"))
-        _name(self.policy_id, IDENT_RE, "policy id is not an identifier")
-        _name(self.version, TOKEN_RE, "version is not a token")
+    def __init__(self, rule_id: str, class_id: str, when: Condition) -> None:
+        _name(rule_id, IDENT_RE, "veto id is not an identifier")
+        _name(class_id, IDENT_RE, "vetoed class id is not an identifier")
+        _set(self, "rule_id", rule_id)
+        _set(self, "class_id", class_id)
+        _set(self, "when", when)
+
+
+class StewardshipSpec(_Frozen):
+    _fields = ("escalation_justification", "class_vetoes")
+
+    def __init__(self, escalation_justification: Condition, class_vetoes: tuple[StewardshipVeto, ...] = ()) -> None:
+        _set(self, "escalation_justification", escalation_justification)
+        _set(self, "class_vetoes", _sorted_by(class_vetoes, "rule_id"))
+
+
+class Policy(_Frozen):
+    _fields = (
+        "policy_id", "version", "schema", "classes", "stewardship", "required", "known_risks", "consistency",
+        "exclusions", "clinical_rules",
+    )
+
+    def __init__(
+        self, policy_id: str, version: str, schema: tuple[FieldDecl, ...], classes: tuple[ClassDecl, ...],
+        stewardship: StewardshipSpec, required: tuple[str, ...] = (), known_risks: frozenset[str] = frozenset(),
+        consistency: tuple[ConsistencyConstraint, ...] = (), exclusions: tuple[ExclusionRule, ...] = (),
+        clinical_rules: tuple[ClinicalRule, ...] = (),
+    ) -> None:
+        _set(self, "policy_id", policy_id)
+        _set(self, "version", version)
+        _set(self, "schema", _sorted_by(schema, "name"))
+        _set(self, "classes", _sorted_by(classes, "class_id"))
+        _set(self, "stewardship", stewardship)
+        _set(self, "required", _sorted_names(required, IDENT_RE, "required field is not an identifier"))
+        _set(self, "known_risks", frozenset(_sorted_names(known_risks, TOKEN_RE, "known risk is not a token")))
+        _set(self, "consistency", _sorted_by(consistency, "rule_id"))
+        _set(self, "exclusions", _sorted_by(exclusions, "rule_id"))
+        _set(self, "clinical_rules", _sorted_by(clinical_rules, "rule_id"))
+        _name(policy_id, IDENT_RE, "policy id is not an identifier")
+        _name(version, TOKEN_RE, "version is not a token")
         if not self.schema:
             raise ValueError("policy declares no fields")
         if not self.classes:
@@ -234,8 +229,6 @@ class Policy:
                 if name in seen:
                     raise ValueError(f"{what} '{name}' declared twice")
                 seen.add(name)
-
-    __getstate__ = _field_state
 
     def field_map(self) -> dict[str, FieldDecl]:
         return {f.name: f for f in self.schema}

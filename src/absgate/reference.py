@@ -8,8 +8,6 @@ stewardship gates, and the recommendation paths.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .dsl import parse_policy
 from .policy import Policy
 from .suite import Suite, parse_suite
@@ -23,6 +21,7 @@ __all__ = [
 
 
 def _read(name: str) -> str:
+    from importlib import resources  # here: it loads zipfile and tempfile, which start-up need not pay for
     return resources.files("absgate.data").joinpath(name).read_text(encoding="utf-8")
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
 from typing import Any, Iterator, Sequence
 
@@ -49,7 +48,9 @@ from .model import (
     FieldKind,
     FieldValue,
     _expected_json,
+    _Frozen,
     _name,
+    _set,
     _value_json,
 )
 from .policy import FieldDecl, Policy, policy_hash
@@ -73,20 +74,21 @@ _TOP_KEYS = {"suite_id", "version", "policy_hash_pin", "mechanisms", "cases"}
 _CASE_KEYS = {"id", "description", "mechanism", "fields", "expect"}
 
 
-@dataclass(frozen=True)
-class Suite:
-    suite_id: str
-    version: str
-    mechanisms: tuple[str, ...]
-    cases: tuple[CaseInput, ...]
-    policy_hash_pin: str | None = None
+class Suite(_Frozen):
+    _fields = ("suite_id", "version", "mechanisms", "cases", "policy_hash_pin")
 
-    def __post_init__(self) -> None:
-        mechanisms, cases = tuple(self.mechanisms), tuple(self.cases)
-        for _code, message in suite_findings(self.suite_id, self.version, self.policy_hash_pin, mechanisms, cases):
+    def __init__(
+        self, suite_id: str, version: str, mechanisms: tuple[str, ...], cases: tuple[CaseInput, ...],
+        policy_hash_pin: str | None = None,
+    ) -> None:
+        mechanisms, cases = tuple(mechanisms), tuple(cases)
+        for _code, message in suite_findings(suite_id, version, policy_hash_pin, mechanisms, cases):
             raise ValueError(message)
-        object.__setattr__(self, "mechanisms", tuple(sorted(set(mechanisms))))
-        object.__setattr__(self, "cases", tuple(sorted(cases, key=lambda c: c.case_id)))
+        _set(self, "suite_id", suite_id)
+        _set(self, "version", version)
+        _set(self, "mechanisms", tuple(sorted(set(mechanisms))))
+        _set(self, "cases", tuple(sorted(cases, key=lambda c: c.case_id)))
+        _set(self, "policy_hash_pin", policy_hash_pin)
 
     def case(self, case_id: str) -> CaseInput | None:
         for case in self.cases:

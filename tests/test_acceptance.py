@@ -6,7 +6,6 @@ are exact: concordance is rational arithmetic, determinism is byte
 equality, digests are pinned hex constants. No tolerances apply.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -185,12 +184,12 @@ def test_criterion_7_one_flipped_expectation_moves_concordance_by_exactly_one_ca
     problems = []
     baseline = run_suite(POLICY, SUITE, runs=1)
     flipped_cases = tuple(
-        dataclasses.replace(case, expected=ExpectedBehavior(Action.RECOMMEND, class_id="macrolide"))
+        case._replace(expected=ExpectedBehavior(Action.RECOMMEND, class_id="macrolide"))
         if case.case_id == "c17"
         else case
         for case in SUITE.cases
     )
-    flipped = dataclasses.replace(SUITE, cases=flipped_cases)
+    flipped = SUITE._replace(cases=flipped_cases)
     report = run_suite(POLICY, flipped, runs=1)
     delta = baseline.concordance_full - report.concordance_full
     if delta != Fraction(1, 23):

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -200,6 +202,35 @@ def test_evaluate_rejects_nonpositive_runs(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--runs", "0"])
     assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --runs: must be a positive integer\n")
+
+
+@pytest.mark.parametrize("runs", ["-2", "x", "1.5", ""])
+def test_evaluate_words_every_bad_runs_value_alike(capsys, runs):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--runs", runs])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --runs: must be a positive integer\n") and "_positive_int" not in err
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_evaluate_reports_an_unwritable_report_as_a_diagnostic(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing_directory" else tmp_path
+    reason = "[Errno 2] No such file or directory" if where == "missing_directory" else "[Errno 21] Is a directory"
+    code = main(["evaluate", "--strict", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--report", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR unwritable_file 0:0 {path}: {reason}: {str(path)!r}\n"
+
+
+def test_importing_the_cli_loads_no_module_it_does_not_use():
+    # -S: no site, so nothing that site imports for its own ends is counted.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, absgate.cli; print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_evaluate_writes_a_canonical_report(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import importlib.util
 import pickle
@@ -462,7 +461,7 @@ def test_copies_of_engine_built_records_and_traces_are_equal_and_carry_no_text()
     assert len(trace.stages) == 5
     record = trace.stages[2]
     assert record._json is not None
-    clones = (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record), dataclasses.replace(record))
+    clones = (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record), record._replace())
     for clone in clones:
         assert clone == record
         assert hash(clone) == hash(record)
@@ -474,7 +473,7 @@ def test_copies_of_engine_built_records_and_traces_are_equal_and_carry_no_text()
         assert hash(clone) == hash(trace)
         assert all(r._json is None for r in clone.stages)
         assert canonical_serialize(clone) == canonical_serialize(trace)
-    replaced = dataclasses.replace(trace)
+    replaced = trace._replace()
     assert replaced == trace and canonical_serialize(replaced) == canonical_serialize(trace)
 
 
@@ -520,7 +519,7 @@ def test_an_output_keeps_its_text_out_of_equality_repr_pickles_and_copies():
     assert output._json == text.decode("utf-8") and fresh._json is None
     assert output == fresh and hash(output) == hash(fresh) and repr(output) == repr(fresh)
     assert "_json" not in repr(output) and b"_json" not in pickle.dumps(output)
-    clones = (pickle.loads(pickle.dumps(output)), copy.deepcopy(output), copy.copy(output), dataclasses.replace(output))
+    clones = (pickle.loads(pickle.dumps(output)), copy.deepcopy(output), copy.copy(output), output._replace())
     for clone in clones:
         assert clone == output and "_json" not in vars(clone) and clone._json is None
         assert canonical_serialize(clone) == text
@@ -557,10 +556,10 @@ _RISK_MESSAGE = "has applied to non-set field 'risk_factors'"
 
 def _with_rules(*conditions):
     rules = tuple(
-        dataclasses.replace(POLICY.clinical_rules[0], rule_id=f"r{n}", when=cond, incompatible_with=())
+        POLICY.clinical_rules[0]._replace(rule_id=f"r{n}", when=cond, incompatible_with=())
         for n, cond in enumerate(conditions)
     )
-    return dataclasses.replace(POLICY, clinical_rules=rules)
+    return POLICY._replace(clinical_rules=rules)
 
 
 @pytest.mark.parametrize(
@@ -577,7 +576,7 @@ def test_the_first_mismatch_in_rule_order_raises(conditions, message):
 
 def test_a_mismatch_raises_in_rule_id_order_whatever_the_declaration_order():
     policy = _with_rules(_SYNDROME_TEST, _RISK_TEST)
-    declared_backwards = dataclasses.replace(policy, clinical_rules=policy.clinical_rules[::-1])
+    declared_backwards = policy._replace(clinical_rules=policy.clinical_rules[::-1])
     assert declared_backwards == policy
     with pytest.raises(ValueError, match=_SYNDROME_MESSAGE):
         decide(declared_backwards, case(**_MISTYPED))
@@ -627,7 +626,7 @@ def _deep_policy():
     """The deep rule as r0, and the chain as both r1 and a consistency constraint."""
     chain = _deep_chain()
     policy = _with_rules(_deep_rule(), chain)
-    return dataclasses.replace(policy, consistency=(*policy.consistency, ConsistencyConstraint("c_deep", chain)))
+    return policy._replace(consistency=(*policy.consistency, ConsistencyConstraint("c_deep", chain)))
 
 
 def test_a_rule_deeper_than_the_recursion_limit_builds_and_abstains():

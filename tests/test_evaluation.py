@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
@@ -236,10 +235,7 @@ def test_determinism_check_fails_on_an_unstable_engine(monkeypatch):
             if calls["n"] > 1:
                 # Crosses the geriatric veto threshold, so a recorded
                 # verdict changes between runs.
-                jittered = dataclasses.replace(
-                    case,
-                    fields={**case.fields, "age": type(case.fields["age"]).integer(90)},
-                )
+                jittered = case._replace(fields={**case.fields, "age": type(case.fields["age"]).integer(90)})
                 return decide(policy, jittered)
         return decide(policy, case)
 
@@ -251,12 +247,12 @@ def test_determinism_check_fails_on_an_unstable_engine(monkeypatch):
 
 def test_flipping_one_expected_class_moves_full_concordance_by_one_case():
     flipped_cases = tuple(
-        dataclasses.replace(case, expected=ExpectedBehavior(Action.RECOMMEND, class_id="macrolide"))
+        case._replace(expected=ExpectedBehavior(Action.RECOMMEND, class_id="macrolide"))
         if case.case_id == "c17"
         else case
         for case in SUITE.cases
     )
-    flipped = dataclasses.replace(SUITE, cases=flipped_cases)
+    flipped = SUITE._replace(cases=flipped_cases)
     report = run_suite(POLICY, flipped, runs=1)
     assert report.concordance_action == Fraction(1)
     assert report.concordance_full == Fraction(22, 23)

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import json
 from decimal import Decimal
@@ -366,13 +365,13 @@ _NAMES_NOT_STR = {
     ),
     "veto_id": (lambda: StewardshipVeto(3, "c", Literal(True)), "veto id is not an identifier: 3"),
     "veto_class": (lambda: StewardshipVeto("v", 3, Literal(True)), "vetoed class id is not an identifier: 3"),
-    "policy_id": (lambda: dataclasses.replace(_REFERENCE, policy_id=3), "policy id is not an identifier: 3"),
-    "policy_version": (lambda: dataclasses.replace(_REFERENCE, version=3), "version is not a token: 3"),
+    "policy_id": (lambda: _REFERENCE._replace(policy_id=3), "policy id is not an identifier: 3"),
+    "policy_version": (lambda: _REFERENCE._replace(version=3), "version is not a token: 3"),
     "policy_required": (
-        lambda: dataclasses.replace(_REFERENCE, required=(3,)),
+        lambda: _REFERENCE._replace(required=(3,)),
         "required field is not an identifier: 3",
     ),
-    "known_risk": (lambda: dataclasses.replace(_REFERENCE, known_risks=frozenset({3})), "known risk is not a token: 3"),
+    "known_risk": (lambda: _REFERENCE._replace(known_risks=frozenset({3})), "known risk is not a token: 3"),
     "suite_id": (lambda: Suite(3, "v1", ("generated",), (CaseInput(**_CASE),)), "suite id is not an identifier: 3"),
     "suite_version": (
         lambda: Suite("s", 3, ("generated",), (CaseInput(**_CASE),)),

@@ -6,7 +6,6 @@ every stage of the audit trace, on every case of every generated policy and
 on the shipped reference suite.
 """
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -104,18 +103,18 @@ def test_engine_matches_oracle_on_every_field_kind():
 def _drop_vetoed(policy, case, record):
     if record.stage is not Stage.STEWARDSHIP:
         return record
-    return replace(record, evaluated=tuple(pair for pair in record.evaluated if pair[1] is not Verdict.VETOED))
+    return record._replace(evaluated=tuple(pair for pair in record.evaluated if pair[1] is not Verdict.VETOED))
 
 
 def _unmet_requires_not_fired(policy, case, record):
     if record.stage is not Stage.CLINICAL_RULES:
         return record
     unmet = {rule.rule_id for rule in policy.clinical_rules if not set(rule.requires) <= set(case.fields)}
-    return replace(record, evaluated=tuple((i, Verdict.NOT_FIRED if i in unmet else v) for i, v in record.evaluated))
+    return record._replace(evaluated=tuple((i, Verdict.NOT_FIRED if i in unmet else v) for i, v in record.evaluated))
 
 
 def _drop_justification_note(policy, case, record):
-    return replace(record, notes=tuple(note for note in record.notes if note != "escalation_justification"))
+    return record._replace(notes=tuple(note for note in record.notes if note != "escalation_justification"))
 
 
 def _shift_rule_verdicts(policy, case, record):
@@ -123,7 +122,7 @@ def _shift_rule_verdicts(policy, case, record):
         return record
     ids = [i for i, _ in record.evaluated]
     verdicts = [v for _, v in record.evaluated]
-    return replace(record, evaluated=tuple(zip(ids, verdicts[1:] + verdicts[:1])))
+    return record._replace(evaluated=tuple(zip(ids, verdicts[1:] + verdicts[:1])))
 
 
 @pytest.mark.parametrize(

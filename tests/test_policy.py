@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -138,17 +137,17 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
             "veto 'v1' targets undeclared class 'ghost'",
         ),
         (lambda: _base(version=3), "version is not a token: 3"),
-        (lambda: dataclasses.replace(REFERENCE.clinical_rules[0], rule_id=3), "rule id is not an identifier: 3"),
-        (lambda: dataclasses.replace(REFERENCE, required=("age", 3)), "required field is not an identifier: 3"),
+        (lambda: REFERENCE.clinical_rules[0]._replace(rule_id=3), "rule id is not an identifier: 3"),
+        (lambda: REFERENCE._replace(required=("age", 3)), "required field is not an identifier: 3"),
         (
-            lambda: dataclasses.replace(REFERENCE.clinical_rules[0], requires=("age", 3)),
+            lambda: REFERENCE.clinical_rules[0]._replace(requires=("age", 3)),
             "required field is not an identifier: 3",
         ),
         (
-            lambda: dataclasses.replace(REFERENCE.clinical_rules[0], incompatible_with=("r1", 3)),
+            lambda: REFERENCE.clinical_rules[0]._replace(incompatible_with=("r1", 3)),
             "incompatible rule id is not an identifier: 3",
         ),
-        (lambda: dataclasses.replace(REFERENCE, known_risks=frozenset({3})), "known risk is not a token: 3"),
+        (lambda: REFERENCE._replace(known_risks=frozenset({3})), "known risk is not a token: 3"),
         (lambda: FieldDecl("s", FieldKind.TOKEN, enum=("a", 3)), "enumeration entry is not a token: 3"),
     ],
     ids=[
@@ -174,8 +173,8 @@ def test_a_declaration_built_in_code_names_its_defect(build, message):
 
 
 def _first_rule_when(cond, policy=REFERENCE):
-    rule = dataclasses.replace(policy.clinical_rules[0], when=cond)
-    return dataclasses.replace(policy, clinical_rules=(rule, *policy.clinical_rules[1:]))
+    rule = policy.clinical_rules[0]._replace(when=cond)
+    return policy._replace(clinical_rules=(rule, *policy.clinical_rules[1:]))
 
 
 @pytest.mark.parametrize(
@@ -191,7 +190,7 @@ def _first_rule_when(cond, policy=REFERENCE):
     ],
 )
 def test_a_policy_is_type_checked_when_built(cond, message):
-    policy = dataclasses.replace(REFERENCE, schema=_SCHEMA)
+    policy = REFERENCE._replace(schema=_SCHEMA)
     assert [d.message for d in typecheck(cond, policy.field_map())] == [message]
     with pytest.raises(ValueError) as refused:
         _first_rule_when(And(Present("age"), Not(cond)), policy)
@@ -201,12 +200,12 @@ def test_a_policy_is_type_checked_when_built(cond, message):
 def test_the_first_mistyped_condition_in_declaration_order_is_reported():
     # Rules, then consistency, exclusions, justification and vetoes, as
     # ``parse_policy`` reports them; within a condition, leaf order.
-    rule = dataclasses.replace(REFERENCE.clinical_rules[0], when=Comparison("age", "==", FieldValue.token("old")))
-    stewardship = dataclasses.replace(REFERENCE.stewardship, escalation_justification=And(Has("sex", "x"), Present("ghost")))
+    rule = REFERENCE.clinical_rules[0]._replace(when=Comparison("age", "==", FieldValue.token("old")))
+    stewardship = REFERENCE.stewardship._replace(escalation_justification=And(Has("sex", "x"), Present("ghost")))
     with pytest.raises(ValueError, match="^token literal compared against integer field 'age'$"):
-        dataclasses.replace(REFERENCE, clinical_rules=(rule,), stewardship=stewardship)
+        REFERENCE._replace(clinical_rules=(rule,), stewardship=stewardship)
     with pytest.raises(ValueError, match="^'has' requires a tokenset field, 'sex' is token$"):
-        dataclasses.replace(REFERENCE, stewardship=stewardship)
+        REFERENCE._replace(stewardship=stewardship)
 
 
 _A_TRUE = Comparison("a", "==", FieldValue.boolean(True))
@@ -431,7 +430,7 @@ def test_canonical_form_sorts_declarations():
 
 
 def test_a_repeated_required_name_is_held_once():
-    repeated = dataclasses.replace(REFERENCE, required=(*REFERENCE.required, "age"))
+    repeated = REFERENCE._replace(required=(*REFERENCE.required, "age"))
     assert repeated.required == ("age", "pregnant", "syndrome")
     assert repeated == REFERENCE
     assert policy_hash(repeated) == policy_hash(REFERENCE)

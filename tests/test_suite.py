@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import re
 from collections import defaultdict
@@ -94,7 +93,7 @@ def test_a_suite_built_in_code_refuses_a_repeated_case_id():
     c17, c18 = reference.case("c17"), reference.case("c18")
     assert c17 is not None and c18 is not None
     with pytest.raises(ValueError, match="^case id 'c17' appears twice$"):
-        Suite("s", "v1", reference.mechanisms, (c17, dataclasses.replace(c18, case_id="c17")))
+        Suite("s", "v1", reference.mechanisms, (c17, c18._replace(case_id="c17")))
 
 
 @pytest.mark.parametrize(
@@ -108,7 +107,7 @@ def test_a_suite_built_in_code_refuses_a_repeated_case_id():
 )
 def test_a_suite_built_in_code_checks_its_vocabulary(mechanisms, message):
     with pytest.raises(ValueError) as refused:
-        dataclasses.replace(load_reference_suite(), mechanisms=mechanisms)
+        load_reference_suite()._replace(mechanisms=mechanisms)
     assert str(refused.value) == message
 
 
@@ -126,7 +125,7 @@ def test_a_suite_built_in_code_checks_its_vocabulary(mechanisms, message):
 def test_a_suite_built_in_code_checks_its_id_and_version(changes, message):
     # parse_suite refuses each of these as a malformed document.
     with pytest.raises(ValueError) as refused:
-        dataclasses.replace(load_reference_suite(), **changes)
+        load_reference_suite()._replace(**changes)
     assert str(refused.value) == message
     for key, value in changes.items():
         assert [d.code for d in _parse(_doc(**{key: value}))[1]] == ["malformed_document"]
@@ -144,17 +143,17 @@ def test_a_suite_built_in_code_checks_its_id_and_version(changes, message):
 )
 def test_a_suite_built_in_code_checks_its_pin(pin, message):
     with pytest.raises(ValueError) as refused:
-        dataclasses.replace(load_reference_suite(), policy_hash_pin=pin)
+        load_reference_suite()._replace(policy_hash_pin=pin)
     assert str(refused.value) == message
     assert [d.code for d in _parse(_doc(policy_hash_pin=pin))[1]] == ["invalid_pin"]
-    assert dataclasses.replace(load_reference_suite(), policy_hash_pin="ab" * 32).policy_hash_pin == "ab" * 32
+    assert load_reference_suite()._replace(policy_hash_pin="ab" * 32).policy_hash_pin == "ab" * 32
 
 
 @pytest.mark.parametrize("stranger", [None, "c99", {"id": "c99"}], ids=["none", "str", "dict"])
 def test_a_suite_built_in_code_holds_only_cases(stranger):
     reference = load_reference_suite()
     with pytest.raises(ValueError) as refused:
-        dataclasses.replace(reference, cases=(*reference.cases, stranger))
+        reference._replace(cases=(*reference.cases, stranger))
     assert str(refused.value) == f"case is not a CaseInput: {stranger!r}"
 
 
@@ -242,10 +241,10 @@ def test_oversized_numbers_are_diagnostics():
 def _with_c19_weight(value):
     suite = load_reference_suite()
     cases = tuple(
-        dataclasses.replace(case, fields={**case.fields, "weight_kg": value}) if case.case_id == "c19" else case
+        case._replace(fields={**case.fields, "weight_kg": value}) if case.case_id == "c19" else case
         for case in suite.cases
     )
-    return dataclasses.replace(suite, cases=cases)
+    return suite._replace(cases=cases)
 
 
 def test_suites_with_equal_digests_decide_alike():
@@ -332,7 +331,7 @@ def test_duplicate_mechanism_warns():
 
 def test_a_repeated_mechanism_is_held_once():
     suite = load_reference_suite()
-    repeated = dataclasses.replace(suite, mechanisms=(*suite.mechanisms, suite.mechanisms[0]))
+    repeated = suite._replace(mechanisms=(*suite.mechanisms, suite.mechanisms[0]))
     assert repeated == suite
     assert suite_hash(repeated) == suite_hash(suite)
 
@@ -490,7 +489,7 @@ def test_equal_values_of_different_json_types_never_share_a_parse():
 
 
 def test_bind_reports_each_token_outside_a_closed_set_for_every_case():
-    policy = dataclasses.replace(POLICY, schema=(*POLICY.schema, FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b"))))
+    policy = POLICY._replace(schema=(*POLICY.schema, FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b"))))
     cases = [{**BASE["cases"][0], "id": f"b{i}", "fields": {"flags": ["z", "a", "c"]}} for i in (2, 1)]
     suite, _ = _parse(_doc(cases=cases, mechanisms=["mech_a"]))
     assert suite is not None
@@ -537,8 +536,8 @@ class _FreshValues(Mapping):
 
 
 def _rebuilt(suite, fields_of):
-    cases = tuple(dataclasses.replace(case, fields=fields_of(case.fields)) for case in suite.cases)
-    return dataclasses.replace(suite, cases=cases)
+    cases = tuple(case._replace(fields=fields_of(case.fields)) for case in suite.cases)
+    return suite._replace(cases=cases)
 
 
 def test_bind_checks_each_value_a_mapping_makes_on_access():
@@ -610,7 +609,7 @@ def _suites(draw):
             value = draw(st.sampled_from(values))
             fields[name] = value if shared else FieldValue(value.kind, value.value)
         expected = draw(st.sampled_from(expectations))
-        expected = expected if shared else dataclasses.replace(expected)
+        expected = expected if shared else expected._replace()
         cases.append(CaseInput(case_id, draw(_TEXT), draw(st.sampled_from(mechanisms)), fields, expected))
     pin = draw(st.none() | st.from_regex(r"[0-9a-f]{64}", fullmatch=True))
     return Suite(draw(_IDENT), draw(_TOKEN), tuple(mechanisms), tuple(cases), pin)
@@ -928,13 +927,13 @@ def test_the_one_checker_reports_every_single_defect_as_the_two_layer_parser(bas
 def _base_case(**changes):
     suite, _ = _parse(BASE)
     assert suite is not None
-    return dataclasses.replace(suite.cases[0], **changes)
+    return suite.cases[0]._replace(**changes)
 
 
 def _base_suite(**changes):
     suite, _ = _parse(BASE)
     assert suite is not None
-    return dataclasses.replace(suite, **changes)
+    return suite._replace(**changes)
 
 
 def _case_doc(**changes):
