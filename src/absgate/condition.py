@@ -403,7 +403,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     from ``_postfix``.
     """
     leaves: list[Condition] = []
-    leaf_index: dict[Condition, int] = {}
+    leaf_index: dict[tuple[Any, ...], int] = {}
     # Operand references: n >= 0 is leaf n, ~n is step n.
     steps: list[tuple[Any, int, int]] = []
     roots: list[int] = []
@@ -411,7 +411,14 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     sentinel_refs: list[int | None] = []
 
     def leaf_ref(leaf: Condition) -> int:
-        index = leaf_index.setdefault(leaf, len(leaves))
+        # Keyed by class and fields, so no node's ``==`` or ``hash`` runs; a
+        # comparison's key holds its literal's kind, keeping ``True`` and
+        # ``1``, or ``1`` and ``Decimal(1)``, apart.
+        if leaf.__class__ is Comparison:
+            key = (Comparison, leaf.field_name, leaf.op, leaf.literal.kind, leaf.literal.value)
+        else:
+            key = (leaf.__class__, leaf._key(leaf))
+        index = leaf_index.setdefault(key, len(leaves))
         if index == len(leaves):
             leaves.append(leaf)
         return index

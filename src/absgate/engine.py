@@ -3,7 +3,9 @@
 Stages run in a fixed order and the first terminating condition wins:
 
 1. input_assessment — globally required fields, consistency constraints,
-   unrecognized risk tokens (in that precedence).
+   unrecognized risk tokens (in that precedence). A clean case costs three
+   C-level tests, one per rule, and labels are built only for the finding
+   that abstains; ``assess_inputs`` reports what the same three rules give.
 2. exclusions — a true exclusion abstains with its labels; an exclusion
    whose scope cannot be confirmed (indeterminate) abstains conservatively
    as missing inputs.
@@ -125,14 +127,12 @@ class _Table(NamedTuple):
         return zip(map(getitem, self.verdicts, truths), map(getitem, self.fragments, truths))
 
     def record(self, truths: list[int]) -> StageRecord:
-        """The stage's record for one truth value per declaration, built once
-        per distinct ``truths``: the pairs and their text are picked from the
-        tables by C-level maps."""
-        return _interned(self.records, bytes(truths), self._build, truths)
-
-    def _build(self, truths: list[int]) -> StageRecord:
+        """The stage's record for one truth value per declaration, picked from
+        the tables by C-level maps; the first one built per distinct ``truths``
+        is kept and returned. ``decide`` calls this on a miss in ``records``."""
         evaluated = tuple(map(getitem, self.verdicts, truths))
-        return StageRecord._encoded(self.stage, evaluated, ",".join(map(getitem, self.fragments, truths)))
+        text = ",".join(map(getitem, self.fragments, truths))
+        return _interned(self.records, bytes(truths), StageRecord._encoded, self.stage, evaluated, text)
 
 
 class _Compiled(NamedTuple):
@@ -158,6 +158,7 @@ class _Compiled(NamedTuple):
     stewardship: _Program
     class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
+    required: frozenset[str]
     # The outputs decided so far, by ``(category, frozenset(labels))`` for an
     # abstention and by class id for a recommendation; see ``_interned``.
     outputs: dict[Any, SystemOutput]
@@ -188,6 +189,7 @@ def _compiled(policy: Policy) -> _Compiled:
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         class_map,
         tuple(decl.name for decl in policy.risk_fields()),
+        frozenset(policy.required),
         {},
     )
     object.__setattr__(policy, "_compiled", compiled)
@@ -204,23 +206,38 @@ class CompletenessReport(NamedTuple):
 
 def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     """Assess case completeness and input coherence against the policy."""
-    return _assess_inputs(policy, _compiled(policy), case.fields)[0]
-
-
-def _assess_inputs(policy: Policy, compiled: _Compiled, fields) -> tuple[CompletenessReport, list[int]]:
-    """Stage 1's report and its consistency constraints' truth values."""
-    missing = tuple([name for name in policy.required if name not in fields])
+    compiled, fields = _compiled(policy), case.fields
     truths = compiled.consistency(fields)
-    unknown: set[str] = set()
+    return CompletenessReport(*[labels_of(policy, compiled, fields, truths) for _, labels_of in _STAGE1])
+
+
+# Stage 1's three rules: the required fields the case lacks, in
+# ``policy.required`` order; the consistency constraints that hold, in rule-id
+# order; the risk tokens outside ``policy.known_risks``, sorted. Each answers
+# a clean case with one C-level test and the empty tuple.
+def _missing_required(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
+    if compiled.required <= fields.keys():
+        return ()
+    return tuple([name for name in policy.required if name not in fields])
+
+
+def _violations(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
+    if _TRUE not in truths:
+        return ()
+    return tuple([c.rule_id for c, truth in zip(policy.consistency, truths) if truth == _TRUE])
+
+
+def _unknown_risks(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
+    known, unknown = policy.known_risks, ()
     for name in compiled.risk_fields:
         value = fields.get(name)
-        if value is not None and value.kind is _TOKEN_SET:
-            unknown.update(token for token in value.value if token not in policy.known_risks)
-    return CompletenessReport(
-        missing_required=missing,
-        consistency_violations=tuple([c.rule_id for c, truth in zip(policy.consistency, truths) if truth == _TRUE]),
-        unknown_risk_tokens=tuple(sorted(unknown)),
-    ), truths
+        if value is not None and value.kind is _TOKEN_SET and not value.value <= known:
+            unknown = value.value.union(unknown) - known
+    return tuple(sorted(unknown)) if unknown else ()
+
+
+# The rules in precedence order, each with the category it abstains with.
+_STAGE1 = ((_MISSING_INPUTS, _missing_required), (_CONFLICTING_SIGNALS, _violations), (_UNKNOWN_RISK, _unknown_risks))
 
 
 class _StewardshipOutcome(NamedTuple):
@@ -277,15 +294,14 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     fields = case.fields
     stages: list[StageRecord] = []
 
-    # Stage 1: input assessment.
-    report, truths = _assess_inputs(policy, compiled, fields)
-    stages.append(compiled.consistency_table.record(truths))
-    if report.missing_required:
-        return _abstain(compiled, stages, _MISSING_INPUTS, report.missing_required)
-    if report.consistency_violations:
-        return _abstain(compiled, stages, _CONFLICTING_SIGNALS, report.consistency_violations)
-    if report.unknown_risk_tokens:
-        return _abstain(compiled, stages, _UNKNOWN_RISK, report.unknown_risk_tokens)
+    # Stage 1: input assessment. Each stage 1-3 record is looked up inline
+    # and built by ``_Table.record`` only on a miss.
+    truths = compiled.consistency(fields)
+    stages.append(compiled.consistency_table.records.get(bytes(truths)) or compiled.consistency_table.record(truths))
+    for category, labels_of in _STAGE1:
+        labels = labels_of(policy, compiled, fields, truths)
+        if labels:
+            return _abstain(compiled, stages, category, labels)
 
     # Stage 2: exclusions.
     triggered_labels: list[str] = []
@@ -296,7 +312,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             triggered_labels.append(exclusion.label)
         elif truth == _INDETERMINATE:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
-    stages.append(compiled.exclusion_table.record(truths))
+    stages.append(compiled.exclusion_table.records.get(bytes(truths)) or compiled.exclusion_table.record(truths))
     if triggered_labels:
         return _abstain(compiled, stages, _EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
@@ -319,7 +335,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    stages.append(compiled.rule_table.record(picks))
+    stages.append(compiled.rule_table.records.get(bytes(picks)) or compiled.rule_table.record(picks))
     if problems:
         return _abstain(compiled, stages, _MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]

@@ -95,6 +95,13 @@ def _sorted_names(items: Iterable[Any], pattern: re.Pattern[str], what: str) -> 
 _set = object.__setattr__
 
 
+def _field_repr(value: Any) -> str:
+    """``repr``, but a ``frozenset`` lists its items sorted: the same whatever the hash seed."""
+    if type(value) is frozenset and value:
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
+
+
 class _Frozen:
     """Base of the value types that check or normalize themselves when built:
     a subclass lists its constructor parameters in ``_fields``, in ``repr``
@@ -125,7 +132,7 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        fields = ", ".join([f"{name}={_field_repr(getattr(self, name))}" for name in self._fields])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __getstate__(self) -> dict[str, Any]:

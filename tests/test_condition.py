@@ -385,6 +385,21 @@ def test_unhashable_literals_get_slots_of_their_own():
         Comparison("sex", "==", FieldValue(FieldKind.TOKEN, ["male"]))
 
 
+@pytest.mark.parametrize(
+    "first, second, value, message",
+    [
+        (FieldValue.boolean(True), FieldValue.integer(1), FieldValue.boolean(True), "boolean vs integer"),
+        (FieldValue.integer(1), FieldValue.decimal("1"), FieldValue.integer(1), "integer vs decimal"),
+    ],
+)
+def test_literals_equal_across_kinds_keep_slots_of_their_own(first, second, value, message):
+    # True == 1 and 1 == Decimal(1): were the two leaves to share a slot, the
+    # mismatching second one would read the first one's value and not raise.
+    program = compile_conditions([Comparison("x", "==", first), Comparison("x", "==", second)])
+    with pytest.raises(ValueError, match=f"^comparison across kinds: {message}$"):
+        program({"x": value})
+
+
 # Field groups: many leaves per field, so every field kind gets its table.
 # Case values sit at, just below and just above every literal, and outside
 # the literal set.

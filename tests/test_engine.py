@@ -4,7 +4,9 @@ import importlib.util
 import pickle
 import random
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from absgate.model import (
     Action,
     CaseInput,
     ExpectedBehavior,
+    FieldKind,
     FieldValue,
     Stage,
     StageRecord,
@@ -39,7 +42,7 @@ from absgate.model import (
 from absgate.policy import ConsistencyConstraint
 from absgate.reference import reference_policy_text, reference_suite_text
 
-from oracle import kind_cases, make_kind_policy, oracle_decide
+from oracle import as_trace, as_tuple, kind_cases, make_kind_policy, oracle_decide, oracle_trace
 
 POLICY = load_reference_policy()
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -454,6 +457,105 @@ def test_the_order_that_fills_the_memos_changes_no_decision(seed):
         for index in order:
             output, trace = decide(policy, cases[index])
             assert canonical_serialize(output) + canonical_serialize(trace) == expected[index], cases[index].case_id
+
+
+@functools.cache
+def _stage1_policies():
+    """The reference policy and the seed-7 intake_screen policy, by name."""
+    generated = _load_generate().build("intake_screen", 7)
+    return {"reference": POLICY, "intake_screen": parse_policy(generated.policy_text)[0]}
+
+
+class _MinimalMapping(Mapping):
+    """A mapping with only the methods ``Mapping`` requires."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, name):
+        return self._items[name]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+_UNKNOWN_RISKS = ("aa_exposure", "mystery_exposure", "zz_unlisted")
+
+
+def _value_of(decl, known_risks):
+    """A strategy for one value of a declared field; a risk field draws known risks only."""
+    if decl.kind is FieldKind.BOOLEAN:
+        return st.booleans().map(FieldValue.boolean)
+    if decl.kind is FieldKind.INTEGER:
+        return st.integers(min_value=0, max_value=120).map(FieldValue.integer)
+    if decl.kind is FieldKind.DECIMAL:
+        return st.sampled_from(["20.5", "35.0", "82.5"]).map(FieldValue.decimal)
+    if decl.kind is FieldKind.TOKEN:
+        return st.sampled_from(decl.enum).map(FieldValue.token)
+    tokens = sorted(known_risks) if decl.is_risk else decl.enum
+    return st.lists(st.sampled_from(tokens), unique=True, max_size=3).map(FieldValue.token_set)
+
+
+def _plant(cond, fields):
+    """Set ``fields`` so that ``cond``, an ``and`` of ``==`` and ``has`` tests, holds."""
+    if isinstance(cond, And):
+        _plant(cond.left, fields)
+        _plant(cond.right, fields)
+    elif isinstance(cond, Has):
+        tokens = fields[cond.field_name].value if cond.field_name in fields else frozenset()
+        fields[cond.field_name] = FieldValue.token_set(tokens | {cond.token})
+    else:
+        assert isinstance(cond, Comparison) and cond.op == "=="
+        fields[cond.field_name] = cond.literal
+
+
+@st.composite
+def _stage1_fields(draw, policy):
+    """Drawn field values, every required one among them, with each of three
+    edits made or not: consistency violations planted, unknown tokens added
+    to every risk field, and required fields dropped."""
+    fields = {}
+    for decl in policy.schema:
+        if decl.name in policy.required or draw(st.booleans()):
+            fields[decl.name] = draw(_value_of(decl, policy.known_risks))
+    if draw(st.booleans()):
+        for constraint in draw(st.lists(st.sampled_from(policy.consistency), min_size=1, unique=True)):
+            _plant(constraint.forbid, fields)
+    if draw(st.booleans()):
+        unknown = draw(st.sets(st.sampled_from(_UNKNOWN_RISKS), min_size=1))
+        for decl in policy.risk_fields():
+            tokens = fields[decl.name].value if decl.name in fields else frozenset()
+            fields[decl.name] = FieldValue.token_set(tokens | unknown)
+    if draw(st.booleans()):
+        for name in draw(st.sets(st.sampled_from(policy.required), min_size=1)):
+            del fields[name]
+    return fields
+
+
+@pytest.mark.parametrize("mapping", [dict, MappingProxyType, _MinimalMapping], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("workload", ["reference", "intake_screen"])
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_stage1_abstains_on_the_first_finding_of_assess_inputs(workload, mapping, data):
+    policy = _stage1_policies()[workload]
+    probe = CaseInput("s1", "", "generated", mapping(data.draw(_stage1_fields(policy))), _ANY)
+    report = assess_inputs(policy, probe)
+    findings = zip(
+        (AbstentionCategory.MISSING_INPUTS, AbstentionCategory.CONFLICTING_SIGNALS, AbstentionCategory.UNKNOWN_RISK),
+        report,
+    )
+    first = next(((category, labels) for category, labels in findings if labels), None)
+    output, trace = decide(policy, probe)
+    if first is None:
+        assert len(trace.stages) > 1
+    else:
+        assert [record.stage for record in trace.stages] == [Stage.INPUT_ASSESSMENT]
+        assert (output.reason.category, output.reason.labels) == first
+    assert as_tuple(output) == oracle_decide(policy, probe)
+    assert as_trace(trace) == oracle_trace(policy, probe)
 
 
 def test_copies_of_engine_built_records_and_traces_are_equal_and_carry_no_text():

@@ -12,9 +12,13 @@ A few ``repr`` strings are pinned literally.
 
 import copy
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from decimal import Decimal
 from inspect import Parameter
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,28 @@ def test_pinned_reprs():
     assert repr(And(Present("a"), Not(Has("b", "x")), line=1, col=2)) == (
         "And(line=1, col=2, left=Present(line=0, col=0, field_name='a'),"
         " right=Not(line=0, col=0, inner=Has(line=0, col=0, field_name='b', token='x')))"
+    )
+
+
+def test_repr_prints_a_frozenset_sorted_whatever_the_hash_seed():
+    # The reference policy's known risks are a frozenset of strings, whose
+    # iteration order follows the string hash seed.
+    probe = (
+        "import pickle; from absgate import load_reference_policy; policy = load_reference_policy();"
+        " text = repr(policy); assert repr(pickle.loads(pickle.dumps(policy))) == text; print(text)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        texts.append(result.stdout)
+    assert texts[0] == texts[1] == repr(load_reference_policy()) + "\n"
+    risks = "'chronic_lung_disease', 'immunosuppressed', 'neutropenia', 'recent_hospitalization'"
+    assert f"known_risks=frozenset({{{risks}}})" in texts[0]
+    assert repr(FieldValue.token_set(["b", "c", "a"])) == (
+        "FieldValue(kind=<FieldKind.TOKEN_SET: 'token_set'>, value=frozenset({'a', 'b', 'c'}))"
     )
 
 
