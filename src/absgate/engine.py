@@ -33,24 +33,20 @@ the other conditions yield, at the first mismatching leaf in rule-id order;
 a condition's connective steps then run only if its sentinel conjunct is
 not FALSE.
 
-Every stage record is built through ``StageRecord._encoded`` and carries
-its canonical JSON text, so ``canonical_serialize`` re-encodes nothing of
-it. The cache holds a table per stage 1–4 (``_Table``): each declaration's
-``(rule_id, verdict)`` pair and that pair's text for each truth value.
-Stages 1–3 pick their record from it by the truth values, with two C-level
-maps, once per distinct vector of them (in stage 3 a rule whose
-``requires`` are unmet picks by INDETERMINATE whatever its condition
-yields). Stage 4 merges its picks, in rule-id order, with the pre-built
-``vetoed`` pair of each fired rule whose candidate is removed. Stage 5's
-record is built once per class. Records are immutable, so traces share
-them, and ``decide`` assembles each trace through ``AuditTrace._trusted``.
-
-Many cases end in equal outputs, so the cache also keeps each distinct
-output (built through the public ``SystemOutput`` constructors, with all
-their checks) and ``decide`` returns that instance for an equal outcome;
-an output keeps its text once encoded, so a shared one is encoded once.
-Memo keys come from case data, so each memo, of outputs or of a table's
-records, stops growing at ``_OUTPUT_MEMO_LIMIT`` entries.
+Records and outputs repeat across cases, so the cache memoizes them in one
+way: a ``_Memo`` is a dict that builds a missing value from its key and,
+since keys come from case data, stops storing at ``_OUTPUT_MEMO_LIMIT``
+entries. Stages 1–3 find their record by ``bytes`` of their truth values
+(in stage 3 a rule whose ``requires`` are unmet reads INDETERMINATE
+whatever its condition yields); a miss picks each declaration's pair and
+its JSON text by truth value and joins the texts (``StageRecord._encoded``).
+Stage 4 finds its outcome by the stewardship truth values and the fired
+rule ids; a miss builds the record through the public ``StageRecord``
+constructor. Stage 5 holds one record and recommendation per class, and
+the output memo holds abstentions, built through the public
+``SystemOutput`` constructor. A record or output keeps its text once
+encoded, so a shared one is encoded once. All are immutable, so traces
+share them, and ``decide`` assembles each trace through ``AuditTrace._trusted``.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -86,53 +82,41 @@ _MISSING_INPUTS, _UNKNOWN_RISK, _CONFLICTING_SIGNALS, _EXPLICIT_EXCLUSION, _CONS
 _FIRED, _VETOED = Verdict.FIRED, Verdict.VETOED
 _TOKEN_SET = FieldKind.TOKEN_SET
 
-# The most outputs ``decide`` keeps per policy, and the most records it keeps
-# per stage table.
+# The most entries each ``_Memo`` of a policy keeps.
 _OUTPUT_MEMO_LIMIT = 1024
 
 # A rule's verdict, indexed by its condition's truth value.
 _VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
 
 
-def _interned(memo: dict[Any, Any], key: Any, build: Callable[..., Any], *args: Any) -> Any:
-    """The value under ``key``, built by ``build(*args)`` on first use. Keys
-    can come from case data, so a memo stops growing at
-    ``_OUTPUT_MEMO_LIMIT`` entries; past that, values are built per call."""
-    value = memo.get(key)
-    if value is None:
-        value = build(*args)
-        if len(memo) < _OUTPUT_MEMO_LIMIT:
-            memo[key] = value
-    return value
+class _Memo(dict):
+    """Values by key, each built by ``build(key)`` on first use. Keys come
+    from case data, so a memo stops storing at ``_OUTPUT_MEMO_LIMIT``
+    entries; past that, a missing value is built per call."""
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.build(key)
+        if len(self) < _OUTPUT_MEMO_LIMIT:
+            self[key] = value
+        return value
 
 
-class _Table(NamedTuple):
-    """Per declaration of a stage, in rule-id order, its ``(rule_id,
-    verdict)`` pair and that pair's JSON text (``model._pair_json``), each
-    indexed by truth value; and the stage's records built so far, by
-    ``bytes`` of their truth values."""
+def _records(stage: Stage, declarations: Iterable[Any]) -> _Memo:
+    """A stage's records by ``bytes`` of one truth value per declaration,
+    picked by two C-level maps from each declaration's pair and its JSON
+    text (``model._pair_json``), both built once per truth value."""
+    verdicts = [[(decl.rule_id, verdict) for verdict in _VERDICTS] for decl in declarations]
+    fragments = [[*starmap(_pair_json, pairs)] for pairs in verdicts]
 
-    stage: Stage
-    verdicts: tuple[tuple[tuple[str, Verdict], ...], ...]
-    fragments: tuple[tuple[str, ...], ...]
-    records: dict[bytes, StageRecord]
+    def build(truths: bytes) -> StageRecord:
+        evaluated = tuple(map(getitem, verdicts, truths))
+        return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
 
-    @classmethod
-    def of(cls, stage: Stage, declarations: Iterable[Any]) -> "_Table":
-        verdicts = tuple(tuple((decl.rule_id, verdict) for verdict in _VERDICTS) for decl in declarations)
-        return cls(stage, verdicts, tuple(tuple(starmap(_pair_json, pairs)) for pairs in verdicts), {})
-
-    def entries(self, truths: list[int]) -> Iterable[tuple[tuple[str, Verdict], str]]:
-        """Each declaration's pair and its text for one truth value each."""
-        return zip(map(getitem, self.verdicts, truths), map(getitem, self.fragments, truths))
-
-    def record(self, truths: list[int]) -> StageRecord:
-        """The stage's record for one truth value per declaration, picked from
-        the tables by C-level maps; the first one built per distinct ``truths``
-        is kept and returned. ``decide`` calls this on a miss in ``records``."""
-        evaluated = tuple(map(getitem, self.verdicts, truths))
-        text = ",".join(map(getitem, self.fragments, truths))
-        return _interned(self.records, bytes(truths), StageRecord._encoded, self.stage, evaluated, text)
+    return _Memo(build)
 
 
 class _Compiled(NamedTuple):
@@ -141,14 +125,14 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
-    consistency_table: _Table
-    exclusion_table: _Table
-    rule_table: _Table
-    veto_table: _Table
-    # Per clinical rule id, its ``(rule_id, VETOED)`` pair and that pair's text.
-    vetoed: dict[str, tuple[tuple[str, Verdict], str]]
-    # Per class id, the stage-5 record that recommends it.
-    output_records: dict[str, StageRecord]
+    # Stage 1-3 records by ``bytes`` of their truth values (``_records``).
+    consistency_records: _Memo
+    exclusion_records: _Memo
+    rule_records: _Memo
+    # Stage-4 outcomes by the stewardship truth values and fired rule ids.
+    stewardship_outcomes: _Memo
+    # Per class id, the stage-5 record that recommends it and the output.
+    recommendations: dict[str, tuple[StageRecord, SystemOutput]]
     # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
     # Per exclusion and clinical rule id, the fields whose absence can leave
@@ -159,13 +143,12 @@ class _Compiled(NamedTuple):
     class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
     required: frozenset[str]
-    # The outputs decided so far, by ``(category, frozenset(labels))`` for an
-    # abstention and by class id for a recommendation; see ``_interned``.
-    outputs: dict[Any, SystemOutput]
+    # The abstentions decided so far, by ``(category, frozenset(labels))``.
+    outputs: _Memo
 
 
 def _compiled(policy: Policy) -> _Compiled:
-    """The policy's stage programs and tables, built on first use and cached
+    """The policy's stage programs and memos, built on first use and cached
     on the instance (``Policy.__getstate__`` leaves them out)."""
     try:
         return policy._compiled  # type: ignore[attr-defined]
@@ -178,19 +161,18 @@ def _compiled(policy: Policy) -> _Compiled:
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _Table.of(_INPUT_ASSESSMENT, policy.consistency),
-        _Table.of(_EXCLUSIONS, policy.exclusions),
-        _Table.of(_CLINICAL_RULES, rules),
-        _Table.of(_STEWARDSHIP, stewardship.class_vetoes),
-        {rule.rule_id: ((rule.rule_id, _VETOED), _pair_json(rule.rule_id, _VETOED)) for rule in rules},
-        {class_id: StageRecord._encoded(_OUTPUT, (), "", (class_id,)) for class_id in class_map},
+        _records(_INPUT_ASSESSMENT, policy.consistency),
+        _records(_EXCLUSIONS, policy.exclusions),
+        _records(_CLINICAL_RULES, rules),
+        _outcomes(policy, class_map),
+        {c: (StageRecord(_OUTPUT, (), (c,)), SystemOutput.recommend(c)) for c in class_map},
         tuple(position for position, rule in enumerate(rules) if rule.requires),
         {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         class_map,
         tuple(decl.name for decl in policy.risk_fields()),
         frozenset(policy.required),
-        {},
+        _Memo(lambda key: SystemOutput.abstain(*key)),
     )
     object.__setattr__(policy, "_compiled", compiled)
     return compiled
@@ -246,27 +228,33 @@ class _StewardshipOutcome(NamedTuple):
     justified: bool
 
 
+def _outcomes(policy: Policy, class_map: dict[str, ClassDecl]) -> _Memo:
+    """Stage-4 outcomes by ``(bytes(truths), *fired rule ids)``, the truths of
+    the vetoes (in rule-id order) and of the justification. Each veto's pair
+    is built once per truth value, and the records share them."""
+    vetoes = policy.stewardship.class_vetoes
+    pairs = [[(veto.rule_id, verdict) for verdict in _VERDICTS] for veto in vetoes]
+    candidates = {rule.rule_id: rule.candidate for rule in policy.clinical_rules}
+
+    def build(key: tuple) -> _StewardshipOutcome:
+        truths, *fired = key
+        nominated = {candidates[rule_id] for rule_id in fired}
+        # An indeterminate veto vetoes, conservatively.
+        vetoed_classes = {veto.class_id for veto, truth in zip(vetoes, truths) if truth != _FALSE}
+        justified = truths[-1] == _TRUE
+        removed = {c for c in nominated if c in vetoed_classes or (class_map[c].escalation_tier and not justified)}
+        survivors = nominated - removed
+        evaluated = [*map(getitem, pairs, truths)]
+        evaluated += [(rule_id, _VETOED) for rule_id in fired if candidates[rule_id] in removed]
+        notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
+        return _StewardshipOutcome(StageRecord(_STEWARDSHIP, evaluated, notes), frozenset(survivors), justified)
+
+    return _Memo(build)
+
+
 def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired: list[ClinicalRule]) -> _StewardshipOutcome:
-    """Stage 4: veto pruning and the escalation gate."""
-    class_map = compiled.class_map
-    candidates = {rule.candidate for rule in fired}
-    truths = compiled.stewardship(fields)
-    # An indeterminate veto vetoes, conservatively.
-    vetoed_classes = {veto.class_id for veto, truth in zip(policy.stewardship.class_vetoes, truths) if truth != _FALSE}
-    justified = truths[-1] == _TRUE
-    removed = {c for c in candidates if c in vetoed_classes or (class_map[c].escalation_tier and not justified)}
-    survivors = candidates - removed
-    # The vetoes' entries and the removed rules' entries, each in rule-id
-    # order, merged by one sort of the two runs.
-    entries = [*compiled.veto_table.entries(truths)]
-    if removed:
-        entries += [compiled.vetoed[rule.rule_id] for rule in fired if rule.candidate in removed]
-        entries.sort()
-    notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
-    record = StageRecord._encoded(
-        _STEWARDSHIP, tuple([pair for pair, _ in entries]), ",".join([text for _, text in entries]), notes
-    )
-    return _StewardshipOutcome(record, frozenset(survivors), justified)
+    """Stage 4: veto pruning and the escalation gate, found by ``_outcomes``' key."""
+    return compiled.stewardship_outcomes[(bytes(compiled.stewardship(fields)), *[rule.rule_id for rule in fired])]
 
 
 def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset[str]) -> "str | tuple[str, ...]":
@@ -279,7 +267,7 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
 def _abstain(
     compiled: _Compiled, stages: list[StageRecord], category: AbstentionCategory, labels: Collection[str]
 ) -> tuple[SystemOutput, AuditTrace]:
-    final = _interned(compiled.outputs, (category, frozenset(labels)), SystemOutput.abstain, category, labels)
+    final = compiled.outputs[(category, frozenset(labels))]
     return final, AuditTrace._trusted(tuple(stages), final)
 
 
@@ -294,10 +282,9 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     fields = case.fields
     stages: list[StageRecord] = []
 
-    # Stage 1: input assessment. Each stage 1-3 record is looked up inline
-    # and built by ``_Table.record`` only on a miss.
+    # Stage 1: input assessment.
     truths = compiled.consistency(fields)
-    stages.append(compiled.consistency_table.records.get(bytes(truths)) or compiled.consistency_table.record(truths))
+    stages.append(compiled.consistency_records[bytes(truths)])
     for category, labels_of in _STAGE1:
         labels = labels_of(policy, compiled, fields, truths)
         if labels:
@@ -312,7 +299,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             triggered_labels.append(exclusion.label)
         elif truth == _INDETERMINATE:
             unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
-    stages.append(compiled.exclusion_table.records.get(bytes(truths)) or compiled.exclusion_table.record(truths))
+    stages.append(compiled.exclusion_records[bytes(truths)])
     if triggered_labels:
         return _abstain(compiled, stages, _EXPLICIT_EXCLUSION, triggered_labels)
     if unresolved:
@@ -335,7 +322,7 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    stages.append(compiled.rule_table.records.get(bytes(picks)) or compiled.rule_table.record(picks))
+    stages.append(compiled.rule_records[bytes(picks)])
     if problems:
         return _abstain(compiled, stages, _MISSING_INPUTS, problems)
     fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
@@ -360,6 +347,6 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, selection)
 
     # Stage 5: output.
-    final = _interned(compiled.outputs, selection, SystemOutput.recommend, selection)
-    stages.append(compiled.output_records[selection])
+    record, final = compiled.recommendations[selection]
+    stages.append(record)
     return final, AuditTrace._trusted(tuple(stages), final)

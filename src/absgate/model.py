@@ -8,8 +8,8 @@ types here are immutable, hashable where practical, and serialize through
 reports (see ``canon``). Outputs, stage records and audit traces, which
 every decision serializes, are encoded by ``canonical_serialize`` straight
 to the same bytes; their ``to_canonical`` stays the reference form. A stage
-record that the engine builds arrives with its text already encoded, and
-an output keeps its text once encoded.
+record or an output keeps its text once encoded, and a stage 1-3 record
+that the engine builds arrives with it.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
@@ -445,10 +445,11 @@ class Verdict(str, Enum):
 class StageRecord(_Frozen):
     """What one pipeline stage evaluated, in rule-id order.
 
-    A record that the engine builds through ``_encoded`` carries its own
-    canonical JSON text. The text is not a field, so ``==``, ``hash``,
-    ``repr`` and ``_replace`` ignore it, and pickles and copies leave it
-    out. Every other record has the class default ``None``.
+    A record keeps its canonical JSON text once ``canonical_serialize`` has
+    encoded it, so a record that many traces share is encoded once; one
+    that the engine builds through ``_encoded`` arrives with it. The text is
+    not a field, so ``==``, ``hash``, ``repr`` and ``_replace`` ignore it,
+    and pickles and copies leave it out.
     """
 
     _fields = ("stage", "evaluated", "notes")
@@ -469,17 +470,13 @@ class StageRecord(_Frozen):
         _set(self, "notes", tuple(notes))
 
     @classmethod
-    def _encoded(
-        cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str, notes: tuple[str, ...] = ()
-    ) -> "StageRecord":
-        """A record trusted as built: ``evaluated`` is a tuple of ``(str,
-        Verdict)`` pairs in rule-id order, ``pairs_json`` their
-        ``_pair_json`` texts joined by commas, and ``notes`` a tuple of
-        ``str``. Skips the sort and the type checks of ``__init__``, and
-        attaches the record's JSON text, notes included."""
+    def _encoded(cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str) -> "StageRecord":
+        """A record without notes, trusted as built: ``evaluated`` is a tuple
+        of ``(str, Verdict)`` pairs in rule-id order and ``pairs_json`` their
+        ``_pair_json`` texts joined by commas. Skips the sort and the type
+        checks of ``__init__``, and attaches the record's JSON text."""
         record = object.__new__(cls)
-        record.__dict__.update(stage=stage, evaluated=evaluated, notes=notes)
-        record.__dict__["_json"] = _record_json(stage, pairs_json, ",".join(map(_quote, notes)))
+        record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
         return record
 
     def to_canonical(self) -> dict[str, Any]:
@@ -606,6 +603,7 @@ def _encode_record(record: StageRecord) -> str:
     if text is None:
         pairs_json = ",".join([_pair_json(rule_id, verdict) for rule_id, verdict in record.evaluated])
         text = _record_json(record.stage, pairs_json, ",".join(map(_quote, record.notes)))
+        record.__dict__["_json"] = text
     return text
 
 
@@ -615,10 +613,10 @@ def canonical_serialize(value: Any) -> bytes:
     An exact ``SystemOutput``, ``StageRecord`` or ``AuditTrace`` is encoded
     straight to canonical JSON text: keys written in sorted order, every
     string through the escaper ``json.dumps(ensure_ascii=False)`` uses, enum
-    members from tables. A record the engine built already carries its text,
-    joined from pair texts that the same per-pair encoder (``_pair_json``)
-    wrote once per policy, and that text is used as is; a record built in
-    code is encoded here. The bytes equal
+    members from tables. A record or output that carries its text is not
+    encoded again: the engine joins a stage 1-3 record's text from pair texts
+    that the same per-pair encoder (``_pair_json``) wrote once per policy,
+    and any other is encoded here once and keeps it. The bytes equal
     ``canonical_bytes(value.to_canonical())``, which stays the reference
     form. No float or non-member enum can reach them: a non-``str`` id, note
     or label raises ``TypeError`` here, and stages, verdicts and categories

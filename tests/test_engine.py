@@ -375,7 +375,7 @@ def test_engine_built_records_carry_their_text_and_encode_to_the_reference_form(
         for c in cases:
             trace = decide(policy, c)[1]
             assert _encodes_to_the_reference_form(trace)
-            # Every stage's record carries its text, made from the policy's tables.
+            # Once the trace is encoded, every stage's record carries its text.
             for record in trace.stages:
                 assert record._json is not None
                 assert record._json.encode("utf-8") == canonical_bytes(record.to_canonical())
@@ -396,14 +396,19 @@ def test_equal_truth_values_give_the_identical_record():
             if record.stage is not Stage.STEWARDSHIP:
                 assert first.setdefault((record.stage, record.evaluated, record.notes), record) is record
     assert len(first) < sum(len(t.stages) for t in traces)
+    # A stage's memo builds a record on its first miss and hands that one
+    # out for every equal vector of truth values.
+    records = _compiled(pickle.loads(pickle.dumps(POLICY))).rule_records
     truths = [0] * len(policy.clinical_rules)
-    assert _compiled(policy).rule_table.record(truths) is _compiled(policy).rule_table.record(truths.copy())
-    # Deciding again hands out the same records.
+    built = records[bytes(truths)]
+    assert records == {bytes(truths): built} and records[bytes(truths.copy())] is built
+    assert built == StageRecord(Stage.CLINICAL_RULES, [(r.rule_id, Verdict.NOT_FIRED) for r in policy.clinical_rules])
+    # Deciding again hands out the same records, stage 4's included.
     again = [decide(policy, c)[1] for c in cases]
     for trace, repeat in zip(traces, again):
         assert trace == repeat and trace is not repeat
         for record, shared in zip(trace.stages, repeat.stages):
-            assert record is shared or record.stage is Stage.STEWARDSHIP
+            assert record is shared
 
 
 def test_a_memo_limit_of_two_decides_alike_and_keeps_at_most_two(monkeypatch):
@@ -414,10 +419,44 @@ def test_a_memo_limit_of_two_decides_alike_and_keeps_at_most_two(monkeypatch):
     for _ in range(2):  # the second pass meets full memos
         assert [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(policy, c) for c in cases)] == expected
     compiled = _compiled(policy)
-    tables = [value for value in compiled if isinstance(value, engine._Table)]
-    assert len(tables) == 4
-    # Stage 4 takes its pairs from its table and keeps no record there.
-    assert [len(memo) for memo in (compiled.outputs, *(table.records for table in tables))] == [2, 2, 2, 2, 0]
+    memos = [value for value in compiled if isinstance(value, engine._Memo)]
+    # The stage 1-3 records, the stage-4 outcomes and the abstentions.
+    named = [compiled.consistency_records, compiled.exclusion_records, compiled.rule_records]
+    named += [compiled.stewardship_outcomes, compiled.outputs]
+    assert list(map(id, memos)) == list(map(id, named))
+    assert [len(memo) for memo in memos] == [2] * 5
+
+
+def _stewardship_key(policy, c):
+    """The stewardship truth values and the fired rule ids of a case."""
+    trace = decide(policy, c)[1]
+    fired = {rule_id for rule_id, verdict in trace.stages[2].evaluated if verdict is Verdict.FIRED}
+    return _compiled(policy).stewardship(c.fields), fired
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # Equal stewardship truth values, other fired rules.
+        (case(), case(severity="moderate")),
+        (case(beta_lactam_allergy=True, age=90), case(severity="moderate", fever=True, age=90)),
+        # Equal fired rules, other stewardship truth values.
+        (case(beta_lactam_allergy=True), case(beta_lactam_allergy=True, age=90)),
+        (case(severity="severe"), case(severity="severe", weight_kg="35.0")),
+    ],
+)
+def test_the_stage4_memo_keys_on_truth_values_and_fired_rules(first, second):
+    policy = pickle.loads(pickle.dumps(POLICY))
+    (truths_a, fired_a), (truths_b, fired_b) = _stewardship_key(POLICY, first), _stewardship_key(POLICY, second)
+    assert (truths_a == truths_b) != (fired_a == fired_b)
+    records = []
+    for c in (first, second):
+        output, trace = decide(policy, c)
+        assert as_tuple(output) == oracle_decide(policy, c)
+        assert as_trace(trace) == oracle_trace(policy, c)
+        records.append(trace.stages[3])
+    assert records[0] != records[1]
+    assert len(_compiled(policy).stewardship_outcomes) == 2
 
 
 def _load_generate():
@@ -431,11 +470,15 @@ def _load_generate():
 
 @functools.cache
 def _memo_order_workloads():
-    """For the reference suite and the seed-7 intake_screen suite: one
-    policy, its cases, and each case's canonical output and trace bytes from
-    a cold decide on a freshly parsed policy, one that keeps no memo entry."""
-    generated = _load_generate().build("intake_screen", 7)
-    texts = [(reference_policy_text(), reference_suite_text()), (generated.policy_text, generated.suite_text)]
+    """For the reference suite, the seed-7 intake_screen suite and the seed-5
+    rule_heavy smoke suite (four cases reach stage 4, three of them with a
+    veto that fires): one policy, its cases, and each case's canonical
+    output and trace bytes from a cold decide on a freshly parsed policy,
+    one that keeps no memo entry."""
+    generate = _load_generate()
+    texts = [(reference_policy_text(), reference_suite_text())]
+    for generated in (generate.build("intake_screen", 7), generate.build("rule_heavy", 5, smoke=True)):
+        texts.append((generated.policy_text, generated.suite_text))
     workloads = []
     for policy_text, suite_text in texts:
         cases = parse_suite(suite_text)[0].cases
@@ -585,7 +628,15 @@ def test_a_record_built_in_code_still_sorts_and_checks_its_pairs():
     assert public.evaluated == engine_built.evaluated
     assert public == engine_built and hash(public) == hash(engine_built) and repr(public) == repr(engine_built)
     assert public._json is None
-    assert canonical_serialize(public) == canonical_serialize(engine_built)
+    text = canonical_serialize(public)
+    assert text == canonical_serialize(engine_built) == canonical_bytes(public.to_canonical())
+    # The text is kept once encoded, and stays out of the value.
+    assert public._json == text.decode("utf-8")
+    assert public == engine_built and hash(public) == hash(engine_built) and repr(public) == repr(engine_built)
+    assert "_json" not in repr(public) and b"_json" not in pickle.dumps(public)
+    for clone in (pickle.loads(pickle.dumps(public)), copy.deepcopy(public), copy.copy(public), public._replace()):
+        assert clone == public and "_json" not in vars(clone) and clone._json is None
+        assert canonical_serialize(clone) == text
     with pytest.raises(TypeError, match="^verdict is not a Verdict: 'fired'$"):
         StageRecord(Stage.CLINICAL_RULES, (("r", "fired"),))
 
