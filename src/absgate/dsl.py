@@ -82,15 +82,16 @@ from .policy import (
 
 __all__ = ["parse_policy", "format_policy"]
 
+# The commonest token first: no other alternative matches at a letter or ``_``.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<NEWLINE>\n)
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NEWLINE>\n)
   | (?P<COMMENT>\#[^\n]*)
   | (?P<DECIMAL>-?[0-9]+\.[0-9]+)
   | (?P<INT>-?[0-9]+)
   | (?P<OP>==|!=|<=|>=|<|>)
   | (?P<PUNCT>[{}(),:])
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
 )
@@ -193,6 +194,7 @@ class _Parser:
         self.known_risks: set[str] = set()
         self.consistency: list[ConsistencyConstraint] = []
         self.exclusions: list[ExclusionRule] = []
+        self.labels: set[str] = set()  # of self.exclusions
         self.rule_ids: set[str] = set()
         self.rules: list[tuple[_Tok, Condition, _Tok, list[_Tok], list[_Tok]]] = []  # as reference_findings takes it
         self.justification: Condition | None = None
@@ -387,9 +389,10 @@ class _Parser:
         when = self._condition()
         if not self._claim_rule_id(name):
             return
-        if any(e.label == label.text for e in self.exclusions):
+        if label.text in self.labels:
             self.error("duplicate_label", f"exclusion label '{label.text}' declared twice", label)
             return
+        self.labels.add(label.text)
         self.exclusions.append(ExclusionRule(name.text, label.text, when))
 
     def _stmt_rule(self) -> None:

@@ -24,8 +24,8 @@ its conditions, and yields its verdicts, in rule-id order. Each stage's
 conditions (consistency constraints, exclusions, clinical rules, and the
 vetoes with the escalation justification last) are compiled once per
 ``Policy`` into one program over field-grouped leaves
-(``condition.compile_conditions``), cached on the policy with its class map,
-risk-field names and each exclusion's and rule's bare-reference fields.
+(``condition.compile_conditions``), cached on the policy with its class map
+and risk-field names.
 
 A stage's program runs only when the stage is reached. It computes every
 leaf of every condition of the stage, so a kind mismatch raises whatever
@@ -40,13 +40,17 @@ entries. Stages 1–3 find their record by ``bytes`` of their truth values
 (in stage 3 a rule whose ``requires`` are unmet reads INDETERMINATE
 whatever its condition yields); a miss picks each declaration's pair and
 its JSON text by truth value and joins the texts (``StageRecord._encoded``).
-Stage 4 finds its outcome by the stewardship truth values and the fired
-rule ids; a miss builds the record through the public ``StageRecord``
-constructor. Stage 5 holds one record and recommendation per class, and
-the output memo holds abstentions, built through the public
+Stage 3's entry also holds the fired rules and the conflicted rule ids, and
+a rule's bare-reference fields are kept by its id once it reads
+INDETERMINATE. Stage 4 finds its outcome by the stewardship truth values
+and the fired rule ids; a miss builds the record through the public
+``StageRecord`` constructor. Stage 5 holds one record and recommendation
+per class, and the output memo holds abstentions, built through the public
 ``SystemOutput`` constructor. A record or output keeps its text once
 encoded, so a shared one is encoded once. All are immutable, so traces
 share them, and ``decide`` assembles each trace through ``AuditTrace._trusted``.
+Every call still runs the program of every stage it reaches; the memos
+only hold what its truth values select. ``policy_hash`` keeps its digest.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -105,9 +109,9 @@ class _Memo(dict):
         return value
 
 
-def _records(stage: Stage, declarations: Iterable[Any]) -> _Memo:
-    """A stage's records by ``bytes`` of one truth value per declaration,
-    picked by two C-level maps from each declaration's pair and its JSON
+def _records(stage: Stage, declarations: Iterable[Any]) -> Callable[[bytes], StageRecord]:
+    """The builder of a stage's record from ``bytes`` of one truth value per
+    declaration: two C-level maps pick each declaration's pair and its JSON
     text (``model._pair_json``), both built once per truth value."""
     verdicts = [[(decl.rule_id, verdict) for verdict in _VERDICTS] for decl in declarations]
     fragments = [[*starmap(_pair_json, pairs)] for pairs in verdicts]
@@ -115,6 +119,20 @@ def _records(stage: Stage, declarations: Iterable[Any]) -> _Memo:
     def build(truths: bytes) -> StageRecord:
         evaluated = tuple(map(getitem, verdicts, truths))
         return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
+
+    return build
+
+
+def _rule_outcomes(rules: tuple[ClinicalRule, ...]) -> _Memo:
+    """Stage 3's ``(record, fired rules, conflicted rule ids)`` by ``bytes``
+    of its truth values; ``decide`` reads the last two only if no rule abstains."""
+    record = _records(_CLINICAL_RULES, rules)
+
+    def build(truths: bytes) -> tuple[StageRecord, tuple[ClinicalRule, ...], frozenset[str]]:
+        fired = tuple([rule for rule, truth in zip(rules, truths) if truth == _TRUE])
+        fired_ids = {rule.rule_id for rule in fired}
+        pairs = [(rule.rule_id, other) for rule in fired for other in rule.incompatible_with if other in fired_ids]
+        return record(truths), fired, frozenset().union(*pairs)
 
     return _Memo(build)
 
@@ -125,7 +143,7 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
-    # Stage 1-3 records by ``bytes`` of their truth values (``_records``).
+    # Stage 1-3 records by ``bytes`` of their truth values; stage 3's with its fired rules and conflicts.
     consistency_records: _Memo
     exclusion_records: _Memo
     rule_records: _Memo
@@ -135,9 +153,9 @@ class _Compiled(NamedTuple):
     recommendations: dict[str, tuple[StageRecord, SystemOutput]]
     # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
-    # Per exclusion and clinical rule id, the fields whose absence can leave
-    # its condition indeterminate (``condition.bare_fields``).
-    bare_fields: dict[str, tuple[str, ...]]
+    # Per exclusion and clinical rule id, built on first use, ``condition.bare_fields`` of its
+    # condition; keyed by the ``str`` id, as a declaration's hash walks its condition.
+    bare_fields: _Memo
     # The class vetoes in rule-id order, then the escalation justification.
     stewardship: _Program
     class_map: dict[str, ClassDecl]
@@ -157,17 +175,18 @@ def _compiled(policy: Policy) -> _Compiled:
     stewardship = policy.stewardship
     rules = policy.clinical_rules
     class_map = policy.class_map()
+    conditions = {decl.rule_id: decl.when for decl in (*policy.exclusions, *rules)}
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _records(_INPUT_ASSESSMENT, policy.consistency),
-        _records(_EXCLUSIONS, policy.exclusions),
-        _records(_CLINICAL_RULES, rules),
+        _Memo(_records(_INPUT_ASSESSMENT, policy.consistency)),
+        _Memo(_records(_EXCLUSIONS, policy.exclusions)),
+        _rule_outcomes(rules),
         _outcomes(policy, class_map),
         {c: (StageRecord(_OUTPUT, (), (c,)), SystemOutput.recommend(c)) for c in class_map},
         tuple(position for position, rule in enumerate(rules) if rule.requires),
-        {rule.rule_id: tuple(bare_fields(rule.when)) for rule in (*policy.exclusions, *rules)},
+        _Memo(lambda rule_id: tuple(bare_fields(conditions[rule_id]))),
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         class_map,
         tuple(decl.name for decl in policy.risk_fields()),
@@ -252,7 +271,9 @@ def _outcomes(policy: Policy, class_map: dict[str, ClassDecl]) -> _Memo:
     return _Memo(build)
 
 
-def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired: list[ClinicalRule]) -> _StewardshipOutcome:
+def _stewardship_stage(
+    policy: Policy, compiled: _Compiled, fields, fired: tuple[ClinicalRule, ...]
+) -> _StewardshipOutcome:
     """Stage 4: veto pruning and the escalation gate, found by ``_outcomes``' key."""
     return compiled.stewardship_outcomes[(bytes(compiled.stewardship(fields)), *[rule.rule_id for rule in fired])]
 
@@ -322,16 +343,10 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
         for rule, truth in zip(rules, truths):
             if truth == _INDETERMINATE:
                 problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    stages.append(compiled.rule_records[bytes(picks)])
+    record, fired, conflicted = compiled.rule_records[bytes(picks)]
+    stages.append(record)
     if problems:
         return _abstain(compiled, stages, _MISSING_INPUTS, problems)
-    fired = [rule for rule, truth in zip(rules, truths) if truth == _TRUE]
-    fired_ids = {rule.rule_id for rule in fired}
-    conflicted: set[str] = set()
-    for rule in fired:
-        for other in rule.incompatible_with:
-            if other in fired_ids:
-                conflicted.update((rule.rule_id, other))
     if conflicted:
         return _abstain(compiled, stages, _CONFLICTING_SIGNALS, conflicted)
     if not fired:

@@ -284,6 +284,17 @@ def test_diagnostics_keep_their_order_codes_and_positions():
     ]
 
 
+def test_two_thousand_exclusions_parse_with_no_diagnostic():
+    # A repeated label is found in a set of the labels so far, not by a
+    # scan of every earlier exclusion; it is reported at its label token.
+    exclusions = "".join(f"exclude e{n} label L{n} when a == true\n" for n in range(2000))
+    policy, diags = parse_policy(MINIMAL + exclusions)
+    assert diags == [] and len(policy.exclusions) == 2000
+    policy, diags = parse_policy(MINIMAL + exclusions + "exclude e_again label L1999 when a == true\n")
+    assert policy is None
+    assert [d.render() for d in diags] == ["ERROR duplicate_label 2008:23 exclusion label 'L1999' declared twice"]
+
+
 def test_comments_and_whitespace_do_not_change_the_hash():
     base, _ = parse_policy(MINIMAL)
     noisy = "# leading comment\n\n" + MINIMAL.replace(

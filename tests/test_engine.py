@@ -23,7 +23,7 @@ from absgate import (
     policy_hash,
     validate_policy,
 )
-from absgate.canon import canonical_bytes
+from absgate.canon import canonical_bytes, canonical_hash
 from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, print_condition, typecheck
 from absgate.engine import _OUTPUT_MEMO_LIMIT, _compiled, assess_inputs
 from absgate.model import (
@@ -39,7 +39,7 @@ from absgate.model import (
     Verdict,
     canonical_serialize,
 )
-from absgate.policy import ConsistencyConstraint
+from absgate.policy import ConsistencyConstraint, policy_canonical
 from absgate.reference import reference_policy_text, reference_suite_text
 
 from oracle import as_trace, as_tuple, kind_cases, make_kind_policy, oracle_decide, oracle_trace
@@ -396,13 +396,16 @@ def test_equal_truth_values_give_the_identical_record():
             if record.stage is not Stage.STEWARDSHIP:
                 assert first.setdefault((record.stage, record.evaluated, record.notes), record) is record
     assert len(first) < sum(len(t.stages) for t in traces)
-    # A stage's memo builds a record on its first miss and hands that one
-    # out for every equal vector of truth values.
+    # A stage's memo builds an entry on its first miss and hands that one
+    # out for every equal vector of truth values; stage 3's holds the record,
+    # the fired rules and the conflicted rule ids.
     records = _compiled(pickle.loads(pickle.dumps(POLICY))).rule_records
     truths = [0] * len(policy.clinical_rules)
     built = records[bytes(truths)]
     assert records == {bytes(truths): built} and records[bytes(truths.copy())] is built
-    assert built == StageRecord(Stage.CLINICAL_RULES, [(r.rule_id, Verdict.NOT_FIRED) for r in policy.clinical_rules])
+    record, fired, conflicted = built
+    assert record == StageRecord(Stage.CLINICAL_RULES, [(r.rule_id, Verdict.NOT_FIRED) for r in policy.clinical_rules])
+    assert fired == () and conflicted == frozenset()
     # Deciding again hands out the same records, stage 4's included.
     again = [decide(policy, c)[1] for c in cases]
     for trace, repeat in zip(traces, again):
@@ -420,11 +423,12 @@ def test_a_memo_limit_of_two_decides_alike_and_keeps_at_most_two(monkeypatch):
         assert [canonical_serialize(o) + canonical_serialize(t) for o, t in (decide(policy, c) for c in cases)] == expected
     compiled = _compiled(policy)
     memos = [value for value in compiled if isinstance(value, engine._Memo)]
-    # The stage 1-3 records, the stage-4 outcomes and the abstentions.
+    # The stage 1-2 records, the stage-3 outcomes, the stage-4 outcomes, the
+    # bare fields and the abstentions.
     named = [compiled.consistency_records, compiled.exclusion_records, compiled.rule_records]
-    named += [compiled.stewardship_outcomes, compiled.outputs]
+    named += [compiled.stewardship_outcomes, compiled.bare_fields, compiled.outputs]
     assert list(map(id, memos)) == list(map(id, named))
-    assert [len(memo) for memo in memos] == [2] * 5
+    assert [len(memo) for memo in memos] == [2] * 6
 
 
 def _stewardship_key(policy, c):
@@ -500,6 +504,63 @@ def test_the_order_that_fills_the_memos_changes_no_decision(seed):
         for index in order:
             output, trace = decide(policy, cases[index])
             assert canonical_serialize(output) + canonical_serialize(trace) == expected[index], cases[index].case_id
+
+
+def _seed5_workloads():
+    """A freshly parsed policy and its cases, for the reference suite and
+    the seed-5 rule_heavy and intake_screen smoke suites."""
+    generate = _load_generate()
+    texts = [(reference_policy_text(), reference_suite_text())]
+    for name in ("rule_heavy", "intake_screen"):
+        generated = generate.build(name, 5, smoke=True)
+        texts.append((generated.policy_text, generated.suite_text))
+    return [(parse_policy(policy_text)[0], parse_suite(suite_text)[0].cases) for policy_text, suite_text in texts]
+
+
+def test_the_stage3_memo_holds_the_fired_rules_and_conflicts_of_its_record():
+    truth_of = {Verdict.NOT_FIRED: 0, Verdict.INDETERMINATE: 1, Verdict.FIRED: 2}
+    checked = conflicts = 0
+    for policy, cases in _seed5_workloads():
+        rules = {rule.rule_id: rule for rule in policy.clinical_rules}
+        memo = _compiled(policy).rule_records
+        for c in cases:
+            output, trace = decide(policy, c)
+            if len(trace.stages) < 3:
+                continue
+            record = trace.stages[2]
+            key = bytes(truth_of[verdict] for _, verdict in record.evaluated)
+            assert key in memo
+            memo_record, fired, conflicted = memo[key]
+            # Recomputed from the trace and the policy's declarations.
+            fired_ids = [rule_id for rule_id, verdict in record.evaluated if verdict is Verdict.FIRED]
+            pairs = [(r, o) for r in fired_ids for o in rules[r].incompatible_with if o in fired_ids]
+            assert memo_record is record and fired == tuple(rules[r] for r in fired_ids)
+            assert conflicted == frozenset(name for pair in pairs for name in pair)
+            if output.reason is not None and output.reason.category is AbstentionCategory.CONFLICTING_SIGNALS:
+                assert conflicted == frozenset(output.reason.labels)
+                conflicts += 1
+            checked += 1
+    assert checked and conflicts
+
+
+def test_the_bare_field_memo_is_keyed_by_rule_id():
+    # A declaration as key would hash its whole condition tree per lookup.
+    keys = []
+    for policy, cases in _seed5_workloads():
+        for c in cases:
+            decide(policy, c)
+        ids = {decl.rule_id for decl in (*policy.exclusions, *policy.clinical_rules)}
+        keys += _compiled(policy).bare_fields
+        assert set(_compiled(policy).bare_fields) <= ids
+    assert keys and all(type(key) is str for key in keys)
+
+
+def test_policy_hash_is_kept_and_equals_the_canonical_digest():
+    for policy, _ in _seed5_workloads():
+        assert "_digest" not in vars(policy)
+        digest = policy_hash(policy)
+        assert digest == canonical_hash(policy_canonical(policy)) == policy._digest
+        assert policy_hash(policy) is digest
 
 
 @functools.cache
