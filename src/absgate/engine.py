@@ -40,17 +40,17 @@ entries. Stages 1–3 find their record by ``bytes`` of their truth values
 (in stage 3 a rule whose ``requires`` are unmet reads INDETERMINATE
 whatever its condition yields); a miss picks each declaration's pair and
 its JSON text by truth value and joins the texts (``StageRecord._encoded``).
-Stage 3's entry also holds the fired rules and the conflicted rule ids, and
-a rule's bare-reference fields are kept by its id once it reads
-INDETERMINATE. Stage 4 finds its outcome by the stewardship truth values
-and the fired rule ids; a miss builds the record through the public
-``StageRecord`` constructor. Stage 5 holds one record and recommendation
-per class, and the output memo holds abstentions, built through the public
-``SystemOutput`` constructor. A record or output keeps its text once
-encoded, so a shared one is encoded once. All are immutable, so traces
-share them, and ``decide`` assembles each trace through ``AuditTrace._trusted``.
-Every call still runs the program of every stage it reaches; the memos
-only hold what its truth values select. ``policy_hash`` keeps its digest.
+Stage 3's entry also holds its fired rules and conflicted rule ids, and a
+memo limited to the rule ids holds each rule's bare-reference fields
+from the first time it reads INDETERMINATE. Stage 4 finds its outcome by
+the stewardship truth values and the fired rule ids; a miss builds the
+record through the public ``StageRecord`` constructor. Stage 5 holds one
+record and recommendation per class, and the output memo holds
+abstentions, built through the public ``SystemOutput`` constructor. A
+record or output keeps its text once encoded, so a shared one is encoded
+once. All are immutable, so traces share them, and ``decide`` assembles
+each trace through ``AuditTrace._trusted``. Every call still evaluates
+every truth value of each stage it reaches.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -96,22 +96,23 @@ _VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
 class _Memo(dict):
     """Values by key, each built by ``build(key)`` on first use. Keys come
     from case data, so a memo stops storing at ``_OUTPUT_MEMO_LIMIT``
-    entries; past that, a missing value is built per call."""
+    entries, or at ``limit`` if the policy bounds its keys; past that, a
+    missing value is built per call."""
 
-    def __init__(self, build: Callable[[Any], Any]) -> None:
+    def __init__(self, build: Callable[[Any], Any], limit: int | None = None) -> None:
         super().__init__()
-        self.build = build
+        self.build, self.limit = build, limit
 
     def __missing__(self, key: Any) -> Any:
         value = self.build(key)
-        if len(self) < _OUTPUT_MEMO_LIMIT:
+        if len(self) < (self.limit or _OUTPUT_MEMO_LIMIT):
             self[key] = value
         return value
 
 
-def _records(stage: Stage, declarations: Iterable[Any]) -> Callable[[bytes], StageRecord]:
-    """The builder of a stage's record from ``bytes`` of one truth value per
-    declaration: two C-level maps pick each declaration's pair and its JSON
+def _records(stage: Stage, declarations: Iterable[Any]) -> _Memo:
+    """A stage's records by ``bytes`` of one truth value per declaration,
+    picked by two C-level maps from each declaration's pair and its JSON
     text (``model._pair_json``), both built once per truth value."""
     verdicts = [[(decl.rule_id, verdict) for verdict in _VERDICTS] for decl in declarations]
     fragments = [[*starmap(_pair_json, pairs)] for pairs in verdicts]
@@ -120,13 +121,13 @@ def _records(stage: Stage, declarations: Iterable[Any]) -> Callable[[bytes], Sta
         evaluated = tuple(map(getitem, verdicts, truths))
         return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
 
-    return build
+    return _Memo(build)
 
 
 def _rule_outcomes(rules: tuple[ClinicalRule, ...]) -> _Memo:
     """Stage 3's ``(record, fired rules, conflicted rule ids)`` by ``bytes``
     of its truth values; ``decide`` reads the last two only if no rule abstains."""
-    record = _records(_CLINICAL_RULES, rules)
+    record = _records(_CLINICAL_RULES, rules).build
 
     def build(truths: bytes) -> tuple[StageRecord, tuple[ClinicalRule, ...], frozenset[str]]:
         fired = tuple([rule for rule, truth in zip(rules, truths) if truth == _TRUE])
@@ -153,8 +154,8 @@ class _Compiled(NamedTuple):
     recommendations: dict[str, tuple[StageRecord, SystemOutput]]
     # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
-    # Per exclusion and clinical rule id, built on first use, ``condition.bare_fields`` of its
-    # condition; keyed by the ``str`` id, as a declaration's hash walks its condition.
+    # Per exclusion and clinical rule id, ``condition.bare_fields`` of its condition, built on
+    # first use and kept for every id; keyed by the ``str`` id, as a declaration's hash walks it.
     bare_fields: _Memo
     # The class vetoes in rule-id order, then the escalation justification.
     stewardship: _Program
@@ -180,13 +181,13 @@ def _compiled(policy: Policy) -> _Compiled:
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _Memo(_records(_INPUT_ASSESSMENT, policy.consistency)),
-        _Memo(_records(_EXCLUSIONS, policy.exclusions)),
+        _records(_INPUT_ASSESSMENT, policy.consistency),
+        _records(_EXCLUSIONS, policy.exclusions),
         _rule_outcomes(rules),
         _outcomes(policy, class_map),
         {c: (StageRecord(_OUTPUT, (), (c,)), SystemOutput.recommend(c)) for c in class_map},
         tuple(position for position, rule in enumerate(rules) if rule.requires),
-        _Memo(lambda rule_id: tuple(bare_fields(conditions[rule_id]))),
+        _Memo(lambda rule_id: tuple(bare_fields(conditions[rule_id])), len(conditions)),
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         class_map,
         tuple(decl.name for decl in policy.risk_fields()),
@@ -271,9 +272,7 @@ def _outcomes(policy: Policy, class_map: dict[str, ClassDecl]) -> _Memo:
     return _Memo(build)
 
 
-def _stewardship_stage(
-    policy: Policy, compiled: _Compiled, fields, fired: tuple[ClinicalRule, ...]
-) -> _StewardshipOutcome:
+def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired) -> _StewardshipOutcome:
     """Stage 4: veto pruning and the escalation gate, found by ``_outcomes``' key."""
     return compiled.stewardship_outcomes[(bytes(compiled.stewardship(fields)), *[rule.rule_id for rule in fired])]
 

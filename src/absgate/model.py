@@ -108,9 +108,9 @@ class _Frozen:
     order, and its ``__init__`` checks them and stores each with ``_set``.
     Nothing can be set or deleted; ``==`` and ``hash`` go by class and by
     ``_key``, an ``attrgetter`` over ``_fields`` unless a subclass sets
-    another. Pickles and copies hold the fields alone, so an instance's cache
-    (``_json``, ``_program``, ``_compiled``, ``_digest``) is rebuilt on use,
-    and ``_replace`` rebuilds through the constructor, checks and all."""
+    another. Pickles and copies hold the fields alone, so a cache kept in the
+    instance (``_json``, ``_program``, ``_compiled``) is rebuilt on use, and
+    ``_replace`` rebuilds through the constructor, checks and all."""
 
     _fields: tuple[str, ...]
 

@@ -416,7 +416,5 @@ def policy_canonical(policy: Policy) -> dict[str, Any]:
 
 
 def policy_hash(policy: Policy) -> str:
-    """SHA-256 hex digest of the canonical policy form, kept on the policy."""
-    if "_digest" not in vars(policy):
-        _set(policy, "_digest", canonical_hash(policy_canonical(policy)))
-    return policy._digest  # type: ignore[attr-defined]
+    """SHA-256 hex digest of the canonical policy form."""
+    return canonical_hash(policy_canonical(policy))

@@ -6,8 +6,7 @@ and defaults, read with ``inspect.signature``) and a representative
 instance. Over the table: equality and hashing by value and class,
 ``line``/``col`` outside ``==`` and ``hash`` on condition nodes,
 immutability, and ``pickle``/``copy``/``deepcopy``/``_replace`` copies
-that are equal and carry no cache (``_json``, ``_program``, ``_compiled``,
-``_digest``).
+that are equal and carry no cache (``_json``, ``_program``, ``_compiled``).
 A few ``repr`` strings are pinned literally.
 """
 
@@ -41,15 +40,14 @@ from absgate.model import (
 _ = Parameter.empty
 P, K = Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY
 _AT = (("line", K, 0), ("col", K, 0))
-_CACHES = ("_json", "_program", "_compiled", "_digest")
+_CACHES = ("_json", "_program", "_compiled")
 
 
 def _instances():
     """A representative instance per class, with its caches filled where
-    it has any: the policy has decided and been hashed, the outputs and
-    records were encoded, the comparison was evaluated."""
+    it has any: the policy has decided, the outputs and records were
+    encoded, the comparison was evaluated."""
     reference, cases = load_reference_policy(), load_reference_suite()
-    policy.policy_hash(reference)
     output, trace = decide(reference, cases.case("c17"))
     abstained = decide(reference, cases.case("c11"))[0]
     canonical_serialize(trace)
@@ -255,7 +253,6 @@ def test_the_instances_hold_caches_for_the_copies_to_drop():
     assert INSTANCES[model.StageRecord]._json is not None
     assert INSTANCES[condition.Comparison]._program is not None
     assert INSTANCES[policy.Policy]._compiled is not None
-    assert INSTANCES[policy.Policy]._digest is not None
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
