@@ -38,8 +38,10 @@ def _emit(diags: Sequence[Diagnostic]) -> None:
 
 
 def _read_text(path: str) -> str | None:
+    # As written: newline translation would end a line at a lone "\r".
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ERROR unreadable_file 0:0 {path}: {exc}", file=sys.stderr)
         return None

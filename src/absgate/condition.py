@@ -27,11 +27,11 @@ builds a one-condition program and caches it on the node.
 ``typecheck`` alone decides which conditions suit a schema; its one caller,
 ``policy.reference_findings``, serves ``parse_policy`` and ``Policy`` alike.
 
-Compiling, ``bare_fields``, ``typecheck``, ``print_condition`` and the
-connectives' ``==`` and ``hash`` all read a tree in post-order from one
-explicit-stack walk (``_postfix``), so a tree's depth is bounded by memory,
-not by the interpreter's recursion limit. ``repr``, ``pickle`` and
-``copy.deepcopy`` still recurse once per level.
+Compiling, ``bare_fields``, ``print_condition`` and the connectives' ``==``
+and ``hash`` read a tree in post-order from one explicit-stack walk
+(``_postfix``); ``typecheck`` takes that walk without its list. So a tree's
+depth is bounded by memory, not by the interpreter's recursion limit.
+``repr``, ``pickle`` and ``copy.deepcopy`` still recurse once per level.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
-from .model import IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _Frozen, _name, _set
+from .model import (
+    _DECIMAL, _INTEGER, _TOKEN, _TOKEN_SET, IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _Frozen, _name, _set
+)
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
     from .policy import FieldDecl
@@ -585,12 +587,22 @@ def typecheck(cond: Condition, schema: Mapping[str, "FieldDecl"]) -> list[Diagno
     only for integer and decimal fields), and token literals outside a
     closed enumeration.
     """
+    # The walk of ``_postfix`` without its list, so the leaves come last first.
     diags = []
-    for node in _postfix(cond):
-        if isinstance(node, _FIELD_LEAVES):
+    work = [cond]
+    while work:
+        node = work.pop()
+        if isinstance(node, (And, Or)):
+            work += (node.left, node.right)
+        elif isinstance(node, Not):
+            work.append(node.inner)
+        elif isinstance(node, _FIELD_LEAVES):
             diag = _leaf_error(node, schema.get(node.field_name))
             if diag is not None:
                 diags.append(diag)
+        elif not isinstance(node, Literal):
+            raise TypeError(f"not a condition node: {node!r}")
+    diags.reverse()
     return diags
 
 
@@ -603,19 +615,19 @@ def _leaf_error(node: Condition, decl: "FieldDecl | None") -> Diagnostic | None:
         return None
     kind = decl.kind
     if isinstance(node, Has):
-        if kind is not FieldKind.TOKEN_SET:
+        if kind is not _TOKEN_SET:
             return _err("type_mismatch", f"'has' requires a tokenset field, '{name}' is {kind.value}", node)
         if decl.enum is not None and node.token not in decl.enum:
             return _err("unknown_enum_token", f"token '{node.token}' is outside the enumeration of '{name}'", node)
         return None
     lit = node.literal
-    if kind is FieldKind.TOKEN_SET:
+    if kind is _TOKEN_SET:
         return _err("type_mismatch", f"tokenset field '{name}' admits only 'has'", node)
-    if node.op in _ORDERING_OPS and kind not in (FieldKind.INTEGER, FieldKind.DECIMAL):
+    if node.op in _ORDERING_OPS and kind not in (_INTEGER, _DECIMAL):
         return _err("type_mismatch", f"ordering comparison on {kind.value} field '{name}'", node)
-    if not (lit.kind is kind or (kind is FieldKind.DECIMAL and lit.kind is FieldKind.INTEGER)):
+    if not (lit.kind is kind or (kind is _DECIMAL and lit.kind is _INTEGER)):
         return _err("type_mismatch", f"{lit.kind.value} literal compared against {kind.value} field '{name}'", node)
-    if kind is FieldKind.TOKEN and decl.enum is not None and lit.value not in decl.enum:
+    if kind is _TOKEN and decl.enum is not None and lit.value not in decl.enum:
         return _err("unknown_enum_token", f"token '{lit.value}' is outside the enumeration of '{name}'", node)
     return None
 

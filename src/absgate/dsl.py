@@ -1,14 +1,16 @@
 r"""Parser and printer for the policy definition language.
 
 The language is a line-oriented, UTF-8 statement list; ``#`` starts a
-comment that runs to end of line. The lexer reads the text in one regex
-scan. Whitespace is no token: a gap between two tokens may hold any
-character ``str.isspace`` accepts, and each other character in it is an
-``unexpected_character`` error. Only ``\n`` ends a line, for the line and
-column of every token and diagnostic; ``\r``, form feed and the other
-Unicode line separators are whitespace within a line. Statements begin with
-a keyword, so the parser recovers from a malformed statement by skipping to
-the next keyword and keeps reporting. Grammar::
+comment that runs to end of line. The lexer reads each line with one
+``findall`` of (gap, lexeme) pairs. A gap holds characters that
+``str.isspace`` accepts; a lexeme is a token, a comment, or one other
+character, an ``unexpected_character`` error. Only ``\n`` ends a line, for
+the line and column of every token and diagnostic; ``\r``, form feed and
+the other Unicode line separators are whitespace within a line.
+Statements begin with a keyword, so the parser recovers from a malformed
+statement by skipping to the next keyword and keeps reporting. A name
+listed twice by ``require``, ``known_risks``, ``requires`` or
+``incompatible`` is a ``duplicate_name`` error at the repeat. Grammar::
 
     policy      := "policy" IDENT "version" TOKEN
     field       := "field" IDENT ":" ftype
@@ -52,7 +54,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from operator import getitem
-from typing import Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .condition import (
     Absent,
@@ -67,7 +69,7 @@ from .condition import (
     print_condition,
 )
 from .diagnostics import Diagnostic, Severity, has_errors
-from .model import TOKEN_RE, INT64_MAX, INT64_MIN, FieldKind, FieldValue
+from .model import _BOOLEAN, _DECIMAL, _INTEGER, _TOKEN, TOKEN_RE, INT64_MAX, INT64_MIN, FieldKind, FieldValue
 from .policy import (
     ClassDecl,
     ClinicalRule,
@@ -82,19 +84,20 @@ from .policy import (
 
 __all__ = ["parse_policy", "format_policy"]
 
-# The commonest token first: no other alternative matches at a letter or ``_``.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NEWLINE>\n)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<DECIMAL>-?[0-9]+\.[0-9]+)
-  | (?P<INT>-?[0-9]+)
-  | (?P<OP>==|!=|<=|>=|<|>)
-  | (?P<PUNCT>[{}(),:])
-    """,
-    re.VERBOSE,
-)
+# Each match is the gap of whitespace before a lexeme, then the lexeme: an
+# IDENT, a comment, an INT or DECIMAL, an OP, a PUNCT, or else one character,
+# which is unexpected. So the matches cover a line but for whitespace after
+# its last lexeme. An IDENT is spelled as IDENT_RE asks.
+_SCAN_RE = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*|#.*|-?[0-9]+(?:\.[0-9]+)?|[=!<>]=|[<>{}(),:]|\S)")
+# A lexeme's kind by its first character, but a lone "-", "=" or "!" starts
+# no token. A character missing here is unexpected.
+_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "IDENT"),
+    **dict.fromkeys("-0123456789", "INT"),
+    **dict.fromkeys("=!<>", "OP"),
+    **dict.fromkeys("{}(),:", "PUNCT"),
+    "#": "COMMENT",
+}
 
 
 class _Tok(NamedTuple):
@@ -132,34 +135,24 @@ _BINDS = {"or": 1, "and": 2, "not": 3}
 def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
     tokens: list[_Tok] = []
     new = tuple.__new__  # skips the Python-level __new__ that NamedTuple generates
-    line = 1
-    line_start = 0
-    end = 0
-    for match in _TOKEN_RE.finditer(text):
-        start = match.start()
-        if start != end and not text[end:start].isspace():
-            _unexpected(text, end, start, line, line_start, diags)
-        end = match.end()
-        kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = end
-        elif kind != "COMMENT":
-            tokens.append(new(_Tok, (kind, match.group(), line, start - line_start + 1)))
-    if end != len(text) and not text[end:].isspace():
-        _unexpected(text, end, len(text), line, line_start, diags)
-    tokens.append(_Tok("EOF", "", line, len(text) - line_start + 1))
+    # One findall per line: the pairs of the whole text, alive at once, would
+    # double the garbage collector's passes while they are read.
+    for line, row in enumerate(text.split("\n"), 1):
+        col = 1
+        for gap, lexeme in _SCAN_RE.findall(row):
+            col += len(gap)
+            kind = _KINDS.get(lexeme[0])
+            if kind == "IDENT" or kind == "PUNCT":
+                tokens.append(new(_Tok, (kind, lexeme, line, col)))
+            elif kind is None or lexeme in ("-", "=", "!"):
+                diags.append(
+                    Diagnostic(Severity.ERROR, "unexpected_character", f"unexpected character {lexeme!r}", line, col)
+                )
+            elif kind != "COMMENT":
+                tokens.append(new(_Tok, ("DECIMAL" if "." in lexeme else kind, lexeme, line, col)))
+            col += len(lexeme)
+    tokens.append(_Tok("EOF", "", line, len(row) + 1))
     return tokens
-
-
-def _unexpected(text: str, start: int, end: int, line: int, line_start: int, diags: list[Diagnostic]) -> None:
-    # A gap between tokens holds no newline, so all of it is on one line.
-    for pos in range(start, end):
-        if not text[pos].isspace():
-            col = pos - line_start + 1
-            diags.append(
-                Diagnostic(Severity.ERROR, "unexpected_character", f"unexpected character {text[pos]!r}", line, col)
-            )
 
 
 def _int64(text: str) -> int | None:
@@ -227,10 +220,6 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
 
-    def ident(self, what: str) -> _Tok:
-        # The lexer's IDENT pattern is IDENT_RE, so every IDENT token is one.
-        return self.expect_kind("IDENT", what)
-
     def token_value(self, what: str) -> _Tok:
         tok = self.expect_kind("IDENT", what)
         if not TOKEN_RE.match(tok.text):
@@ -289,10 +278,23 @@ class _Parser:
                 self.advance()
         self.expect("}")
 
+    def _distinct(
+        self, toks: Iterable[_Tok], what: str, seen: Container[str] = (), code: str = "duplicate_name"
+    ) -> list[_Tok]:
+        # The tokens of a list of names but each repeat, which is an error at
+        # its token; ``seen`` holds the names earlier statements listed.
+        kept: dict[str, _Tok] = {}
+        for tok in toks:
+            if tok.text in kept or tok.text in seen:
+                self.error(code, f"{what} '{tok.text}' repeated", tok)
+            else:
+                kept[tok.text] = tok
+        return list(kept.values())
+
     # --- statements -----------------------------------------------------
     def _stmt_policy(self) -> None:
         tok = self.expect("policy")
-        name = self.ident("policy id")
+        name = self.expect_kind("IDENT", "policy id")
         self.expect("version")
         version = self.token_value("version")
         if self.header is not None:
@@ -302,7 +304,7 @@ class _Parser:
 
     def _stmt_field(self) -> None:
         self.expect("field")
-        name = self.ident("field name")
+        name = self.expect_kind("IDENT", "field name")
         self.expect(":")
         kind_tok = self.expect_kind("IDENT", "field type")
         enum: tuple[str, ...] | None = None
@@ -330,19 +332,15 @@ class _Parser:
             self.error("invalid_field", str(exc), name)
 
     def _enum_block(self) -> tuple[str, ...]:
-        tokens: list[str] = []
-        for tok in self._braced_tokens("enumeration token"):
-            if tok.text in tokens:
-                self.error("duplicate_enum_token", f"enumeration token '{tok.text}' repeated", tok)
-            else:
-                tokens.append(tok.text)
+        what = "enumeration token"
+        tokens = self._distinct(self._braced_tokens(what), what, code="duplicate_enum_token")
         if not tokens:
             raise _ParseError("enumeration must list at least one token", self.peek())
-        return tuple(tokens)
+        return tuple(tok.text for tok in tokens)
 
     def _stmt_class(self) -> None:
         self.expect("class")
-        name = self.ident("class id")
+        name = self.expect_kind("IDENT", "class id")
         self.expect("rank")
         rank_tok = self.expect_kind("INT", "rank integer")
         escalation = False
@@ -365,16 +363,17 @@ class _Parser:
 
     def _stmt_require(self) -> None:
         self.expect("require")
-        for tok in self._ident_list("required field name"):
-            self.required.setdefault(tok.text, tok)
+        for tok in self._distinct(self._ident_list("required field name"), "required field", self.required):
+            self.required[tok.text] = tok
 
     def _stmt_known_risks(self) -> None:
         self.expect("known_risks")
-        self.known_risks.update(tok.text for tok in self._braced_tokens("risk token"))
+        tokens = self._distinct(self._braced_tokens("risk token"), "risk token", self.known_risks)
+        self.known_risks.update(tok.text for tok in tokens)
 
     def _stmt_consistency(self) -> None:
         self.expect("consistency")
-        name = self.ident("consistency id")
+        name = self.expect_kind("IDENT", "consistency id")
         self.expect("forbid")
         forbid = self._condition()
         if self._claim_rule_id(name):
@@ -382,9 +381,9 @@ class _Parser:
 
     def _stmt_exclude(self) -> None:
         self.expect("exclude")
-        name = self.ident("exclusion id")
+        name = self.expect_kind("IDENT", "exclusion id")
         self.expect("label")
-        label = self.ident("exclusion label")
+        label = self.expect_kind("IDENT", "exclusion label")
         self.expect("when")
         when = self._condition()
         if not self._claim_rule_id(name):
@@ -397,19 +396,19 @@ class _Parser:
 
     def _stmt_rule(self) -> None:
         self.expect("rule")
-        name = self.ident("rule id")
+        name = self.expect_kind("IDENT", "rule id")
         requires: list[_Tok] = []
         if self.at("requires"):
             self.advance()
-            requires = self._ident_list("required field name")
+            requires = self._distinct(self._ident_list("required field name"), "required field")
         self.expect("when")
         when = self._condition()
         self.expect("candidate")
-        candidate = self.ident("candidate class id")
+        candidate = self.expect_kind("IDENT", "candidate class id")
         incompatible: list[_Tok] = []
         if self.at("incompatible"):
             self.advance()
-            incompatible = self._ident_list("rule id")
+            incompatible = self._distinct(self._ident_list("rule id"), "incompatible rule")
         if self._claim_rule_id(name):
             self.rules.append((name, when, candidate, requires, incompatible))
 
@@ -421,9 +420,9 @@ class _Parser:
         vetoes: list[tuple[_Tok, _Tok, Condition]] = []
         while self.at("veto"):
             self.advance()
-            veto_id = self.ident("veto id")
+            veto_id = self.expect_kind("IDENT", "veto id")
             self.expect("class")
-            class_id = self.ident("vetoed class id")
+            class_id = self.expect_kind("IDENT", "vetoed class id")
             self.expect("when")
             when = self._condition()
             if self._claim_rule_id(veto_id):
@@ -443,28 +442,33 @@ class _Parser:
         return True
 
     # --- expressions ------------------------------------------------------
+    # These read ``self.tokens[self.pos]`` in place of ``peek`` and step
+    # ``self.pos`` past a token already matched, which is never EOF.
     def _condition(self) -> Condition:
         # Shunting-yard (Dijkstra): ``ops`` holds the pending "(", "not",
         # "and" and "or" tokens, ``terms`` each finished operand with its
         # tree height, and ``opened`` counts the "(" and "not" in ``ops``.
+        tokens = self.tokens
         ops: list[_Tok] = []
         terms: list[tuple[Condition, int]] = []
         opened = 0
         while True:
-            if self.at("not") or self.at("("):
-                ops.append(self.advance())
+            tok = tokens[self.pos]
+            if tok.text == "not" or tok.text == "(":
+                ops.append(tok)
+                self.pos += 1
                 opened += 1
                 if opened > _MAX_OPEN:
                     message = f"condition has more than {_MAX_OPEN} '(' and 'not' open at once"
-                    raise _ParseError(message, ops[-1], "nesting_too_deep")
+                    raise _ParseError(message, tok, "nesting_too_deep")
                 continue
             terms.append((self._atom(), 0))
             # An operand has ended. Each pending operator that binds at least
             # as tightly as the next token applies, so an operator applies as
             # soon as its right operand ends; then a matched "(" closes.
             while True:
-                nxt = self.peek().text
-                binds = _BINDS[nxt] if nxt == "and" or nxt == "or" else 0
+                nxt = tokens[self.pos]
+                binds = _BINDS[nxt.text] if nxt.text == "and" or nxt.text == "or" else 0
                 if ops and ops[-1].text != "(" and _BINDS[ops[-1].text] >= binds:
                     op = ops.pop()
                     right, height = terms.pop()
@@ -479,7 +483,8 @@ class _Parser:
                         raise _ParseError(f"condition nests deeper than {MAX_NESTING} levels", op, "nesting_too_deep")
                     terms.append((node, height + 1))
                 elif binds:
-                    ops.append(self.advance())
+                    ops.append(nxt)
+                    self.pos += 1
                     break
                 elif not ops:
                     return terms[0][0]
@@ -489,53 +494,46 @@ class _Parser:
                     opened -= 1
 
     def _atom(self) -> Condition:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text in ("true", "false"):
-            self.advance()
+            self.pos += 1
             return Literal(tok.text == "true", line=tok.line, col=tok.col)
         if tok.text in ("present", "absent"):
-            self.advance()
+            self.pos += 1
             self.expect("(")
-            name = self.ident("field name")
+            name = self.expect_kind("IDENT", "field name")
             self.expect(")")
-            node_type = Present if tok.text == "present" else Absent
-            return node_type(name.text, line=tok.line, col=tok.col)
-        if tok.kind == "IDENT":
-            name = self.ident("field name")
-            nxt = self.peek()
-            if nxt.kind == "OP":
-                op = self.advance().text
-                literal = self._literal()
-                return Comparison(name.text, op, literal, line=name.line, col=name.col)
-            if nxt.text == "has":
-                self.advance()
-                member = self.token_value("member token")
-                return Has(name.text, member.text, line=name.line, col=name.col)
-            raise _ParseError(f"expected a comparison or 'has' after field {name.text!r}", nxt)
-        raise _ParseError(f"expected a condition, found {tok.text!r}", tok)
+            return (Present if tok.text == "present" else Absent)(name.text, line=tok.line, col=tok.col)
+        if tok.kind != "IDENT":
+            raise _ParseError(f"expected a condition, found {tok.text!r}", tok)
+        self.pos += 1
+        nxt = self.tokens[self.pos]
+        if nxt.kind == "OP":
+            self.pos += 1
+            return Comparison(tok.text, nxt.text, self._literal(), line=tok.line, col=tok.col)
+        if nxt.text == "has":
+            self.pos += 1
+            return Has(tok.text, self.token_value("member token").text, line=tok.line, col=tok.col)
+        raise _ParseError(f"expected a comparison or 'has' after field {tok.text!r}", nxt)
 
     def _literal(self) -> FieldValue:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind not in ("INT", "DECIMAL", "IDENT"):
+            raise _ParseError(f"expected a literal, found {tok.text!r}", tok)
+        self.pos += 1
         if tok.kind == "INT":
-            self.advance()
             value = _int64(tok.text)
             if value is None:
                 raise _ParseError(f"integer literal out of 64-bit range: {tok.text}", tok)
-            return FieldValue.integer(value)
-        if tok.kind == "DECIMAL":
-            self.advance()
-            try:
-                return FieldValue.decimal(tok.text)
-            except ValueError as exc:
-                raise _ParseError(str(exc), tok) from exc
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text in ("true", "false"):
-                return FieldValue.boolean(tok.text == "true")
-            if not TOKEN_RE.match(tok.text):
-                raise _ParseError(f"token literal must match [a-z][a-z0-9_]*: {tok.text!r}", tok)
-            return FieldValue.token(tok.text)
-        raise _ParseError(f"expected a literal, found {tok.text!r}", tok)
+            return FieldValue(_INTEGER, value)
+        if tok.text in ("true", "false"):
+            return FieldValue(_BOOLEAN, tok.text == "true")
+        # The constructor checks a DECIMAL's range and an IDENT's spelling.
+        try:
+            return FieldValue(_DECIMAL if tok.kind == "DECIMAL" else _TOKEN, tok.text)
+        except ValueError as exc:
+            message = str(exc) if tok.kind == "DECIMAL" else f"token literal must match [a-z][a-z0-9_]*: {tok.text!r}"
+            raise _ParseError(message, tok) from None
 
     # --- resolution -------------------------------------------------------
     def resolve(self) -> Policy | None:

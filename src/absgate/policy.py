@@ -344,18 +344,18 @@ def validate_policy(policy: Policy) -> list[Diagnostic]:
                 Diagnostic(Severity.ERROR, "reserved_identifier", f"{what} id '{ident}' is reserved")
             )
 
-    for constraint in policy.consistency:
-        forbid_atoms = _boolean_conjunct_atoms(constraint.forbid)
-        if not forbid_atoms:
-            continue
-        for rule in policy.clinical_rules:
-            rule_atoms = _boolean_conjunct_atoms(rule.when)
-            if rule_atoms and forbid_atoms <= rule_atoms:
+    # Each condition is walked once, and the rules' only if some constraint is
+    # a conjunction of boolean tests.
+    forbids = [(c.rule_id, atoms) for c in policy.consistency if (atoms := _boolean_conjunct_atoms(c.forbid))]
+    rule_atoms = [(r.rule_id, _boolean_conjunct_atoms(r.when)) for r in policy.clinical_rules] if forbids else []
+    for constraint_id, forbid_atoms in forbids:
+        for rule_id, atoms in rule_atoms:
+            if atoms and forbid_atoms <= atoms:
                 diags.append(
                     Diagnostic(
                         Severity.WARNING,
                         "unreachable_rule",
-                        f"rule '{rule.rule_id}' contradicts consistency constraint '{constraint.rule_id}'",
+                        f"rule '{rule_id}' contradicts consistency constraint '{constraint_id}'",
                     )
                 )
 

@@ -160,6 +160,7 @@ def test_criterion_6_defective_policies_yield_precise_diagnostics(capsys):
         "type_mismatch.policy": "type_mismatch",
         "reserved_identifier.policy": "reserved_identifier",
         "missing_section.policy": "missing_section",
+        "unexpected_character.policy": "unexpected_character",
     }
     problems = []
     found = sorted(path.name for path in DEFECTIVE_DIR.glob("*.policy"))

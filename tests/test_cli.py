@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from absgate import parse_policy, policy_hash
 from absgate.cli import main
 
 POLICY_PATH = str(resources.files("absgate.data").joinpath("reference.policy"))
@@ -52,6 +53,22 @@ def test_validate_rejects_a_defective_policy(capsys):
     err = capsys.readouterr().err
     assert "unknown_field" in err
     assert err.splitlines()[0].startswith("ERROR ")
+
+
+def test_validate_reads_the_policy_text_as_written(capsys, tmp_path):
+    # A lone carriage return ends no line: the finding after a tab and a
+    # "\r" is on the line and at the column the parser counts.
+    assert main(["validate", "--policy", "tests/fixtures/defective/unexpected_character.policy"]) == 2
+    assert capsys.readouterr().err == "ERROR unexpected_character 10:49 unexpected character '$'\n"
+    # So a comment runs on past a lone "\r", and the rule after it is no rule.
+    text = Path(POLICY_PATH).read_text(encoding="utf-8")
+    text = text.replace("\nrule r_cap_mild when", "\n# retired:\rrule r_cap_mild when")
+    path = tmp_path / "commented.policy"
+    path.write_bytes(text.encode())
+    assert main(["validate", "--policy", str(path)]) == 0
+    policy, _ = parse_policy(text)
+    assert "r_cap_mild" not in [rule.rule_id for rule in policy.clinical_rules]
+    assert capsys.readouterr().out == f"ok empiric_gate v1 sha256:{policy_hash(policy)}\n"
 
 
 def test_hash_refuses_a_defective_suite(capsys):

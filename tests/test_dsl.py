@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from absgate import format_policy, parse_policy, policy_hash
 from absgate.condition import print_condition
 from absgate.dsl import MAX_NESTING, _lex
 from absgate.reference import reference_policy_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 policy p version v1
@@ -281,6 +285,7 @@ def test_diagnostics_keep_their_order_codes_and_positions():
         "ERROR duplicate_field 4:7 field 'a' declared twice",
         "ERROR duplicate_enum_token 5:25 enumeration token 'x' repeated",
         "ERROR duplicate_class 8:7 class 'c1' declared twice",
+        "ERROR duplicate_name 10:21 risk token 'fever' repeated",
         "ERROR duplicate_label 13:18 exclusion label 'L' declared twice",
         "ERROR duplicate_rule_id 15:6 rule id 'r1' declared twice",
         "ERROR duplicate_stewardship 20:1 stewardship block declared twice",
@@ -350,6 +355,67 @@ def test_requires_and_incompatible_clauses_parse():
     first = policy.clinical_rules[0]
     assert first.requires == ("a",)
     assert first.incompatible_with == ("r2",)
+
+
+# A name repeated in a list, as the repeated enumeration token is: refused
+# at the repeated token, never merged in silence.
+_REFERENCE = reference_policy_text()
+
+
+@pytest.mark.parametrize(
+    ("edit", "rendered"),
+    [
+        (
+            ("require age, syndrome, pregnant", "require age, syndrome, pregnant, age"),
+            "ERROR duplicate_name 26:34 required field 'age' repeated",
+        ),
+        (
+            ("require age, syndrome, pregnant", "require age, syndrome, pregnant\nrequire pregnant"),
+            "ERROR duplicate_name 27:9 required field 'pregnant' repeated",
+        ),
+        (
+            ("known_risks { immunosuppressed", "known_risks { immunosuppressed immunosuppressed"),
+            "ERROR duplicate_name 28:32 risk token 'immunosuppressed' repeated",
+        ),
+        (
+            ("requires renal_impairment when", "requires renal_impairment, renal_impairment when"),
+            "ERROR duplicate_name 43:44 required field 'renal_impairment' repeated",
+        ),
+        (
+            ("incompatible r_cellulitis_macrolide", "incompatible r_cellulitis_macrolide, r_cellulitis_macrolide"),
+            "ERROR duplicate_name 47:139 incompatible rule 'r_cellulitis_macrolide' repeated",
+        ),
+    ],
+    ids=["require", "require_twice", "known_risks", "rule_requires", "rule_incompatible"],
+)
+def test_a_repeated_list_name_is_refused_at_the_repeat(edit, rendered):
+    assert _REFERENCE.count(edit[0]) == 1
+    policy, diags = parse_policy(_REFERENCE.replace(*edit))
+    assert policy is None
+    assert [d.render() for d in diags] == [rendered]
+
+
+def _bench_generate():
+    """The benchmark's workload generators, imported from the checkout by path."""
+    name = "absgate_bench_generate"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "generate.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_packaged_and_generated_policies_repeat_no_name():
+    generate = _bench_generate()
+    texts = [reference_policy_text()] + [
+        generate.build(name, seed, smoke).policy_text
+        for name in ("rule_heavy", "intake_screen")
+        for seed in (5, 7, 11)
+        for smoke in (False, True)
+    ]
+    for text in texts:
+        assert "require " in text and "known_risks {" in text
+        policy, diags = parse_policy(text)
+        assert policy is not None and diags == []
 
 
 # --- lexer ----------------------------------------------------------------
@@ -464,6 +530,14 @@ def _lexer_corpus():
     yield "$"
     yield "#"
     yield "\r\n".join(MINIMAL.splitlines())
+    # What a scan of (gap, lexeme) pairs must get right: trailing whitespace
+    # with no final newline, an unexpected character with no gap, a lone
+    # "-", "=" or "!", numerals cut at a ".", line separators and the no-break
+    # space in a gap, a letter outside ASCII in an identifier, and a comment
+    # at the end of the text.
+    yield from ("a b  \t", MINIMAL + " \x0c ", "a$b", "$$", "-", "=", "!", "a - b = c ! d == e != f")
+    yield from ("-x", "x-", "--1", "1.", ".5", "1.2.3", "-1.5-2", "a <=> b", "a\u2028b\x1cc\xa0d\u2029\ne")
+    yield from ("ab\xe9cd", "\xe9", "x#", "a #c\n#", MINIMAL.replace("a == true", "a ==\u2028true # e\u0301"))
 
 
 def test_the_single_scan_lexer_matches_the_loop_lexer():

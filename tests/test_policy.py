@@ -403,6 +403,41 @@ def test_unreachable_rule_reads_only_conjunctions_of_boolean_tests(when, flagged
     assert codes == (["unreachable_rule"] if flagged else [])
 
 
+def test_unreachable_rule_walks_each_condition_once(monkeypatch):
+    # Three constraints that are conjunctions of boolean tests, one that is
+    # not, and four rules: each condition is read once, not once per pair.
+    fields = "".join(f"field {name} : bool\n" for name in "abcd")
+    text = MINIMAL.replace("field a : bool\n", fields).replace(
+        "rule r1 when a == true candidate c1\n",
+        "consistency x1 forbid (a == true and b == false)\n"
+        "consistency x2 forbid (c == true)\n"
+        "consistency x3 forbid (a == true or d == true)\n"
+        "consistency x4 forbid (b == false and d != false)\n"
+        "rule r1 when (a == true and b == false) candidate c1\n"
+        "rule r2 when (b == false and d == true and c == true) candidate c1\n"
+        "rule r3 when present(a) candidate c1\n"
+        "rule r4 when c == true candidate c1\n",
+    )
+    policy, diags = parse_policy(text)
+    assert policy is not None and diags == []
+    walked = []
+
+    def counted(cond):
+        walked.append(cond)
+        return conjunct_atoms(cond)
+
+    conjunct_atoms = absgate.policy._boolean_conjunct_atoms
+    monkeypatch.setattr(absgate.policy, "_boolean_conjunct_atoms", counted)
+    assert [d.message for d in validate_policy(policy) if d.code == "unreachable_rule"] == [
+        "rule 'r1' contradicts consistency constraint 'x1'",
+        "rule 'r2' contradicts consistency constraint 'x2'",
+        "rule 'r4' contradicts consistency constraint 'x2'",
+        "rule 'r2' contradicts consistency constraint 'x4'",
+    ]
+    conditions = [c.forbid for c in policy.consistency] + [r.when for r in policy.clinical_rules]
+    assert sorted(map(id, walked)) == sorted(map(id, conditions))
+
+
 def test_validate_policy_passes_clean_text():
     policy, _ = parse_policy(MINIMAL)
     assert policy is not None
