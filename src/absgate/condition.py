@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .diagnostics import Diagnostic, Severity
 from .model import (
-    _DECIMAL, _INTEGER, _TOKEN, _TOKEN_SET, IDENT_RE, TOKEN_RE, FieldKind, FieldValue, _Frozen, _name, _set
+    _BOOLEAN, _DECIMAL, _INTEGER, _TOKEN, _TOKEN_SET, IDENT_RE, TOKEN_RE, FieldValue, _Frozen, _name, _set
 )
 
 if TYPE_CHECKING:  # only for annotations; policy imports this module at runtime
@@ -229,11 +229,11 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
     elif isinstance(leaf, Comparison):
         kind, right = leaf.literal.kind, leaf.literal.value
         # An integer literal against a decimal field widens exactly.
-        widened = Decimal(right) if kind is FieldKind.INTEGER else None
+        widened = Decimal(right) if kind is _INTEGER else None
 
         def atom(
             fields, name=leaf.field_name, test=_OPERATORS[leaf.op], kind=kind, right=right, widened=widened,
-            decimal=FieldKind.DECIMAL,
+            decimal=_DECIMAL,
         ):
             value = fields.get(name)
             if value is None:
@@ -245,7 +245,7 @@ def _atom(leaf: Condition) -> Callable[[Mapping[str, FieldValue]], int]:
             raise ValueError(f"comparison across kinds: {value.kind.value} vs {kind.value}")
 
     else:  # Has
-        def atom(fields, name=leaf.field_name, token=leaf.token, token_set=FieldKind.TOKEN_SET):
+        def atom(fields, name=leaf.field_name, token=leaf.token, token_set=_TOKEN_SET):
             value = fields.get(name)
             if value is None:
                 return _INDETERMINATE
@@ -271,9 +271,9 @@ def _tabled(leaf: Condition) -> bool:
     if not isinstance(leaf, Comparison):
         return True
     kind = leaf.literal.kind
-    if kind in (FieldKind.BOOLEAN, FieldKind.TOKEN):
+    if kind in (_BOOLEAN, _TOKEN):
         return leaf.op in ("==", "!=")
-    return kind is not FieldKind.TOKEN_SET
+    return kind is not _TOKEN_SET
 
 
 def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldValue]], Any] | None:
@@ -298,7 +298,7 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
             if_absent.append(_FALSE if hit else _TRUE)
         elif _tabled(leaf):
             tests.append(leaf)
-            kinds.add(FieldKind.TOKEN_SET if isinstance(leaf, Has) else leaf.literal.kind)
+            kinds.add(_TOKEN_SET if isinstance(leaf, Has) else leaf.literal.kind)
         else:
             return None
     presence = tuple(if_present)
@@ -306,10 +306,10 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
 
     # ``absent`` also serves as the missing-key default of ``fields.get``, so
     # a None stored under the name is not taken for absence.
-    if kinds == {FieldKind.TOKEN_SET}:
+    if kinds == {_TOKEN_SET}:
         tokens = tuple(leaf.token for leaf in tests)
 
-        def group(fields, name=name, kind=FieldKind.TOKEN_SET, tokens=tokens, presence=list(presence), absent=absent):
+        def group(fields, name=name, kind=_TOKEN_SET, tokens=tokens, presence=list(presence), absent=absent):
             value = fields.get(name, absent)
             if value is absent:
                 return absent
@@ -322,7 +322,7 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
 
     # Each leaf's column holds its truth value in every row.
     columns = []
-    if kinds == {FieldKind.BOOLEAN} or kinds == {FieldKind.TOKEN}:
+    if kinds == {_BOOLEAN} or kinds == {_TOKEN}:
         # Row i is for the i-th distinct literal, the last row for any other value.
         literals = list(dict.fromkeys(leaf.literal.value for leaf in tests))
         for leaf in tests:
@@ -330,8 +330,8 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
             column = [miss] * (len(literals) + 1)
             column[literals.index(leaf.literal.value)] = hit
             columns.append(column)
-    elif kinds and kinds <= {FieldKind.INTEGER, FieldKind.DECIMAL}:
-        widen = Decimal if FieldKind.DECIMAL in kinds else int
+    elif kinds and kinds <= {_INTEGER, _DECIMAL}:
+        widen = Decimal if _DECIMAL in kinds else int
         cuts = sorted({widen(leaf.literal.value) for leaf in tests})
         # A value in region r lies below, on or above the cut whose own
         # region is c, so ``value op cut`` holds exactly when ``sign op 0``
@@ -348,7 +348,7 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows = tuple(shared.setdefault(row, row) for row in [cells + presence for cells in zip(*columns)])
 
-    if FieldKind.DECIMAL not in kinds and FieldKind.INTEGER not in kinds:
+    if _DECIMAL not in kinds and _INTEGER not in kinds:
         (kind,) = kinds
 
         def group(fields, name=name, kind=kind, rows=dict(zip(literals, rows)), other=rows[-1], absent=absent):
@@ -363,7 +363,7 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
         # Integer literals alone serve integer and decimal values alike, the
         # way an integer literal widens against a decimal field; a decimal
         # literal serves only decimal values.
-        accepted = (FieldKind.INTEGER, FieldKind.DECIMAL) if widen is int else (FieldKind.DECIMAL,)
+        accepted = (_INTEGER, _DECIMAL) if widen is int else (_DECIMAL,)
 
         def group(
             fields, name=name, accepted=accepted, cuts=cuts, rows=rows, absent=absent,
@@ -633,9 +633,9 @@ def _leaf_error(node: Condition, decl: "FieldDecl | None") -> Diagnostic | None:
 
 
 def _literal_text(literal: FieldValue) -> str:
-    if literal.kind is FieldKind.BOOLEAN:
+    if literal.kind is _BOOLEAN:
         return "true" if literal.value else "false"
-    if literal.kind is FieldKind.DECIMAL:
+    if literal.kind is _DECIMAL:
         return format(literal.value, ".4f")
     return str(literal.value)
 

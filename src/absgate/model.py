@@ -77,8 +77,17 @@ _CONTEXT = Context(prec=28, traps=[InvalidOperation])
 
 def _name(value: Any, pattern: re.Pattern[str], what: str) -> str:
     """``value`` when it is a ``str`` that ``pattern`` matches; anything else
-    raises ``ValueError`` with the message ``f"{what}: {value!r}"``."""
-    if type(value) is not str or not pattern.match(value):
+    raises ``ValueError`` with the message ``f"{what}: {value!r}"``.
+
+    ``IDENT_RE`` and ``TOKEN_RE`` are tested without the regex: on ASCII
+    text, ``str.isidentifier`` accepts exactly ``[A-Za-z_][A-Za-z0-9_]*``,
+    and a token is such a name whose letters are all lowercase and whose
+    first character is one of them. Any other pattern is matched."""
+    if type(value) is not str or not (
+        value.isascii() and value.isidentifier() and (pattern is IDENT_RE or value.islower() and value[0] != "_")
+        if pattern is IDENT_RE or pattern is TOKEN_RE
+        else pattern.match(value)
+    ):
         raise ValueError(f"{what}: {value!r}")
     return value
 
@@ -187,7 +196,7 @@ class FieldValue(_Frozen):
             if quantized != value:
                 raise ValueError(f"more than 4 fractional digits: {_CONTEXT.to_sci_string(value)}")
             # copy_abs normalizes -0.0000.
-            value = quantized.copy_abs() if quantized == 0 else quantized
+            value = quantized if quantized else quantized.copy_abs()
         elif kind is _TOKEN:
             _name(value, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
         elif kind is _TOKEN_SET:
@@ -231,17 +240,17 @@ class FieldValue(_Frozen):
         kind suits a particular schema field is checked later, at bind time.
         """
         if isinstance(raw, bool):
-            return cls.boolean(raw)
+            return cls(_BOOLEAN, raw)
         if isinstance(raw, int):
-            return cls.integer(raw)
+            return cls(_INTEGER, raw)
         if isinstance(raw, str):
             if _DECIMAL_TEXT_RE.match(raw):
-                return cls.decimal(raw)
+                return cls(_DECIMAL, raw)
             if TOKEN_RE.match(raw):
-                return cls.token(raw)
+                return cls(_TOKEN, raw)
             raise ValueError(f"string is neither decimal nor token: {raw!r}")
         if isinstance(raw, list):
-            return cls.token_set(raw)
+            return cls(_TOKEN_SET, raw)
         raise ValueError(f"unsupported field value: {raw!r}")
 
     def to_canonical(self) -> Any:
@@ -391,15 +400,18 @@ class CaseInput(_Frozen):
         _name(case_id, IDENT_RE, "case id is not an identifier")
         if not isinstance(description, str):
             raise ValueError(f"description is not a string: {description!r}")
-        if _SURROGATE_RE.search(description):  # a JSON escape can spell a lone surrogate
+        # A JSON escape can spell a lone surrogate; ASCII text holds none.
+        if not str.isascii(description) and _SURROGATE_RE.search(description):
             raise ValueError("description is not valid Unicode text")
         _name(mechanism, TOKEN_RE, "mechanism is not a token")
-        # C-level passes over the value types, the name types and the names;
-        # only a failure walks the fields in order, checking as ``_name`` does.
+        # C-level passes over the value types, the name types and the names
+        # (``IDENT_RE`` as ``_name`` tests it); only a failure walks the
+        # fields in order, checking as ``_name`` does.
         clean = (
             {*map(type, fields.values())} <= _FIELD_VALUE_TYPE
             and {*map(type, fields)} <= _STR_TYPE
-            and all(map(IDENT_RE.match, fields))
+            and "".join(fields).isascii()
+            and all(map(str.isidentifier, fields))
         )
         if not clean:
             for name, value in fields.items():

@@ -8,10 +8,12 @@ surprises.
 
 Suites repeat themselves: cases draw their fields from a few booleans,
 tokens, small ints and token sets. One parse builds each distinct accepted
-field value and expectation once, and the cases share them; binding checks
-each distinct accepted (field name, value) pair once. Only successes are
-kept, and only for the one call, so a rejected value is parsed again and
-reports with every case that carries it.
+field value and expectation once, and the cases share them: a JSON string is
+keyed by itself, any other value by its class and value, so ``"true"``,
+``true`` and ``1`` stay apart. Binding checks each distinct accepted (field
+name, value) pair once. Only successes are kept, and only for the one call,
+so a rejected value is parsed again and reports with every case that carries
+it.
 
 A ``Suite`` holds its cases by id and its mechanisms sorted without
 duplicates, so ``suite_hash`` is insensitive to source ordering while any
@@ -173,7 +175,7 @@ def _parse_expect(raw: Any, case_id: str, diags: list[Diagnostic]) -> ExpectedBe
 def _parse_case(
     raw: Any,
     index: int,
-    values: dict[tuple[Any, Any], FieldValue],
+    values: dict[Any, FieldValue],
     expectations: dict[Any, ExpectedBehavior],
     diags: list[Diagnostic],
 ) -> CaseInput | None:
@@ -182,21 +184,25 @@ def _parse_case(
         _err(diags, "malformed_case", f"case #{index} is not an object")
         return None
     case_id = raw.get("id")
-    if not isinstance(case_id, str) or not IDENT_RE.match(case_id):
+    if not isinstance(case_id, str) or not (case_id.isascii() and case_id.isidentifier()):  # as _name tests IDENT_RE
         _err(diags, "malformed_case", f"case #{index}: missing or invalid id")
         return None
-    for key in raw:
-        if key not in _CASE_KEYS:
-            _warn(diags, "unknown_key", f"case '{case_id}': unknown key {key!r}")
-    raw_fields = raw.get("fields")
-    if not isinstance(raw_fields, dict):
+    if not raw.keys() <= _CASE_KEYS:
+        for key in raw:
+            if key not in _CASE_KEYS:
+                _warn(diags, "unknown_key", f"case '{case_id}': unknown key {key!r}")
+    fields = raw.get("fields")
+    if not isinstance(fields, dict):
         _err(diags, "malformed_case", f"case '{case_id}': fields must be an object")
         return None
-    fields: dict[str, FieldValue] = {}
+    # The decoded object becomes the case's fields: each value is replaced
+    # in place by its FieldValue, and a case that fails is dropped with it.
     ok = True
-    for name, raw_value in raw_fields.items():
-        # The class is part of the key: True == 1 == 1.0 and they hash alike.
-        key = (raw_value.__class__, tuple(raw_value) if raw_value.__class__ is list else raw_value)
+    for name, raw_value in fields.items():
+        # A string is its own key. Any other value is keyed with its class,
+        # since True == 1 == 1.0 and they hash alike; no str equals a tuple.
+        kind = raw_value.__class__
+        key = raw_value if kind is str else (kind, tuple(raw_value) if kind is list else raw_value)
         try:
             value = values.get(key)
         except TypeError:  # a nested array or an object cannot be a key
@@ -299,7 +305,7 @@ def _suite_from(document: Any, diags: list[Diagnostic]) -> Suite | None:
             seen.add(entry)
 
     raw_cases = document["cases"] if isinstance(document.get("cases"), list) else []
-    values: dict[tuple[Any, Any], FieldValue] = {}
+    values: dict[Any, FieldValue] = {}
     expectations: dict[Any, ExpectedBehavior] = {}
     parsed = [_parse_case(raw, index, values, expectations, diags) for index, raw in enumerate(raw_cases)]
     cases = [case for case in parsed if case is not None]

@@ -78,6 +78,12 @@ def test_hash_refuses_a_defective_suite(capsys):
     )
 
 
+def test_hash_refuses_a_field_name_outside_ascii(capsys):
+    # str.isidentifier accepts "âge"; the identifier grammar is ASCII only.
+    assert main(["hash", "--suite", "tests/fixtures/defective/non_ascii_field.json"]) == 2
+    assert capsys.readouterr().err == "ERROR malformed_case 0:0 case 'c03': field name is not an identifier: 'âge'\n"
+
+
 def test_validate_reports_missing_files(capsys):
     assert main(["validate", "--policy", "no/such/file.policy"]) == 2
     assert "unreadable_file" in capsys.readouterr().err

@@ -1,16 +1,19 @@
 import decimal
 import json
+import string
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from absgate import load_reference_policy, load_reference_suite, policy_hash
 from absgate.canon import canonical_bytes
 from absgate.condition import Absent, Comparison, Has, Literal, Present
 from absgate.model import (
+    IDENT_RE,
     PIPELINE_STAGES,
+    TOKEN_RE,
     AbstentionCategory,
     AbstentionReason,
     Action,
@@ -24,11 +27,12 @@ from absgate.model import (
     StageRecord,
     SystemOutput,
     Verdict,
+    _name,
     canonical_serialize,
     compare_outputs,
 )
 from absgate.policy import ClassDecl, ClinicalRule, ConsistencyConstraint, ExclusionRule, FieldDecl, StewardshipVeto
-from absgate.suite import Suite
+from absgate.suite import _PIN_RE, Suite, parse_suite
 
 
 def test_boolean_and_integer_values():
@@ -275,17 +279,26 @@ def test_case_input_identifier_checked():
         CaseInput("9bad", "", "generated", {}, expected)
 
 
+class _Ascii(str):
+    """A ``str`` that claims to be ASCII whatever it holds."""
+
+    def isascii(self):
+        return True
+
+
 @pytest.mark.parametrize(
     ("part", "message"),
     [
         ({"description": "\ud800"}, "^description is not valid Unicode text$"),
+        ({"description": _Ascii("\ud800")}, "^description is not valid Unicode text$"),
         ({"description": None}, "^description is not a string: None$"),
         ({"fields": {"age": 30}}, "^field 'age' is not a FieldValue"),
         ({"expected": None}, "^expected is not an ExpectedBehavior"),
         ({"mechanism": "Not A Token"}, "^mechanism is not a token: 'Not A Token'$"),
         ({"fields": {"Not Ident": FieldValue.boolean(True)}}, "^field name is not an identifier: 'Not Ident'$"),
     ],
-    ids=["lone_surrogate", "no_description", "raw_value", "no_expectation", "mechanism", "field_name"],
+    ids=["lone_surrogate", "surrogate_in_a_subclass", "no_description", "raw_value", "no_expectation", "mechanism",
+         "field_name"],
 )
 def test_a_case_built_in_code_is_checked_like_a_parsed_one(part, message):
     parts = {"description": "", "mechanism": "generated", "fields": {}, "expected": ExpectedBehavior(Action.ABSTAIN)}
@@ -389,6 +402,65 @@ def test_a_name_that_is_not_a_str_is_refused_with_value_error(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+# ASCII name characters and others, beside letters and digits outside ASCII
+# that ``str.isidentifier`` accepts or that ``str.islower`` counts: é, the
+# long s, the Kelvin sign, the feminine ordinal and an Arabic-Indic zero.
+_NAME_CHARS = string.ascii_letters + string.digits + "_-" + string.whitespace + "\u00e9\u017f\u212a\u00aa\u0660"
+_NAME_TEXT = st.builds(str.__add__, st.text(_NAME_CHARS, max_size=6), st.sampled_from(["", "\n"]))
+_CASE_DOC = {"description": "", "mechanism": "m", "fields": {}, "expect": {"abstain": "any"}}
+
+
+@settings(max_examples=500)
+@given(_NAME_TEXT)
+@example("")
+@example("_")
+@example("_a")
+@example("a_1")
+@example("aB")
+@example("\u017fevere")
+@example("c\u212a1")
+@example("\u00e2ge")
+@example("\u00aa")
+@example("a\u0660")
+@example("a\n")
+def test_the_name_checks_accept_exactly_what_the_patterns_match(text):
+    abstain = ExpectedBehavior(Action.ABSTAIN)
+    checks = [
+        (IDENT_RE, lambda: _name(text, IDENT_RE, "identifier")),
+        (TOKEN_RE, lambda: _name(text, TOKEN_RE, "token")),
+        (TOKEN_RE, lambda: FieldValue.token(text)),
+        (IDENT_RE, lambda: CaseInput("c1", "", "m", {text: FieldValue.boolean(True)}, abstain)),
+    ]
+    for pattern, check in checks:
+        try:
+            check()
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (pattern.match(text) is not None)
+    document = {"suite_id": "s", "version": "v1", "mechanisms": ["m"], "cases": [{**_CASE_DOC, "id": text}]}
+    _, diags = parse_suite(json.dumps(document))
+    assert (diags == []) == (IDENT_RE.match(text) is not None)
+    # A str subclass and a value that is no str are refused with the message
+    # a malformed str gets, whatever they spell.
+    for pattern in (IDENT_RE, TOKEN_RE, _PIN_RE):
+        for value in (_Name(text), [text]):
+            with pytest.raises(ValueError) as refused:
+                _name(value, pattern, "name")
+            assert str(refused.value) == f"name: {value!r}"
+
+
+def test_a_pin_is_still_matched_by_its_own_pattern():
+    # The reference pin starts with a digit: no identifier or token test
+    # would take it.
+    pin = load_reference_suite().policy_hash_pin
+    assert pin == policy_hash(load_reference_policy()) and pin[0].isdigit()
+    assert _name(pin, _PIN_RE, "pin") is pin
+    for text in ("abc", pin.upper(), pin + "\n", pin[:-1]):
+        with pytest.raises(ValueError, match="^pin: "):
+            _name(text, _PIN_RE, "pin")
 
 
 @given(st.decimals(min_value=-1000, max_value=1000, places=4, allow_nan=False, allow_infinity=False))

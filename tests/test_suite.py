@@ -455,7 +455,7 @@ def test_parse_matches_building_each_case_alone():
     assert first.fields["n"] is second.fields["n"] and first.expected is second.expected
 
 
-CROSS_TYPE = [1, True, 1.0, "1.0000", "a", ["a"], ["a", "a"]]
+CROSS_TYPE = [1, True, 1.0, "1.0000", "a", "true", ["a"], ["a", "a"]]
 
 
 def _cross_type_case(index, values):
@@ -469,6 +469,7 @@ def test_equal_values_of_different_json_types_never_share_a_parse():
         json.dumps(True): FieldKind.BOOLEAN,
         json.dumps("1.0000"): FieldKind.DECIMAL,
         json.dumps("a"): FieldKind.TOKEN,
+        json.dumps("true"): FieldKind.TOKEN,
         json.dumps(["a"]): FieldKind.TOKEN_SET,
     }
     accepted = [value for value in CROSS_TYPE if json.dumps(value) in kinds]
@@ -486,6 +487,42 @@ def test_equal_values_of_different_json_types_never_share_a_parse():
         alone = [d for case in cases for d in _parse(_doc(mechanisms=["mech_a"], cases=[case]))[1]]
         assert diags == alone
         assert [d.code for d in diags] == ["invalid_field_value"] * 6
+
+
+# Letters outside ASCII that ``str.isidentifier`` accepts, each refused with
+# the diagnostic the regular expressions gave: U+00E2, the Kelvin sign
+# U+212A and the long s U+017F.
+@pytest.mark.parametrize(
+    ("document", "rendered"),
+    [
+        (
+            _doc(cases=[{**BASE["cases"][0], "id": "c01", "fields": {"\u00e2ge": 40}}]),
+            "ERROR malformed_case 0:0 case 'c01': field name is not an identifier: '\u00e2ge'",
+        ),
+        (
+            _doc(cases=[{**BASE["cases"][0], "id": "c\u212a1"}]),
+            "ERROR malformed_case 0:0 case #0: missing or invalid id",
+        ),
+        (
+            _doc(cases=[{**BASE["cases"][0], "fields": {"severity": "\u017fevere"}}]),
+            "ERROR invalid_field_value 0:0 case 'k1', field 'severity': "
+            "string is neither decimal nor token: '\u017fevere'",
+        ),
+        (
+            _doc(cases=[{**BASE["cases"][0], "mechanism": "\u017fparse"}]),
+            "ERROR malformed_case 0:0 case 'k1': mechanism is not a token: '\u017fparse'",
+        ),
+        (
+            _doc(mechanisms=["mech_a", "mech_b", "\u017fparse"]),
+            "ERROR malformed_document 0:0 mechanism is not a token: '\u017fparse'",
+        ),
+    ],
+    ids=["field_name", "case_id", "token", "case_mechanism", "vocabulary_mechanism"],
+)
+def test_a_name_outside_ascii_is_refused_with_the_same_diagnostic(document, rendered):
+    suite, diags = _parse(document)
+    assert suite is None
+    assert [d.render() for d in diags] == [rendered]
 
 
 def test_bind_reports_each_token_outside_a_closed_set_for_every_case():
