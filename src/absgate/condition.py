@@ -27,10 +27,11 @@ builds a one-condition program and caches it on the node.
 ``typecheck`` alone decides which conditions suit a schema; its one caller,
 ``policy.reference_findings``, serves ``parse_policy`` and ``Policy`` alike.
 
-Compiling, ``bare_fields``, ``print_condition`` and the connectives' ``==``
-and ``hash`` read a tree in post-order from one explicit-stack walk
-(``_postfix``); ``typecheck`` takes that walk without its list. So a tree's
-depth is bounded by memory, not by the interpreter's recursion limit.
+Compiling, ``bare_fields`` and the connectives' ``==`` and ``hash`` read a
+tree in post-order from one explicit-stack walk (``_postfix``);
+``typecheck`` takes that walk without its list, and ``print_condition``
+walks in text order on its own stack. So a tree's depth is bounded by
+memory, not by the interpreter's recursion limit.
 ``repr``, ``pickle`` and ``copy.deepcopy`` still recurse once per level.
 """
 
@@ -640,24 +641,45 @@ def _literal_text(literal: FieldValue) -> str:
     return str(literal.value)
 
 
+class _Glue(str):
+    """Text that ``print_condition`` writes between and after operands; its
+    own class, so that no operand can pass for it."""
+
+
+_CLOSE_TEXT, _AND_TEXT, _OR_TEXT = _Glue(")"), _Glue(" and "), _Glue(" or ")
+
+
 def print_condition(cond: Condition) -> str:
-    """Deterministic, re-parsable text form; doubles as the canonical form."""
-    texts: list[str] = []
-    for node in _postfix(cond):
-        if isinstance(node, Comparison):
-            text = f"{node.field_name} {node.op} {_literal_text(node.literal)}"
-        elif isinstance(node, (And, Or)):
-            right = texts.pop()
-            text = f"({texts.pop()} {'and' if isinstance(node, And) else 'or'} {right})"
+    """Deterministic, re-parsable text form; doubles as the canonical form.
+
+    One explicit-stack walk emits the text's fragments in order: a
+    connective writes its opening, then stacks its closing, its operands and
+    the glue between them in reverse."""
+    parts: list[str] = []
+    work = [cond]
+    while work:
+        node = work.pop()
+        if node.__class__ is _Glue:
+            parts.append(node)
+        elif isinstance(node, Comparison):
+            parts.append(f"{node.field_name} {node.op} {_literal_text(node.literal)}")
+        elif isinstance(node, And):
+            parts.append("(")
+            work += (_CLOSE_TEXT, node.right, _AND_TEXT, node.left)
+        elif isinstance(node, Or):
+            parts.append("(")
+            work += (_CLOSE_TEXT, node.right, _OR_TEXT, node.left)
         elif isinstance(node, Not):
-            text = f"(not {texts.pop()})"
+            parts.append("(not ")
+            work += (_CLOSE_TEXT, node.inner)
         elif isinstance(node, Has):
-            text = f"{node.field_name} has {node.token}"
+            parts.append(f"{node.field_name} has {node.token}")
         elif isinstance(node, Literal):
-            text = "true" if node.value else "false"
+            parts.append("true" if node.value else "false")
         elif isinstance(node, Present):
-            text = f"present({node.field_name})"
+            parts.append(f"present({node.field_name})")
+        elif isinstance(node, Absent):
+            parts.append(f"absent({node.field_name})")
         else:
-            text = f"absent({node.field_name})"
-        texts.append(text)
-    return texts.pop()
+            raise TypeError(f"not a condition node: {node!r}")
+    return "".join(parts)

@@ -13,15 +13,20 @@ classes and rules sorted by id, and each list of names sorted without
 duplicates. So documents that differ only in statement order build ``==``
 policies that print and hash identically (``==`` agrees with
 ``policy_hash``), while any semantic change (a rank, a threshold, a label)
-changes the digest.
+changes the digest. Flags are exactly ``bool`` for the same reason.
+
+``policy_hash`` writes the canonical JSON text directly (``_policy_json``),
+as ``suite_hash`` does for suites; ``policy_canonical`` returns the same
+form as a JSON-able dict and stays the reference form.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
-from .canon import canonical_hash
+from .canon import sha256_hex
 from .condition import (
     And,
     Comparison,
@@ -79,6 +84,8 @@ class FieldDecl(_Frozen):
         _name(name, IDENT_RE, "field name is not an identifier")
         if type(kind) is not FieldKind:
             raise ValueError(f"not a field kind: {kind!r}")
+        if type(is_risk) is not bool:
+            raise ValueError(f"risk marker must be a boolean: {is_risk!r}")
         if kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
             if is_risk:
                 if kind is not FieldKind.TOKEN_SET:
@@ -109,6 +116,8 @@ class ClassDecl(_Frozen):
         _name(class_id, IDENT_RE, "class id is not an identifier")
         if isinstance(spectrum_rank, bool) or not isinstance(spectrum_rank, int) or not 1 <= spectrum_rank <= INT64_MAX:
             raise ValueError(f"spectrum rank must be a positive 64-bit integer: {spectrum_rank!r}")
+        if type(escalation_tier) is not bool:
+            raise ValueError(f"escalation tier must be a boolean: {escalation_tier!r}")
         _set(self, "class_id", class_id)
         _set(self, "spectrum_rank", spectrum_rank)
         _set(self, "escalation_tier", escalation_tier)
@@ -381,7 +390,8 @@ def _field_canonical(decl: FieldDecl) -> dict[str, Any]:
 
 
 def policy_canonical(policy: Policy) -> dict[str, Any]:
-    """Canonical JSON-able form, in the id order the policy holds."""
+    """Canonical JSON-able form, in the id order the policy holds: the
+    reference form of the text that ``policy_hash`` writes directly."""
     return {
         "policy": policy.policy_id,
         "version": policy.version,
@@ -415,6 +425,63 @@ def policy_canonical(policy: Policy) -> dict[str, Any]:
     }
 
 
+# JSON text of each field kind, built once.
+_KIND_JSON = {kind: _quote(kind.value) for kind in FieldKind}
+
+
+def _names_json(names: Iterable[str]) -> str:
+    return f"[{','.join(map(_quote, names))}]"
+
+
+def _field_json(decl: FieldDecl) -> str:
+    enum = "" if decl.enum is None else f'"enum":{_names_json(decl.enum)},'
+    risk = ',"risk":true' if decl.is_risk else ""
+    return f'{{{enum}"kind":{_KIND_JSON[decl.kind]},"name":{_quote(decl.name)}{risk}}}'
+
+
+def _policy_json(policy: Policy) -> str:
+    """The canonical JSON text of ``policy_canonical(policy)``, written
+    directly: keys in sorted order, every string through the escaper that
+    ``json.dumps(ensure_ascii=False)`` uses, ranks as ``json.dumps`` writes
+    an ``int`` subclass too. The construction checks of ``Policy`` and its
+    declarations guarantee that no float or other value ``canonical_bytes``
+    refuses can reach it: names are ``str``, ranks non-``bool`` ``int``, and
+    flags exactly ``bool``."""
+    stewardship = policy.stewardship
+    classes = [
+        f'{{"escalation":{"true" if c.escalation_tier else "false"},"id":{_quote(c.class_id)},'
+        f'"rank":{int.__repr__(c.spectrum_rank)}}}'
+        for c in policy.classes
+    ]
+    consistency = [
+        f'{{"forbid":{_quote(print_condition(c.forbid))},"id":{_quote(c.rule_id)}}}' for c in policy.consistency
+    ]
+    exclusions = [
+        f'{{"id":{_quote(e.rule_id)},"label":{_quote(e.label)},"when":{_quote(print_condition(e.when))}}}'
+        for e in policy.exclusions
+    ]
+    rules = [
+        f'{{"candidate":{_quote(r.candidate)},"id":{_quote(r.rule_id)},'
+        f'"incompatible":{_names_json(r.incompatible_with)},"requires":{_names_json(r.requires)},'
+        f'"when":{_quote(print_condition(r.when))}}}'
+        for r in policy.clinical_rules
+    ]
+    vetoes = [
+        f'{{"class":{_quote(v.class_id)},"id":{_quote(v.rule_id)},"when":{_quote(print_condition(v.when))}}}'
+        for v in stewardship.class_vetoes
+    ]
+    fields = [_field_json(f) for f in policy.schema]
+    justification = _quote(print_condition(stewardship.escalation_justification))
+    return (
+        f'{{"classes":[{",".join(classes)}],"consistency":[{",".join(consistency)}],'
+        f'"exclusions":[{",".join(exclusions)}],"fields":[{",".join(fields)}],'
+        f'"known_risks":{_names_json(sorted(policy.known_risks))},"policy":{_quote(policy.policy_id)},'
+        f'"required":{_names_json(policy.required)},"rules":[{",".join(rules)}],'
+        f'"stewardship":{{"escalation_justified_when":{justification},"vetoes":[{",".join(vetoes)}]}},'
+        f'"version":{_quote(policy.version)}}}'
+    )
+
+
 def policy_hash(policy: Policy) -> str:
     """SHA-256 hex digest of the canonical policy form."""
-    return canonical_hash(policy_canonical(policy))
+    return sha256_hex(_policy_json(policy).encode("utf-8"))

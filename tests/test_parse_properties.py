@@ -2,7 +2,7 @@
 
 Every text, however damaged, parses to a result or to diagnostics and never
 raises; a policy that parses prints back to text that parses to the same
-digest; and the explicit-stack condition parser reads every text as the
+digest, which is the digest of its reference canonical form; and the explicit-stack condition parser reads every text as the
 recursive-descent one it replaced does, and the one reference checker it
 shares with ``Policy`` reports as the two-layer resolver it replaced. The
 mutations insert characters, words and runs of them (long numerals among
@@ -30,12 +30,12 @@ from absgate import (
     parse_suite,
     policy_hash,
 )
-from absgate.canon import canonical_bytes
+from absgate.canon import canonical_bytes, canonical_hash
 from absgate.model import canonical_serialize
 from absgate.condition import And, Not, Or, typecheck
 from absgate.diagnostics import Diagnostic, Severity
 from absgate.dsl import _MAX_OPEN, MAX_NESTING, _lex, _Parser, _ParseError
-from absgate.policy import ClinicalRule, Policy, StewardshipSpec, StewardshipVeto
+from absgate.policy import ClinicalRule, Policy, StewardshipSpec, StewardshipVeto, policy_canonical
 from absgate.reference import reference_policy_text, reference_suite_text
 
 from oracle import kind_cases, make_kind_policy
@@ -118,6 +118,7 @@ def test_mutated_policies_parse_without_raising_and_print_back_to_the_same_hash(
         reparsed, rediags = parse_policy(format_policy(policy))
         assert rediags == []
         assert policy_hash(reparsed) == policy_hash(policy)
+        assert policy_hash(policy) == canonical_hash(policy_canonical(policy))
 
 
 @given(_EDITS)

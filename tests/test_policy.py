@@ -4,7 +4,9 @@ import pytest
 import absgate.dsl
 import absgate.policy
 from absgate import format_policy, load_reference_policy, parse_policy, policy_hash, validate_policy
-from absgate.condition import And, Comparison, Has, Literal, Not, Present, typecheck
+from absgate.canon import canonical_hash
+from absgate.condition import And, Comparison, Has, Literal, Not, Or, Present, typecheck
+from absgate.dsl import MAX_NESTING
 from absgate.model import INT64_MAX, FieldKind, FieldValue
 from absgate.policy import (
     ClassDecl,
@@ -60,15 +62,60 @@ def test_class_decl_requires_positive_rank():
 
 
 # Each builds a declaration that no policy text spells: a kind given as its
-# name, a rank given as a boolean, and a rank ``parse_policy`` refuses.
+# name, a rank given as a boolean, a rank ``parse_policy`` refuses, and
+# class and field flags that are not exactly ``bool``.
 @pytest.mark.parametrize(
     "build",
-    [lambda: FieldDecl("a", "boolean"), lambda: ClassDecl("t", True), lambda: ClassDecl("huge", 2**70)],
-    ids=["kind_name", "bool_rank", "rank_past_int64"],
+    [
+        lambda: FieldDecl("a", "boolean"),
+        lambda: ClassDecl("t", True),
+        lambda: ClassDecl("huge", 2**70),
+        lambda: ClassDecl("t", 1, 0),
+        lambda: ClassDecl("t", 1, 1.5),
+        lambda: ClassDecl("t", 1, "no"),
+        lambda: FieldDecl("a", FieldKind.TOKEN_SET, is_risk=1),
+        lambda: FieldDecl("a", FieldKind.BOOLEAN, is_risk=0),
+    ],
+    ids=[
+        "kind_name", "bool_rank", "rank_past_int64", "int_escalation", "float_escalation", "str_escalation",
+        "int_risk", "int_no_risk",
+    ],
 )
 def test_declarations_built_in_code_refuse_what_the_dsl_cannot_spell(build):
     with pytest.raises(ValueError):
         build()
+
+
+class _Rank(int):
+    """A rank that prints otherwise than ``json.dumps`` writes it."""
+
+    def __repr__(self):
+        return f"_Rank({int(self)})"
+
+    __str__ = __repr__
+
+
+def test_policies_that_compare_equal_hash_equal():
+    # Spellings of a class's escalation flag, its rank and a field's risk
+    # marker; every policy that builds must hash equal to exactly the
+    # policies it is ``==`` to.
+    built = []
+    for escalation in (False, True, 0, 1, 1.5, "no"):
+        for rank in (1, _Rank(1), 2):
+            for risk in (False, True, 0, 1):
+                try:
+                    field = FieldDecl("r", FieldKind.TOKEN_SET, None if risk else ("x",), is_risk=risk)
+                    policy = _base(
+                        schema=(FieldDecl("a", FieldKind.BOOLEAN), field),
+                        classes=(ClassDecl("c1", rank, escalation),),
+                    )
+                except ValueError:
+                    continue
+                built.append(policy)
+    assert len(built) == 12
+    for a in built:
+        for b in built:
+            assert (a == b) == (policy_hash(a) == policy_hash(b))
 
 
 def test_policy_rejects_duplicate_declarations():
@@ -480,3 +527,36 @@ def test_hash_is_pure_and_content_addressed():
     renamed, _ = parse_policy(MINIMAL.replace("policy p ", "policy q "))
     assert renamed is not None
     assert policy_hash(renamed) != policy_hash(policy)
+
+
+def _deeper_than_the_dsl_allows():
+    cond = Comparison("a", "==", FieldValue.boolean(True))
+    for level in range(MAX_NESTING + 20):
+        cond = Not(cond) if level % 3 == 0 else (And, Or)[level % 2](Present("a"), cond)
+    return cond
+
+
+_RISKS = frozenset(f"risk{i}" for i in range(12))
+_RISK_SCHEMA = (FieldDecl("a", FieldKind.BOOLEAN), FieldDecl("r", FieldKind.TOKEN_SET, is_risk=True))
+
+
+# Policies that no policy text spells, or that exercise one part of the
+# canonical form each; ``make_kind_policy`` declares a field of every kind.
+# Twelve known risks, so that their set's order is all but never sorted.
+@pytest.mark.parametrize(
+    "build",
+    [
+        load_reference_policy,
+        lambda: _base(clinical_rules=(ClinicalRule("r1", _deeper_than_the_dsl_allows(), "c1"),)),
+        lambda: _base(schema=_RISK_SCHEMA, known_risks=_RISKS),
+        lambda: _base(schema=_RISK_SCHEMA),
+        lambda: _base(classes=(ClassDecl("c1", _Rank(3), True), ClassDecl("c0", INT64_MAX))),
+        lambda: make_kind_policy(3),
+        lambda: make_kind_policy(11),
+    ],
+    ids=["reference", "deeper_than_max_nesting", "risk_field", "empty_known_risks", "int_subclass_rank", "kinds_3",
+         "kinds_11"],
+)
+def test_policy_hash_is_the_digest_of_the_reference_canonical_form(build):
+    policy = build()
+    assert policy_hash(policy) == canonical_hash(policy_canonical(policy))
