@@ -24,8 +24,8 @@ its conditions, and yields its verdicts, in rule-id order. Each stage's
 conditions (consistency constraints, exclusions, clinical rules, and the
 vetoes with the escalation justification last) are compiled once per
 ``Policy`` into one program over field-grouped leaves
-(``condition.compile_conditions``), cached on the policy with its class map
-and risk-field names.
+(``condition.compile_conditions``), cached on the policy with its
+risk-field names.
 
 A stage's program runs only when the stage is reached. It computes every
 leaf of every condition of the stage, so a kind mismatch raises whatever
@@ -36,17 +36,22 @@ not FALSE.
 Records and outputs repeat across cases, so the cache memoizes them in one
 way: a ``_Memo`` is a dict that builds a missing value from its key and,
 since keys come from case data, stops storing at ``_OUTPUT_MEMO_LIMIT``
-entries. Stages 1–3 find their record by ``bytes`` of their truth values
-(in stage 3 a rule whose ``requires`` are unmet reads INDETERMINATE
-whatever its condition yields); a miss picks each declaration's pair and
-its JSON text by truth value and joins the texts (``StageRecord._encoded``).
-Stage 3's entry also holds its fired rules and conflicted rule ids, and a
-memo limited to the rule ids holds each rule's bare-reference fields
-from the first time it reads INDETERMINATE. Stage 4 finds its outcome by
-the stewardship truth values and the fired rule ids; a miss builds the
-record through the public ``StageRecord`` constructor. Stage 5 holds one
-record and recommendation per class, and the output memo holds
-abstentions, built through the public ``SystemOutput`` constructor. A
+entries. A stage's entry holds its record and the ending that its truth
+values alone decide: an abstention, or None if they do not end the case.
+Stages 1–3 find theirs by ``bytes`` of their truth values (in stage 3 a
+rule whose ``requires`` are unmet reads INDETERMINATE whatever its
+condition yields): ``(record, conflicting signals)``, ``(record, explicit
+exclusion)`` and ``(record, conflict or no candidate, fired rule ids)``; a
+miss picks each declaration's pair and its JSON text by truth value and
+joins the texts (``StageRecord._encoded``). Stage 4 finds ``(record,
+stage-5 records, output)`` by the stewardship truth values and the fired
+rule ids; a miss builds the record through the public ``StageRecord``
+constructor and runs the stage-5 selection, and each class's stage-5
+record and recommendation are built once. So ``decide`` works out per
+call only what depends on field values: missing required fields, unknown
+risks, and the missing bare fields behind an INDETERMINATE verdict, which
+a memo limited to the rule ids holds per rule. Abstentions come from the
+output memo, built through the public ``SystemOutput`` constructor. A
 record or output keeps its text once encoded, so a shared one is encoded
 once. All are immutable, so traces share them, and ``decide`` assembles
 each trace through ``AuditTrace._trusted``. Every call still evaluates
@@ -54,14 +59,14 @@ every truth value of each stage it reaches.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
-and the stage-4 outcome are ``NamedTuple`` records.
+is a ``NamedTuple`` record.
 """
 
 from __future__ import annotations
 
 from itertools import starmap
 from operator import getitem
-from typing import Any, Callable, Collection, Iterable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple
 
 from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
@@ -110,30 +115,17 @@ class _Memo(dict):
         return value
 
 
-def _records(stage: Stage, declarations: Iterable[Any]) -> _Memo:
-    """A stage's records by ``bytes`` of one truth value per declaration,
-    picked by two C-level maps from each declaration's pair and its JSON
-    text (``model._pair_json``), both built once per truth value."""
+def _entries(stage: Stage, declarations: tuple[Any, ...], end: Callable[[list[Any]], tuple]) -> _Memo:
+    """A stage's entries by ``bytes`` of one truth value per declaration: the record, picked
+    by two C-level maps from each declaration's pair and its JSON text (``model._pair_json``),
+    both built once per truth value, then ``end`` of the declarations whose truth is TRUE."""
     verdicts = [[(decl.rule_id, verdict) for verdict in _VERDICTS] for decl in declarations]
     fragments = [[*starmap(_pair_json, pairs)] for pairs in verdicts]
 
-    def build(truths: bytes) -> StageRecord:
+    def build(truths: bytes) -> tuple:
         evaluated = tuple(map(getitem, verdicts, truths))
-        return StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
-
-    return _Memo(build)
-
-
-def _rule_outcomes(rules: tuple[ClinicalRule, ...]) -> _Memo:
-    """Stage 3's ``(record, fired rules, conflicted rule ids)`` by ``bytes``
-    of its truth values; ``decide`` reads the last two only if no rule abstains."""
-    record = _records(_CLINICAL_RULES, rules).build
-
-    def build(truths: bytes) -> tuple[StageRecord, tuple[ClinicalRule, ...], frozenset[str]]:
-        fired = tuple([rule for rule, truth in zip(rules, truths) if truth == _TRUE])
-        fired_ids = {rule.rule_id for rule in fired}
-        pairs = [(rule.rule_id, other) for rule in fired for other in rule.incompatible_with if other in fired_ids]
-        return record(truths), fired, frozenset().union(*pairs)
+        record = StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
+        return (record, *end([decl for decl, truth in zip(declarations, truths) if truth == _TRUE]))
 
     return _Memo(build)
 
@@ -144,14 +136,13 @@ class _Compiled(NamedTuple):
     consistency: _Program
     exclusions: _Program
     clinical_rules: _Program
-    # Stage 1-3 records by ``bytes`` of their truth values; stage 3's with its fired rules and conflicts.
+    # Stage 1-3 entries by ``bytes`` of their truth values: the record, the ending (an
+    # abstention or None) and, in stage 3, the fired rule ids.
     consistency_records: _Memo
     exclusion_records: _Memo
     rule_records: _Memo
-    # Stage-4 outcomes by the stewardship truth values and fired rule ids.
+    # Stage 4-5 entries, ``(record, stage-5 records, output)``, by the stewardship truth values and fired rule ids.
     stewardship_outcomes: _Memo
-    # Per class id, the stage-5 record that recommends it and the output.
-    recommendations: dict[str, tuple[StageRecord, SystemOutput]]
     # The positions of the clinical rules that have ``requires``.
     requiring: tuple[int, ...]
     # Per exclusion and clinical rule id, ``condition.bare_fields`` of its condition, built on
@@ -159,7 +150,6 @@ class _Compiled(NamedTuple):
     bare_fields: _Memo
     # The class vetoes in rule-id order, then the escalation justification.
     stewardship: _Program
-    class_map: dict[str, ClassDecl]
     risk_fields: tuple[str, ...]
     required: frozenset[str]
     # The abstentions decided so far, by ``(category, frozenset(labels))``.
@@ -175,24 +165,36 @@ def _compiled(policy: Policy) -> _Compiled:
         pass
     stewardship = policy.stewardship
     rules = policy.clinical_rules
-    class_map = policy.class_map()
     conditions = {decl.rule_id: decl.when for decl in (*policy.exclusions, *rules)}
+    outputs = _Memo(lambda key: SystemOutput.abstain(*key))
+
+    def ending(category: AbstentionCategory, labels: Collection[str]) -> SystemOutput | None:
+        """The abstention with ``labels``, or None if there are none."""
+        return outputs[(category, frozenset(labels))] if labels else None
+
+    def rule_ending(fired: list[ClinicalRule]) -> tuple[SystemOutput | None, tuple[str, ...]]:
+        if not fired:
+            return ending(_CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,)), ()
+        ids = tuple([rule.rule_id for rule in fired])
+        pairs = [(rule.rule_id, other) for rule in fired for other in rule.incompatible_with if other in ids]
+        return ending(_CONFLICTING_SIGNALS, set().union(*pairs)), ids
+
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _records(_INPUT_ASSESSMENT, policy.consistency),
-        _records(_EXCLUSIONS, policy.exclusions),
-        _rule_outcomes(rules),
-        _outcomes(policy, class_map),
-        {c: (StageRecord(_OUTPUT, (), (c,)), SystemOutput.recommend(c)) for c in class_map},
+        _entries(
+            _INPUT_ASSESSMENT, policy.consistency, lambda true: (ending(_CONFLICTING_SIGNALS, [c.rule_id for c in true]),)
+        ),
+        _entries(_EXCLUSIONS, policy.exclusions, lambda true: (ending(_EXPLICIT_EXCLUSION, [e.label for e in true]),)),
+        _entries(_CLINICAL_RULES, rules, rule_ending),
+        _outcomes(policy, ending),
         tuple(position for position, rule in enumerate(rules) if rule.requires),
         _Memo(lambda rule_id: tuple(bare_fields(conditions[rule_id])), len(conditions)),
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
-        class_map,
         tuple(decl.name for decl in policy.risk_fields()),
         frozenset(policy.required),
-        _Memo(lambda key: SystemOutput.abstain(*key)),
+        outputs,
     )
     object.__setattr__(policy, "_compiled", compiled)
     return compiled
@@ -209,27 +211,24 @@ class CompletenessReport(NamedTuple):
 def assess_inputs(policy: Policy, case: CaseInput) -> CompletenessReport:
     """Assess case completeness and input coherence against the policy."""
     compiled, fields = _compiled(policy), case.fields
-    truths = compiled.consistency(fields)
-    return CompletenessReport(*[labels_of(policy, compiled, fields, truths) for _, labels_of in _STAGE1])
+    conflict = compiled.consistency_records[bytes(compiled.consistency(fields))][1]
+    return CompletenessReport(
+        _missing_required(policy, compiled, fields),
+        () if conflict is None else conflict.reason.labels,
+        _unknown_risks(policy, compiled, fields),
+    )
 
 
-# Stage 1's three rules: the required fields the case lacks, in
-# ``policy.required`` order; the consistency constraints that hold, in rule-id
-# order; the risk tokens outside ``policy.known_risks``, sorted. Each answers
-# a clean case with one C-level test and the empty tuple.
-def _missing_required(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
+# Stage 1's field rules: the required fields the case lacks, in ``policy.required``
+# order, and the risk tokens outside ``policy.known_risks``, sorted. Each answers a
+# clean case with one C-level test and the empty tuple.
+def _missing_required(policy: Policy, compiled: _Compiled, fields) -> tuple[str, ...]:
     if compiled.required <= fields.keys():
         return ()
     return tuple([name for name in policy.required if name not in fields])
 
 
-def _violations(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
-    if _TRUE not in truths:
-        return ()
-    return tuple([c.rule_id for c, truth in zip(policy.consistency, truths) if truth == _TRUE])
-
-
-def _unknown_risks(policy: Policy, compiled: _Compiled, fields, truths: list[int]) -> tuple[str, ...]:
+def _unknown_risks(policy: Policy, compiled: _Compiled, fields) -> tuple[str, ...]:
     known, unknown = policy.known_risks, ()
     for name in compiled.risk_fields:
         value = fields.get(name)
@@ -238,25 +237,24 @@ def _unknown_risks(policy: Policy, compiled: _Compiled, fields, truths: list[int
     return tuple(sorted(unknown)) if unknown else ()
 
 
-# The rules in precedence order, each with the category it abstains with.
-_STAGE1 = ((_MISSING_INPUTS, _missing_required), (_CONFLICTING_SIGNALS, _violations), (_UNKNOWN_RISK, _unknown_risks))
+def _unresolved(compiled: _Compiled, fields, declarations: tuple[Any, ...], truths: list[int]) -> set[str]:
+    """The fields missing from the case that the conditions reading
+    INDETERMINATE reference bare."""
+    indeterminate = [decl.rule_id for decl, truth in zip(declarations, truths) if truth == _INDETERMINATE]
+    return {name for rule_id in indeterminate for name in compiled.bare_fields[rule_id] if name not in fields}
 
 
-class _StewardshipOutcome(NamedTuple):
-    record: StageRecord
-    survivors: frozenset[str]
-    justified: bool
-
-
-def _outcomes(policy: Policy, class_map: dict[str, ClassDecl]) -> _Memo:
-    """Stage-4 outcomes by ``(bytes(truths), *fired rule ids)``, the truths of
-    the vetoes (in rule-id order) and of the justification. Each veto's pair
-    is built once per truth value, and the records share them."""
+def _outcomes(policy: Policy, ending: Callable[[AbstentionCategory, Collection[str]], SystemOutput | None]) -> _Memo:
+    """Stage-4 entries, ``(record, stage-5 records, output)``, by ``(bytes(truths), *fired rule
+    ids)``, the truths of the vetoes (in rule-id order) and of the justification. Each veto's
+    pair is built once per truth value, and each class's stage-5 record and recommendation once."""
     vetoes = policy.stewardship.class_vetoes
     pairs = [[(veto.rule_id, verdict) for verdict in _VERDICTS] for veto in vetoes]
     candidates = {rule.rule_id: rule.candidate for rule in policy.clinical_rules}
+    class_map = policy.class_map()
+    recommendations = {c: ((StageRecord(_OUTPUT, (), (c,)),), SystemOutput.recommend(c)) for c in class_map}
 
-    def build(key: tuple) -> _StewardshipOutcome:
+    def build(key: tuple) -> tuple[StageRecord, tuple[StageRecord, ...], SystemOutput]:
         truths, *fired = key
         nominated = {candidates[rule_id] for rule_id in fired}
         # An indeterminate veto vetoes, conservatively.
@@ -267,17 +265,18 @@ def _outcomes(policy: Policy, class_map: dict[str, ClassDecl]) -> _Memo:
         evaluated = [*map(getitem, pairs, truths)]
         evaluated += [(rule_id, _VETOED) for rule_id in fired if candidates[rule_id] in removed]
         notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
-        return _StewardshipOutcome(StageRecord(_STEWARDSHIP, evaluated, notes), frozenset(survivors), justified)
+        record = StageRecord(_STEWARDSHIP, evaluated, notes)
+        if not survivors:
+            return record, (), ending(_CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
+        selection = _select_recommendation(class_map, survivors)
+        if isinstance(selection, tuple):
+            return record, (), ending(_CONSERVATIVE_AMBIGUITY, selection)
+        return (record, *recommendations[selection])
 
     return _Memo(build)
 
 
-def _stewardship_stage(policy: Policy, compiled: _Compiled, fields, fired) -> _StewardshipOutcome:
-    """Stage 4: veto pruning and the escalation gate, found by ``_outcomes``' key."""
-    return compiled.stewardship_outcomes[(bytes(compiled.stewardship(fields)), *[rule.rule_id for rule in fired])]
-
-
-def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset[str]) -> "str | tuple[str, ...]":
+def _select_recommendation(class_map: dict[str, ClassDecl], survivors: Collection[str]) -> "str | tuple[str, ...]":
     """Stage 5 selection: the unique minimal-rank survivor, or the tied ids."""
     minimal = min(class_map[class_id].spectrum_rank for class_id in survivors)
     tied = sorted(class_id for class_id in survivors if class_map[class_id].spectrum_rank == minimal)
@@ -285,10 +284,10 @@ def _select_recommendation(class_map: dict[str, ClassDecl], survivors: frozenset
 
 
 def _abstain(
-    compiled: _Compiled, stages: list[StageRecord], category: AbstentionCategory, labels: Collection[str]
+    compiled: _Compiled, stages: tuple[StageRecord, ...], category: AbstentionCategory, labels: Collection[str]
 ) -> tuple[SystemOutput, AuditTrace]:
     final = compiled.outputs[(category, frozenset(labels))]
-    return final, AuditTrace._trusted(tuple(stages), final)
+    return final, AuditTrace._trusted(stages, final)
 
 
 def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
@@ -300,35 +299,33 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     """
     compiled = _compiled(policy)
     fields = case.fields
-    stages: list[StageRecord] = []
 
-    # Stage 1: input assessment.
-    truths = compiled.consistency(fields)
-    stages.append(compiled.consistency_records[bytes(truths)])
-    for category, labels_of in _STAGE1:
-        labels = labels_of(policy, compiled, fields, truths)
-        if labels:
-            return _abstain(compiled, stages, category, labels)
+    # Stage 1: input assessment; missing fields, then conflicting signals, then unknown risks.
+    record, final = compiled.consistency_records[bytes(compiled.consistency(fields))]
+    stages = (record,)
+    missing = _missing_required(policy, compiled, fields)
+    if missing:
+        return _abstain(compiled, stages, _MISSING_INPUTS, missing)
+    if final is not None:
+        return final, AuditTrace._trusted(stages, final)
+    unknown = _unknown_risks(policy, compiled, fields)
+    if unknown:
+        return _abstain(compiled, stages, _UNKNOWN_RISK, unknown)
 
-    # Stage 2: exclusions.
-    triggered_labels: list[str] = []
-    unresolved: set[str] = set()
+    # Stage 2: exclusions; a triggered one before one whose scope cannot be confirmed.
     truths = compiled.exclusions(fields)
-    for exclusion, truth in zip(policy.exclusions, truths):
-        if truth == _TRUE:
-            triggered_labels.append(exclusion.label)
-        elif truth == _INDETERMINATE:
-            unresolved.update(name for name in compiled.bare_fields[exclusion.rule_id] if name not in fields)
-    stages.append(compiled.exclusion_records[bytes(truths)])
-    if triggered_labels:
-        return _abstain(compiled, stages, _EXPLICIT_EXCLUSION, triggered_labels)
-    if unresolved:
-        return _abstain(compiled, stages, _MISSING_INPUTS, unresolved)
+    record, final = compiled.exclusion_records[bytes(truths)]
+    stages += (record,)
+    if final is not None:
+        return final, AuditTrace._trusted(stages, final)
+    if _INDETERMINATE in truths:
+        unresolved = _unresolved(compiled, fields, policy.exclusions, truths)
+        if unresolved:
+            return _abstain(compiled, stages, _MISSING_INPUTS, unresolved)
 
-    # Stage 3: clinical rules, in rule-id order. A rule abstains if its
-    # condition is indeterminate or a field it requires is missing: the
-    # record is picked by a copy of the truth values in which such a rule
-    # reads INDETERMINATE.
+    # Stage 3: clinical rules. A rule whose condition is indeterminate or whose required
+    # field is missing abstains, and reads INDETERMINATE in the copy of the truth values
+    # that picks the entry; these unmet fields come before the entry's ending.
     rules = policy.clinical_rules
     truths = compiled.clinical_rules(fields)
     picks = truths.copy()
@@ -339,28 +336,14 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
             picks[position] = _INDETERMINATE
             problems.update(missing_req)
     if _INDETERMINATE in truths:
-        for rule, truth in zip(rules, truths):
-            if truth == _INDETERMINATE:
-                problems.update(name for name in compiled.bare_fields[rule.rule_id] if name not in fields)
-    record, fired, conflicted = compiled.rule_records[bytes(picks)]
-    stages.append(record)
+        problems |= _unresolved(compiled, fields, rules, truths)
+    record, final, fired = compiled.rule_records[bytes(picks)]
+    stages += (record,)
     if problems:
         return _abstain(compiled, stages, _MISSING_INPUTS, problems)
-    if conflicted:
-        return _abstain(compiled, stages, _CONFLICTING_SIGNALS, conflicted)
-    if not fired:
-        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,))
+    if final is not None:
+        return final, AuditTrace._trusted(stages, final)
 
-    # Stage 4: stewardship.
-    outcome = _stewardship_stage(policy, compiled, fields, fired)
-    stages.append(outcome.record)
-    if not outcome.survivors:
-        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
-    selection = _select_recommendation(compiled.class_map, outcome.survivors)
-    if isinstance(selection, tuple):
-        return _abstain(compiled, stages, _CONSERVATIVE_AMBIGUITY, selection)
-
-    # Stage 5: output.
-    record, final = compiled.recommendations[selection]
-    stages.append(record)
-    return final, AuditTrace._trusted(tuple(stages), final)
+    # Stages 4 and 5: stewardship and output, one entry.
+    record, tail, final = compiled.stewardship_outcomes[(bytes(compiled.stewardship(fields)), *fired)]
+    return final, AuditTrace._trusted((*stages, record, *tail), final)

@@ -94,7 +94,9 @@ def _name(value: Any, pattern: re.Pattern[str], what: str) -> str:
 
 def _sorted_names(items: Iterable[Any], pattern: re.Pattern[str], what: str) -> tuple[str, ...]:
     """``items`` sorted without duplicates, each checked by ``_name`` in
-    the order given."""
+    the order given. A bare ``str`` is refused, not split into characters."""
+    if isinstance(items, str):
+        raise ValueError(f"names must be a collection, not the string {items!r}")
     return tuple(sorted({_name(item, pattern, what) for item in items}))
 
 

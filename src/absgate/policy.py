@@ -1,9 +1,9 @@
 """Policy declarations: schema, classes, rules, stewardship, hashing.
 
 A ``Policy`` is a fully resolved, immutable declaration set. Construction
-enforces identifier syntax and unique ids, then raises the first finding of
-``reference_findings``, which ``parse_policy`` reports in full, so a defect
-reads alike in text and in code. A built ``Policy`` can always be executed
+enforces each part's type (``_typed``), identifier syntax and unique ids,
+then raises the first finding of ``reference_findings``, which
+``parse_policy`` reports in full, so a defect reads alike in text and in code. A built ``Policy`` can always be executed
 on a case ``bind_suite`` accepts; ``validate_policy`` adds the semantic lint
 layer on top (symmetry of incompatibility declarations, justification
 reachability, and similar).
@@ -22,9 +22,10 @@ form as a JSON-able dict and stays the reference form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
-from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Container, Iterator, Mapping, Sequence
 
 from .canon import sha256_hex
 from .condition import (
@@ -32,6 +33,7 @@ from .condition import (
     Comparison,
     Condition,
     Literal,
+    _Node,
     _postfix,
     print_condition,
     typecheck,
@@ -69,8 +71,19 @@ JUSTIFIED_NOTE = "escalation_justification"
 RESERVED_IDENTIFIERS = frozenset({NO_CANDIDATE, ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, "any"})
 
 
-def _sorted_by(items: Iterable[Any], attr: str) -> tuple[Any, ...]:
-    return tuple(sorted(items, key=attrgetter(attr)))
+def _typed(value: Any, cls: type, what: str) -> Any:
+    """``value`` when it is a ``cls``; anything else raises ``ValueError`` with the message
+    ``f"{what}: {value!r}"``, as ``model._name`` does. Each part that is no name is checked here."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what}: {value!r}")
+    return value
+
+
+def _sorted_by(items: Any, cls: type, part: str) -> tuple[Any, ...]:
+    """``items``, a collection of ``cls``, sorted by the first field, the id."""
+    what = f"{part} entry is not a {cls.__name__}"
+    items = [_typed(item, cls, what) for item in _typed(items, Iterable, f"{part} is not a collection")]
+    return tuple(sorted(items, key=attrgetter(cls._fields[0])))
 
 
 class FieldDecl(_Frozen):
@@ -82,10 +95,8 @@ class FieldDecl(_Frozen):
 
     def __init__(self, name: str, kind: FieldKind, enum: tuple[str, ...] | None = None, is_risk: bool = False) -> None:
         _name(name, IDENT_RE, "field name is not an identifier")
-        if type(kind) is not FieldKind:
-            raise ValueError(f"not a field kind: {kind!r}")
-        if type(is_risk) is not bool:
-            raise ValueError(f"risk marker must be a boolean: {is_risk!r}")
+        _typed(kind, FieldKind, "not a field kind")
+        _typed(is_risk, bool, "risk marker must be a boolean")
         if kind in (FieldKind.TOKEN, FieldKind.TOKEN_SET):
             if is_risk:
                 if kind is not FieldKind.TOKEN_SET:
@@ -116,8 +127,7 @@ class ClassDecl(_Frozen):
         _name(class_id, IDENT_RE, "class id is not an identifier")
         if isinstance(spectrum_rank, bool) or not isinstance(spectrum_rank, int) or not 1 <= spectrum_rank <= INT64_MAX:
             raise ValueError(f"spectrum rank must be a positive 64-bit integer: {spectrum_rank!r}")
-        if type(escalation_tier) is not bool:
-            raise ValueError(f"escalation tier must be a boolean: {escalation_tier!r}")
+        _typed(escalation_tier, bool, "escalation tier must be a boolean")
         _set(self, "class_id", class_id)
         _set(self, "spectrum_rank", spectrum_rank)
         _set(self, "escalation_tier", escalation_tier)
@@ -129,7 +139,7 @@ class ConsistencyConstraint(_Frozen):
     def __init__(self, rule_id: str, forbid: Condition) -> None:
         _name(rule_id, IDENT_RE, "consistency id is not an identifier")
         _set(self, "rule_id", rule_id)
-        _set(self, "forbid", forbid)
+        _set(self, "forbid", _typed(forbid, _Node, "consistency condition is not a condition node"))
 
 
 class ExclusionRule(_Frozen):
@@ -140,7 +150,7 @@ class ExclusionRule(_Frozen):
         _name(label, IDENT_RE, "exclusion label is not an identifier")
         _set(self, "rule_id", rule_id)
         _set(self, "label", label)
-        _set(self, "when", when)
+        _set(self, "when", _typed(when, _Node, "exclusion condition is not a condition node"))
 
 
 class ClinicalRule(_Frozen):
@@ -153,7 +163,7 @@ class ClinicalRule(_Frozen):
         _name(rule_id, IDENT_RE, "rule id is not an identifier")
         _name(candidate, IDENT_RE, "candidate class id is not an identifier")
         _set(self, "rule_id", rule_id)
-        _set(self, "when", when)
+        _set(self, "when", _typed(when, _Node, "rule condition is not a condition node"))
         _set(self, "candidate", candidate)
         _set(self, "requires", _sorted_names(requires, IDENT_RE, "required field is not an identifier"))
         incompatible = _sorted_names(incompatible_with, IDENT_RE, "incompatible rule id is not an identifier")
@@ -168,15 +178,16 @@ class StewardshipVeto(_Frozen):
         _name(class_id, IDENT_RE, "vetoed class id is not an identifier")
         _set(self, "rule_id", rule_id)
         _set(self, "class_id", class_id)
-        _set(self, "when", when)
+        _set(self, "when", _typed(when, _Node, "veto condition is not a condition node"))
 
 
 class StewardshipSpec(_Frozen):
     _fields = ("escalation_justification", "class_vetoes")
 
     def __init__(self, escalation_justification: Condition, class_vetoes: tuple[StewardshipVeto, ...] = ()) -> None:
-        _set(self, "escalation_justification", escalation_justification)
-        _set(self, "class_vetoes", _sorted_by(class_vetoes, "rule_id"))
+        justification = _typed(escalation_justification, _Node, "escalation justification is not a condition node")
+        _set(self, "escalation_justification", justification)
+        _set(self, "class_vetoes", _sorted_by(class_vetoes, StewardshipVeto, "class_vetoes"))
 
 
 class Policy(_Frozen):
@@ -193,14 +204,14 @@ class Policy(_Frozen):
     ) -> None:
         _set(self, "policy_id", policy_id)
         _set(self, "version", version)
-        _set(self, "schema", _sorted_by(schema, "name"))
-        _set(self, "classes", _sorted_by(classes, "class_id"))
-        _set(self, "stewardship", stewardship)
+        _set(self, "schema", _sorted_by(schema, FieldDecl, "schema"))
+        _set(self, "classes", _sorted_by(classes, ClassDecl, "classes"))
+        _set(self, "stewardship", _typed(stewardship, StewardshipSpec, "stewardship is not a StewardshipSpec"))
         _set(self, "required", _sorted_names(required, IDENT_RE, "required field is not an identifier"))
         _set(self, "known_risks", frozenset(_sorted_names(known_risks, TOKEN_RE, "known risk is not a token")))
-        _set(self, "consistency", _sorted_by(consistency, "rule_id"))
-        _set(self, "exclusions", _sorted_by(exclusions, "rule_id"))
-        _set(self, "clinical_rules", _sorted_by(clinical_rules, "rule_id"))
+        _set(self, "consistency", _sorted_by(consistency, ConsistencyConstraint, "consistency"))
+        _set(self, "exclusions", _sorted_by(exclusions, ExclusionRule, "exclusions"))
+        _set(self, "clinical_rules", _sorted_by(clinical_rules, ClinicalRule, "clinical_rules"))
         _name(policy_id, IDENT_RE, "policy id is not an identifier")
         _name(version, TOKEN_RE, "version is not a token")
         if not self.schema:

@@ -7,6 +7,7 @@ equality, digests are pinned hex constants. No tolerances apply.
 """
 
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from absgate import (
     suite_hash,
     validate_policy,
 )
-from absgate.condition import Truth, evaluate
 from absgate.evaluation import CHECK_NO_UNJUSTIFIED
 from absgate.model import Action, ExpectedBehavior, MatchLevel, canonical_serialize
 from absgate.reference import reference_policy_text, reference_suite_text
@@ -123,20 +123,18 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
     if not pristine.all_stewardship_pass():
         problems.append("audit flags the correct engine")
 
-    def gate_bypass(policy, compiled, fields, fired):
-        outcome = _honest_stage(policy, compiled, fields, fired)
-        vetoed = {v.class_id for v in policy.stewardship.class_vetoes
-                  if evaluate(v.when, fields) is not Truth.FALSE}
-        survivors = frozenset({rule.candidate for rule in fired} - vetoed)
-        notes = (("escalation_justification",) if outcome.justified else ()) + tuple(sorted(survivors))
-        evaluated = tuple(pair for pair in outcome.record.evaluated if pair[1] is not engine_module.Verdict.VETOED)
-        record = engine_module.StageRecord(engine_module.Stage.STEWARDSHIP, evaluated, notes)
-        return engine_module._StewardshipOutcome(record, survivors, outcome.justified)
+    def gate_bypass(policy, ending):
+        # Stage 4 as for the policy with no escalation-tier class: only the
+        # vetoes prune, and the notes still record the justification.
+        classes = [c._replace(escalation_tier=False) for c in policy.classes]
+        return _honest_outcomes(policy._replace(classes=classes), ending)
 
-    _honest_stage = engine_module._stewardship_stage
+    # The bug is seeded where the memos are built, so it runs on copies of
+    # the policy whose memos are empty.
+    _honest_outcomes = engine_module._outcomes
     with monkeypatch.context() as patch:
-        patch.setattr(engine_module, "_stewardship_stage", gate_bypass)
-        bugged = run_suite(POLICY, SUITE, runs=1)
+        patch.setattr(engine_module, "_outcomes", gate_bypass)
+        bugged = run_suite(pickle.loads(pickle.dumps(POLICY)), SUITE, runs=1)
     failed = [f for f in bugged.stewardship_findings if not f.passed]
     if not failed:
         problems.append("audit missed the escalation gate bypass")
@@ -144,7 +142,7 @@ def test_criterion_5_stewardship_audit_catches_a_seeded_gate_bypass(capsys, monk
         problems.append("no no_unjustified_escalation finding")
     if bugged.concordance_full == Fraction(1):
         problems.append("behavioral comparison also missed the bug")
-    restored = run_suite(POLICY, SUITE, runs=1)
+    restored = run_suite(pickle.loads(pickle.dumps(POLICY)), SUITE, runs=1)
     if not restored.all_stewardship_pass():
         problems.append("engine not restored after the seeded bug")
     _report(capsys, 5, "a seeded escalation-gate bypass is caught by the stewardship audit", problems)

@@ -398,14 +398,14 @@ def test_equal_truth_values_give_the_identical_record():
     assert len(first) < sum(len(t.stages) for t in traces)
     # A stage's memo builds an entry on its first miss and hands that one
     # out for every equal vector of truth values; stage 3's holds the record,
-    # the fired rules and the conflicted rule ids.
+    # the ending its truth values decide and the fired rule ids.
     records = _compiled(pickle.loads(pickle.dumps(POLICY))).rule_records
     truths = [0] * len(policy.clinical_rules)
     built = records[bytes(truths)]
     assert records == {bytes(truths): built} and records[bytes(truths.copy())] is built
-    record, fired, conflicted = built
+    record, final, fired = built
     assert record == StageRecord(Stage.CLINICAL_RULES, [(r.rule_id, Verdict.NOT_FIRED) for r in policy.clinical_rules])
-    assert fired == () and conflicted == frozenset()
+    assert final == SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, ["no_candidate"]) and fired == ()
     # Deciding again hands out the same records, stage 4's included.
     again = [decide(policy, c)[1] for c in cases]
     for trace, repeat in zip(traces, again):
@@ -533,12 +533,21 @@ def test_the_stage3_memo_holds_the_fired_rules_and_conflicts_of_its_record():
             record = trace.stages[2]
             key = bytes(truth_of[verdict] for _, verdict in record.evaluated)
             assert key in memo
-            memo_record, fired, conflicted = memo[key]
+            memo_record, final, fired = memo[key]
             # Recomputed from the trace and the policy's declarations.
             fired_ids = [rule_id for rule_id, verdict in record.evaluated if verdict is Verdict.FIRED]
             pairs = [(r, o) for r in fired_ids for o in rules[r].incompatible_with if o in fired_ids]
-            assert memo_record is record and fired == tuple(rules[r] for r in fired_ids)
-            assert conflicted == frozenset(name for pair in pairs for name in pair)
+            conflicted = frozenset(name for pair in pairs for name in pair)
+            assert memo_record is record and fired == tuple(fired_ids)
+            if conflicted:
+                assert final == SystemOutput.abstain(AbstentionCategory.CONFLICTING_SIGNALS, conflicted)
+            elif not fired_ids:
+                assert final == SystemOutput.abstain(AbstentionCategory.CONSERVATIVE_AMBIGUITY, ["no_candidate"])
+            else:
+                assert final is None
+            # Unmet fields come before the entry's ending.
+            if final is not None and output.reason.category is not AbstentionCategory.MISSING_INPUTS:
+                assert output is final
             if output.reason is not None and output.reason.category is AbstentionCategory.CONFLICTING_SIGNALS:
                 assert conflicted == frozenset(output.reason.labels)
                 conflicts += 1

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 from importlib import resources
 
@@ -14,8 +15,6 @@ from absgate import (
     run_suite,
 )
 from absgate.cli import main
-from absgate.condition import Truth, evaluate
-from absgate.engine import _VERDICTS, _StewardshipOutcome
 from absgate.evaluation import (
     CHECK_DOCUMENTED,
     CHECK_NARROW,
@@ -38,7 +37,6 @@ from absgate.model import (
     Stage,
     StageRecord,
     SystemOutput,
-    Verdict,
 )
 
 POLICY = load_reference_policy()
@@ -156,28 +154,26 @@ def test_audit_requires_traces():
         stewardship_audit(POLICY, [first], {first.case_id: stageless})
 
 
-def _gate_skipping_stewardship(policy, compiled, fields, fired):
-    """Seeded bug: the escalation justification gate is never applied."""
-    candidates = {rule.candidate for rule in fired}
-    evaluated = []
-    vetoed = set()
-    for veto in policy.stewardship.class_vetoes:
-        truth = evaluate(veto.when, fields)
-        evaluated.append((veto.rule_id, _VERDICTS[truth.value]))
-        if truth is not Truth.FALSE:
-            vetoed.add(veto.class_id)
-    justified = evaluate(policy.stewardship.escalation_justification, fields) is Truth.TRUE
-    survivors = candidates - vetoed
-    for rule in fired:
-        if rule.candidate not in survivors:
-            evaluated.append((rule.rule_id, Verdict.VETOED))
-    notes = (("escalation_justification",) if justified else ()) + tuple(sorted(survivors))
-    return _StewardshipOutcome(StageRecord(Stage.STEWARDSHIP, evaluated, notes), frozenset(survivors), justified)
+def _cold(policy):
+    """A copy of ``policy`` whose memos are empty, so a bug seeded in the
+    engine's memo builders shows in every decision."""
+    return pickle.loads(pickle.dumps(policy))
+
+
+_honest_outcomes = engine_module._outcomes
+
+
+def _gate_skipping_stewardship(policy, ending):
+    """Seeded bug: the escalation justification gate is never applied. Stage
+    4 is built as for the policy with no escalation-tier class, so only the
+    vetoes prune, and the notes still record the justification."""
+    classes = [c._replace(escalation_tier=False) for c in policy.classes]
+    return _honest_outcomes(policy._replace(classes=classes), ending)
 
 
 def test_audit_catches_a_skipped_escalation_gate(monkeypatch):
-    monkeypatch.setattr(engine_module, "_stewardship_stage", _gate_skipping_stewardship)
-    report = run_suite(POLICY, SUITE, runs=1)
+    monkeypatch.setattr(engine_module, "_outcomes", _gate_skipping_stewardship)
+    report = run_suite(_cold(POLICY), SUITE, runs=1)
     failed = [f for f in report.stewardship_findings if not f.passed]
     assert failed, "the audit must flag the unjustified escalation"
     assert {f.check for f in failed} == {CHECK_NO_UNJUSTIFIED, CHECK_DOCUMENTED}
@@ -192,15 +188,17 @@ def test_run_suite_audits_each_case_as_stewardship_audit_does(monkeypatch, seede
     # run_suite audits each case as it is decided and keeps no trace; its
     # findings, failures and order included, are those of the public audit.
     if seeded_bug:
-        monkeypatch.setattr(engine_module, "_stewardship_stage", _gate_skipping_stewardship)
-    report = run_suite(POLICY, SUITE, runs=1)
-    traces = {case.case_id: decide(POLICY, case)[1] for case in SUITE.cases}
+        monkeypatch.setattr(engine_module, "_outcomes", _gate_skipping_stewardship)
+    policy = _cold(POLICY)
+    report = run_suite(policy, SUITE, runs=1)
+    traces = {case.case_id: decide(policy, case)[1] for case in SUITE.cases}
     assert list(report.stewardship_findings) == stewardship_audit(POLICY, report.results, traces)
     assert report.all_stewardship_pass() is not seeded_bug
 
 
 def test_the_cli_summary_lists_each_failed_audit_check(monkeypatch, capsys):
-    monkeypatch.setattr(engine_module, "_stewardship_stage", _gate_skipping_stewardship)
+    # The command parses its own policy, so its memos start empty.
+    monkeypatch.setattr(engine_module, "_outcomes", _gate_skipping_stewardship)
     assert main(["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--runs", "1", "--strict"]) == 1
     assert (
         "stewardship FAIL (2 of 18 checks failed)\n"
@@ -218,7 +216,7 @@ def _broadest_selector(class_map, survivors):
 
 def test_audit_catches_a_broadest_first_selector(monkeypatch):
     monkeypatch.setattr(engine_module, "_select_recommendation", _broadest_selector)
-    report = run_suite(POLICY, SUITE, runs=1)
+    report = run_suite(_cold(POLICY), SUITE, runs=1)
     failed = [f for f in report.stewardship_findings if not f.passed]
     assert {f.check for f in failed} == {CHECK_NARROW}
     assert {f.case_id for f in failed} == {"c23"}

@@ -7,7 +7,7 @@ from absgate import format_policy, load_reference_policy, parse_policy, policy_h
 from absgate.canon import canonical_hash
 from absgate.condition import And, Comparison, Has, Literal, Not, Or, Present, typecheck
 from absgate.dsl import MAX_NESTING
-from absgate.model import INT64_MAX, FieldKind, FieldValue
+from absgate.model import INT64_MAX, AbstentionCategory, FieldKind, FieldValue, SystemOutput
 from absgate.policy import (
     ClassDecl,
     ClinicalRule,
@@ -196,6 +196,15 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
         ),
         (lambda: REFERENCE._replace(known_risks=frozenset({3})), "known risk is not a token: 3"),
         (lambda: FieldDecl("s", FieldKind.TOKEN, enum=("a", 3)), "enumeration entry is not a token: 3"),
+        (lambda: _base(stewardship=None), "stewardship is not a StewardshipSpec: None"),
+        (lambda: _base(schema=(FieldDecl("a", FieldKind.BOOLEAN), None)), "schema entry is not a FieldDecl: None"),
+        (
+            lambda: _base(stewardship=StewardshipSpec(Literal(True), (None,))),
+            "class_vetoes entry is not a StewardshipVeto: None",
+        ),
+        (lambda: _base(classes=("c1",)), "classes entry is not a ClassDecl: 'c1'"),
+        (lambda: StewardshipSpec(Literal(True), None), "class_vetoes is not a collection: None"),
+        (lambda: ClinicalRule("r1", "a == true", "c1"), "rule condition is not a condition node: 'a == true'"),
     ],
     ids=[
         "policy_id",
@@ -211,12 +220,37 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
         "incompatible_not_str",
         "known_risk_not_str",
         "enum_entry_not_str",
+        "stewardship_none",
+        "schema_entry_none",
+        "veto_none",
+        "class_not_decl",
+        "vetoes_none",
+        "when_str",
     ],
 )
 def test_a_declaration_built_in_code_names_its_defect(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+# A bare string where a collection of names is taken is refused, not split
+# into characters.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SystemOutput.abstain(AbstentionCategory.MISSING_INPUTS, "age"),
+        lambda: FieldDecl("s", FieldKind.TOKEN, enum="abc"),
+        lambda: ClinicalRule("r1", Literal(True), "c1", requires="age"),
+        lambda: ClinicalRule("r1", Literal(True), "c1", incompatible_with="r2"),
+        lambda: REFERENCE._replace(required="age"),
+        lambda: REFERENCE._replace(known_risks="abc"),
+    ],
+    ids=["labels", "enum", "requires", "incompatible_with", "required", "known_risks"],
+)
+def test_a_bare_string_is_no_collection_of_names(build):
+    with pytest.raises(ValueError, match="^names must be a collection, not the string '"):
+        build()
 
 
 def _first_rule_when(cond, policy=REFERENCE):
