@@ -9,12 +9,14 @@ Subcommands:
 
 Exit codes: 0 on success (an abstention is a successful outcome), 1 when
 ``evaluate --strict`` finds a behavioral mismatch or a determinism failure,
-2 on usage, parse, binding, unreadable-file or unwritable-report errors.
+2 on usage, parse, binding, unreadable-file or unwritable-report errors,
+and when stdout is closed before all output is written (as ``| head`` does).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -216,9 +218,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the reader left early; devnull takes the flush at exit (``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

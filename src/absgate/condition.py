@@ -170,6 +170,9 @@ class And(_Node):
     __hash__ = _tree_hash
 
     def __init__(self, left: Condition, right: Condition, *, line: int = 0, col: int = 0) -> None:
+        if not (isinstance(left, _Node) and isinstance(right, _Node)):
+            role, operand = ("right", right) if isinstance(left, _Node) else ("left", left)
+            raise ValueError(f"{role} operand of {self.__class__.__name__} is not a condition node: {operand!r}")
         _set(self, "line", line)
         _set(self, "col", col)
         _set(self, "left", left)
@@ -189,6 +192,8 @@ class Not(_Node):
     __hash__ = _tree_hash
 
     def __init__(self, inner: Condition, *, line: int = 0, col: int = 0) -> None:
+        if not isinstance(inner, _Node):
+            raise ValueError(f"operand of {self.__class__.__name__} is not a condition node: {inner!r}")
         _set(self, "line", line)
         _set(self, "col", col)
         _set(self, "inner", inner)

@@ -3,13 +3,11 @@
 The decision surface is deliberately closed: a run of the engine ends in
 exactly one of two shapes, a recommendation of a single class or a typed
 abstention, and nothing in this module can represent both at once. All value
-types here are immutable, hashable where practical, and serialize through
-``to_canonical`` into the shared canonical JSON form used for hashing and
-reports (see ``canon``). Outputs, stage records and audit traces, which
-every decision serializes, are encoded by ``canonical_serialize`` straight
-to the same bytes; their ``to_canonical`` stays the reference form. A stage
-record or an output keeps its text once encoded, and a stage 1-3 record
-that the engine builds arrives with it.
+types here are immutable and hashable where practical. Each hashed value
+has one encoder, which writes canonical JSON text: ``canonical_serialize``
+for outputs, stage records and traces, ``_value_json`` and
+``_expected_json`` for a suite's values and expectations. The ``evaluate``
+report embeds the ``to_canonical`` dict forms of outputs and expectations.
 
 Numeric discipline: integers are 64-bit signed; decimals are exact
 fixed-point with four fractional digits, carried as ``decimal.Decimal`` and
@@ -32,8 +30,6 @@ from enum import Enum
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Mapping
-
-from .canon import canonical_bytes
 
 __all__ = [
     "IDENT_RE",
@@ -255,13 +251,6 @@ class FieldValue(_Frozen):
             return cls(_TOKEN_SET, raw)
         raise ValueError(f"unsupported field value: {raw!r}")
 
-    def to_canonical(self) -> Any:
-        if self.kind is _DECIMAL:
-            return format(self.value, ".4f")
-        if self.kind is _TOKEN_SET:
-            return sorted(self.value)
-        return self.value
-
 
 class Action(str, Enum):
     RECOMMEND = "recommend"
@@ -296,9 +285,6 @@ class AbstentionReason(_Frozen):
             raise ValueError("explicit exclusion requires at least one label")
         _set(self, "category", category)
         _set(self, "labels", labels)
-
-    def to_canonical(self) -> dict[str, Any]:
-        return {"category": self.category.value, "labels": list(self.labels)}
 
 
 class SystemOutput(_Frozen):
@@ -339,7 +325,7 @@ class SystemOutput(_Frozen):
         if self.action is _RECOMMEND:
             return {"action": "recommend", "class": self.class_id}
         assert self.reason is not None
-        return {"action": "abstain", **self.reason.to_canonical()}
+        return {"action": "abstain", "category": self.reason.category.value, "labels": list(self.reason.labels)}
 
     def render_line(self) -> str:
         """One-line human text form used by the decide command."""
@@ -428,15 +414,6 @@ class CaseInput(_Frozen):
         _set(self, "fields", fields)
         _set(self, "expected", expected)
 
-    def to_canonical(self) -> dict[str, Any]:
-        return {
-            "id": self.case_id,
-            "description": self.description,
-            "mechanism": self.mechanism,
-            "fields": {name: value.to_canonical() for name, value in self.fields.items()},
-            "expect": self.expected.to_canonical(),
-        }
-
 
 class Stage(str, Enum):
     INPUT_ASSESSMENT = "input_assessment"
@@ -493,13 +470,6 @@ class StageRecord(_Frozen):
         record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
         return record
 
-    def to_canonical(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage.value,
-            "evaluated": [[rule_id, verdict.value] for rule_id, verdict in self.evaluated],
-            "notes": list(self.notes),
-        }
-
 
 class AuditTrace(_Frozen):
     """Ordered stage records ending in the final output.
@@ -531,12 +501,6 @@ class AuditTrace(_Frozen):
         trace = object.__new__(cls)
         trace.__dict__.update(stages=stages, final=final)
         return trace
-
-    def to_canonical(self) -> dict[str, Any]:
-        return {
-            "stages": [record.to_canonical() for record in self.stages],
-            "final": self.final.to_canonical(),
-        }
 
 
 def compare_outputs(actual: SystemOutput, expected: ExpectedBehavior) -> MatchLevel:
@@ -581,7 +545,10 @@ def _encode_output(output: SystemOutput) -> str:
 
 
 def _value_json(value: FieldValue) -> str:
-    """JSON text of ``value.to_canonical()``, written per kind."""
+    """Canonical JSON text of a field value: a boolean or an integer as
+    JSON writes it, a token as a string, a decimal as a string with exactly
+    four fractional digits, and a token set as an array of its tokens in
+    sorted order."""
     kind, payload = value.kind, value.value
     if kind is _TOKEN:
         return _quote(payload)
@@ -595,7 +562,8 @@ def _value_json(value: FieldValue) -> str:
 
 
 def _expected_json(expected: ExpectedBehavior) -> str:
-    """JSON text of ``expected.to_canonical()``."""
+    """Canonical JSON text of an expectation: ``{"recommend":<class>}`` or
+    ``{"abstain":<category>}``, with ``"any"`` for a wildcard detail."""
     if expected.action is _RECOMMEND:
         class_id = expected.class_id
         return f'{{"recommend":{_ANY_JSON if class_id is None else _quote(class_id)}}}'
@@ -621,21 +589,20 @@ def _encode_record(record: StageRecord) -> str:
     return text
 
 
-def canonical_serialize(value: Any) -> bytes:
-    """Canonical byte form of any domain value exposing ``to_canonical``.
+def canonical_serialize(value: SystemOutput | StageRecord | AuditTrace) -> bytes:
+    """Canonical UTF-8 JSON bytes of an exact ``SystemOutput``,
+    ``StageRecord`` or ``AuditTrace``; any other value, subclasses included,
+    raises ``TypeError``.
 
-    An exact ``SystemOutput``, ``StageRecord`` or ``AuditTrace`` is encoded
-    straight to canonical JSON text: keys written in sorted order, every
-    string through the escaper ``json.dumps(ensure_ascii=False)`` uses, enum
-    members from tables. A record or output that carries its text is not
-    encoded again: the engine joins a stage 1-3 record's text from pair texts
-    that the same per-pair encoder (``_pair_json``) wrote once per policy,
-    and any other is encoded here once and keeps it. The bytes equal
-    ``canonical_bytes(value.to_canonical())``, which stays the reference
-    form. No float or non-member enum can reach them: a non-``str`` id, note
-    or label raises ``TypeError`` here, and stages, verdicts and categories
-    are type-checked when their records are built. Any other value,
-    subclasses included, takes the generic path.
+    The text is written straight from the value, in the key layout the
+    README gives: keys in sorted order, every string through the escaper
+    ``json.dumps(ensure_ascii=False)`` uses, enum members from tables. A
+    record or output that carries its text is not encoded again: the engine
+    joins a stage 1-3 record's text from pair texts that the same per-pair
+    encoder (``_pair_json``) wrote once per policy, and any other is encoded
+    here once and keeps it. No float or non-member enum can reach the bytes:
+    a non-``str`` id, note or label raises ``TypeError`` here, and stages,
+    verdicts and categories are type-checked when their records are built.
     """
     kind = type(value)
     if kind is AuditTrace:
@@ -645,4 +612,4 @@ def canonical_serialize(value: Any) -> bytes:
         return _encode_output(value).encode("utf-8")
     if kind is StageRecord:
         return _encode_record(value).encode("utf-8")
-    return canonical_bytes(value.to_canonical())
+    raise TypeError(f"not an output, stage record or trace: {kind.__name__}")

@@ -15,9 +15,9 @@ policies that print and hash identically (``==`` agrees with
 ``policy_hash``), while any semantic change (a rank, a threshold, a label)
 changes the digest. Flags are exactly ``bool`` for the same reason.
 
-``policy_hash`` writes the canonical JSON text directly (``_policy_json``),
-as ``suite_hash`` does for suites; ``policy_canonical`` returns the same
-form as a JSON-able dict and stays the reference form.
+``policy_hash`` digests the canonical JSON text that ``_policy_json``
+writes directly, as ``suite_hash`` does for suites, each condition as its
+``print_condition`` text; the README gives the key layout.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "Policy",
     "reference_findings",
     "validate_policy",
-    "policy_canonical",
     "policy_hash",
 ]
 
@@ -391,51 +390,6 @@ def validate_policy(policy: Policy) -> list[Diagnostic]:
     return diags
 
 
-def _field_canonical(decl: FieldDecl) -> dict[str, Any]:
-    entry: dict[str, Any] = {"name": decl.name, "kind": decl.kind.value}
-    if decl.enum is not None:
-        entry["enum"] = list(decl.enum)
-    if decl.is_risk:
-        entry["risk"] = True
-    return entry
-
-
-def policy_canonical(policy: Policy) -> dict[str, Any]:
-    """Canonical JSON-able form, in the id order the policy holds: the
-    reference form of the text that ``policy_hash`` writes directly."""
-    return {
-        "policy": policy.policy_id,
-        "version": policy.version,
-        "fields": [_field_canonical(f) for f in policy.schema],
-        "classes": [
-            {"id": c.class_id, "rank": c.spectrum_rank, "escalation": c.escalation_tier} for c in policy.classes
-        ],
-        "required": list(policy.required),
-        "known_risks": sorted(policy.known_risks),
-        "consistency": [{"id": c.rule_id, "forbid": print_condition(c.forbid)} for c in policy.consistency],
-        "exclusions": [
-            {"id": e.rule_id, "label": e.label, "when": print_condition(e.when)} for e in policy.exclusions
-        ],
-        "rules": [
-            {
-                "id": r.rule_id,
-                "requires": list(r.requires),
-                "when": print_condition(r.when),
-                "candidate": r.candidate,
-                "incompatible": list(r.incompatible_with),
-            }
-            for r in policy.clinical_rules
-        ],
-        "stewardship": {
-            "escalation_justified_when": print_condition(policy.stewardship.escalation_justification),
-            "vetoes": [
-                {"id": v.rule_id, "class": v.class_id, "when": print_condition(v.when)}
-                for v in policy.stewardship.class_vetoes
-            ],
-        },
-    }
-
-
 # JSON text of each field kind, built once.
 _KIND_JSON = {kind: _quote(kind.value) for kind in FieldKind}
 
@@ -451,8 +405,8 @@ def _field_json(decl: FieldDecl) -> str:
 
 
 def _policy_json(policy: Policy) -> str:
-    """The canonical JSON text of ``policy_canonical(policy)``, written
-    directly: keys in sorted order, every string through the escaper that
+    """The canonical JSON text of ``policy``, in the id order the policy
+    holds: keys in sorted order, every string through the escaper that
     ``json.dumps(ensure_ascii=False)`` uses, ranks as ``json.dumps`` writes
     an ``int`` subclass too. The construction checks of ``Policy`` and its
     declarations guarantee that no float or other value ``canonical_bytes``

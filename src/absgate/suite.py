@@ -26,9 +26,9 @@ and the ``Suite`` directly, and reports each refusal under its diagnostic
 code. Within a case, shape and value findings come first, and
 construction's refusal is reported only when they pass.
 
-``suite_hash`` writes the canonical text directly, and encodes each
-distinct field value and expectation instance once per call, since parsed
-cases share them; ``suite_canonical`` stays the reference form.
+``suite_hash`` digests the canonical JSON text that ``_suite_json`` writes
+directly (key layout in the README), encoding each distinct field value
+and expectation instance once per call, since parsed cases share them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .model import (
 )
 from .policy import FieldDecl, Policy, policy_hash
 
-__all__ = ["MAX_DEPTH", "Suite", "suite_findings", "parse_suite", "bind_suite", "suite_canonical", "suite_hash"]
+__all__ = ["MAX_DEPTH", "Suite", "suite_findings", "parse_suite", "bind_suite", "suite_hash"]
 
 # The most arrays and objects a suite document may hold inside one another;
 # a suite itself needs 5 (document, cases, case, fields, token set). A rule
@@ -393,23 +393,9 @@ def bind_suite(suite: Suite, policy: Policy) -> list[Diagnostic]:
     return diags
 
 
-def suite_canonical(suite: Suite) -> dict[str, Any]:
-    """Canonical JSON-able form, in the order the suite holds: the reference
-    form of the text that ``suite_hash`` writes directly."""
-    body: dict[str, Any] = {
-        "suite": suite.suite_id,
-        "version": suite.version,
-        "mechanisms": list(suite.mechanisms),
-        "cases": [case.to_canonical() for case in suite.cases],
-    }
-    if suite.policy_hash_pin is not None:
-        body["policy_hash_pin"] = suite.policy_hash_pin
-    return body
-
-
 def _suite_json(suite: Suite) -> str:
-    """The canonical JSON text of ``suite_canonical(suite)``, written
-    directly: keys in sorted order, every string through the escaper that
+    """The canonical JSON text of ``suite``, cases in id order: keys in
+    sorted order, every string through the escaper that
     ``json.dumps(ensure_ascii=False)`` uses. The construction checks of
     ``Suite``, ``CaseInput``, ``FieldValue`` and ``ExpectedBehavior``
     guarantee that no float or other value ``canonical_bytes`` refuses can

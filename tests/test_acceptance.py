@@ -6,9 +6,11 @@ are exact: concordance is rational arithmetic, determinism is byte
 equality, digests are pinned hex constants. No tolerances apply.
 """
 
+import hashlib
 import json
 import pickle
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 from oracle import as_tuple, full_assignments, make_mini_policy, oracle_decide
@@ -26,6 +28,7 @@ from absgate import (
     suite_hash,
     validate_policy,
 )
+from absgate.cli import main as cli_main
 from absgate.evaluation import CHECK_NO_UNJUSTIFIED
 from absgate.model import Action, ExpectedBehavior, MatchLevel, canonical_serialize
 from absgate.reference import reference_policy_text, reference_suite_text
@@ -35,6 +38,10 @@ SUITE = load_reference_suite()
 
 POLICY_SHA = "1f3b7eff9cf96c909b08c7c5280fb1444943340da2120cb7b3fae2d2e51827fb"
 SUITE_SHA = "5bdc8e58d91826fafc6b2175afe57b7a3712b719038866c374c000c5a2912c74"
+# The file that `absgate evaluate --report` writes for the packaged policy
+# and suite at the default three runs: the one pinned value whose bytes come
+# from dict forms (``EvaluationReport.to_canonical``).
+REPORT_SHA = "c58003c2c4f64b86f271013f37239379e7e43ac68b46ee83765ee55c171c84ed"
 
 DEFECTIVE_DIR = Path(__file__).parent / "fixtures" / "defective"
 
@@ -201,12 +208,20 @@ def test_criterion_7_one_flipped_expectation_moves_concordance_by_exactly_one_ca
     _report(capsys, 7, "flipping one expected class shifts full concordance by exactly 1/23", problems)
 
 
-def test_criterion_8_canonical_digests_are_pinned_and_format_insensitive(capsys):
+def test_criterion_8_canonical_digests_are_pinned_and_format_insensitive(capsys, tmp_path):
     problems = []
     if policy_hash(POLICY) != POLICY_SHA:
         problems.append(f"policy digest {policy_hash(POLICY)}")
     if suite_hash(SUITE) != SUITE_SHA:
         problems.append(f"suite digest {suite_hash(SUITE)}")
+    report_path = tmp_path / "report.json"
+    data = resources.files("absgate.data")
+    argv = ["evaluate", "--policy", str(data / "reference.policy"), "--suite", str(data / "reference_suite.json")]
+    code = cli_main([*argv, "--report", str(report_path)])
+    capsys.readouterr()  # the summary lines
+    report_sha = hashlib.sha256(report_path.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+    if report_sha != REPORT_SHA:
+        problems.append(f"report digest {report_sha}")
     if SUITE.policy_hash_pin != policy_hash(POLICY):
         problems.append("suite pin does not match the policy digest")
 
@@ -238,4 +253,4 @@ def test_criterion_8_canonical_digests_are_pinned_and_format_insensitive(capsys)
     trimmed, _ = parse_suite(json.dumps(doc))
     if trimmed is None or suite_hash(trimmed) == SUITE_SHA:
         problems.append("dropping a case did not change the suite digest")
-    _report(capsys, 8, "policy and suite digests match pinned constants and ignore formatting", problems)
+    _report(capsys, 8, "policy, suite and report digests match pinned constants and ignore formatting", problems)

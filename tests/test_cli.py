@@ -246,6 +246,27 @@ def test_evaluate_reports_an_unwritable_report_as_a_diagnostic(tmp_path, capsys,
     assert capsys.readouterr().err == f"ERROR unwritable_file 0:0 {path}: {reason}: {str(path)!r}\n"
 
 
+def test_a_closed_stdout_ends_evaluate_with_exit_2_and_no_traceback(tmp_path):
+    # The read end closes before the run, as `| head -n 1` closes it early,
+    # so the first flush of the summary meets a broken pipe every time.
+    report_path = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["evaluate", "--policy", POLICY_PATH, "--suite", SUITE_PATH, "--report", str(report_path)]
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "absgate.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == b""  # no traceback, and no diagnostic
+    # The report is written before the summary, and whole.
+    assert main([*argv[:-1], str(tmp_path / "again.json")]) == 0
+    assert report_path.read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
 def test_importing_the_cli_loads_no_module_it_does_not_use():
     # -S: no site, so nothing that site imports for its own ends is counted.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -111,6 +111,31 @@ def test_has_tokens_are_tokens(token):
         Has("risk_factors", token)
 
 
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: Not(None), "operand of Not is not a condition node: None"),
+        (lambda: Or(Literal(True), 3), "right operand of Or is not a condition node: 3"),
+        (lambda: And("x", Literal(True)), "left operand of And is not a condition node: 'x'"),
+        (lambda: And(Literal(True), Not("a == true")), "operand of Not is not a condition node: 'a == true'"),
+    ],
+    ids=["not_none", "or_int", "and_str", "nested_str"],
+)
+def test_connectives_refuse_operands_that_are_not_condition_nodes(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+class _Truth(Literal):
+    pass
+
+
+def test_connectives_take_subclasses_of_condition_nodes():
+    cond = And(_Truth(True), Or(Not(_Truth(False)), _Truth(False)))
+    assert evaluate(cond, {}) is Truth.TRUE
+
+
 _LEAVES = {
     "comparison": lambda name: Comparison(name, "==", FieldValue.integer(1)),
     "present": Present,
@@ -334,9 +359,22 @@ def test_has_on_a_non_set_value_raises():
             evaluate(Has("age", "tok"), _fields(age=70))
 
 
+class _Foreign(condition._Node):
+    """A node of no kind that ``evaluate`` knows, which a connective takes."""
+
+    _fields = ("line", "col", "tag")
+
+    def __init__(self):
+        object.__setattr__(self, "line", 0)
+        object.__setattr__(self, "col", 0)
+        object.__setattr__(self, "tag", "foreign")
+
+
 def test_evaluate_rejects_foreign_nodes_nested_in_a_tree():
+    with pytest.raises(ValueError, match="^right operand of And is not a condition node: "):
+        And(Literal(True), object())
     with pytest.raises(TypeError):
-        evaluate(And(Literal(True), object()), {})
+        evaluate(And(Literal(True), _Foreign()), {})
 
 
 # Leaves a stage program must share or keep apart correctly: equal leaves

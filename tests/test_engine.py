@@ -39,9 +39,10 @@ from absgate.model import (
     Verdict,
     canonical_serialize,
 )
-from absgate.policy import ConsistencyConstraint, policy_canonical
+from absgate.policy import ConsistencyConstraint
 from absgate.reference import reference_policy_text, reference_suite_text
 
+from canonical_forms import output_form, policy_form, record_form, trace_form
 from oracle import as_trace, as_tuple, kind_cases, make_kind_policy, oracle_decide, oracle_trace
 
 POLICY = load_reference_policy()
@@ -354,7 +355,7 @@ def test_policy_survives_pickle_and_deepcopy_after_deciding():
 
 
 def _encodes_to_the_reference_form(value):
-    return canonical_serialize(value) == canonical_bytes(value.to_canonical())
+    return canonical_serialize(value) == canonical_bytes(trace_form(value))
 
 
 def test_engine_built_records_carry_their_text_and_encode_to_the_reference_form():
@@ -378,7 +379,7 @@ def test_engine_built_records_carry_their_text_and_encode_to_the_reference_form(
             # Once the trace is encoded, every stage's record carries its text.
             for record in trace.stages:
                 assert record._json is not None
-                assert record._json.encode("utf-8") == canonical_bytes(record.to_canonical())
+                assert record._json.encode("utf-8") == canonical_bytes(record_form(record))
                 stages.add(record.stage)
                 vetoed += any(verdict is Verdict.VETOED for _, verdict in record.evaluated)
     assert stages == set(Stage) and vetoed
@@ -569,7 +570,7 @@ def test_the_bare_field_memo_is_keyed_by_rule_id():
 
 def test_policy_hash_equals_the_canonical_digest():
     for policy, _ in _seed5_workloads():
-        assert policy_hash(policy) == canonical_hash(policy_canonical(policy))
+        assert policy_hash(policy) == canonical_hash(policy_form(policy))
 
 
 @functools.cache
@@ -699,7 +700,7 @@ def test_a_record_built_in_code_still_sorts_and_checks_its_pairs():
     assert public == engine_built and hash(public) == hash(engine_built) and repr(public) == repr(engine_built)
     assert public._json is None
     text = canonical_serialize(public)
-    assert text == canonical_serialize(engine_built) == canonical_bytes(public.to_canonical())
+    assert text == canonical_serialize(engine_built) == canonical_bytes(record_form(public))
     # The text is kept once encoded, and stays out of the value.
     assert public._json == text.decode("utf-8")
     assert public == engine_built and hash(public) == hash(engine_built) and repr(public) == repr(engine_built)
@@ -732,7 +733,7 @@ def test_interned_outputs_equal_fresh_ones_and_encode_to_the_reference_form():
             assert output == fresh and hash(output) == hash(fresh) and repr(output) == repr(fresh)
             assert trace.final is output and reverse[c.case_id] == output
             assert decide(policy, c)[0] is output
-            assert canonical_serialize(output) == canonical_bytes(output.to_canonical()) == canonical_serialize(fresh)
+            assert canonical_serialize(output) == canonical_bytes(output_form(output)) == canonical_serialize(fresh)
 
 
 def test_an_output_keeps_its_text_out_of_equality_repr_pickles_and_copies():

@@ -35,9 +35,10 @@ from absgate.model import canonical_serialize
 from absgate.condition import And, Not, Or, typecheck
 from absgate.diagnostics import Diagnostic, Severity
 from absgate.dsl import _MAX_OPEN, MAX_NESTING, _lex, _Parser, _ParseError
-from absgate.policy import ClinicalRule, Policy, StewardshipSpec, StewardshipVeto, policy_canonical
+from absgate.policy import ClinicalRule, Policy, StewardshipSpec, StewardshipVeto
 from absgate.reference import reference_policy_text, reference_suite_text
 
+from canonical_forms import policy_form, record_form, trace_form
 from oracle import kind_cases, make_kind_policy
 
 POLICY = reference_policy_text()
@@ -118,7 +119,7 @@ def test_mutated_policies_parse_without_raising_and_print_back_to_the_same_hash(
         reparsed, rediags = parse_policy(format_policy(policy))
         assert rediags == []
         assert policy_hash(reparsed) == policy_hash(policy)
-        assert policy_hash(policy) == canonical_hash(policy_canonical(policy))
+        assert policy_hash(policy) == canonical_hash(policy_form(policy))
 
 
 @given(_EDITS)
@@ -376,6 +377,6 @@ def test_engine_built_traces_encode_to_the_reference_form(index, edits):
         return
     for case in suite.cases:
         trace = decide(policy, case)[1]
-        assert canonical_serialize(trace) == canonical_bytes(trace.to_canonical())
+        assert canonical_serialize(trace) == canonical_bytes(trace_form(trace))
         for record in trace.stages:
-            assert canonical_serialize(record) == canonical_bytes(record.to_canonical())
+            assert canonical_serialize(record) == canonical_bytes(record_form(record))

@@ -1,3 +1,4 @@
+import json
 
 import pytest
 
@@ -16,9 +17,10 @@ from absgate.policy import (
     Policy,
     StewardshipSpec,
     StewardshipVeto,
-    policy_canonical,
+    _policy_json,
 )
 
+from canonical_forms import policy_form
 from oracle import make_kind_policy
 
 MINIMAL = """\
@@ -205,6 +207,10 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
         (lambda: _base(classes=("c1",)), "classes entry is not a ClassDecl: 'c1'"),
         (lambda: StewardshipSpec(Literal(True), None), "class_vetoes is not a collection: None"),
         (lambda: ClinicalRule("r1", "a == true", "c1"), "rule condition is not a condition node: 'a == true'"),
+        (
+            lambda: _base(clinical_rules=(ClinicalRule("r1", And(Literal(True), "a == true"), "c1"),)),
+            "right operand of And is not a condition node: 'a == true'",
+        ),
     ],
     ids=[
         "policy_id",
@@ -226,6 +232,7 @@ _SCHEMA = REFERENCE.schema + (FieldDecl("flags", FieldKind.TOKEN_SET, ("a", "b")
         "class_not_decl",
         "vetoes_none",
         "when_str",
+        "nested_when_str",
     ],
 )
 def test_a_declaration_built_in_code_names_its_defect(build, message):
@@ -539,7 +546,7 @@ def test_canonical_form_sorts_declarations():
         MINIMAL.replace("field a : bool\n", "field z : int\nfield a : bool\n")
     )
     assert policy is not None
-    doc = policy_canonical(policy)
+    doc = json.loads(_policy_json(policy))
     assert [entry["name"] for entry in doc["fields"]] == ["a", "z"]
     assert doc["policy"] == "p"
     assert doc["version"] == "v1"
@@ -593,4 +600,4 @@ _RISK_SCHEMA = (FieldDecl("a", FieldKind.BOOLEAN), FieldDecl("r", FieldKind.TOKE
 )
 def test_policy_hash_is_the_digest_of_the_reference_canonical_form(build):
     policy = build()
-    assert policy_hash(policy) == canonical_hash(policy_canonical(policy))
+    assert policy_hash(policy) == canonical_hash(policy_form(policy))
