@@ -27,9 +27,9 @@ builds a one-condition program and caches it on the node.
 ``typecheck`` alone decides which conditions suit a schema; its one caller,
 ``policy.reference_findings``, serves ``parse_policy`` and ``Policy`` alike.
 
-Compiling, ``bare_fields`` and the connectives' ``==`` and ``hash`` read a
-tree in post-order from one explicit-stack walk (``_postfix``);
-``typecheck`` takes that walk without its list, and ``print_condition``
+``bare_fields`` and the connectives' ``==`` and ``hash`` read a tree in
+post-order from one explicit-stack walk (``_postfix``); compiling and
+``typecheck`` take that walk without its list, and ``print_condition``
 walks in text order on its own stack. So a tree's depth is bounded by
 memory, not by the interpreter's recursion limit.
 ``repr``, ``pickle`` and ``copy.deepcopy`` still recurse once per level.
@@ -326,38 +326,20 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
 
         return group
 
-    # Each leaf's column holds its truth value in every row.
-    columns = []
     if kinds == {_BOOLEAN} or kinds == {_TOKEN}:
-        # Row i is for the i-th distinct literal, the last row for any other value.
-        literals = list(dict.fromkeys(leaf.literal.value for leaf in tests))
-        for leaf in tests:
-            hit, miss = (_TRUE, _FALSE) if leaf.op == "==" else (_FALSE, _TRUE)
-            column = [miss] * (len(literals) + 1)
-            column[literals.index(leaf.literal.value)] = hit
-            columns.append(column)
-    elif kinds and kinds <= {_INTEGER, _DECIMAL}:
-        widen = Decimal if _DECIMAL in kinds else int
-        cuts = sorted({widen(leaf.literal.value) for leaf in tests})
-        # A value in region r lies below, on or above the cut whose own
-        # region is c, so ``value op cut`` holds exactly when ``sign op 0``
-        # does; each leaf's column is three runs of one truth value.
-        at = {cut: 2 * i + 1 for i, cut in enumerate(cuts)}
-        for leaf in tests:
-            c = at[widen(leaf.literal.value)]
-            test = _OPERATORS[leaf.op]
-            below, on, above = (_TRUE if test(sign, 0) else _FALSE for sign in (-1, 0, 1))
-            columns.append((below,) * c + (on,) + (above,) * (2 * len(cuts) - c))
-    else:
-        return None
-    # Neighbouring numeric regions often share a row; equal rows are stored once.
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows = tuple(shared.setdefault(row, row) for row in [cells + presence for cells in zip(*columns)])
-
-    if _DECIMAL not in kinds and _INTEGER not in kinds:
         (kind,) = kinds
+        # A row per distinct literal: the row for any other value, with the
+        # cells of the leaves naming that literal flipped from miss to hit.
+        other = [_FALSE if leaf.op == "==" else _TRUE for leaf in tests]
+        table: dict[Any, list[int]] = {}
+        for cell, leaf in enumerate(tests):
+            row = table.get(leaf.literal.value)
+            if row is None:
+                row = table[leaf.literal.value] = other.copy()
+            row[cell] = _TRUE - other[cell]
+        rows = {literal: tuple(row) + presence for literal, row in table.items()}
 
-        def group(fields, name=name, kind=kind, rows=dict(zip(literals, rows)), other=rows[-1], absent=absent):
+        def group(fields, name=name, kind=kind, rows=rows, other=tuple(other) + presence, absent=absent):
             value = fields.get(name, absent)
             if value is absent:
                 return absent
@@ -365,7 +347,20 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
                 raise _Unserved
             return rows.get(value.value, other)
 
-    else:
+    elif kinds and kinds <= {_INTEGER, _DECIMAL}:
+        widen = Decimal if _DECIMAL in kinds else int
+        cuts = sorted({widen(leaf.literal.value) for leaf in tests})
+        # A value in region r lies below, on or above the cut whose own
+        # region is c, so ``value op cut`` holds exactly when ``sign op 0``
+        # does; each leaf's column is three runs of one truth value.
+        columns = []
+        for leaf in tests:
+            c, test = 2 * bisect_left(cuts, widen(leaf.literal.value)) + 1, _OPERATORS[leaf.op]
+            below, on, above = (_TRUE if test(sign, 0) else _FALSE for sign in (-1, 0, 1))
+            columns.append((below,) * c + (on,) + (above,) * (2 * len(cuts) - c))
+        # Neighbouring regions often share a row; equal rows are stored once.
+        regions = [cells + presence for cells in zip(*columns)]
+        rows = tuple(map({}.setdefault, regions, regions))
         # Integer literals alone serve integer and decimal values alike, the
         # way an integer literal widens against a decimal field; a decimal
         # literal serves only decimal values.
@@ -383,6 +378,8 @@ def _group(name: str, leaves: list[Condition]) -> Callable[[Mapping[str, FieldVa
             number = value.value
             return rows[below(cuts, number) + upto(cuts, number)]
 
+    else:
+        return None
     return group
 
 
@@ -398,61 +395,63 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
 
     Every leaf is computed on every call, and a tree's steps run only if
     its sentinel is not FALSE. The sentinel is the first leaf among the
-    conjuncts of the root's flattened ``and`` chain (``_sentinel``); a
-    tree with none, such as an ``or`` or ``not`` root, reads a constant
-    TRUE slot instead. A FALSE conjunct makes the whole tree FALSE, and
-    the steps' slots are preset to FALSE, so a skipped tree's root already
-    reads it. Trees whose sentinels share a slot run or skip together.
+    conjuncts of the root's flattened ``and`` chain, found in the same walk
+    that makes the steps; a tree with none, such as an ``or`` or ``not``
+    root, reads a constant TRUE slot instead. A FALSE conjunct makes the
+    whole tree FALSE, and the steps' slots are preset to FALSE, so a skipped
+    tree's root already reads it. Trees whose sentinels share a slot run or
+    skip together.
 
     Since every leaf runs first, if anything fails the leaves rerun one by
     one in first-occurrence order: a kind mismatch raises at the first
     mismatching leaf in condition order, whatever the other operands yield
-    and whichever trees would be skipped. Each tree is read in post-order
-    from ``_postfix``.
+    and whichever trees would be skipped.
     """
     leaves: list[Condition] = []
     leaf_index: dict[tuple[Any, ...], int] = {}
+    # Per field, the indices of its leaves.
+    by_field: dict[str, list[int]] = {}
     # Operand references: n >= 0 is leaf n, ~n is step n.
     steps: list[tuple[Any, int, int]] = []
-    roots: list[int] = []
-    # Per tree, its sentinel's reference, or None for the constant TRUE.
-    sentinel_refs: list[int | None] = []
-
-    def leaf_ref(leaf: Condition) -> int:
-        # Keyed by class and fields, so no node's ``==`` or ``hash`` runs; a
-        # comparison's key holds its literal's kind, keeping ``True`` and
-        # ``1``, or ``1`` and ``Decimal(1)``, apart.
-        if leaf.__class__ is Comparison:
-            key = (Comparison, leaf.field_name, leaf.op, leaf.literal.kind, leaf.literal.value)
-        else:
-            key = (leaf.__class__, leaf._key(leaf))
-        index = leaf_index.setdefault(key, len(leaves))
-        if index == len(leaves):
-            leaves.append(leaf)
-        return index
-
+    # Per ``and`` step, the reference of the first leaf among the conjuncts of its
+    # flattened chain, or None. A tree's sentinel is its root's.
+    first: dict[int, int | None] = {}
+    roots, refs = [], []
     for cond in conds:
-        sentinel, sentinel_ref = _sentinel(cond), None
-        refs: list[int] = []
-        for node in _postfix(cond):
+        # ``_postfix``'s walk without its list: a connective stacks its table under its operands.
+        work = [cond]
+        while work:
+            node = work.pop()
             if isinstance(node, _LEAF_TYPES):
-                refs.append(leaf_ref(node))
-                if node is sentinel:
-                    sentinel_ref = refs[-1]
-                continue
-            b = refs.pop()
-            if isinstance(node, Not):
-                steps.append((_NOT, b, b))
+                # Keyed by class and fields, so no node's ``==`` or ``hash`` runs; a
+                # comparison's key holds its literal's kind, keeping ``True`` and
+                # ``1``, or ``1`` and ``Decimal(1)``, apart.
+                if node.__class__ is Comparison:
+                    key = (Comparison, node.field_name, node.op, node.literal.kind, node.literal.value)
+                else:
+                    key = (node.__class__, node._key(node))
+                index = leaf_index.setdefault(key, len(leaves))
+                if index == len(leaves):
+                    leaves.append(node)
+                    if not isinstance(node, Literal):
+                        by_field.setdefault(node.field_name, []).append(index)
+                refs.append(index)
+            elif node is _AND or node is _OR or node is _NOT:
+                b, ref = refs.pop(), ~len(steps)
+                a = b if node is _NOT else refs.pop()
+                steps.append((node, a, b))
+                refs.append(ref)
+                if node is _AND:
+                    head = a if a >= 0 else first.get(a)
+                    first[ref] = (b if b >= 0 else first.get(b)) if head is None else head
+            elif isinstance(node, (And, Or)):
+                work += (_AND if isinstance(node, And) else _OR, node.right, node.left)
+            elif isinstance(node, Not):
+                work += (_NOT, node.inner)
             else:
-                steps.append((_AND if isinstance(node, And) else _OR, refs.pop(), b))
-            refs.append(~(len(steps) - 1))
+                raise TypeError(f"not a condition node: {node!r}")
         roots.append(refs.pop())
-        sentinel_refs.append(sentinel_ref)
 
-    by_field: dict[str, list[int]] = {}
-    for index, leaf in enumerate(leaves):
-        if isinstance(leaf, _FIELD_LEAVES):
-            by_field.setdefault(leaf.field_name, []).append(index)
     groups = []
     grouped: list[int] = []
     for name, indices in by_field.items():
@@ -469,22 +468,20 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
     # constant TRUE, then the steps'. A step reference ~n counts from the
     # end of ``position``, so the steps' slots are listed there in reverse.
     # Every slot number is one int object, shared by all that name it.
-    in_group = set(grouped)
-    singles = [index for index in range(len(leaves)) if index not in in_group]
+    singles = sorted({*range(len(leaves))}.difference(grouped))
+    order = singles + grouped
     true_slot = len(leaves)
-    position = [0] * len(leaves) + list(range(true_slot + len(steps), true_slot, -1))
-    for slot, index in enumerate(singles + grouped):
-        position[index] = slot
+    step_slots = list(range(true_slot + 1, true_slot + 1 + len(steps)))
+    position = sorted(range(true_slot), key=order.__getitem__) + step_slots[::-1]
     # The steps of the trees behind each sentinel slot, as (table, operand
     # slot, operand slot, own slot). A tree's steps end with its root's.
+    slotted = [(table, position[a], position[b], out) for (table, a, b), out in zip(steps, step_slots)]
     gated: dict[int, list[tuple[Any, int, int, int]]] = {}
     start = 0
-    for root, ref in zip(roots, sentinel_refs):
+    for root in roots:
         if root < 0:
-            gated.setdefault(true_slot if ref is None else position[ref], []).extend(
-                (table, position[a], position[b], position[~n])
-                for n, (table, a, b) in enumerate(steps[start : ~root + 1], start)
-            )
+            head = first.get(root)
+            gated.setdefault(true_slot if head is None else position[head], []).extend(slotted[start : ~root + 1])
             start = ~root + 1
 
     def ordered(fields: Mapping[str, FieldValue]) -> list[int]:
@@ -493,7 +490,7 @@ def compile_conditions(conds: Iterable[Condition]) -> _Program:
         # ``FieldValue``, which a table cannot look up), their values fill
         # the slots.
         values = [_atom(leaf)(fields) for leaf in leaves]
-        return [values[index] for index in singles + grouped]
+        return [values[index] for index in order]
 
     def program(
         fields,
@@ -559,19 +556,6 @@ def _postfix(cond: Condition) -> list[Condition]:
             raise TypeError(f"not a condition node: {node!r}")
     order.reverse()
     return order
-
-
-def _sentinel(cond: Condition) -> Condition | None:
-    """The first leaf among the conjuncts of the root's flattened ``and``
-    chain, or None when no conjunct is a leaf. Only the chain is walked."""
-    work = [cond]
-    while work:
-        node = work.pop()
-        if isinstance(node, And):
-            work += (node.right, node.left)
-        elif isinstance(node, _LEAF_TYPES):
-            return node
-    return None
 
 
 def bare_fields(cond: Condition) -> frozenset[str]:

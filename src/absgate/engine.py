@@ -41,21 +41,19 @@ values alone decide: an abstention, or None if they do not end the case.
 Stages 1–3 find theirs by ``bytes`` of their truth values (in stage 3 a
 rule whose ``requires`` are unmet reads INDETERMINATE whatever its
 condition yields): ``(record, conflicting signals)``, ``(record, explicit
-exclusion)`` and ``(record, conflict or no candidate, fired rule ids)``; a
-miss picks each declaration's pair and its JSON text by truth value and
-joins the texts (``StageRecord._encoded``). Stage 4 finds ``(record,
-stage-5 records, output)`` by the stewardship truth values and the fired
-rule ids; a miss builds the record through the public ``StageRecord``
-constructor and runs the stage-5 selection, and each class's stage-5
-record and recommendation are built once. So ``decide`` works out per
-call only what depends on field values: missing required fields, unknown
-risks, and the missing bare fields behind an INDETERMINATE verdict, which
-a memo limited to the rule ids holds per rule. Abstentions come from the
-output memo, built through the public ``SystemOutput`` constructor. A
-record or output keeps its text once encoded, so a shared one is encoded
-once. All are immutable, so traces share them, and ``decide`` assembles
-each trace through ``AuditTrace._trusted``. Every call still evaluates
-every truth value of each stage it reaches.
+exclusion)`` and ``(record, conflict or no candidate, fired rule ids)``.
+Stage 4 finds ``(record, stage-5 records, output)`` by the stewardship
+truth values and the fired rule ids. So ``decide`` works out per call only
+what depends on field values: missing required fields, unknown risks, and
+the missing bare fields behind an INDETERMINATE verdict, which a memo
+limited to the rule ids holds per rule. The engine builds every record
+and output trusted, skipping the checks that its policy and case passed:
+records of stages 1–5 through ``StageRecord._encoded``, with their text
+joined from pair texts made once per declaration, and abstentions and
+recommendations through ``SystemOutput._trusted``, which keep their text
+once encoded. All are immutable, so traces share them, and ``decide``
+assembles each trace through ``AuditTrace._trusted``. Every call still
+evaluates every truth value of each stage it reaches.
 
 ``decide`` is pure and deterministic: identical policy and case always
 produce bitwise-identical canonical output and trace. ``CompletenessReport``
@@ -64,23 +62,15 @@ is a ``NamedTuple`` record.
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import compress
 from operator import getitem
 from typing import Any, Callable, Collection, NamedTuple
 
-from .condition import _FALSE, _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
+from .condition import _INDETERMINATE, _TRUE, _Program, bare_fields, compile_conditions
 from .model import (
-    AbstentionCategory,
-    AuditTrace,
-    CaseInput,
-    FieldKind,
-    Stage,
-    StageRecord,
-    SystemOutput,
-    Verdict,
-    _pair_json,
+    _PAIR_JSON, AbstentionCategory, AuditTrace, CaseInput, FieldKind, Stage, StageRecord, SystemOutput, Verdict, _quote
 )
-from .policy import ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, NO_CANDIDATE, ClassDecl, ClinicalRule, Policy
+from .policy import ALL_CANDIDATES_VETOED, JUSTIFIED_NOTE, NO_CANDIDATE, ClassDecl, Policy
 
 __all__ = ["CompletenessReport", "assess_inputs", "decide"]
 
@@ -96,6 +86,8 @@ _OUTPUT_MEMO_LIMIT = 1024
 
 # A rule's verdict, indexed by its condition's truth value.
 _VERDICTS = (Verdict.NOT_FIRED, Verdict.INDETERMINATE, _FIRED)
+# ``bytes.translate`` of truth values to ``itertools.compress`` selectors of the TRUE ones.
+_TRUE_ONLY = bytes.maketrans(bytes([_INDETERMINATE, _TRUE]), bytes([0, 1]))
 
 
 class _Memo(dict):
@@ -115,19 +107,28 @@ class _Memo(dict):
         return value
 
 
-def _entries(stage: Stage, declarations: tuple[Any, ...], end: Callable[[list[Any]], tuple]) -> _Memo:
+def _entries(stage: Stage, declarations: tuple[Any, ...], end: Callable[[bytes], tuple]) -> _Memo:
     """A stage's entries by ``bytes`` of one truth value per declaration: the record, picked
-    by two C-level maps from each declaration's pair and its JSON text (``model._pair_json``),
-    both built once per truth value, then ``end`` of the declarations whose truth is TRUE."""
-    verdicts = [[(decl.rule_id, verdict) for verdict in _VERDICTS] for decl in declarations]
-    fragments = [[*starmap(_pair_json, pairs)] for pairs in verdicts]
+    by two C-level maps from each declaration's pair and its JSON text (``_pairs``), then
+    ``end`` of the truth values."""
+    verdicts, fragments = _pairs(declarations)
 
     def build(truths: bytes) -> tuple:
         evaluated = tuple(map(getitem, verdicts, truths))
-        record = StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths)))
-        return (record, *end([decl for decl, truth in zip(declarations, truths) if truth == _TRUE]))
+        return (StageRecord._encoded(stage, evaluated, ",".join(map(getitem, fragments, truths))), *end(truths))
 
     return _Memo(build)
+
+
+def _pairs(declarations: tuple[Any, ...]) -> tuple[list[tuple[tuple[str, Verdict], ...]], list[tuple[str, ...]]]:
+    """Per declaration, its pair with each of ``_VERDICTS`` and their JSON texts, from one quoted id."""
+    pairs, texts = [], []
+    (no, unknown, yes), (no_json, unknown_json, yes_json) = _VERDICTS, map(_PAIR_JSON.get, _VERDICTS)
+    for rule_id in [decl.rule_id for decl in declarations]:
+        quoted = _quote(rule_id)
+        pairs.append(((rule_id, no), (rule_id, unknown), (rule_id, yes)))
+        texts.append((no_json(quoted), unknown_json(quoted), yes_json(quoted)))
+    return pairs, texts
 
 
 class _Compiled(NamedTuple):
@@ -143,8 +144,9 @@ class _Compiled(NamedTuple):
     rule_records: _Memo
     # Stage 4-5 entries, ``(record, stage-5 records, output)``, by the stewardship truth values and fired rule ids.
     stewardship_outcomes: _Memo
-    # The positions of the clinical rules that have ``requires``.
+    # The positions of the clinical rules that have ``requires``, and the union of those.
     requiring: tuple[int, ...]
+    requires: frozenset[str]
     # Per exclusion and clinical rule id, ``condition.bare_fields`` of its condition, built on
     # first use and kept for every id; keyed by the ``str`` id, as a declaration's hash walks it.
     bare_fields: _Memo
@@ -166,30 +168,38 @@ def _compiled(policy: Policy) -> _Compiled:
     stewardship = policy.stewardship
     rules = policy.clinical_rules
     conditions = {decl.rule_id: decl.when for decl in (*policy.exclusions, *rules)}
-    outputs = _Memo(lambda key: SystemOutput.abstain(*key))
+    outputs = _Memo(lambda key: SystemOutput._trusted(None, *key))
 
     def ending(category: AbstentionCategory, labels: Collection[str]) -> SystemOutput | None:
         """The abstention with ``labels``, or None if there are none."""
         return outputs[(category, frozenset(labels))] if labels else None
 
-    def rule_ending(fired: list[ClinicalRule]) -> tuple[SystemOutput | None, tuple[str, ...]]:
+    def true_ending(category: AbstentionCategory, labels: list[str]) -> Callable[[bytes], tuple]:
+        return lambda truths: (ending(category, [*compress(labels, truths.translate(_TRUE_ONLY))]),)
+
+    # Stage 3's fired rules come from one C-level pass; its conflicts from one test per declared pair.
+    rule_ids = [rule.rule_id for rule in rules]
+    conflicts = [(a, rule_ids.index(o), rule.rule_id, o) for a, rule in enumerate(rules) for o in rule.incompatible_with]
+
+    def rule_ending(truths: bytes) -> tuple[SystemOutput | None, tuple[str, ...]]:
+        fired = tuple(compress(rule_ids, truths.translate(_TRUE_ONLY)))
         if not fired:
             return ending(_CONSERVATIVE_AMBIGUITY, (NO_CANDIDATE,)), ()
-        ids = tuple([rule.rule_id for rule in fired])
-        pairs = [(rule.rule_id, other) for rule in fired for other in rule.incompatible_with if other in ids]
-        return ending(_CONFLICTING_SIGNALS, set().union(*pairs)), ids
+        pairs = [(rule_id, other) for a, b, rule_id, other in conflicts if truths[a] == truths[b] == _TRUE]
+        return ending(_CONFLICTING_SIGNALS, set().union(*pairs)), fired
 
+    conflicting, excluding = [c.rule_id for c in policy.consistency], [e.label for e in policy.exclusions]
+    requiring = tuple(position for position, rule in enumerate(rules) if rule.requires)
     compiled = _Compiled(
         compile_conditions(c.forbid for c in policy.consistency),
         compile_conditions(e.when for e in policy.exclusions),
         compile_conditions(r.when for r in rules),
-        _entries(
-            _INPUT_ASSESSMENT, policy.consistency, lambda true: (ending(_CONFLICTING_SIGNALS, [c.rule_id for c in true]),)
-        ),
-        _entries(_EXCLUSIONS, policy.exclusions, lambda true: (ending(_EXPLICIT_EXCLUSION, [e.label for e in true]),)),
+        _entries(_INPUT_ASSESSMENT, policy.consistency, true_ending(_CONFLICTING_SIGNALS, conflicting)),
+        _entries(_EXCLUSIONS, policy.exclusions, true_ending(_EXPLICIT_EXCLUSION, excluding)),
         _entries(_CLINICAL_RULES, rules, rule_ending),
         _outcomes(policy, ending),
-        tuple(position for position, rule in enumerate(rules) if rule.requires),
+        requiring,
+        frozenset().union(*[rules[position].requires for position in requiring]),
         _Memo(lambda rule_id: tuple(bare_fields(conditions[rule_id])), len(conditions)),
         compile_conditions([*(v.when for v in stewardship.class_vetoes), stewardship.escalation_justification]),
         tuple(decl.name for decl in policy.risk_fields()),
@@ -249,23 +259,33 @@ def _outcomes(policy: Policy, ending: Callable[[AbstentionCategory, Collection[s
     ids)``, the truths of the vetoes (in rule-id order) and of the justification. Each veto's
     pair is built once per truth value, and each class's stage-5 record and recommendation once."""
     vetoes = policy.stewardship.class_vetoes
-    pairs = [[(veto.rule_id, verdict) for verdict in _VERDICTS] for veto in vetoes]
+    pairs, fragments = _pairs(vetoes)
+    vetoed = [veto.class_id for veto in vetoes]
     candidates = {rule.rule_id: rule.candidate for rule in policy.clinical_rules}
     class_map = policy.class_map()
-    recommendations = {c: ((StageRecord(_OUTPUT, (), (c,)),), SystemOutput.recommend(c)) for c in class_map}
+    escalation = {class_id for class_id, decl in class_map.items() if decl.escalation_tier}
+    recommendations = _Memo(
+        lambda c: ((StageRecord._encoded(_OUTPUT, (), "", (c,)),), SystemOutput._trusted(c)),
+        len(class_map),
+    )
 
     def build(key: tuple) -> tuple[StageRecord, tuple[StageRecord, ...], SystemOutput]:
-        truths, *fired = key
-        nominated = {candidates[rule_id] for rule_id in fired}
-        # An indeterminate veto vetoes, conservatively.
-        vetoed_classes = {veto.class_id for veto, truth in zip(vetoes, truths) if truth != _FALSE}
+        truths, fired = key[0], key[1:]
+        nominated = set(map(candidates.__getitem__, fired))
+        # An indeterminate veto vetoes, conservatively: any truth but FALSE selects its class.
+        # Unless the justification is TRUE, the escalation-tier classes go as well.
         justified = truths[-1] == _TRUE
-        removed = {c for c in nominated if c in vetoed_classes or (class_map[c].escalation_tier and not justified)}
+        removed = nominated.intersection(compress(vetoed, truths)) | (set() if justified else nominated & escalation)
         survivors = nominated - removed
-        evaluated = [*map(getitem, pairs, truths)]
-        evaluated += [(rule_id, _VETOED) for rule_id in fired if candidates[rule_id] in removed]
+        evaluated, texts = [*map(getitem, pairs, truths)], [*map(getitem, fragments, truths)]
+        for rule_id in fired:
+            if candidates[rule_id] in removed:
+                evaluated.append((rule_id, _VETOED))
+                texts.append(_PAIR_JSON[_VETOED](_quote(rule_id)))
+        if removed:  # Into rule-id order, as ``StageRecord`` sorts its pairs; ids are unique in a policy.
+            evaluated, texts = zip(*sorted(zip(evaluated, texts)))
         notes = ((JUSTIFIED_NOTE,) if justified else ()) + tuple(sorted(survivors))
-        record = StageRecord(_STEWARDSHIP, evaluated, notes)
+        record = StageRecord._encoded(_STEWARDSHIP, tuple(evaluated), ",".join(texts), notes)
         if not survivors:
             return record, (), ending(_CONSERVATIVE_AMBIGUITY, (ALL_CANDIDATES_VETOED,))
         selection = _select_recommendation(class_map, survivors)
@@ -330,11 +350,12 @@ def decide(policy: Policy, case: CaseInput) -> tuple[SystemOutput, AuditTrace]:
     truths = compiled.clinical_rules(fields)
     picks = truths.copy()
     problems: set[str] = set()
-    for position in compiled.requiring:
-        missing_req = [name for name in rules[position].requires if name not in fields]
-        if missing_req:
-            picks[position] = _INDETERMINATE
-            problems.update(missing_req)
+    if not compiled.requires <= fields.keys():
+        for position in compiled.requiring:
+            missing_req = [name for name in rules[position].requires if name not in fields]
+            if missing_req:
+                picks[position] = _INDETERMINATE
+                problems.update(missing_req)
     if _INDETERMINATE in truths:
         problems |= _unresolved(compiled, fields, rules, truths)
     record, final, fired = compiled.rule_records[bytes(picks)]

@@ -233,8 +233,8 @@ def run_suite(policy: Policy, suite: Suite, runs: int = 3) -> EvaluationReport:
     is audited as soon as it is decided (as ``stewardship_audit`` would), so
     no trace outlives its case.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1: {runs}")
+    if type(runs) is not int or runs < 1:
+        raise ValueError(f"runs must be an int of at least 1: {runs!r}")
 
     class_map = policy.class_map()
     run_digests: list[str] = []

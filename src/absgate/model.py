@@ -314,6 +314,20 @@ class SystemOutput(_Frozen):
         _set(self, "reason", reason)
 
     @classmethod
+    def _trusted(cls, class_id: str | None, category: Any = None, labels: Iterable[str] = ()) -> "SystemOutput":
+        """The recommendation of ``class_id``, or if None the abstention with ``category`` and ``labels``,
+        for the engine alone: stored with ``_set``, without the checks that the policy and case passed."""
+        output, reason = object.__new__(cls), None
+        if class_id is None:
+            reason = object.__new__(AbstentionReason)
+            _set(reason, "category", category)
+            _set(reason, "labels", tuple(sorted(labels)))
+        _set(output, "action", _ABSTAIN if class_id is None else _RECOMMEND)
+        _set(output, "class_id", class_id)
+        _set(output, "reason", reason)
+        return output
+
+    @classmethod
     def recommend(cls, class_id: str) -> "SystemOutput":
         return cls(_RECOMMEND, class_id=class_id)
 
@@ -461,13 +475,15 @@ class StageRecord(_Frozen):
         _set(self, "notes", tuple(notes))
 
     @classmethod
-    def _encoded(cls, stage: Stage, evaluated: tuple[tuple[str, Verdict], ...], pairs_json: str) -> "StageRecord":
-        """A record without notes, trusted as built: ``evaluated`` is a tuple
-        of ``(str, Verdict)`` pairs in rule-id order and ``pairs_json`` their
-        ``_pair_json`` texts joined by commas. Skips the sort and the type
-        checks of ``__init__``, and attaches the record's JSON text."""
+    def _encoded(cls, stage: Stage, evaluated: tuple, pairs_json: str, notes: tuple[str, ...] = ()) -> "StageRecord":
+        """A record trusted as built, for the engine alone: ``evaluated`` holds ``(str, Verdict)`` pairs in
+        rule-id order, ``pairs_json`` their ``_PAIR_JSON`` texts joined by commas. Skips the sort and the
+        type checks of ``__init__``, stores with ``_set``, and attaches the record's JSON text."""
         record = object.__new__(cls)
-        record.__dict__.update(stage=stage, evaluated=evaluated, notes=(), _json=_record_json(stage, pairs_json, ""))
+        _set(record, "stage", stage)
+        _set(record, "evaluated", evaluated)
+        _set(record, "notes", notes)
+        _set(record, "_json", _record_json(stage, pairs_json, ",".join(map(_quote, notes))))
         return record
 
 
@@ -540,7 +556,7 @@ def _encode_output(output: SystemOutput) -> str:
             assert reason is not None
             labels = ",".join(map(_quote, reason.labels))
             text = f'{{"action":"abstain","category":{_CATEGORY_JSON[reason.category]},"labels":[{labels}]}}'
-        output.__dict__["_json"] = text
+        _set(output, "_json", text)
     return text
 
 
@@ -571,9 +587,8 @@ def _expected_json(expected: ExpectedBehavior) -> str:
     return f'{{"abstain":{_ANY_JSON if category is None else _CATEGORY_JSON[category]}}}'
 
 
-def _pair_json(rule_id: str, verdict: Verdict) -> str:
-    """JSON text of one ``[rule_id, verdict]`` pair of a stage record."""
-    return f"[{_quote(rule_id)},{_VERDICT_JSON[verdict]}]"
+# Per verdict, the JSON text of a ``[rule_id, verdict]`` pair of a stage record from ``_quote(rule_id)``.
+_PAIR_JSON = {verdict: f"[{{}},{text}]".format for verdict, text in _VERDICT_JSON.items()}
 
 
 def _record_json(stage: Stage, pairs_json: str, notes_json: str) -> str:
@@ -583,9 +598,9 @@ def _record_json(stage: Stage, pairs_json: str, notes_json: str) -> str:
 def _encode_record(record: StageRecord) -> str:
     text = record._json
     if text is None:
-        pairs_json = ",".join([_pair_json(rule_id, verdict) for rule_id, verdict in record.evaluated])
+        pairs_json = ",".join([_PAIR_JSON[verdict](_quote(rule_id)) for rule_id, verdict in record.evaluated])
         text = _record_json(record.stage, pairs_json, ",".join(map(_quote, record.notes)))
-        record.__dict__["_json"] = text
+        _set(record, "_json", text)
     return text
 
 
@@ -598,9 +613,9 @@ def canonical_serialize(value: SystemOutput | StageRecord | AuditTrace) -> bytes
     README gives: keys in sorted order, every string through the escaper
     ``json.dumps(ensure_ascii=False)`` uses, enum members from tables. A
     record or output that carries its text is not encoded again: the engine
-    joins a stage 1-3 record's text from pair texts that the same per-pair
-    encoder (``_pair_json``) wrote once per policy, and any other is encoded
-    here once and keeps it. No float or non-member enum can reach the bytes:
+    joins each record's text from pair texts that the same per-pair
+    encoder (``_PAIR_JSON``) wrote once per policy (a vetoed rule's, once
+    per stage-4 entry), and any other is encoded here once and keeps it. No float or non-member enum can reach the bytes:
     a non-``str`` id, note or label raises ``TypeError`` here, and stages,
     verdicts and categories are type-checked when their records are built.
     """

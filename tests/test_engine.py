@@ -556,6 +556,57 @@ def test_the_stage3_memo_holds_the_fired_rules_and_conflicts_of_its_record():
     assert checked and conflicts
 
 
+def _public_twin(value):
+    """What the public constructors build from the fields of an engine-made
+    output or stage record."""
+    if type(value) is StageRecord:
+        return StageRecord(value.stage, value.evaluated, value.notes)
+    if value.action is Action.RECOMMEND:
+        return SystemOutput.recommend(value.class_id)
+    return SystemOutput.abstain(value.reason.category, value.reason.labels)
+
+
+def test_engine_built_outputs_and_records_equal_their_public_twins():
+    # The engine builds them trusted, and stage 1-5 records with their text
+    # joined from pair texts; the twins are checked and encoded from scratch.
+    stages, notes, vetoed, actions = set(), 0, 0, set()
+    for policy, cases in _seed5_workloads():
+        for c in cases:
+            output, trace = decide(policy, c)
+            actions.add(output.action)
+            for value in (output, *trace.stages):
+                twin = _public_twin(value)
+                text = canonical_serialize(twin)
+                for same in (value, pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                    assert same == twin and hash(same) == hash(twin) and repr(same) == repr(twin)
+                    assert canonical_serialize(same) == text
+            for record in trace.stages:
+                stages.add(record.stage)
+                notes += bool(record.notes)
+                vetoed += any(verdict is Verdict.VETOED for _, verdict in record.evaluated)
+    assert stages == set(Stage) and notes and vetoed and actions == set(Action)
+
+
+def test_one_pass_builds_each_memo_entry_once():
+    total: dict = {}
+    for policy, cases in _seed5_workloads():
+        fresh = copy.copy(policy)
+        memos = {name: value for name, value in _compiled(fresh)._asdict().items() if isinstance(value, engine._Memo)}
+        builds = dict.fromkeys(memos, 0)
+        for name, memo in memos.items():
+
+            def counted(key, name=name, build=memo.build):
+                builds[name] += 1
+                return build(key)
+
+            memo.build = counted
+        for c in cases:
+            decide(fresh, c)
+        assert builds == {name: len(memo) for name, memo in memos.items()}
+        total = {name: total.get(name, 0) + count for name, count in builds.items()}
+    assert all(total.values()) and len(total) == 6
+
+
 def test_the_bare_field_memo_is_keyed_by_rule_id():
     # A declaration as key would hash its whole condition tree per lookup.
     keys = []

@@ -139,8 +139,11 @@ def test_report_serializes_canonically():
 
 
 def test_run_suite_validates_arguments():
-    with pytest.raises(ValueError):
-        run_suite(POLICY, SUITE, runs=0)
+    # Only an exact int of at least 1 is a run count: a bool would be written
+    # into the report as ``true``, and the others would fail as TypeError.
+    for runs in (0, -1, True, False, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="^runs must be an int of at least 1: "):
+            run_suite(POLICY, SUITE, runs=runs)
 
 
 def test_audit_requires_traces():
