@@ -27,7 +27,7 @@ from .diagnostics import Diagnostic, has_errors
 from .dsl import parse_policy
 from .engine import decide
 from .evaluation import EvaluationReport, render_ratio, run_suite
-from .model import MatchLevel, canonical_serialize
+from .model import MatchLevel, _expected_json, canonical_serialize
 from .policy import Policy, policy_hash, validate_policy
 from .suite import Suite, bind_suite, parse_suite, suite_hash
 
@@ -119,10 +119,9 @@ def _summarize(report: EvaluationReport) -> None:
         print(f"determinism {'ok' if report.determinism_ok else 'FAIL'} runs={report.run_count}")
     for result in report.results:
         if result.match is not MatchLevel.FULL:
-            expected = canonical_bytes(result.expected.to_canonical()).decode("utf-8")
             print(
                 f"mismatch {result.case_id} level={result.match.value}"
-                f" expected {expected} actual [{result.actual.render_line()}]"
+                f" expected {_expected_json(result.expected)} actual [{result.actual.render_line()}]"
             )
 
 

@@ -24,7 +24,8 @@ leaves rerun one by one in condition order, so the first mismatching leaf
 raises. The engine builds one program per policy stage; ``evaluate``
 builds a one-condition program and caches it on the node.
 
-``typecheck`` alone decides which conditions suit a schema; its one caller,
+``typecheck`` alone decides which conditions suit a schema, naming each
+defect by its leaf, as nodes hold no source position; its one caller,
 ``policy.reference_findings``, serves ``parse_policy`` and ``Policy`` alike.
 
 ``bare_fields`` and the connectives' ``==`` and ``hash`` read a tree in
@@ -44,7 +45,6 @@ from enum import Enum
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
-from .diagnostics import Diagnostic, Severity
 from .model import (
     _BOOLEAN, _DECIMAL, _INTEGER, _TOKEN, _TOKEN_SET, IDENT_RE, TOKEN_RE, FieldValue, _Frozen, _name, _set
 )
@@ -81,67 +81,54 @@ class Truth(Enum):
     TRUE = 2
 
 
-# Source location, the keyword-only ``line`` and ``col`` that start every
-# node's fields, is for diagnostics only: ``==`` and ``hash`` leave it out.
 # The program ``evaluate`` compiles is kept on the node as ``_program``,
 # not in a field, and is left out of pickles and copies.
 class _Node(_Frozen):
-    _fields = ("line", "col")
-
-    def __init_subclass__(cls) -> None:
-        cls._key = operator.attrgetter(*cls._fields[2:])
+    _fields = ()
 
 
 class Literal(_Node):
-    _fields = ("line", "col", "value")
+    _fields = ("value",)
 
-    def __init__(self, value: bool, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, value: bool) -> None:
         if type(value) is not bool:
             raise ValueError(f"literal is not a boolean: {value!r}")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "value", value)
 
 
 class Comparison(_Node):
-    _fields = ("line", "col", "field_name", "op", "literal")
+    _fields = ("field_name", "op", "literal")
 
-    def __init__(self, field_name: str, op: str, literal: FieldValue, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, field_name: str, op: str, literal: FieldValue) -> None:
         _name(field_name, IDENT_RE, "field name is not an identifier")
         if op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator: {op!r}")
         if type(literal) is not FieldValue:
             raise ValueError(f"comparison literal is not a FieldValue: {literal!r}")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "field_name", field_name)
         _set(self, "op", op)
         _set(self, "literal", literal)
 
 
 class Present(_Node):
-    _fields = ("line", "col", "field_name")
+    _fields = ("field_name",)
 
-    def __init__(self, field_name: str, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, field_name: str) -> None:
         _name(field_name, IDENT_RE, "field name is not an identifier")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "field_name", field_name)
 
 
 class Absent(_Node):
-    _fields = ("line", "col", "field_name")
+    _fields = ("field_name",)
     __init__ = Present.__init__
 
 
 class Has(_Node):
-    _fields = ("line", "col", "field_name", "token")
+    _fields = ("field_name", "token")
 
-    def __init__(self, field_name: str, token: str, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, field_name: str, token: str) -> None:
         _name(field_name, IDENT_RE, "field name is not an identifier")
         _name(token, TOKEN_RE, "not a token (expected [a-z][a-z0-9_]*)")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "field_name", field_name)
         _set(self, "token", token)
 
@@ -165,37 +152,33 @@ def _tree_hash(self: "Condition") -> int:
 
 
 class And(_Node):
-    _fields = ("line", "col", "left", "right")
+    _fields = ("left", "right")
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
-    def __init__(self, left: Condition, right: Condition, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, left: Condition, right: Condition) -> None:
         if not (isinstance(left, _Node) and isinstance(right, _Node)):
             role, operand = ("right", right) if isinstance(left, _Node) else ("left", left)
             raise ValueError(f"{role} operand of {self.__class__.__name__} is not a condition node: {operand!r}")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "left", left)
         _set(self, "right", right)
 
 
 class Or(_Node):
-    _fields = ("line", "col", "left", "right")
+    _fields = ("left", "right")
     __init__ = And.__init__
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
 
 class Not(_Node):
-    _fields = ("line", "col", "inner")
+    _fields = ("inner",)
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
-    def __init__(self, inner: Condition, *, line: int = 0, col: int = 0) -> None:
+    def __init__(self, inner: Condition) -> None:
         if not isinstance(inner, _Node):
             raise ValueError(f"operand of {self.__class__.__name__} is not a condition node: {inner!r}")
-        _set(self, "line", line)
-        _set(self, "col", col)
         _set(self, "inner", inner)
 
 
@@ -565,20 +548,16 @@ def bare_fields(cond: Condition) -> frozenset[str]:
     return frozenset(node.field_name for node in _postfix(cond) if isinstance(node, (Comparison, Has)))
 
 
-def _err(code: str, message: str, node: _Node) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, node.line, node.col)
-
-
-def typecheck(cond: Condition, schema: Mapping[str, "FieldDecl"]) -> list[Diagnostic]:
-    """Static checks of a condition against a field schema, one diagnostic
-    at most per leaf, in leaf order.
+def typecheck(cond: Condition, schema: Mapping[str, "FieldDecl"]) -> list[tuple[str, str, Condition]]:
+    """Static checks of a condition against a field schema, as ``(code,
+    message, leaf)`` findings: one at most per leaf, in leaf order.
 
     Reports unknown fields, operator/kind mismatches (ordering is defined
     only for integer and decimal fields), and token literals outside a
     closed enumeration.
     """
     # The walk of ``_postfix`` without its list, so the leaves come last first.
-    diags = []
+    findings = []
     work = [cond]
     while work:
         node = work.pop()
@@ -587,38 +566,38 @@ def typecheck(cond: Condition, schema: Mapping[str, "FieldDecl"]) -> list[Diagno
         elif isinstance(node, Not):
             work.append(node.inner)
         elif isinstance(node, _FIELD_LEAVES):
-            diag = _leaf_error(node, schema.get(node.field_name))
-            if diag is not None:
-                diags.append(diag)
+            finding = _leaf_error(node, schema.get(node.field_name))
+            if finding is not None:
+                findings.append(finding)
         elif not isinstance(node, Literal):
             raise TypeError(f"not a condition node: {node!r}")
-    diags.reverse()
-    return diags
+    findings.reverse()
+    return findings
 
 
-def _leaf_error(node: Condition, decl: "FieldDecl | None") -> Diagnostic | None:
-    """The diagnostic of one field leaf, or None."""
+def _leaf_error(node: Condition, decl: "FieldDecl | None") -> tuple[str, str, Condition] | None:
+    """The ``(code, message, leaf)`` finding of one field leaf, or None."""
     name = node.field_name
     if decl is None:
-        return _err("unknown_field", f"condition references undeclared field '{name}'", node)
+        return "unknown_field", f"condition references undeclared field '{name}'", node
     if isinstance(node, (Present, Absent)):
         return None
     kind = decl.kind
     if isinstance(node, Has):
         if kind is not _TOKEN_SET:
-            return _err("type_mismatch", f"'has' requires a tokenset field, '{name}' is {kind.value}", node)
+            return "type_mismatch", f"'has' requires a tokenset field, '{name}' is {kind.value}", node
         if decl.enum is not None and node.token not in decl.enum:
-            return _err("unknown_enum_token", f"token '{node.token}' is outside the enumeration of '{name}'", node)
+            return "unknown_enum_token", f"token '{node.token}' is outside the enumeration of '{name}'", node
         return None
     lit = node.literal
     if kind is _TOKEN_SET:
-        return _err("type_mismatch", f"tokenset field '{name}' admits only 'has'", node)
+        return "type_mismatch", f"tokenset field '{name}' admits only 'has'", node
     if node.op in _ORDERING_OPS and kind not in (_INTEGER, _DECIMAL):
-        return _err("type_mismatch", f"ordering comparison on {kind.value} field '{name}'", node)
+        return "type_mismatch", f"ordering comparison on {kind.value} field '{name}'", node
     if not (lit.kind is kind or (kind is _DECIMAL and lit.kind is _INTEGER)):
-        return _err("type_mismatch", f"{lit.kind.value} literal compared against {kind.value} field '{name}'", node)
+        return "type_mismatch", f"{lit.kind.value} literal compared against {kind.value} field '{name}'", node
     if kind is _TOKEN and decl.enum is not None and lit.value not in decl.enum:
-        return _err("unknown_enum_token", f"token '{lit.value}' is outside the enumeration of '{name}'", node)
+        return "unknown_enum_token", f"token '{lit.value}' is outside the enumeration of '{name}'", node
     return None
 
 

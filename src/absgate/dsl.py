@@ -192,6 +192,7 @@ class _Parser:
         self.rules: list[tuple[_Tok, Condition, _Tok, list[_Tok], list[_Tok]]] = []  # as reference_findings takes it
         self.justification: Condition | None = None
         self.vetoes: list[tuple[_Tok, _Tok, Condition]] = []
+        self.leaf_tokens: dict[int, _Tok] = {}  # each leaf's first token, by the leaf's id
 
     # --- token plumbing -------------------------------------------------
     def peek(self) -> _Tok:
@@ -226,7 +227,7 @@ class _Parser:
             raise _ParseError(f"{what} must match [a-z][a-z0-9_]*: {tok.text!r}", tok)
         return tok
 
-    def error(self, code: str, message: str, tok: _Tok | Diagnostic) -> None:
+    def error(self, code: str, message: str, tok: _Tok) -> None:
         self.diags.append(Diagnostic(Severity.ERROR, code, message, tok.line, tok.col))
 
     # --- statement loop -------------------------------------------------
@@ -474,10 +475,10 @@ class _Parser:
                     right, height = terms.pop()
                     if op.text == "not":
                         opened -= 1
-                        node: Condition = Not(right, line=op.line, col=op.col)
+                        node: Condition = Not(right)
                     else:
                         left, left_height = terms.pop()
-                        node = (And if op.text == "and" else Or)(left, right, line=left.line, col=left.col)
+                        node = (And if op.text == "and" else Or)(left, right)
                         height = max(height, left_height)
                     if height >= MAX_NESTING:
                         raise _ParseError(f"condition nests deeper than {MAX_NESTING} levels", op, "nesting_too_deep")
@@ -495,26 +496,27 @@ class _Parser:
 
     def _atom(self) -> Condition:
         tok = self.tokens[self.pos]
-        if tok.text in ("true", "false"):
-            self.pos += 1
-            return Literal(tok.text == "true", line=tok.line, col=tok.col)
-        if tok.text in ("present", "absent"):
-            self.pos += 1
-            self.expect("(")
-            name = self.expect_kind("IDENT", "field name")
-            self.expect(")")
-            return (Present if tok.text == "present" else Absent)(name.text, line=tok.line, col=tok.col)
         if tok.kind != "IDENT":
             raise _ParseError(f"expected a condition, found {tok.text!r}", tok)
         self.pos += 1
         nxt = self.tokens[self.pos]
-        if nxt.kind == "OP":
+        if tok.text in ("true", "false"):
+            leaf: Condition = Literal(tok.text == "true")
+        elif tok.text in ("present", "absent"):
+            self.expect("(")
+            name = self.expect_kind("IDENT", "field name")
+            self.expect(")")
+            leaf = (Present if tok.text == "present" else Absent)(name.text)
+        elif nxt.kind == "OP":
             self.pos += 1
-            return Comparison(tok.text, nxt.text, self._literal(), line=tok.line, col=tok.col)
-        if nxt.text == "has":
+            leaf = Comparison(tok.text, nxt.text, self._literal())
+        elif nxt.text == "has":
             self.pos += 1
-            return Has(tok.text, self.token_value("member token").text, line=tok.line, col=tok.col)
-        raise _ParseError(f"expected a comparison or 'has' after field {tok.text!r}", nxt)
+            leaf = Has(tok.text, self.token_value("member token").text)
+        else:
+            raise _ParseError(f"expected a comparison or 'has' after field {tok.text!r}", nxt)
+        self.leaf_tokens[id(leaf)] = tok
+        return leaf
 
     def _literal(self) -> FieldValue:
         tok = self.tokens[self.pos]
@@ -568,7 +570,7 @@ class _Parser:
                 )
             except ValueError as exc:
                 refusal = str(exc)
-        # Refused or incomplete: report every finding, a name at its token.
+        # Refused or incomplete: report every finding, a leaf or a name at its token.
         tokens = {"required": list(self.required.values()), "rules": self.rules, "vetoes": self.vetoes}
         for code, message, anchor in reference_findings(
             self.fields,
@@ -579,7 +581,8 @@ class _Parser:
             self.justification,
             vetoes,
         ):
-            self.error(code, message, anchor if isinstance(anchor, Diagnostic) else reduce(getitem, anchor, tokens))
+            tok = reduce(getitem, anchor, tokens) if isinstance(anchor, tuple) else self.leaf_tokens[id(anchor)]
+            self.error(code, message, tok)
         if refusal is not None and not has_errors(self.diags):  # an invariant no finding covers
             self.diags.append(Diagnostic(Severity.ERROR, "invalid_policy", refusal))
         return None

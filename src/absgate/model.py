@@ -122,7 +122,8 @@ class _Frozen:
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls._fields)
+        if cls._fields:  # a base such as ``condition._Node`` has none
+            cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -271,16 +271,16 @@ def reference_findings(
     """Each unresolved reference in a policy's parts as ``(code, message,
     anchor)``, in part order. A rule is ``(id, when, candidate, requires,
     incompatible)``, ``conditions`` the consistency then exclusion
-    conditions, and a veto ``(id, class, when)``. A condition finding's
-    anchor is its ``typecheck`` diagnostic, with line and column; a name's
-    is its index path in the parts: ``("rules", 2, 3, 0)`` is the third
-    rule's first requires name."""
+    conditions, and a veto ``(id, class, when)``. A condition finding is
+    ``typecheck``'s, anchored at the leaf it names; a name's anchor is its
+    index path in the parts: ``("rules", 2, 3, 0)`` is the third rule's
+    first requires name."""
     for i, name in enumerate(required):
         if name not in fields:
             yield "unknown_field", f"required field '{name}' is not declared", ("required", i)
     rule_ids = {rule[0] for rule in rules}
     for i, (rule_id, when, candidate, requires, incompatible) in enumerate(rules):
-        yield from ((diag.code, diag.message, diag) for diag in typecheck(when, fields))
+        yield from typecheck(when, fields)
         for j, name in enumerate(requires):
             if name not in fields:
                 yield "unknown_field", f"rule '{rule_id}' requires undeclared field '{name}'", ("rules", i, 3, j)
@@ -293,9 +293,9 @@ def reference_findings(
                 yield "unknown_rule", f"rule '{rule_id}' incompatible with unknown rule '{other}'", ("rules", i, 4, j)
     tail = () if justification is None else (justification,)
     for cond in (*conditions, *tail):
-        yield from ((diag.code, diag.message, diag) for diag in typecheck(cond, fields))
+        yield from typecheck(cond, fields)
     for i, (veto_id, class_id, when) in enumerate(vetoes):
-        yield from ((diag.code, diag.message, diag) for diag in typecheck(when, fields))
+        yield from typecheck(when, fields)
         if class_id not in classes:
             yield "unknown_class", f"veto '{veto_id}' targets undeclared class '{class_id}'", ("vetoes", i, 1)
 

@@ -28,6 +28,7 @@ from absgate.condition import (
     print_condition,
     typecheck,
 )
+from absgate.dsl import _lex, _Parser
 from absgate.model import FieldKind, FieldValue
 from absgate.policy import FieldDecl
 
@@ -175,8 +176,8 @@ _SCHEMA = {
 }
 
 
-def _codes(diags):
-    return sorted(d.code for d in diags)
+def _codes(findings):
+    return sorted(code for code, _message, _leaf in findings)
 
 
 def test_typecheck_rejects_unknown_field():
@@ -362,19 +363,27 @@ def test_has_on_a_non_set_value_raises():
 class _Foreign(condition._Node):
     """A node of no kind that ``evaluate`` knows, which a connective takes."""
 
-    _fields = ("line", "col", "tag")
+    _fields = ("tag",)
 
     def __init__(self):
-        object.__setattr__(self, "line", 0)
-        object.__setattr__(self, "col", 0)
         object.__setattr__(self, "tag", "foreign")
 
 
 def test_evaluate_rejects_foreign_nodes_nested_in_a_tree():
     with pytest.raises(ValueError, match="^right operand of And is not a condition node: "):
         And(Literal(True), object())
-    with pytest.raises(TypeError):
-        evaluate(And(Literal(True), _Foreign()), {})
+    tree = And(Literal(True), _Foreign())
+    readers = (
+        lambda tree: evaluate(tree, {}),
+        print_condition,
+        lambda tree: typecheck(tree, _SCHEMA),
+        bare_fields,
+        lambda tree: tree == And(Literal(True), _Foreign()),
+        hash,
+    )
+    for reader in readers:
+        with pytest.raises(TypeError, match="^not a condition node: "):
+            reader(tree)
 
 
 # Leaves a stage program must share or keep apart correctly: equal leaves
@@ -605,8 +614,8 @@ def test_evaluate_handles_trees_deeper_than_the_recursion_limit(inner):
     assert bare_fields(cond).difference(cases[1]) == frozenset()
 
 
-# Connectives compare and hash structurally, ignoring source positions,
-# through the same post-order walk as everything else.
+# Connectives compare and hash structurally, through the same post-order
+# walk as everything else. A tree holds no source position.
 _X = Comparison("age", "==", FieldValue.integer(1))
 _Y = Present("fever")
 
@@ -631,8 +640,11 @@ def test_distinct_trees_are_unequal(left, right):
 
 
 def test_equal_trees_ignore_positions_and_hash_alike():
-    built = Or(And(_X, Not(_Y), line=3, col=7), Literal(True), line=1)
+    diags = []
+    parser = _Parser(_lex("\n\n   (age == 1 and not present(fever)) or true", diags), diags)
+    built = parser._condition()
     again = Or(And(copy.copy(_X), Not(Present("fever"))), Literal(True))
+    assert diags == [] and repr(built) == repr(again)
     assert built == again and hash(built) == hash(again)
     assert {built: "first"}[again] == "first"
     assert len({built, again, And(_X, Not(_Y))}) == 2

@@ -938,7 +938,9 @@ def test_a_policy_deeper_than_the_recursion_limit_typechecks():
     schema = _deep_policy().field_map()
     assert typecheck(_deep_rule(), schema) == typecheck(_deep_chain(), schema) == []
     del schema["weight_kg"]
-    assert [d.message for d in typecheck(_deep_rule(), schema)] == ["condition references undeclared field 'weight_kg'"]
+    assert [message for _code, message, _leaf in typecheck(_deep_rule(), schema)] == [
+        "condition references undeclared field 'weight_kg'"
+    ]
     del schema["renal_impairment"]
     assert len(typecheck(_deep_chain(), schema)) == _DEPTH // 3
 

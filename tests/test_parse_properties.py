@@ -144,7 +144,7 @@ class _RecursiveParser(_Parser):
         while self.at("or"):
             tok = self.advance()
             right, right_height = self._and_expr(opened)
-            left = Or(left, right, line=left.line, col=left.col)
+            left = Or(left, right)
             height = _nested(max(height, right_height) + 1, tok)
         return left, height
 
@@ -153,7 +153,7 @@ class _RecursiveParser(_Parser):
         while self.at("and"):
             tok = self.advance()
             right, right_height = self._not_expr(opened)
-            left = And(left, right, line=left.line, col=left.col)
+            left = And(left, right)
             height = _nested(max(height, right_height) + 1, tok)
         return left, height
 
@@ -165,7 +165,7 @@ class _RecursiveParser(_Parser):
         opened = _open(opened + 1, tok)
         if tok.text == "not":
             inner, height = self._not_expr(opened)
-            return Not(inner, line=tok.line, col=tok.col), _nested(height + 1, tok)
+            return Not(inner), _nested(height + 1, tok)
         inner, height = self._expr(opened)
         self.expect(")")
         return inner, height
@@ -184,8 +184,8 @@ def _open(opened, tok):
 
 
 def _parsed(parser_type, text):
-    """Everything a parse yields: each condition tree with the positions of
-    its nodes (in ``repr``), the rendered diagnostics and the digest."""
+    """Everything a parse yields: each condition tree (in ``repr``), the
+    rendered diagnostics, each at its line and column, and the digest."""
     diags = []
     parser = parser_type(_lex(text, diags), diags)
     parser.run()
@@ -219,6 +219,10 @@ class _TwoLayerParser(_Parser):
     ``Policy``, which checked them again, kept as the reference of the one
     checker ``_Parser.resolve`` now shares with ``Policy``."""
 
+    def _typecheck(self, cond):
+        for code, message, leaf in typecheck(cond, self.fields):
+            self.error(code, message, self.leaf_tokens[id(leaf)])
+
     def resolve(self):
         if self.header is None:
             self.diags.append(Diagnostic(Severity.ERROR, "missing_section", "no policy header declared"))
@@ -235,7 +239,7 @@ class _TwoLayerParser(_Parser):
 
         clinical_ids = {name.text for name, *_ in self.rules}
         for name, when, candidate, requires, incompatible in self.rules:
-            self.diags.extend(typecheck(when, self.fields))
+            self._typecheck(when)
             for tok in requires:
                 if tok.text not in self.fields:
                     self.error("unknown_field", f"rule '{name.text}' requires undeclared field '{tok.text}'", tok)
@@ -248,13 +252,13 @@ class _TwoLayerParser(_Parser):
                     self.error("unknown_rule", f"rule '{name.text}' incompatible with unknown rule '{tok.text}'", tok)
 
         for constraint in self.consistency:
-            self.diags.extend(typecheck(constraint.forbid, self.fields))
+            self._typecheck(constraint.forbid)
         for exclusion in self.exclusions:
-            self.diags.extend(typecheck(exclusion.when, self.fields))
+            self._typecheck(exclusion.when)
         if self.justification is not None:
-            self.diags.extend(typecheck(self.justification, self.fields))
+            self._typecheck(self.justification)
         for veto_id, class_tok, when in self.vetoes:
-            self.diags.extend(typecheck(when, self.fields))
+            self._typecheck(when)
             if class_tok.text not in self.classes:
                 self.error(
                     "unknown_class", f"veto '{veto_id.text}' targets undeclared class '{class_tok.text}'", class_tok

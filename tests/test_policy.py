@@ -54,6 +54,10 @@ def test_field_decl_invariants():
         FieldDecl("a", FieldKind.BOOLEAN, is_risk=True)
     with pytest.raises(ValueError):
         FieldDecl("a", FieldKind.TOKEN_SET, enum=("x",), is_risk=True)
+    with pytest.raises(ValueError, match="^risk marker requires a tokenset field: a$"):
+        FieldDecl("a", FieldKind.TOKEN, enum=("x",), is_risk=True)
+    with pytest.raises(ValueError, match="^duplicate enumeration tokens on field a$"):
+        FieldDecl("a", FieldKind.TOKEN, enum=("x", "x"))
     assert FieldDecl("a", FieldKind.TOKEN_SET, is_risk=True).is_risk
 
 
@@ -279,7 +283,8 @@ def _first_rule_when(cond, policy=REFERENCE):
 )
 def test_a_policy_is_type_checked_when_built(cond, message):
     policy = REFERENCE._replace(schema=_SCHEMA)
-    assert [d.message for d in typecheck(cond, policy.field_map())] == [message]
+    [(_code, found, leaf)] = typecheck(cond, policy.field_map())
+    assert found == message and leaf is cond
     with pytest.raises(ValueError) as refused:
         _first_rule_when(And(Present("age"), Not(cond)), policy)
     assert str(refused.value) == message

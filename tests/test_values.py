@@ -4,8 +4,8 @@ One table lists the constructor of each of the 24 value classes in
 ``model``, ``condition``, ``policy`` and ``suite`` (parameter names, kinds
 and defaults, read with ``inspect.signature``) and a representative
 instance. Over the table: equality and hashing by value and class,
-``line``/``col`` outside ``==`` and ``hash`` on condition nodes,
-immutability, and ``pickle``/``copy``/``deepcopy``/``_replace`` copies
+condition nodes parsed at different positions alike in ``==``, ``hash``
+and ``repr``, immutability, and ``pickle``/``copy``/``deepcopy``/``_replace`` copies
 that are equal and carry no cache (``_json``, ``_program``, ``_compiled``).
 A few ``repr`` strings are pinned literally.
 """
@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from absgate import condition, decide, load_reference_policy, load_reference_suite, model, policy, suite
-from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, evaluate
+from absgate.condition import Absent, And, Comparison, Has, Literal, Not, Or, Present, evaluate, print_condition
+from absgate.dsl import _lex, _Parser
 from absgate.model import (
     AbstentionCategory,
     AbstentionReason,
@@ -38,8 +39,7 @@ from absgate.model import (
 )
 
 _ = Parameter.empty
-P, K = Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY
-_AT = (("line", K, 0), ("col", K, 0))
+P = Parameter.POSITIONAL_OR_KEYWORD
 _CACHES = ("_json", "_program", "_compiled")
 
 
@@ -52,9 +52,9 @@ def _instances():
     abstained = decide(reference, cases.case("c11"))[0]
     canonical_serialize(trace)
     canonical_serialize(abstained)
-    comparison = Comparison("age", ">=", FieldValue.integer(65), line=3, col=7)
+    comparison = Comparison("age", ">=", FieldValue.integer(65))
     evaluate(comparison, {"age": FieldValue.integer(70)})
-    present, has = Present("age", line=1, col=1), Has("flags", "a", line=2, col=4)
+    present, has = Present("age"), Has("flags", "a")
     return {
         model.FieldValue: FieldValue.decimal("-0.50"),
         model.AbstentionReason: AbstentionReason(AbstentionCategory.EXPLICIT_EXCLUSION, ("b", "a")),
@@ -63,14 +63,14 @@ def _instances():
         model.CaseInput: cases.case("c17"),
         model.StageRecord: trace.stages[2],
         model.AuditTrace: trace,
-        condition.Literal: Literal(True, line=5, col=6),
+        condition.Literal: Literal(True),
         condition.Comparison: comparison,
         condition.Present: present,
-        condition.Absent: Absent("age", line=1, col=9),
+        condition.Absent: Absent("age"),
         condition.Has: has,
-        condition.And: And(present, Not(has), line=4, col=2),
-        condition.Or: Or(has, comparison, line=8, col=1),
-        condition.Not: Not(comparison, line=3, col=3),
+        condition.And: And(present, Not(has)),
+        condition.Or: Or(has, comparison),
+        condition.Not: Not(comparison),
         policy.FieldDecl: reference.schema[0],
         policy.ClassDecl: reference.classes[0],
         policy.ConsistencyConstraint: reference.consistency[0],
@@ -92,14 +92,14 @@ SIGNATURES = {
     model.CaseInput: (("case_id", P, _), ("description", P, _), ("mechanism", P, _), ("fields", P, _), ("expected", P, _)),
     model.StageRecord: (("stage", P, _), ("evaluated", P, ()), ("notes", P, ())),
     model.AuditTrace: (("stages", P, _), ("final", P, _)),
-    condition.Literal: (("value", P, _), *_AT),
-    condition.Comparison: (("field_name", P, _), ("op", P, _), ("literal", P, _), *_AT),
-    condition.Present: (("field_name", P, _), *_AT),
-    condition.Absent: (("field_name", P, _), *_AT),
-    condition.Has: (("field_name", P, _), ("token", P, _), *_AT),
-    condition.And: (("left", P, _), ("right", P, _), *_AT),
-    condition.Or: (("left", P, _), ("right", P, _), *_AT),
-    condition.Not: (("inner", P, _), *_AT),
+    condition.Literal: (("value", P, _),),
+    condition.Comparison: (("field_name", P, _), ("op", P, _), ("literal", P, _)),
+    condition.Present: (("field_name", P, _),),
+    condition.Absent: (("field_name", P, _),),
+    condition.Has: (("field_name", P, _), ("token", P, _)),
+    condition.And: (("left", P, _), ("right", P, _)),
+    condition.Or: (("left", P, _), ("right", P, _)),
+    condition.Not: (("inner", P, _),),
     policy.FieldDecl: (("name", P, _), ("kind", P, _), ("enum", P, None), ("is_risk", P, False)),
     policy.ClassDecl: (("class_id", P, _), ("spectrum_rank", P, _), ("escalation_tier", P, False)),
     policy.ConsistencyConstraint: (("rule_id", P, _), ("forbid", P, _)),
@@ -161,8 +161,8 @@ def test_constructor_parameters(cls):
 
 def test_pinned_reprs():
     assert repr(FieldValue.decimal("-0.50")) == "FieldValue(kind=<FieldKind.DECIMAL: 'decimal'>, value=Decimal('-0.5000'))"
-    assert repr(Comparison("age", ">=", FieldValue.integer(65), line=3, col=7)) == (
-        "Comparison(line=3, col=7, field_name='age', op='>=',"
+    assert repr(Comparison("age", ">=", FieldValue.integer(65))) == (
+        "Comparison(field_name='age', op='>=',"
         " literal=FieldValue(kind=<FieldKind.INTEGER: 'integer'>, value=65))"
     )
     assert repr(SystemOutput.abstain(AbstentionCategory.EXPLICIT_EXCLUSION, ["b", "a"])) == (
@@ -175,9 +175,8 @@ def test_pinned_reprs():
         "StageRecord(stage=<Stage.EXCLUSIONS: 'exclusions'>,"
         " evaluated=(('r1', <Verdict.NOT_FIRED: 'not_fired'>), ('r2', <Verdict.FIRED: 'fired'>)), notes=('n',))"
     )
-    assert repr(And(Present("a"), Not(Has("b", "x")), line=1, col=2)) == (
-        "And(line=1, col=2, left=Present(line=0, col=0, field_name='a'),"
-        " right=Not(line=0, col=0, inner=Has(line=0, col=0, field_name='b', token='x')))"
+    assert repr(And(Present("a"), Not(Has("b", "x")))) == (
+        "And(left=Present(field_name='a'), right=Not(inner=Has(field_name='b', token='x')))"
     )
 
 
@@ -216,10 +215,21 @@ def test_equality_and_hash_go_by_class_and_value(cls):
 
 @pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
 def test_condition_nodes_compare_and_hash_without_their_position(cls):
+    # A node holds no position: the same text parsed at another line and
+    # column builds an equal node, and a constructor takes no ``line``.
     value = INSTANCES[cls]
-    moved = _rebuilt(value, line=value.line + 40, col=value.col + 2)
-    assert (moved.line, moved.col) != (value.line, value.col)
-    assert moved == value and hash(moved) == hash(value) and repr(moved) != repr(value)
+    text = print_condition(value)
+    at_start, moved = (_parsed_condition(prefix + text) for prefix in ("", "\n\n   "))
+    assert moved == at_start == value and hash(moved) == hash(value) and repr(moved) == repr(value)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'line'"):
+        _rebuilt(value, line=40)
+
+
+def _parsed_condition(text):
+    diags = []
+    tree = _Parser(_lex(text, diags), diags)._condition()
+    assert diags == []
+    return tree
 
 
 def test_leaves_of_another_class_over_the_same_field_differ():
